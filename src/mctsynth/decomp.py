@@ -58,6 +58,8 @@ from .ir import (
     MAT_H,
     MAT_T,
     MAT_TDG,
+    MAT_V,
+    MAT_VDG,
     MAT_X,
 )
 
@@ -346,9 +348,9 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
             if g.kind in allowed:
                 out_gates.append(g)
             elif g.kind is GateKind.CV:
-                out_gates.append(Gate(GateKind.CU, g.qubits, matrix=_V_MATRIX))
+                out_gates.append(Gate(GateKind.CU, g.qubits, matrix=MAT_V))
             elif g.kind is GateKind.CVDG:
-                out_gates.append(Gate(GateKind.CU, g.qubits, matrix=_VDG_MATRIX))
+                out_gates.append(Gate(GateKind.CU, g.qubits, matrix=MAT_VDG))
             else:
                 raise LoweringError(f"cannot lower {g.kind.value} to {basis.value}")
         return _with_basis(circuit, out_gates, basis)
@@ -372,16 +374,6 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
             _lower_gate(g, i, basis, compute_of, uncompute_of)
         )
     return _with_basis(circuit, out_gates, basis)
-
-
-_V_MATRIX: Matrix2 = (
-    ((1 + 1j) / 2, (1 - 1j) / 2),
-    ((1 - 1j) / 2, (1 + 1j) / 2),
-)
-_VDG_MATRIX: Matrix2 = (
-    ((1 - 1j) / 2, (1 + 1j) / 2),
-    ((1 + 1j) / 2, (1 - 1j) / 2),
-)
 
 
 def _lower_gate(
@@ -417,9 +409,9 @@ def _lower_gate(
     if g.kind is GateKind.CU:
         return expand_controlled_unitary(g.qubits[0], g.qubits[1], g.matrix)
     if g.kind is GateKind.CV:
-        return expand_controlled_unitary(g.qubits[0], g.qubits[1], _V_MATRIX)
+        return expand_controlled_unitary(g.qubits[0], g.qubits[1], MAT_V)
     if g.kind is GateKind.CVDG:
-        return expand_controlled_unitary(g.qubits[0], g.qubits[1], _VDG_MATRIX)
+        return expand_controlled_unitary(g.qubits[0], g.qubits[1], MAT_VDG)
     raise LoweringError(f"cannot lower {g.kind.value} to {basis.value}")
 
 

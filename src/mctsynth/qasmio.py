@@ -26,6 +26,7 @@ exactly.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Optional, Union
 
@@ -66,7 +67,8 @@ class CircuitFileError(ValueError):
 
 def _fmt_complex(z: complex) -> str:
     re, im = float(z.real), float(z.imag)
-    sign = "-" if im < 0 else "+"
+    # copysign keeps the sign of a zero imaginary part, which JSON keeps too
+    sign = "-" if math.copysign(1.0, im) < 0 else "+"
     return f"{re!r}{sign}{abs(im)!r}j"
 
 
@@ -267,6 +269,26 @@ def dumps_json(circuit: Circuit) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _meta_from_json(data: object) -> CircuitMeta:
+    """The meta object, with the field types the text format can write
+    back: ``n`` and ``c`` integers, ``scheme`` and ``basis`` strings,
+    any of them null or absent."""
+    if data is None:
+        return CircuitMeta()
+    if not isinstance(data, dict):
+        raise CircuitFileError(f"meta must be an object, got {data!r}")
+    for key, kind in (("scheme", str), ("n", int), ("c", int), ("basis", str)):
+        v = data.get(key)
+        if v is not None and (not isinstance(v, kind) or isinstance(v, bool)):
+            raise CircuitFileError(f"bad meta field {key}={v!r}")
+    return CircuitMeta(
+        scheme=data.get("scheme"),
+        n=data.get("n"),
+        c=data.get("c"),
+        basis=data.get("basis"),
+    )
+
+
 def loads_json(text: str) -> Circuit:
     try:
         doc = json.loads(text)
@@ -291,13 +313,9 @@ def loads_json(text: str) -> Circuit:
     except KeyError as exc:
         raise CircuitFileError(f"unknown role letter {exc.args[0]!r}") from None
 
-    meta_doc = doc.get("meta") or {}
-    meta = CircuitMeta(
-        scheme=meta_doc.get("scheme"),
-        n=meta_doc.get("n"),
-        c=meta_doc.get("c"),
-        basis=meta_doc.get("basis"),
-    )
+    if not isinstance(raw_gates, list):
+        raise CircuitFileError(f"gates must be a list, got {raw_gates!r}")
+    meta = _meta_from_json(doc.get("meta"))
 
     kinds = {k.value: k for k in GateKind}
     gates: list[Gate] = []

@@ -251,6 +251,28 @@ class TestConvert:
         assert "cannot read" in err
 
 
+class TestMalformedJson:
+    HEAD = '{"format": "mct-circuit", "version": 1, "width": 2, "roles": "ct", '
+
+    @pytest.mark.parametrize("body", [
+        '"gates": 5}',
+        '"meta": [1], "gates": []}',
+        '"meta": {"n": "x"}, "gates": []}',
+    ])
+    @pytest.mark.parametrize("command", ["verify", "convert"])
+    def test_exits_two_without_traceback(self, capsys, tmp_path, body, command):
+        path = tmp_path / "bad.json"
+        path.write_text(self.HEAD + body)
+        if command == "verify":
+            argv = ["verify", "--circuit", str(path), "--oracle", "cnx:1"]
+        else:
+            argv = ["convert", "--infile", str(path), "--out", str(tmp_path / "o.mct")]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not (tmp_path / "o.mct").exists()
+
+
 class TestTopLevel:
     def test_no_command_is_usage_error(self, capsys):
         assert run(capsys, )[0] == 2

@@ -2,12 +2,14 @@
 
 import pytest
 
-from mctsynth.cycle import build_cycle_cnx, build_two_cycle_cnx
+from mctsynth.cycle import build_cycle_cnx, build_cycle_cnx_auto, build_two_cycle_cnx
 from mctsynth.decomp import GateBasis, lower_circuit
 from mctsynth.ir import (
     Circuit,
+    CircuitMeta,
     MAT_T,
     MAT_V,
+    NAMED_UNITARIES,
     QubitRole,
     append,
     cu,
@@ -15,7 +17,12 @@ from mctsynth.ir import (
     new_circuit,
     toffoli,
 )
-from mctsynth.ladder import build_cnu, build_cnx, build_workspace_c3x
+from mctsynth.ladder import (
+    build_cnu,
+    build_cnx,
+    build_workspace_c3x,
+    build_workspace_toffoli,
+)
 from mctsynth.qasmio import (
     CircuitFileError,
     dumps,
@@ -181,6 +188,62 @@ class TestJsonRoundTrip:
         )
         with pytest.raises(CircuitFileError, match="out of range"):
             loads_json(doc)
+
+    @pytest.mark.parametrize("gates", ["5", '"ccx"', '{"kind": "x"}', "null"])
+    def test_gates_not_a_list(self, gates):
+        doc = (
+            '{"format": "mct-circuit", "version": 1, "width": 2, '
+            f'"roles": "ct", "gates": {gates}}}'
+        )
+        with pytest.raises(CircuitFileError, match="gates must be a list"):
+            loads_json(doc)
+
+    @pytest.mark.parametrize("meta", ["[1]", "5", '"cycle"'])
+    def test_meta_not_an_object(self, meta):
+        doc = (
+            '{"format": "mct-circuit", "version": 1, "width": 2, '
+            f'"roles": "ct", "meta": {meta}, "gates": []}}'
+        )
+        with pytest.raises(CircuitFileError, match="meta must be an object"):
+            loads_json(doc)
+
+    @pytest.mark.parametrize("field", [
+        '"n": "x"', '"n": 2.0', '"n": true', '"c": "2"', '"c": false',
+        '"scheme": 3', '"scheme": ["cycle"]', '"basis": 1', '"basis": {}',
+    ])
+    def test_meta_field_types(self, field):
+        doc = (
+            '{"format": "mct-circuit", "version": 1, "width": 2, '
+            f'"roles": "ct", "meta": {{{field}}}, "gates": []}}'
+        )
+        with pytest.raises(CircuitFileError, match="bad meta field"):
+            loads_json(doc)
+
+    def test_meta_nulls_and_absence_accepted(self):
+        head = '{"format": "mct-circuit", "version": 1, "width": 2, "roles": "ct", '
+        for meta in ('"meta": null, ', '"meta": {}, ', "",
+                     '"meta": {"scheme": null, "n": null, "c": null, "basis": null}, '):
+            assert loads_json(head + meta + '"gates": []}').meta == CircuitMeta()
+
+
+def _every_builder(basis):
+    yield build_workspace_toffoli()
+    yield build_workspace_c3x()
+    for n in range(3, 8):
+        yield build_cnx(n)
+        yield build_cycle_cnx_auto(n)
+        yield build_two_cycle_cnx(n)
+        yield from (build_cycle_cnx(n, c) for c in range(1, n))
+    if basis is not GateBasis.NATIVE_TOFFOLI:  # cu has no text mnemonic
+        for matrix in NAMED_UNITARIES.values():
+            yield from (build_cnu(n, matrix) for n in range(1, 5))
+
+
+@pytest.mark.parametrize("basis", list(GateBasis))
+def test_json_text_json_round_trip_is_byte_identical(basis):
+    for circ in _every_builder(basis):
+        first = dumps_json(lower_circuit(circ, basis))
+        assert dumps_json(loads_text(dumps_text(loads_json(first)))) == first
 
 
 class TestSniffAndFiles:

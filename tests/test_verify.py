@@ -1,15 +1,18 @@
 """Statevector engine and equivalence oracle."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from mctsynth import verify
 from mctsynth.decomp import GateBasis, ToffoliRule, lower_circuit, lower_toffoli
 from mctsynth.ir import (
     Circuit,
     GateKind,
     MAT_H,
+    MAT_S,
     MAT_T,
     MAT_V,
     MAT_X,
@@ -18,22 +21,26 @@ from mctsynth.ir import (
     append,
     as_array,
     cnot,
+    cu,
     cv,
     inverse,
     local,
     new_circuit,
+    ry_matrix,
     toffoli,
     x,
 )
-from mctsynth.ladder import build_cnx
-from mctsynth.cycle import build_cycle_cnx
+from mctsynth.ladder import build_cnu, build_cnx, build_workspace_c3x, build_workspace_toffoli
+from mctsynth.cycle import build_cycle_cnx, build_two_cycle_cnx
 from mctsynth.verify import (
     DEFAULT_MAX_WIDTH,
     EquivalenceClass,
+    Mismatch,
     WidthLimitError,
     apply,
     basis_state,
     check_equivalence,
+    default_computational_qubits,
     full_unitary,
     is_classical,
     oracle_cnu,
@@ -226,6 +233,11 @@ class TestCheckEquivalence:
         with pytest.raises(WidthLimitError):
             check_equivalence(lowered, oracle_cnx(4), max_width=4)
 
+    @pytest.mark.parametrize("output", [{}, {(1, 0): 1.0}, {(1, 2, 0): 1.0}, {(0, 0, 0): 0j}])
+    def test_malformed_oracle_output_rejected(self, output):
+        with pytest.raises(ValueError, match="oracle"):
+            check_equivalence(build_cnx(2), lambda bits: output)
+
     def test_lowered_ladder_exact(self):
         lowered = lower_circuit(build_cnx(3), GateBasis.CNOT_LOCAL)
         v = check_equivalence(lowered, oracle_cnx(3))
@@ -249,3 +261,303 @@ class TestMaxWidthResolution:
         monkeypatch.setenv("MCT_MAX_WIDTH", "many")
         with pytest.raises(ValueError):
             resolve_max_width()
+
+
+# ---------------------------------------------------------------------------
+# batched checker against per-input references
+
+
+def _input_tuple(mask, k):
+    return tuple((mask >> (k - 1 - i)) & 1 for i in range(k))
+
+
+def _column(width, comp, bits):
+    col = 0
+    for q, b in zip(comp, bits):
+        col |= b << (width - 1 - q)
+    return col
+
+
+def _reference(circuit, oracle, unitary=True, tol=1e-9):
+    """One input at a time from the dense unitary (or from one dense
+    run per input), with the phase fit written out over dicts:
+    (class, witness bits, detail, deviation)."""
+    width = circuit.width
+    comp = default_computational_qubits(circuit)
+    ancillas = [q for q in range(width) if q not in comp]
+    u = full_unitary(circuit, max_width=width) if unitary else None
+    k = len(comp)
+    observed = []
+    for mask in range(2 ** k):
+        bits = _input_tuple(mask, k)
+        expected = oracle(bits)
+        col = _column(width, comp, bits)
+        column = u[:, col] if unitary else apply(circuit, basis_state(width, _input_tuple(col, width)))
+        got, bad = {}, 0.0
+        for idx in np.flatnonzero(np.abs(column) > tol):
+            amp = complex(column[idx])
+            out = _input_tuple(int(idx), width)
+            if any(out[a] for a in ancillas):
+                bad = max(bad, abs(amp))
+            else:
+                got[tuple(out[q] for q in comp)] = amp
+        if bad > tol:
+            return EquivalenceClass.MISMATCH, bits, "ancilla not restored to |0>", bad
+        observed.append((bits, expected, got))
+
+    def deviation(got, expected, phase):
+        return max(abs(got.get(key, 0j) - phase * expected.get(key, 0j))
+                   for key in set(got) | set(expected))
+
+    phases, residual = [], 0.0
+    for bits, expected, got in observed:
+        anchor = max(expected, key=lambda key: abs(expected[key]))
+        phase = got.get(anchor, 0j) / expected[anchor]
+        if abs(got.get(anchor, 0j)) < tol:
+            return (EquivalenceClass.MISMATCH, bits,
+                    f"no amplitude on expected output {anchor}", abs(expected[anchor]))
+        if abs(abs(phase) - 1.0) > tol:
+            return (EquivalenceClass.MISMATCH, bits,
+                    "amplitude magnitude differs from oracle", abs(abs(phase) - 1.0))
+        phase /= abs(phase)
+        dev = deviation(got, expected, phase)
+        if dev > tol:
+            return (EquivalenceClass.MISMATCH, bits,
+                    "output superposition differs from oracle", dev)
+        phases.append(phase)
+        residual = max(residual, dev)
+    exact = max(deviation(got, expected, 1.0 + 0j) for _, expected, got in observed)
+    if exact <= tol:
+        return EquivalenceClass.EXACT, None, None, exact
+    glob = max(deviation(got, expected, phases[0]) for _, expected, got in observed)
+    if glob <= tol:
+        return EquivalenceClass.GLOBAL_PHASE, None, None, glob
+    return EquivalenceClass.DIAGONAL_PHASE, None, None, residual
+
+
+def _assert_matches_reference(circuit, oracle, unitary=True):
+    v = check_equivalence(circuit, oracle)
+    klass, bits, detail, dev = _reference(circuit, oracle, unitary)
+    assert v.klass is klass
+    assert (v.witness.input_bits, v.witness.detail) == (bits, detail) if v.witness else bits is None
+    assert abs(v.max_deviation - dev) <= 1e-12
+    return v
+
+
+def _random_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return tuple(tuple(complex(z) for z in row) for row in q * (np.diag(r) / abs(np.diag(r))))
+
+
+def _random_gate(rng, width, mixing):
+    qs = [int(q) for q in rng.permutation(width)]
+    pick = int(rng.integers(0, 9 if mixing else 3))
+    if pick == 0:
+        return x(qs[0])
+    if pick == 1:
+        return cnot(qs[0], qs[1])
+    if pick == 2:
+        return toffoli(qs[0], qs[1], qs[2])
+    if pick == 3:
+        return cv(qs[0], qs[1])
+    if pick == 4:
+        return cv(qs[0], qs[1]).inverse()
+    if pick == 5:
+        return cu(qs[0], qs[1], _random_unitary(rng))
+    if pick == 6:
+        return local(qs[0], _random_unitary(rng))
+    return local(qs[0], [MAT_H, MAT_T, MAT_Z, MAT_V, MAT_S][int(rng.integers(0, 5))])
+
+
+def _diagonal(rng, global_only):
+    a = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+    b = a if global_only else cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+    return ((a, 0j), (0j, b))
+
+
+def _random_cases():
+    """Small circuits over 2 controls, a target and 0-2 ancillas:
+    random mixed-gate circuits, correct Toffoli networks followed by
+    diagonal or global phases or with inverse pairs spliced in, and
+    doubly-controlled payloads, so that every verdict occurs."""
+    rng = np.random.default_rng(2024)
+    payloads = [MAT_H, MAT_V, MAT_T, ry_matrix(-math.pi / 2), ry_matrix(math.pi / 2)]
+    for trial in range(75):
+        family = trial % 5
+        ancillas = max(trial % 3, family == 4)
+        width = 3 + ancillas
+        roles = [C, C, T] + [P] * ancillas
+        if family == 0:
+            gates = [_random_gate(rng, width, True) for _ in range(int(rng.integers(1, 12)))]
+        else:
+            body = [_random_gate(rng, width, False) for _ in range(int(rng.integers(0, 6)))]
+            if family == 4:
+                payload = payloads[int(rng.integers(0, len(payloads)))]
+                core = [toffoli(0, 1, 3), cu(3, 2, payload), toffoli(0, 1, 3)]
+            else:
+                core = [toffoli(0, 1, 2)]
+            gates = body + core + [g.inverse() for g in reversed(body)]
+            for _ in range(int(rng.integers(1, 3))):
+                if family == 1:
+                    gates.append(local(int(rng.integers(0, 3)), _diagonal(rng, False)))
+                elif family == 2:
+                    gates.append(local(int(rng.integers(0, width)), _diagonal(rng, True)))
+                elif family == 3:
+                    probe = _random_gate(rng, width, True)
+                    gates[1:1] = [probe, probe.inverse()]
+        yield _circ(roles, gates)
+
+
+class TestAgainstReference:
+    ORACLES = [oracle_cnx(2), oracle_cnu(2, MAT_H), oracle_cnu(2, MAT_V), oracle_cnu(2, MAT_T)]
+
+    def test_random_circuits(self):
+        seen = set()
+        for circ in _random_cases():
+            for oracle in self.ORACLES:
+                v = _assert_matches_reference(circ, oracle)
+                seen.add((v.klass, v.witness.detail[:12] if v.witness else None))
+        # the cases reach every verdict and every kind of witness
+        assert {klass for klass, _ in seen} == set(EquivalenceClass)
+        assert {detail for _, detail in seen if detail} == {
+            "ancilla not ", "no amplitude", "amplitude ma", "output super"}
+
+    def test_small_entry_budget_changes_nothing(self, monkeypatch):
+        # blocks of a few inputs, and sparse work items split in two
+        # whenever they hold more entries than that
+        cases = [lower_circuit(build_cnx(4), GateBasis.CV_BASIS),
+                 lower_circuit(build_cycle_cnx(5, 2), GateBasis.CNOT_LOCAL),
+                 build_cycle_cnx(6, 2)]
+        cases += [Circuit(c.qubits, c.gates[:7] + c.gates[8:], c.meta) for c in cases]
+        oracles = [oracle_cnx(4), oracle_cnx(5), oracle_cnx(6)] * 2
+        before = [check_equivalence(c, o) for c, o in zip(cases, oracles)]
+        monkeypatch.setattr(verify, "_ENTRY_BUDGET", 4)
+        after = [check_equivalence(c, o) for c, o in zip(cases, oracles)]
+        assert [(v.klass, v.witness) for v in after] == [(v.klass, v.witness) for v in before]
+        assert [v.max_deviation for v in after] == pytest.approx(
+            [v.max_deviation for v in before], abs=1e-12)
+        assert {v.klass for v in before} >= {EquivalenceClass.EXACT, EquivalenceClass.MISMATCH}
+
+
+def _witness_is_wrong(circuit, oracle, bits, tol=1e-9):
+    """Whether one dense run on the witness input disagrees with the
+    oracle beyond a unit phase, or leaves an ancilla set."""
+    width = circuit.width
+    comp = default_computational_qubits(circuit)
+    out = apply(circuit, basis_state(width, _input_tuple(_column(width, comp, bits), width)))
+    got = {}
+    for idx in np.flatnonzero(np.abs(out) > tol):
+        full = _input_tuple(int(idx), width)
+        if any(full[q] for q in range(width) if q not in comp):
+            return True
+        got[tuple(full[q] for q in comp)] = complex(out[idx])
+    expected = oracle(bits)
+    if set(got) != set(expected):
+        return True
+    anchor = next(iter(expected))
+    phase = got[anchor] / expected[anchor]
+    return any(abs(got[key] - phase * expected[key]) > tol for key in expected) \
+        or abs(abs(phase) - 1) > tol
+
+
+def _builder_outputs():
+    yield build_workspace_toffoli(), oracle_cnx(2)
+    yield build_workspace_c3x(), oracle_cnx(3)
+    for n in range(3, 7):
+        yield build_cnx(n), oracle_cnx(n)
+        yield build_two_cycle_cnx(n), oracle_cnx(n)
+        for c in range(1, n):
+            yield build_cycle_cnx(n, c), oracle_cnx(n)
+        yield build_cnu(n, MAT_V), oracle_cnu(n, MAT_V)
+
+
+class TestOneGateDeleted:
+    def test_every_builder_output(self):
+        for circ, oracle in _builder_outputs():
+            for pos in range(len(circ.gates)):
+                mutant = Circuit(circ.qubits, circ.gates[:pos] + circ.gates[pos + 1:], circ.meta)
+                v = check_equivalence(mutant, oracle)
+                assert v.klass is EquivalenceClass.MISMATCH, (circ.meta, pos)
+                assert _witness_is_wrong(mutant, oracle, v.witness.input_bits), (circ.meta, pos)
+
+    @pytest.mark.parametrize("basis", [GateBasis.CV_BASIS, GateBasis.CNOT_LOCAL])
+    def test_lowered_outputs_match_reference(self, basis):
+        for circ in (build_cnx(3), build_cycle_cnx(4, 2), build_two_cycle_cnx(4)):
+            lowered = lower_circuit(circ, basis)
+            n = len(default_computational_qubits(circ)) - 1
+            for pos in range(len(lowered.gates)):
+                gates = lowered.gates[:pos] + lowered.gates[pos + 1:]
+                mutant = Circuit(lowered.qubits, gates, lowered.meta)
+                v = _assert_matches_reference(mutant, oracle_cnx(n), unitary=False)
+                if v.klass is EquivalenceClass.MISMATCH:
+                    assert _witness_is_wrong(mutant, oracle_cnx(n), v.witness.input_bits)
+
+
+class TestDenseFallback:
+    def _count_dense(self, monkeypatch):
+        calls = []
+        real = verify.apply
+
+        def counting(circuit, state):
+            calls.append(1)
+            return real(circuit, state)
+
+        monkeypatch.setattr(verify, "apply", counting)
+        return calls
+
+    def _wide(self, tail):
+        # H on all 13 wires spreads each input over 8192 basis states,
+        # past the sparse cap; the second layer undoes it
+        roles = [C, T] + [P] * 11
+        layer = [local(q, MAT_H) for q in range(13)]
+        return _circ(roles, layer + layer + tail)
+
+    def test_support_past_cap_reaches_exact(self, monkeypatch):
+        calls = self._count_dense(monkeypatch)
+        v = check_equivalence(self._wide([cnot(0, 1)]), oracle_cnx(1))
+        assert v.klass is EquivalenceClass.EXACT
+        assert len(calls) == 4
+
+    def test_support_past_cap_reaches_mismatch(self, monkeypatch):
+        calls = self._count_dense(monkeypatch)
+        v = check_equivalence(self._wide([]), oracle_cnx(1))
+        assert v.klass is EquivalenceClass.MISMATCH
+        assert v.witness == Mismatch((1, 0), "no amplitude on expected output (1, 1)")
+        assert len(calls) == 4
+
+    def test_ancilla_left_set_past_cap(self, monkeypatch):
+        calls = self._count_dense(monkeypatch)
+        v = check_equivalence(self._wide([cnot(0, 1), x(5)]), oracle_cnx(1))
+        assert v.klass is EquivalenceClass.MISMATCH
+        assert v.witness == Mismatch((0, 0), "ancilla not restored to |0>")
+        assert abs(v.max_deviation - 1) < 1e-12
+        assert calls
+
+
+class TestOracleCallsOnAncillaFailure:
+    @pytest.mark.parametrize("lowered", [False, True])
+    def test_oracle_called_up_to_witness_only(self, lowered):
+        # the ancilla is left set only when control 1 is on, so the
+        # first such input is |0100>, input 4 of 16
+        good = build_cnx(3)
+        bad = Circuit(good.qubits, good.gates + (cnot(1, 4),), good.meta)
+        if lowered:
+            bad = lower_circuit(bad, GateBasis.CV_BASIS)
+        calls = []
+        base = oracle_cnx(3)
+
+        def counting(bits):
+            calls.append(bits)
+            return base(bits)
+
+        v = check_equivalence(bad, counting)
+        assert v.witness == Mismatch((0, 1, 0, 0), "ancilla not restored to |0>")
+        assert calls == [_input_tuple(m, 4) for m in range(5)]
+
+    def test_ancilla_failure_beats_earlier_mismatch(self):
+        # input 0 already disagrees with the oracle (the target is
+        # flipped), but the ancilla failure at input 4 is what is shown
+        good = build_cnx(3)
+        bad = Circuit(good.qubits, good.gates + (x(3), cnot(1, 4)), good.meta)
+        v = check_equivalence(bad, oracle_cnx(3))
+        assert v.witness == Mismatch((0, 1, 0, 0), "ancilla not restored to |0>")
