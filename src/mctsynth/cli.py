@@ -21,11 +21,17 @@ import sys
 from typing import Callable, Optional
 
 from . import qasmio
-from .costs import cost_report, make_table, render_table_csv, render_table_text, report_text
-from .cycle import build_cycle_cnx, build_cycle_cnx_auto, build_two_cycle_cnx
+from .costs import (
+    SCHEMES,
+    build_scheme,
+    cost_report_for,
+    make_table,
+    render_table_csv,
+    render_table_text,
+    report_text,
+)
 from .decomp import GateBasis, lower_circuit
-from .ir import Circuit, NAMED_UNITARIES, QubitRole
-from .ladder import build_cnx, build_workspace_c3x, build_workspace_toffoli
+from .ir import NAMED_UNITARIES, QubitRole
 from .qasmio import CircuitFileError
 from .verify import (
     EquivalenceClass,
@@ -41,46 +47,14 @@ BASIS_BY_TOKEN = {
     "cv": GateBasis.CV_BASIS,
 }
 
-SCHEMES = ("ladder", "cycle", "two-cycle", "workspace-ccx", "workspace-c3x")
-
 # widest circuit the synth path will verify before writing
 AUTO_VERIFY_WIDTH = 16
 
 
-def _build_scheme(scheme: str, n: Optional[int], c: Optional[int]) -> tuple[Circuit, int]:
-    """Build the requested circuit; returns it with its control count."""
-    if scheme == "workspace-ccx":
-        if n not in (None, 2):
-            raise ValueError("workspace-ccx is fixed at n=2")
-        return build_workspace_toffoli(), 2
-    if scheme == "workspace-c3x":
-        if n not in (None, 3):
-            raise ValueError("workspace-c3x is fixed at n=3")
-        return build_workspace_c3x(), 3
-    if n is None:
-        raise ValueError(f"scheme {scheme!r} needs --n")
-    if scheme == "ladder":
-        if c is not None:
-            raise ValueError("the ladder scheme takes no cycle count")
-        return build_cnx(n), n
-    if scheme == "two-cycle":
-        if c is not None:
-            raise ValueError("the two-cycle scheme has a fixed cycle count")
-        return build_two_cycle_cnx(n), n
-    if scheme == "cycle":
-        if c is None:
-            return build_cycle_cnx_auto(n), n
-        return build_cycle_cnx(n, c), n
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
-    basis = BASIS_BY_TOKEN[args.basis]
-    circuit, n = _build_scheme(args.scheme, args.n, args.c)
-    lowered = lower_circuit(circuit, basis)
-
-    report = cost_report(args.scheme, n, circuit.meta.c, basis)
-    print(report_text(report))
+    circuit = build_scheme(args.scheme, args.n, args.c)
+    lowered = lower_circuit(circuit, BASIS_BY_TOKEN[args.basis])
+    print(report_text(cost_report_for(circuit, lowered)))
 
     if args.out is None:
         return 0
@@ -90,7 +64,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     elif lowered.width > AUTO_VERIFY_WIDTH:
         print(f"verify  skipped (width {lowered.width} > {AUTO_VERIFY_WIDTH})")
     else:
-        verdict = check_equivalence(lowered, oracle_cnx(n))
+        verdict = check_equivalence(lowered, oracle_cnx(circuit.meta.n))
         print(f"verify  {verdict.klass.value} (max deviation {verdict.max_deviation:.3g})")
         if verdict.klass is not EquivalenceClass.EXACT:
             print("error: refusing to write a circuit that does not verify",

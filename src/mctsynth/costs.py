@@ -33,13 +33,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .cycle import build_cycle_cnx, build_two_cycle_cnx
-from .decomp import (
-    GateBasis,
-    NoMirrorStructureError,
-    lower_circuit,
-    peres_pairing,
-)
+from .cycle import build_cycle_cnx, build_cycle_cnx_auto, build_two_cycle_cnx
+from .decomp import GateBasis, lower_circuit, paired_toffolis
 from .ir import Circuit, GateKind, QubitRole, count_gates
 from .ladder import build_cnx, build_workspace_c3x, build_workspace_toffoli
 
@@ -217,6 +212,41 @@ def beats_baseline(n: int) -> Optional[bool]:
 
 
 # ---------------------------------------------------------------------------
+# the schemes
+
+SCHEMES = ("ladder", "cycle", "two-cycle", "workspace-ccx", "workspace-c3x")
+
+
+def build_scheme(scheme: str, n: Optional[int], c: Optional[int] = None) -> Circuit:
+    """Build a scheme by name; the one place that maps scheme names to
+    builders and checks their parameters.  The control count and cycle
+    count used are in the circuit's metadata."""
+    if scheme == "workspace-ccx":
+        if n not in (None, 2):
+            raise ValueError("workspace-ccx is fixed at n=2")
+        return build_workspace_toffoli()
+    if scheme == "workspace-c3x":
+        if n not in (None, 3):
+            raise ValueError("workspace-c3x is fixed at n=3")
+        return build_workspace_c3x()
+    if n is None:
+        raise ValueError(f"scheme {scheme!r} needs --n")
+    if scheme == "ladder":
+        if c is not None:
+            raise ValueError("the ladder scheme takes no cycle count")
+        return build_cnx(n)
+    if scheme == "two-cycle":
+        if c is not None:
+            raise ValueError("the two-cycle scheme has a fixed cycle count")
+        return build_two_cycle_cnx(n)
+    if scheme == "cycle":
+        if c is None:
+            return build_cycle_cnx_auto(n)
+        return build_cycle_cnx(n, c)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+# ---------------------------------------------------------------------------
 # built-vs-form report
 
 @dataclass(frozen=True)
@@ -287,6 +317,17 @@ def cost_report(
 ) -> CostReport:
     """Build the requested circuit, lower it, and report built counts
     next to the closed forms."""
+    circuit = build_scheme(scheme, n, c)
+    return cost_report_for(circuit, lower_circuit(circuit, basis))
+
+
+def cost_report_for(circuit: Circuit, lowered: Circuit) -> CostReport:
+    """Built counts of ``circuit``, as made by build_scheme, and of
+    ``lowered``, its lowering, next to the closed forms of its scheme.
+    The scheme, n and c are read from the circuit's metadata and the
+    basis from the lowered circuit's."""
+    scheme, n = circuit.meta.scheme, circuit.meta.n
+    basis = GateBasis(lowered.meta.basis)
     toffoli_form: Optional[int] = None
     ancilla_form: Optional[int] = None
     ancilla_split: Optional[int] = None
@@ -295,14 +336,12 @@ def cost_report(
     used_c: Optional[int] = None
 
     if scheme == "ladder":
-        circuit = build_cnx(n)
         if n >= 2:
             toffoli_form = ladder_toffoli_form(n)
             ancilla_form = ladder_ancilla_form(n)
             ops_form = ladder_ops_form(n, basis)
     elif scheme == "cycle":
-        used_c = c if c is not None else best_cycle_count(n)
-        circuit = build_cycle_cnx(n, used_c)
+        used_c = circuit.meta.c
         toffoli_form = toffoli_count_form(n, used_c)
         ancilla_form = ancilla_min_form(n, used_c)
         ancilla_split = ancilla_split_form(n, used_c)
@@ -311,17 +350,11 @@ def cost_report(
             if used_c == best_cycle_count(n):
                 baseline = baseline_cv_ops(n)
     elif scheme == "two-cycle":
-        circuit = build_two_cycle_cnx(n)
         toffoli_form = two_cycle_toffoli_form(n)
         used_c = 2
-    elif scheme == "workspace-ccx":
-        circuit = build_workspace_toffoli()
-    elif scheme == "workspace-c3x":
-        circuit = build_workspace_c3x()
-    else:
+    elif scheme not in ("workspace-ccx", "workspace-c3x"):
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    lowered = lower_circuit(circuit, basis)
     toffoli_built = count_gates(circuit, GateKind.TOFFOLI)
     ancilla_built = _ancilla_count(circuit)
     ops_built = len(lowered.gates)
@@ -337,14 +370,11 @@ def cost_report(
         # the 7-gate mirrored member has a widely quoted 11-gate variant
         # (3 CNOTs + 8 locals); surface what the count would be under
         # that reading so the two are never conflated
-        try:
-            pairs = len(peres_pairing(circuit).pairs)
-        except NoMirrorStructureError:
-            pairs = 0
-        if pairs:
+        members = paired_toffolis(circuit, lowered)
+        if members:
             notes.append(
                 f"paired members counted at 7 gates; the 11-gate reading "
-                f"would give {ops_built + 8 * pairs} ops"
+                f"would give {ops_built + 4 * members} ops"
             )
     return CostReport(
         scheme=scheme,

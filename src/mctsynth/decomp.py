@@ -26,16 +26,18 @@ are individually wrong in compensating ways:
 A pair is accepted only when both replacements are sound, so one
 pairing plan serves every basis.  The conditions are conservative,
 gate-structural, and checked per pair: between the members, the pair's
-qubits may be touched only as controls; additionally one control (x)
-may instead be touched only as the target of X-like gates while the
-other (y) stays control-only, which orients the CV member's CNOT as
-y -> x.
+three qubits may be touched only as controls, and one of the two
+controls (x) must not be touched at all.  The CV member's CNOT then
+runs y -> x from the other control y, and commutes with everything in
+between because x is untouched and y is only ever read.  x is the
+first control when it is untouched, else the second.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
@@ -45,7 +47,6 @@ from .ir import (
     Gate,
     GateKind,
     Matrix2,
-    X_LIKE_KINDS,
     as_array,
     as_matrix2,
     cnot,
@@ -238,40 +239,49 @@ class PairingPlan:
     unpaired: tuple[int, ...]
 
 
-def _touches_only_as_control(gate: Gate, q: int) -> bool:
-    return q not in gate.qubits or q in gate.controls
+class _TouchIndex:
+    """Per qubit, the sorted gate positions where it is the target and
+    where it is touched at all, so that a question about the gates
+    strictly between two positions is answered by bisection."""
 
+    def __init__(self, circuit: Circuit):
+        self.targeted: list[list[int]] = [[] for _ in range(circuit.width)]
+        self.touched: list[list[int]] = [[] for _ in range(circuit.width)]
+        for pos, g in enumerate(circuit.gates):
+            self.targeted[g.target].append(pos)
+            for q in g.qubits:
+                self.touched[q].append(pos)
 
-def _touches_only_as_x_target(gate: Gate, q: int) -> bool:
-    if q not in gate.qubits:
-        return True
-    return q == gate.target and gate.kind in X_LIKE_KINDS
+    @staticmethod
+    def _any_between(positions: list[int], i: int, j: int) -> bool:
+        return bisect_right(positions, i) < bisect_left(positions, j)
 
+    def only_controls_between(self, q: int, i: int, j: int) -> bool:
+        return not self._any_between(self.targeted[q], i, j)
 
-def _try_cnot_orientation(
-    between: tuple[Gate, ...], u: int, v: int
-) -> Optional[tuple[int, int]]:
-    for y, x in ((v, u), (u, v)):
-        if all(
-            _touches_only_as_control(g, y) and _touches_only_as_x_target(g, x)
-            for g in between
-        ):
-            return (y, x)
-    return None
+    def untouched_between(self, q: int, i: int, j: int) -> bool:
+        return not self._any_between(self.touched[q], i, j)
 
 
 def _pair_valid(
-    gates: tuple[Gate, ...], i: int, j: int
+    gates: tuple[Gate, ...], index: _TouchIndex, i: int, j: int
 ) -> Optional[tuple[int, int]]:
-    """Both replacement conditions must hold: the diagonal condition on
-    all three operands, and a CNOT orientation on the controls."""
+    """CNOT orientation (y, x) for pairing the Toffolis at i and j, or
+    None when they cannot pair.
+
+    Between the members, u, v and w may be touched only as controls,
+    which is the diagonal condition; and one control x must be untouched
+    there, so the CV member's CNOT y -> x commutes with everything in
+    between.  x is u when u is untouched, else v when v is.
+    """
     u, v, w = gates[i].qubits
-    between = gates[i + 1 : j]
-    for g in between:
-        for q in (u, v, w):
-            if not _touches_only_as_control(g, q):
-                return None
-    return _try_cnot_orientation(between, u, v)
+    if not all(index.only_controls_between(q, i, j) for q in (u, v, w)):
+        return None
+    if index.untouched_between(u, i, j):
+        return (v, u)
+    if index.untouched_between(v, i, j):
+        return (u, v)
+    return None
 
 
 def peres_pairing(circuit: Circuit) -> PairingPlan:
@@ -279,11 +289,15 @@ def peres_pairing(circuit: Circuit) -> PairingPlan:
 
     Requires the Toffoli operand sequence to read the same forwards and
     backwards; the compute/uncompute builders all guarantee that.  Each
-    new Toffoli scans earlier unmatched ones nearest-first for an
-    identical operand triple whose in-between gates pass the validity
-    conditions; crossing an already-formed pair is not allowed, since
-    replacement members inside the span would break the commutation
-    argument.
+    new Toffoli pairs with the nearest earlier unmatched one that has
+    the same operand triple and whose in-between gates pass the
+    validity conditions.  Only the previous Toffoli on that triple can
+    pass: any earlier one has it in between, writing their target.
+    Crossing an already-formed pair is not allowed, since replacement
+    members inside the span would break the commutation argument; so
+    when a pair forms, every unmatched Toffoli inside its span is
+    retired, as no later Toffoli could pair with it.  ``unpaired`` lists
+    the unmatched and the retired Toffolis in gate order.
     """
     gates = circuit.gates
     positions = [i for i, g in enumerate(gates) if g.kind is GateKind.TOFFOLI]
@@ -292,34 +306,31 @@ def peres_pairing(circuit: Circuit) -> PairingPlan:
         raise NoMirrorStructureError(
             "toffoli operand sequence is not mirror-symmetric"
         )
+    index = _TouchIndex(circuit)
     pairs: list[ToffoliPair] = []
+    retired: list[int] = []
+    # unmatched Toffolis outside every pair span, in gate order; and per
+    # operand triple, the latest Toffoli on it while it is one of them
     unmatched: list[int] = []
+    candidate: dict[tuple[int, ...], int] = {}
     for pos in positions:
-        chosen: Optional[tuple[int, tuple[int, int]]] = None
-        for k in range(len(unmatched) - 1, -1, -1):
-            cand = unmatched[k]
-            if gates[cand].qubits != gates[pos].qubits:
-                continue
-            if any(p.compute < cand < p.uncompute for p in pairs):
-                continue  # would cross an existing pair
-            orientation = _pair_valid(gates, cand, pos)
-            if orientation is not None:
-                chosen = (k, orientation)
-                break
-        if chosen is None:
+        operands = gates[pos].qubits
+        cand = candidate.pop(operands, None)
+        orientation = None if cand is None else _pair_valid(gates, index, cand, pos)
+        if orientation is None:
             unmatched.append(pos)
-        else:
-            k, (y, x) = chosen
-            pairs.append(
-                ToffoliPair(
-                    compute=unmatched[k],
-                    uncompute=pos,
-                    cnot_control=y,
-                    cnot_target=x,
-                )
-            )
-            unmatched.pop(k)
-    return PairingPlan(pairs=tuple(pairs), unpaired=tuple(unmatched))
+            candidate[operands] = pos
+            continue
+        y, x = orientation
+        pairs.append(
+            ToffoliPair(compute=cand, uncompute=pos, cnot_control=y, cnot_target=x)
+        )
+        k = bisect_left(unmatched, cand)
+        for inside in unmatched[k + 1 :]:
+            candidate.pop(gates[inside].qubits, None)
+            retired.append(inside)
+        del unmatched[k:]
+    return PairingPlan(pairs=tuple(pairs), unpaired=tuple(sorted(unmatched + retired)))
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +424,27 @@ def _lower_gate(
     if g.kind is GateKind.CVDG:
         return expand_controlled_unitary(g.qubits[0], g.qubits[1], MAT_VDG)
     raise LoweringError(f"cannot lower {g.kind.value} to {basis.value}")
+
+
+def paired_toffolis(circuit: Circuit, lowered: Circuit) -> int:
+    """How many Toffolis of ``circuit`` took a paired (relative-phase)
+    member in ``lowered``, its CNOT_LOCAL lowering.
+
+    A Toffoli lowers to 15 gates alone and to 7 as a paired member; a
+    controlled unitary to 6 gates and any other gate to 1.  So the count
+    follows from the two gate counts, without pairing the circuit again.
+    """
+    if lowered.meta.basis != GateBasis.CNOT_LOCAL.value:
+        raise ValueError(f"not a {GateBasis.CNOT_LOCAL.value}-basis lowering")
+    unpaired_length = 0
+    for g in circuit.gates:
+        if g.kind is GateKind.TOFFOLI:
+            unpaired_length += 15
+        elif g.kind in (GateKind.CU, GateKind.CV, GateKind.CVDG):
+            unpaired_length += 6
+        else:
+            unpaired_length += 1
+    return (unpaired_length - len(lowered.gates)) // (15 - 7)
 
 
 def _with_basis(circuit: Circuit, gates: list[Gate], basis: GateBasis) -> Circuit:

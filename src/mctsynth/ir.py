@@ -14,6 +14,7 @@ on the way in via ``as_array``.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -116,7 +117,8 @@ class Gate:
         if self.kind in _MATRIX_KINDS:
             if self.matrix is None:
                 raise ValueError(f"{self.kind.value} requires a matrix")
-            _check_unitary(self.matrix)
+            if not _is_unitary(self.matrix):
+                raise ValueError("matrix is not unitary")
         elif self.matrix is not None:
             raise ValueError(f"{self.kind.value} does not carry a matrix")
 
@@ -130,19 +132,23 @@ class Gate:
 
     def inverse(self) -> "Gate":
         if self.kind is GateKind.CV:
-            return replace(self, kind=GateKind.CVDG)
+            return Gate(GateKind.CVDG, self.qubits)
         if self.kind is GateKind.CVDG:
-            return replace(self, kind=GateKind.CV)
+            return Gate(GateKind.CV, self.qubits)
         if self.kind in _MATRIX_KINDS:
-            return replace(self, matrix=dagger(self.matrix))
+            return Gate(self.kind, self.qubits, dagger(self.matrix))
         # the classical-reversible kinds are involutions
         return self
 
 
-def _check_unitary(m: Matrix2) -> None:
+# Lowering and loading produce a handful of distinct matrices many times
+# over, so the check is memoised on the matrix tuple.  Equal tuples have
+# equal products, and a non-unitary one is rejected on every construction
+# since its cached answer is False.
+@functools.lru_cache(maxsize=4096)
+def _is_unitary(m: Matrix2) -> bool:
     a = as_array(m)
-    if not np.allclose(a @ a.conj().T, np.eye(2), atol=TOL_UNITARY):
-        raise ValueError("matrix is not unitary")
+    return bool(np.allclose(a @ a.conj().T, np.eye(2), atol=TOL_UNITARY))
 
 
 def as_array(m: Matrix2) -> np.ndarray:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from pathlib import Path
 from typing import Optional, Union
 
@@ -79,6 +80,15 @@ def _parse_complex(token: str, line: int) -> complex:
         raise CircuitFileError(f"bad complex number {token!r}", line) from None
 
 
+def _matrix_bits(m: Matrix2) -> bytes:
+    """The matrix's float bits: equal bits give equal text, where tuple
+    equality would mistake 0.0 for -0.0."""
+    (a, b), (c, d) = m
+    return struct.pack(
+        "8d", a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
+    )
+
+
 def _matrix_to_json(m: Matrix2) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
@@ -108,6 +118,7 @@ def dumps_text(circuit: Circuit) -> str:
     lines.append(
         f"meta scheme={opt(m.scheme)} n={opt(m.n)} c={opt(m.c)} basis={opt(m.basis)}"
     )
+    matrices: dict[bytes, str] = {}  # each distinct matrix is formatted once
     for g in circuit.gates:
         if g.kind not in _TEXT_KINDS:
             raise CircuitFileError(
@@ -117,9 +128,12 @@ def dumps_text(circuit: Circuit) -> str:
         idx = " ".join(str(q) for q in g.qubits)
         if g.kind is GateKind.LOCAL:
             assert g.matrix is not None
-            entries = ",".join(
-                _fmt_complex(z) for row in g.matrix for z in row
-            )
+            key = _matrix_bits(g.matrix)
+            entries = matrices.get(key)
+            if entries is None:
+                entries = matrices[key] = ",".join(
+                    _fmt_complex(z) for row in g.matrix for z in row
+                )
             lines.append(f"u({entries}) {idx}")
         else:
             lines.append(f"{g.kind.value} {idx}")
@@ -212,17 +226,20 @@ def loads_text(text: str) -> Circuit:
         body = body[1:]
 
     gates: list[Gate] = []
+    matrices: dict[str, Matrix2] = {}  # each distinct u() is parsed once
     for lineno, line in body:
         tokens = line.split()
         mnemonic = tokens[0]
         if mnemonic.startswith("u(") and mnemonic.endswith(")"):
-            entries = mnemonic[2:-1].split(",")
-            if len(entries) != 4:
-                raise CircuitFileError(
-                    f"u() takes 4 matrix entries, got {len(entries)}", lineno
-                )
-            zs = [_parse_complex(e, lineno) for e in entries]
-            matrix: Matrix2 = ((zs[0], zs[1]), (zs[2], zs[3]))
+            matrix = matrices.get(mnemonic)
+            if matrix is None:
+                entries = mnemonic[2:-1].split(",")
+                if len(entries) != 4:
+                    raise CircuitFileError(
+                        f"u() takes 4 matrix entries, got {len(entries)}", lineno
+                    )
+                zs = [_parse_complex(e, lineno) for e in entries]
+                matrix = matrices[mnemonic] = ((zs[0], zs[1]), (zs[2], zs[3]))
             idx = _parse_indices(tokens[1:], width, lineno)
             if len(idx) != 1:
                 raise CircuitFileError("u gate takes exactly one qubit", lineno)
@@ -250,13 +267,24 @@ def loads_text(text: str) -> Circuit:
 # ---------------------------------------------------------------------------
 # json writer / reader
 
+# One gate of json.dumps(doc, indent=2), split around its qubit list;
+# json.dumps writes an int with repr, as str does.
+_JSON_GATE_HEAD = {
+    k: '    {\n      "kind": %s,\n      "qubits": [\n        ' % json.dumps(k.value)
+    for k in GateKind
+}
+_JSON_QUBIT_SEP = ",\n        "
+_JSON_GATE_TAIL = "\n      ]\n    }"
+_JSON_MATRIX_HEAD = '\n      ],\n      "matrix": '
+_JSON_EMPTY_GATES = "[]\n}"
+
+
 def dumps_json(circuit: Circuit) -> str:
-    gates = []
-    for g in circuit.gates:
-        entry: dict = {"kind": g.kind.value, "qubits": list(g.qubits)}
-        if g.matrix is not None:
-            entry["matrix"] = _matrix_to_json(g.matrix)
-        gates.append(entry)
+    """The bytes of ``json.dumps(doc, indent=2) + "\\n"`` for the circuit
+    document.  Everything but the gate list goes through json.dumps; the
+    gates are written from templates, and each distinct matrix is
+    formatted once by json.dumps, because indent=2 makes json.dumps
+    fall back to its pure-Python encoder."""
     m = circuit.meta
     doc = {
         "format": "mct-circuit",
@@ -264,22 +292,56 @@ def dumps_json(circuit: Circuit) -> str:
         "width": circuit.width,
         "roles": "".join(q.role.value for q in circuit.qubits),
         "meta": {"scheme": m.scheme, "n": m.n, "c": m.c, "basis": m.basis},
-        "gates": gates,
+        "gates": [],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    head = json.dumps(doc, indent=2)
+    if not circuit.gates:
+        return head + "\n"
+    matrices: dict[bytes, str] = {}
+    entries = []
+    for g in circuit.gates:
+        qubits = _JSON_QUBIT_SEP.join(map(str, g.qubits))
+        if g.matrix is None:
+            entries.append(_JSON_GATE_HEAD[g.kind] + qubits + _JSON_GATE_TAIL)
+            continue
+        key = _matrix_bits(g.matrix)
+        matrix = matrices.get(key)
+        if matrix is None:
+            text = json.dumps(_matrix_to_json(g.matrix), indent=2)
+            matrix = matrices[key] = text.replace("\n", "\n      ")
+        entries.append(
+            _JSON_GATE_HEAD[g.kind] + qubits + _JSON_MATRIX_HEAD + matrix + "\n    }"
+        )
+    return (
+        head[: -len(_JSON_EMPTY_GATES)]
+        + "[\n" + ",\n".join(entries) + "\n  ]\n}\n"
+    )
+
+
+def _fits_meta_line(value: str) -> bool:
+    """Whether the text meta line can carry the string: it splits on
+    whitespace and at '=', and reads a lone '-' as null."""
+    return value != "-" and "=" not in value and not any(ch.isspace() for ch in value)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _meta_from_json(data: object) -> CircuitMeta:
     """The meta object, with the field types the text format can write
-    back: ``n`` and ``c`` integers, ``scheme`` and ``basis`` strings,
-    any of them null or absent."""
+    back: ``n`` and ``c`` integers, ``scheme`` and ``basis`` strings
+    that the text meta line can hold, any of them null or absent."""
     if data is None:
         return CircuitMeta()
     if not isinstance(data, dict):
         raise CircuitFileError(f"meta must be an object, got {data!r}")
-    for key, kind in (("scheme", str), ("n", int), ("c", int), ("basis", str)):
+    for key in ("scheme", "n", "c", "basis"):
         v = data.get(key)
-        if v is not None and (not isinstance(v, kind) or isinstance(v, bool)):
+        if v is None:
+            continue
+        ok = _is_int(v) if key in ("n", "c") else isinstance(v, str) and _fits_meta_line(v)
+        if not ok:
             raise CircuitFileError(f"bad meta field {key}={v!r}")
     return CircuitMeta(
         scheme=data.get("scheme"),
@@ -299,11 +361,13 @@ def loads_json(text: str) -> Circuit:
     if doc.get("version") != 1:
         raise CircuitFileError(f"unsupported version {doc.get('version')!r}")
     try:
-        width = int(doc["width"])
+        width = doc["width"]
         letters = str(doc["roles"])
         raw_gates = doc["gates"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CircuitFileError(f"missing or bad field: {exc}") from None
+    except KeyError as exc:
+        raise CircuitFileError(f"missing field: {exc}") from None
+    if not _is_int(width):
+        raise CircuitFileError(f"bad width {width!r}")
     if len(letters) != width:
         raise CircuitFileError(
             f"roles string has {len(letters)} letters, width is {width}"
@@ -322,10 +386,14 @@ def loads_json(text: str) -> Circuit:
     for pos, entry in enumerate(raw_gates):
         try:
             kind = kinds[entry["kind"]]
-            qubits = tuple(int(q) for q in entry["qubits"])
-        except (KeyError, TypeError, ValueError):
+            qubits = tuple(entry["qubits"])
+        except (KeyError, TypeError):
             raise CircuitFileError(f"bad gate entry {pos}: {entry!r}") from None
         for q in qubits:
+            if not _is_int(q):
+                raise CircuitFileError(
+                    f"bad gate entry {pos}: qubit index {q!r} is not an integer"
+                )
             if not 0 <= q < width:
                 raise CircuitFileError(
                     f"bad gate entry {pos}: qubit index {q} out of range"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mctsynth import cli, costs, decomp
 from mctsynth.cli import main
 from mctsynth.decomp import GateBasis, ToffoliRule, lower_toffoli
 from mctsynth.ir import Circuit, QubitRole, new_circuit
@@ -109,6 +110,43 @@ class TestSynth:
     def test_unknown_scheme_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "synth", "--scheme", "pyramid", "--n", "4")
         assert code == 2
+
+
+class TestSynthBuildsOnce:
+    BUILDERS = ("build_cnx", "build_cycle_cnx", "build_cycle_cnx_auto",
+                "build_two_cycle_cnx", "build_workspace_toffoli", "build_workspace_c3x")
+
+    @pytest.mark.parametrize("argv", [
+        ["--scheme", "ladder", "--n", "6"],
+        ["--scheme", "cycle", "--n", "8", "--c", "2"],
+        ["--scheme", "cycle", "--n", "10"],
+        ["--scheme", "two-cycle", "--n", "7"],
+        ["--scheme", "workspace-c3x"],
+    ])
+    @pytest.mark.parametrize("basis", ["toffoli", "cnot", "cv"])
+    def test_one_build_one_lowering_one_pairing(self, capsys, monkeypatch, tmp_path,
+                                                argv, basis):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in self.BUILDERS:
+            monkeypatch.setattr(costs, name, counted("build", getattr(costs, name)))
+        for module in (cli, costs):
+            monkeypatch.setattr(module, "lower_circuit",
+                                counted("lower", module.lower_circuit))
+        monkeypatch.setattr(decomp, "peres_pairing",
+                            counted("pairing", decomp.peres_pairing))
+        code, out, _ = run(capsys, "synth", *argv, "--basis", basis,
+                           "--out", str(tmp_path / "o.json"))
+        assert code == 0
+        assert "verify  exact" in out
+        pairings = 0 if basis == "toffoli" else 1
+        assert sorted(calls) == ["build", "lower"] + ["pairing"] * pairings
 
 
 class TestVerify:
@@ -258,6 +296,8 @@ class TestMalformedJson:
         '"gates": 5}',
         '"meta": [1], "gates": []}',
         '"meta": {"n": "x"}, "gates": []}',
+        '"gates": [{"kind": "cx", "qubits": [0.2, 1.9]}]}',
+        '"meta": {"scheme": "my scheme"}, "gates": []}',
     ])
     @pytest.mark.parametrize("command", ["verify", "convert"])
     def test_exits_two_without_traceback(self, capsys, tmp_path, body, command):
@@ -270,6 +310,17 @@ class TestMalformedJson:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error: ")
+        assert not (tmp_path / "o.mct").exists()
+
+
+    def test_fractional_width_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"format": "mct-circuit", "version": 1, "width": 2.9, '
+                        '"roles": "ct", "gates": [{"kind": "cx", "qubits": [0.2, 1.9]}]}')
+        code, _, err = run(capsys, "convert", "--infile", str(path),
+                           "--out", str(tmp_path / "o.mct"))
+        assert code == 2
+        assert "bad width" in err
         assert not (tmp_path / "o.mct").exists()
 
 

@@ -1,5 +1,7 @@
 """Toffoli lowering rules, mirror pairing, and circuit lowering."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,13 @@ from mctsynth.decomp import (
     GateBasis,
     LoweringError,
     NoMirrorStructureError,
+    PairingPlan,
+    ToffoliPair,
     ToffoliRule,
     expand_controlled_unitary,
     lower_circuit,
     lower_toffoli,
+    paired_toffolis,
     peres_pairing,
     zyz_angles,
 )
@@ -20,22 +25,27 @@ from mctsynth.ir import (
     Circuit,
     GateKind,
     MAT_H,
+    MAT_S,
     MAT_T,
     MAT_V,
     MAT_X,
     MAT_Z,
+    NAMED_UNITARIES,
+    X_LIKE_KINDS,
     QubitRole,
     append,
     as_array,
     cnot,
+    cu,
     cv,
+    cvdg,
     local,
     mcx,
     new_circuit,
     toffoli,
     x,
 )
-from mctsynth.ladder import build_cnx, build_workspace_c3x, build_workspace_toffoli
+from mctsynth.ladder import build_cnu, build_cnx, build_workspace_c3x, build_workspace_toffoli
 from mctsynth.verify import EquivalenceClass, check_equivalence, full_unitary, oracle_cnx
 
 C, T, P = QubitRole.CONTROL, QubitRole.TARGET, QubitRole.PROCESS_ANCILLA
@@ -240,6 +250,140 @@ class TestPairing:
         (pair,) = plan.pairs
         assert {pair.cnot_control, pair.cnot_target} <= {0, 1, 2, 3, 4}
         assert pair.cnot_control != pair.cnot_target
+
+
+def _reference_pairing(circuit, stats=None):
+    """The quadratic greedy pairing that peres_pairing must reproduce:
+    every earlier unmatched Toffoli is scanned nearest first, one inside
+    an existing pair's span is skipped as crossing, and the validity
+    conditions are checked by rescanning the gates between the members.
+    ``stats`` counts the crossing skips and the rejected candidates."""
+    gates = circuit.gates
+    positions = [i for i, g in enumerate(gates) if g.kind is GateKind.TOFFOLI]
+    seq = [gates[i].qubits for i in positions]
+    if seq != seq[::-1]:
+        raise NoMirrorStructureError("not mirror-symmetric")
+
+    def only_control(g, q):
+        return q not in g.qubits or q in g.controls
+
+    def only_x_target(g, q):
+        return q not in g.qubits or (q == g.target and g.kind in X_LIKE_KINDS)
+
+    def valid(i, j):
+        u, v, w = gates[i].qubits
+        between = gates[i + 1 : j]
+        if not all(only_control(g, q) for g in between for q in (u, v, w)):
+            return None
+        for y, x_ in ((v, u), (u, v)):
+            if all(only_control(g, y) and only_x_target(g, x_) for g in between):
+                return (y, x_)
+        return None
+
+    pairs, unmatched = [], []
+    for pos in positions:
+        chosen = None
+        for k in range(len(unmatched) - 1, -1, -1):
+            cand = unmatched[k]
+            if gates[cand].qubits != gates[pos].qubits:
+                continue
+            if any(p.compute < cand < p.uncompute for p in pairs):
+                if stats is not None:
+                    stats["crossing"] += 1
+                continue
+            orientation = valid(cand, pos)
+            if orientation is not None:
+                chosen = (k, orientation)
+                break
+            if stats is not None:
+                stats["rejected"] += 1
+        if chosen is None:
+            unmatched.append(pos)
+        else:
+            k, (y, x_) = chosen
+            pairs.append(ToffoliPair(unmatched.pop(k), pos, y, x_))
+    return PairingPlan(pairs=tuple(pairs), unpaired=tuple(unmatched))
+
+
+def _split_last(qs):
+    return qs[:-1], qs[-1]
+
+
+def _random_mirror_circuit(rng):
+    """A Toffoli sequence that reads the same backwards, drawn from a few
+    operand triples so that candidates repeat, with filler gates between
+    the Toffolis that touch operands as controls, as targets, or not."""
+    width = rng.randint(4, 6)
+    qubits = list(range(width))
+    triples = [tuple(rng.sample(qubits, 3)) for _ in range(rng.randint(1, 3))]
+    half = [rng.choice(triples) for _ in range(rng.randint(1, 6))]
+    middle = [rng.choice(triples)] if rng.random() < 0.5 else []
+    fillers = [
+        lambda: x(rng.choice(qubits)),
+        lambda: cnot(*rng.sample(qubits, 2)),
+        lambda: cv(*rng.sample(qubits, 2)),
+        lambda: cvdg(*rng.sample(qubits, 2)),
+        lambda: local(rng.choice(qubits), rng.choice((MAT_H, MAT_S, MAT_T))),
+        lambda: mcx(*_split_last(rng.sample(qubits, 4))),
+    ]
+    gates = []
+    for triple in half + middle + half[::-1]:
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            gates.append(rng.choice(fillers)())
+        gates.append(toffoli(*triple))
+    return _circ([C] * (width - 1) + [T], gates)
+
+
+def _builds(nmax):
+    for n in range(3, nmax + 1):
+        yield build_cnx(n)
+        yield build_two_cycle_cnx(n)
+        for c in range(1, n):
+            yield build_cycle_cnx(n, c)
+    yield build_workspace_toffoli()
+    yield build_workspace_c3x()
+
+
+class TestPairingMatchesReference:
+    def test_every_build(self):
+        for circ in _builds(40):
+            assert peres_pairing(circ) == _reference_pairing(circ), circ.meta
+
+    def test_random_mirror_circuits(self):
+        rng = random.Random(4)
+        stats = {"crossing": 0, "rejected": 0}
+        for _ in range(3000):
+            circ = _random_mirror_circuit(rng)
+            assert peres_pairing(circ) == _reference_pairing(circ, stats)
+        # the seeded set exercises both ways a candidate is turned down
+        assert stats["crossing"] > 100 and stats["rejected"] > 100, stats
+
+
+class TestPairedToffolis:
+    def test_matches_pairing_plan(self):
+        circuits = list(_builds(12)) + [
+            build_cnu(n, m) for n in range(1, 6) for m in NAMED_UNITARIES.values()
+        ]
+        for circ in circuits:
+            lowered = lower_circuit(circ, GateBasis.CNOT_LOCAL)
+            assert paired_toffolis(circ, lowered) == 2 * len(peres_pairing(circ).pairs)
+
+    def test_mixed_gates_and_no_mirror(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            circ = _random_mirror_circuit(rng)
+            circ = _circ([q.role for q in circ.qubits],
+                         [g for g in circ.gates if g.kind is not GateKind.MCX]
+                         + [cu(0, 1, MAT_H), x(2)])
+            lowered = lower_circuit(circ, GateBasis.CNOT_LOCAL)
+            assert paired_toffolis(circ, lowered) == 2 * len(peres_pairing(circ).pairs)
+        lone = _circ([C, C, T, P], [toffoli(0, 1, 2), toffoli(0, 1, 3)])
+        assert paired_toffolis(lone, lower_circuit(lone, GateBasis.CNOT_LOCAL)) == 0
+
+    def test_other_bases_rejected(self):
+        circ = build_cnx(4)
+        with pytest.raises(ValueError):
+            paired_toffolis(circ, lower_circuit(circ, GateBasis.CV_BASIS))
 
 
 class TestLowerCircuit:

@@ -74,8 +74,13 @@ class TestGateValidation:
             Gate(GateKind.X, (0,), MAT_X)
 
     def test_non_unitary_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            local(0, ((1 + 0j, 0j), (0j, 2 + 0j)))
+        # the unitarity check is memoised; a second construction of the
+        # same matrix must still raise
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not unitary"):
+                local(0, ((1 + 0j, 0j), (0j, 2 + 0j)))
+            with pytest.raises(ValueError, match="not unitary"):
+                cu(0, 1, ((1 + 0j, 0j), (0j, 2 + 0j)))
 
     def test_mcx_needs_three_controls(self):
         # two controls is spelled TOFFOLI, one is CNOT

@@ -1,5 +1,10 @@
 """Text and json circuit files: round trips, determinism, parse errors."""
 
+import cmath
+import json
+import math
+import random
+
 import pytest
 
 from mctsynth.cycle import build_cycle_cnx, build_cycle_cnx_auto, build_two_cycle_cnx
@@ -13,6 +18,7 @@ from mctsynth.ir import (
     QubitRole,
     append,
     cu,
+    local,
     mcx,
     new_circuit,
     toffoli,
@@ -244,6 +250,170 @@ def test_json_text_json_round_trip_is_byte_identical(basis):
     for circ in _every_builder(basis):
         first = dumps_json(lower_circuit(circ, basis))
         assert dumps_json(loads_text(dumps_text(loads_json(first)))) == first
+
+
+def _reference_dumps_json(circuit):
+    """The document as one json.dumps call, which dumps_json must match."""
+    gates = []
+    for g in circuit.gates:
+        entry = {"kind": g.kind.value, "qubits": list(g.qubits)}
+        if g.matrix is not None:
+            entry["matrix"] = [[[float(z.real), float(z.imag)] for z in row] for row in g.matrix]
+        gates.append(entry)
+    m = circuit.meta
+    doc = {
+        "format": "mct-circuit",
+        "version": 1,
+        "width": circuit.width,
+        "roles": "".join(q.role.value for q in circuit.qubits),
+        "meta": {"scheme": m.scheme, "n": m.n, "c": m.c, "basis": m.basis},
+        "gates": gates,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# the same matrix twice over but for the signs of its zeros
+_SIGNED_ZEROS = (
+    local(0, ((1 + 0j, complex(0.0, -0.0)), (complex(-0.0, 0.0), complex(-1.0, 0.0)))),
+    local(1, ((1 + 0j, 0j), (0j, complex(-1.0, 0.0)))),
+    local(0, ((complex(1.0, -0.0), complex(-0.0, -0.0)), (0j, complex(-1.0, -0.0)))),
+)
+
+
+class TestJsonWriterMatchesJsonDumps:
+    @pytest.mark.parametrize("basis", list(GateBasis))
+    def test_every_builder(self, basis):
+        for circ in _every_builder(basis):
+            lowered = lower_circuit(circ, basis)
+            assert dumps_json(lowered) == _reference_dumps_json(lowered)
+            assert dumps_json(circ) == _reference_dumps_json(circ)
+
+    @pytest.mark.parametrize("name", sorted(NAMED_UNITARIES))
+    def test_every_named_unitary(self, name):
+        for n in (1, 2, 4):
+            circ = build_cnu(n, NAMED_UNITARIES[name])
+            for basis in GateBasis:
+                lowered = lower_circuit(circ, basis)
+                assert dumps_json(lowered) == _reference_dumps_json(lowered)
+
+    def test_signed_zeros_kept_apart(self):
+        circ = append(new_circuit([C, T]), *_SIGNED_ZEROS, *_SIGNED_ZEROS[::-1])
+        text = dumps_json(circ)
+        assert text == _reference_dumps_json(circ)
+        assert "-0.0" in text
+
+    def test_no_gates(self):
+        for meta in (CircuitMeta(), CircuitMeta("cycle", 5, 2, "cv")):
+            circ = new_circuit([C, T], meta)
+            assert dumps_json(circ) == _reference_dumps_json(circ)
+            assert '"gates": []' in dumps_json(circ)
+
+    def test_header_strings_escaped_as_json_does(self):
+        meta = CircuitMeta(scheme='a"b\\c\u00e9', basis="\u2603")
+        circ = append(new_circuit([C, C, T], meta), toffoli(0, 1, 2))
+        assert dumps_json(circ) == _reference_dumps_json(circ)
+
+
+def _doc(width=2, roles="ct", gates=(), meta=None):
+    doc = {"format": "mct-circuit", "version": 1, "width": width, "roles": roles,
+           "gates": list(gates)}
+    if meta is not None:
+        doc["meta"] = meta
+    return json.dumps(doc)
+
+
+class TestJsonIntegers:
+    @pytest.mark.parametrize("width", [2.9, 2.0, True, "2", None, [2]])
+    def test_width_must_be_an_int(self, width):
+        with pytest.raises(CircuitFileError, match="bad width"):
+            loads_json(_doc(width=width))
+
+    @pytest.mark.parametrize("qubits", [[0.2, 1.9], [0, 1.0], [True, 0], ["0", 1], [0, None]])
+    def test_qubit_indices_must_be_ints(self, qubits):
+        with pytest.raises(CircuitFileError, match="not an integer"):
+            loads_json(_doc(gates=[{"kind": "cx", "qubits": qubits}]))
+
+    def test_fractional_file_is_not_truncated(self):
+        doc = _doc(width=2.9, gates=[{"kind": "cx", "qubits": [0.2, 1.9]}])
+        with pytest.raises(CircuitFileError):
+            loads_json(doc)
+
+
+class TestJsonMetaStrings:
+    @pytest.mark.parametrize("value", [
+        "my scheme", " lead", "tab\there", "line\nbreak", "a=b", "=", "-",
+        "nbsp\u00a0x", "sep\u2028x", "unit\x1fsep",
+    ])
+    @pytest.mark.parametrize("key", ["scheme", "basis"])
+    def test_rejects_what_the_text_meta_line_cannot_hold(self, key, value):
+        with pytest.raises(CircuitFileError, match="bad meta field"):
+            loads_json(_doc(meta={key: value}))
+
+    @pytest.mark.parametrize("value", ["", "--", "a-b", "x_y", "\u00e9t\u00e9", "cycle"])
+    def test_accepts_and_round_trips(self, value):
+        circ = loads_json(_doc(meta={"scheme": value, "basis": value}))
+        assert circ.meta.scheme == value
+        assert dumps_json(loads_text(dumps_text(circ))) == dumps_json(circ)
+
+
+def _random_unitary_json(rng):
+    a, b, c = (rng.uniform(-math.pi, math.pi) for _ in range(3))
+    phases = [cmath.exp(1j * a), cmath.exp(1j * b), cmath.exp(1j * c)]
+    cos, sin = math.cos(a + b), math.sin(a + b)
+    m = ((cos * phases[0], -sin * phases[1]),
+         (sin * phases[1].conjugate() * phases[2], cos * phases[0].conjugate() * phases[2]))
+    if rng.random() < 0.3:
+        m = ((1 + 0j, complex(0.0, -0.0)), (complex(-0.0, 0.0), phases[2]))
+    return [[[z.real, z.imag] for z in row] for row in m]
+
+
+def _random_circuit_doc(rng):
+    """A document that loads_json may or may not accept: random meta
+    strings over an alphabet with the characters the text meta line
+    splits on, and random gates of every kind."""
+    width = rng.randint(4, 6)
+    alphabet = ["a", "-", "=", " ", "\t", "\u00e9", "\u00a0", "\u2028", "_", "\x1c", "5"]
+
+    def meta_value(numeric):
+        if rng.random() < 0.25:
+            return None
+        if numeric:
+            return rng.randint(-3, 600)
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 3)))
+
+    gates = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.choice(["x", "cx", "ccx", "cv", "cvdg", "u", "u", "cu", "mcx"])
+        arity = {"x": 1, "u": 1, "cx": 2, "cv": 2, "cvdg": 2, "cu": 2, "ccx": 3,
+                 "mcx": 4}[kind]
+        entry = {"kind": kind, "qubits": rng.sample(range(width), arity)}
+        if kind in ("u", "cu"):
+            entry["matrix"] = _random_unitary_json(rng)
+        gates.append(entry)
+    meta = {"scheme": meta_value(False), "n": meta_value(True),
+            "c": meta_value(True), "basis": meta_value(False)}
+    return _doc(width=width, roles="c" * (width - 1) + "t", gates=gates, meta=meta)
+
+
+def test_every_accepted_json_file_survives_text_round_trip():
+    rng = random.Random(20)
+    accepted = rejected = 0
+    for _ in range(2000):
+        try:
+            circ = loads_json(_random_circuit_doc(rng))
+        except CircuitFileError:
+            rejected += 1
+            continue
+        accepted += 1
+        first = dumps_json(circ)
+        try:
+            text = dumps_text(circ)
+        except CircuitFileError:
+            # only the kinds without a text mnemonic are refused
+            assert {g.kind.value for g in circ.gates} & {"cu", "mcx"}
+            continue
+        assert dumps_json(loads_text(text)) == first
+    assert accepted > 200 and rejected > 200, (accepted, rejected)
 
 
 class TestSniffAndFiles:
