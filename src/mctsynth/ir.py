@@ -69,6 +69,11 @@ class GateKind(Enum):
     LOCAL = "u"
     CU = "cu"
 
+    # Members are singletons compared by identity, so hashing by
+    # identity agrees with equality and skips Enum's pure-Python
+    # __hash__ on every set and dict lookup of a kind.
+    __hash__ = object.__hash__
+
 
 # How many qubits each kind takes; None means "2 or more" (MCX).
 _ARITY: dict[GateKind, Optional[int]] = {

@@ -22,8 +22,12 @@ index, amplitude) entries: permutation and diagonal gates move or
 rescale entries in place, and only mixing gates split entries and merge
 the duplicates.  An input whose support outgrows a cap is simulated
 again on a dense statevector, which is where the width cap matters.
-The oracle is then called once per input, in input order, and both
-engines' outputs are compared with it by the same array operations.
+
+The expected outputs are arrays too.  The built-in C^nX and C^nU oracles
+(``ControlledOracle``) are tabulated from n and the 2x2 alone; any other
+oracle is called once per input, in input order, and its dicts are
+flattened into the same layout.  Both engines' outputs are compared with
+that table by the same array operations.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .ir import (
     QubitRole,
     X_LIKE_KINDS,
     as_array,
+    as_matrix2,
     MAT_X,
     MAT_V,
     MAT_VDG,
@@ -55,6 +60,9 @@ DEFAULT_TOL = 1e-9
 # dict from output bit tuple to amplitude
 Superposition = dict[tuple[int, ...], complex]
 Oracle = Callable[[tuple[int, ...]], Superposition]
+# an oracle's outputs over every input, flattened: entry count per
+# input, int64 keys (input << k) | output, and amplitudes
+Table = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class WidthLimitError(ValueError):
@@ -324,39 +332,57 @@ def _run_sparse(
 # ---------------------------------------------------------------------------
 # oracles
 
-def oracle_cnx(n: int) -> Oracle:
-    """n controls and a target: flip the target iff all controls are 1."""
+@dataclass(frozen=True)
+class ControlledOracle:
+    """n controls and a target: apply ``matrix`` to the target iff all
+    controls are 1.
 
-    def oracle(bits: tuple[int, ...]) -> Superposition:
-        if len(bits) != n + 1:
-            raise ValueError(f"expected {n + 1} bits, got {len(bits)}")
-        controls, t = bits[:-1], bits[-1]
-        if all(controls):
-            t ^= 1
-        return {controls + (t,): 1.0 + 0j}
+    Called on a bit tuple it is an ``Oracle``.  ``table`` gives every
+    input's output at once, which is how ``check_equivalence`` reads it.
+    """
 
-    return oracle
+    n: int
+    matrix: Matrix2
 
-
-def oracle_cnu(n: int, matrix: Matrix2) -> Oracle:
-    """n controls and a target: apply the given 2x2 iff all controls
-    are 1."""
-    a = as_array(matrix)
-
-    def oracle(bits: tuple[int, ...]) -> Superposition:
-        if len(bits) != n + 1:
-            raise ValueError(f"expected {n + 1} bits, got {len(bits)}")
+    def __call__(self, bits: tuple[int, ...]) -> Superposition:
+        if len(bits) != self.n + 1:
+            raise ValueError(f"expected {self.n + 1} bits, got {len(bits)}")
         controls, t = bits[:-1], bits[-1]
         if not all(controls):
             return {bits: 1.0 + 0j}
         out: Superposition = {}
         for row in (0, 1):
-            amp = complex(a[row, t])
+            amp = self.matrix[row][t]
             if amp != 0:
                 out[controls + (row,)] = amp
         return out
 
-    return oracle
+    def table(self) -> Table:
+        """The calls on every input, flattened, with each call's entries
+        in its own order.  Every input maps to itself but the last two,
+        whose controls are all set."""
+        k = self.n + 1
+        last = (1 << k) - 2
+        tail = [self((1,) * self.n + (t,)) for t in (0, 1)]
+        tail_keys = [((last + t) << k) | last | bits[-1] for t in (0, 1) for bits in tail[t]]
+        tail_amps = [amp for out in tail for amp in out.values()]
+        m = np.arange(last, dtype=np.int64)
+        counts = np.ones(last + 2, dtype=np.int64)
+        counts[last:] = [len(out) for out in tail]
+        keys = np.concatenate(((m << k) | m, np.array(tail_keys, dtype=np.int64)))
+        amps = np.concatenate((np.ones(last, dtype=complex), np.array(tail_amps, dtype=complex)))
+        return counts, keys, amps
+
+
+def oracle_cnx(n: int) -> ControlledOracle:
+    """n controls and a target: flip the target iff all controls are 1."""
+    return ControlledOracle(n, MAT_X)
+
+
+def oracle_cnu(n: int, matrix: Matrix2) -> ControlledOracle:
+    """n controls and a target: apply the given 2x2 iff all controls
+    are 1."""
+    return ControlledOracle(n, as_matrix2(as_array(matrix)))
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +432,12 @@ def check_equivalence(
     basis input, ancillas held at |0> and required to return to |0>.
 
     The bit order handed to the oracle is the order of
-    ``computational_qubits``.  The oracle is called once per input, in
-    input order; an ancilla left set on any input is reported ahead of
-    every other mismatch, and the oracle is not called past that input.
+    ``computational_qubits``.  An ancilla left set on any input is
+    reported ahead of every other mismatch.  A ``ControlledOracle`` of
+    the right arity (what ``oracle_cnx`` and ``oracle_cnu`` return) is
+    read as one table and never called per input.  Any other oracle is
+    called once per input, in input order, and not past an input that
+    leaves an ancilla set.
     """
     width = circuit.width
     limit = resolve_max_width(max_width)
@@ -417,8 +446,12 @@ def check_equivalence(
         if computational_qubits is not None
         else default_computational_qubits(circuit)
     )
+    k = len(comp)
     ancillas = tuple(q for q in range(width) if q not in comp)
     if is_classical(circuit):
+        if 2 * k > 63:
+            raise WidthLimitError(f"{k} computational qubits exceed the classical "
+                                  f"engine's 63-bit keys")
         failure, got = _run_classical(circuit, comp, ancillas)
     else:
         if width > limit:
@@ -428,57 +461,65 @@ def check_equivalence(
                                   f"exceeds the sparse engine's 63-bit keys")
         failure, got = _run_sparse(circuit, comp, ancillas, tol)
 
+    tabulated = isinstance(oracle, ControlledOracle) and oracle.n + 1 == k
     if failure is not None:
         first, deviation = failure
-        # the oracle still sees every input up to the failing one
-        inputs = _input_bits(len(comp), first + 1)
-        for bits in inputs:
-            oracle(bits)
+        if not tabulated:
+            # the oracle still sees every input up to the failing one
+            for bits in islice(product((0, 1), repeat=k), first + 1):
+                oracle(bits)
         return EquivalenceVerdict(
             EquivalenceClass.MISMATCH,
             deviation,
-            Mismatch(inputs[first], "ancilla not restored to |0>"),
+            Mismatch(_bits(first, k), "ancilla not restored to |0>"),
         )
     assert got is not None
-    inputs = _input_bits(len(comp), 1 << len(comp))
-    return _classify(inputs, list(map(oracle, inputs)), got, tol)
+    expected = oracle.table() if tabulated else _call_each(oracle, k)
+    return _classify(k, expected, got, tol)
 
 
-def _input_bits(k: int, count: int) -> list[tuple[int, ...]]:
-    """Bit tuples of inputs 0 .. count-1, most significant bit first."""
-    return list(islice(product((0, 1), repeat=k), count))
+def _bits(m: int, k: int) -> tuple[int, ...]:
+    """The low k bits of m, most significant first."""
+    return tuple((m >> (k - 1 - i)) & 1 for i in range(k))
 
 
-def _classify(
-    inputs: list[tuple[int, ...]],
-    expected: list[Superposition],
-    got: tuple[np.ndarray, np.ndarray],
-    tol: float,
-) -> EquivalenceVerdict:
-    """Fit one phase per input, then classify by how the phases behave.
-
-    For each input in order: the anchor is the oracle's largest
-    amplitude (the first such key in the oracle's dict order); the
-    input fails if the circuit puts no amplitude on it, if the fitted
-    phase is not of unit magnitude, or if the output differs from the
-    phased oracle.  The floating-point operations are those of Python
-    complex arithmetic, in the same order, so deviations come out the
-    same as comparing dicts one input at a time.
-    """
-    k = len(inputs[0])
-    n = len(inputs)
-    got_keys, got_amps = got
+def _call_each(oracle: Oracle, k: int) -> Table:
+    """Call the oracle on every input in order, and flatten its dicts
+    the way ``ControlledOracle.table`` lays them out."""
+    n = 1 << k
+    expected = list(map(oracle, product((0, 1), repeat=k)))
     counts = np.fromiter(map(len, expected), dtype=np.int64, count=n)
     out_keys = list(chain.from_iterable(expected))
     bits = np.frombuffer(b"".join(map(bytes, out_keys)), dtype=np.uint8)
     if not counts.all() or set(map(len, out_keys)) != {k} or (bits > 1).any():
         raise ValueError(f"oracle outputs must be non-empty dicts keyed by {k}-bit tuples")
     weights = np.int64(1) << np.arange(k - 1, -1, -1, dtype=np.int64)
-    exp_keys = (np.repeat(np.arange(n, dtype=np.int64) << k, counts)
-                | bits.reshape(len(out_keys), k).astype(np.int64) @ weights)
-    exp_amps = np.fromiter(chain.from_iterable(map(dict.values, expected)),
-                           dtype=complex, count=len(out_keys))
+    keys = (np.repeat(np.arange(n, dtype=np.int64) << k, counts)
+            | bits.reshape(len(out_keys), k).astype(np.int64) @ weights)
+    amps = np.fromiter(chain.from_iterable(map(dict.values, expected)),
+                       dtype=complex, count=len(out_keys))
+    return counts, keys, amps
 
+
+def _classify(
+    k: int,
+    expected: Table,
+    got: tuple[np.ndarray, np.ndarray],
+    tol: float,
+) -> EquivalenceVerdict:
+    """Fit one phase per input, then classify by how the phases behave.
+
+    For each input in order: the anchor is the oracle's largest
+    amplitude (the first such key in the oracle's order); the input
+    fails if the circuit puts no amplitude on it, if the fitted phase is
+    not of unit magnitude, or if the output differs from the phased
+    oracle.  The floating-point operations are those of Python complex
+    arithmetic, in the same order, so deviations come out the same as
+    comparing dicts one input at a time.
+    """
+    counts, exp_keys, exp_amps = expected
+    n = len(counts)
+    got_keys, got_amps = got
     starts = np.cumsum(counts) - counts
     size = _abs(exp_amps)
     top = np.maximum.reduceat(size, starts)
@@ -512,14 +553,14 @@ def _classify(
     if failed.any():
         m = int(np.argmax(failed))
         if missing[m]:
-            key = list(expected[m])[anchor[m] - starts[m]]
+            key = _bits(int(exp_keys[anchor[m]]), k)
             deviation_m, detail = float(_abs(want[m])), f"no amplitude on expected output {key}"
         elif off[m] > tol:
             deviation_m, detail = float(off[m]), "amplitude magnitude differs from oracle"
         else:
             deviation_m, detail = float(dev[m]), "output superposition differs from oracle"
         return EquivalenceVerdict(
-            EquivalenceClass.MISMATCH, deviation_m, Mismatch(inputs[m], detail)
+            EquivalenceClass.MISMATCH, deviation_m, Mismatch(_bits(m, k), detail)
         )
 
     exact_dev = float(deviation(np.complex128(1.0)).max())

@@ -204,6 +204,19 @@ class TestVerify:
         assert code == 0
         assert "verdict exact" in out
 
+    def test_too_many_inputs_exits_two(self, capsys, tmp_path):
+        # 32 computational qubits overflow the classical engine's keys;
+        # the check must refuse before enumerating 2**32 inputs
+        from mctsynth.ladder import build_cnx
+
+        path = tmp_path / "l31.mct"
+        save(build_cnx(31), path)
+        code, _, err = run(
+            capsys, "verify", "--circuit", str(path), "--oracle", "cnx:31"
+        )
+        assert code == 2
+        assert "63-bit keys" in err
+
     def test_unknown_unitary_name(self, capsys, tmp_path):
         path = tmp_path / "x.mct"
         run(capsys, "synth", "--scheme", "ladder", "--n", "2", "--out", str(path))

@@ -17,6 +17,7 @@ from mctsynth.ir import (
     MAT_V,
     MAT_X,
     MAT_Z,
+    NAMED_UNITARIES,
     QubitRole,
     append,
     as_array,
@@ -34,6 +35,7 @@ from mctsynth.ladder import build_cnu, build_cnx, build_workspace_c3x, build_wor
 from mctsynth.cycle import build_cycle_cnx, build_two_cycle_cnx
 from mctsynth.verify import (
     DEFAULT_MAX_WIDTH,
+    ControlledOracle,
     EquivalenceClass,
     Mismatch,
     WidthLimitError,
@@ -561,3 +563,104 @@ class TestOracleCallsOnAncillaFailure:
         bad = Circuit(good.qubits, good.gates + (x(3), cnot(1, 4)), good.meta)
         v = check_equivalence(bad, oracle_cnx(3))
         assert v.witness == Mismatch((0, 1, 0, 0), "ancilla not restored to |0>")
+
+
+# ---------------------------------------------------------------------------
+# the built-in oracles' table against their own per-input calls
+
+
+def _flatten_calls(oracle, k):
+    """The oracle called on every input in order, flattened by hand."""
+    counts, keys, amps = [], [], []
+    for m in range(2 ** k):
+        out = oracle(_input_tuple(m, k))
+        counts.append(len(out))
+        for bits, amp in out.items():
+            keys.append((m << k) | int("".join(map(str, bits)), 2))
+            amps.append(amp)
+    return counts, keys, amps
+
+
+def _parity_builds():
+    """Every build at n=2..8, with whether its mutants are checked."""
+    for n in range(2, 9):
+        builds = [build_cnx(n)] + [build_cycle_cnx(n, c) for c in range(1, n)]
+        if n >= 3:
+            builds.append(build_two_cycle_cnx(n))
+        for circ in builds:
+            yield circ, oracle_cnx(n), n <= 5
+
+
+def _same_verdict(a, b):
+    return (a.klass, a.witness, a.max_deviation.hex()) == (b.klass, b.witness, b.max_deviation.hex())
+
+
+class TestTabulatedOracle:
+    @pytest.mark.parametrize("name", sorted(NAMED_UNITARIES) + ["cnx"])
+    def test_table_equals_per_input_calls(self, name):
+        for n in range(0, 9):
+            oracle = oracle_cnx(n) if name == "cnx" else oracle_cnu(n, NAMED_UNITARIES[name])
+            assert isinstance(oracle, ControlledOracle)
+            counts, keys, amps = oracle.table()
+            want_counts, want_keys, want_amps = _flatten_calls(oracle, n + 1)
+            assert counts.dtype == keys.dtype == np.int64
+            assert counts.tolist() == want_counts
+            assert keys.tolist() == want_keys
+            assert amps.dtype == complex
+            assert amps.tobytes() == np.array(want_amps, dtype=complex).tobytes()
+
+    def test_entries_in_row_order(self):
+        # the anchor is the first largest entry, so the order is observable
+        oracle = oracle_cnu(2, MAT_H)
+        assert list(oracle((1, 1, 1))) == [(1, 1, 0), (1, 1, 1)]
+        assert oracle.table()[1][-2:].tolist() == [(7 << 3) | 6, (7 << 3) | 7]
+
+    def test_same_verdict_as_per_input_calls(self):
+        checked = 0
+        for circ, oracle, mutate in _parity_builds():
+            for basis in GateBasis:
+                lowered = lower_circuit(circ, basis)
+                variants = [lowered]
+                if mutate:
+                    variants += [Circuit(lowered.qubits, lowered.gates[:p] + lowered.gates[p + 1:],
+                                         lowered.meta) for p in range(len(lowered.gates))]
+                for c in variants:
+                    fast = check_equivalence(c, oracle)
+                    slow = check_equivalence(c, lambda bits: oracle(bits))
+                    assert _same_verdict(fast, slow), (circ.meta, basis, len(c.gates))
+                    checked += 1
+        assert checked > 1000
+
+    def test_not_called_per_input(self, monkeypatch):
+        calls = []
+        real = ControlledOracle.__call__
+
+        def counting(self, bits):
+            calls.append(bits)
+            return real(self, bits)
+
+        monkeypatch.setattr(ControlledOracle, "__call__", counting)
+        v = check_equivalence(build_cycle_cnx(10, 3), oracle_cnx(10))
+        assert v.klass is EquivalenceClass.EXACT
+        # only the two inputs with every control set are worked out by a call
+        assert calls == [(1,) * 10 + (0,), (1,) * 10 + (1,)]
+
+    @pytest.mark.parametrize("tail", [(), (x(3),)])
+    def test_wrong_arity_still_raises(self, tail):
+        # also when an ancilla is left set, as the oracle is still asked
+        # about the inputs up to the witness
+        good = build_cnx(3)
+        circ = Circuit(good.qubits, good.gates + tail, good.meta)
+        with pytest.raises(ValueError, match="expected 3 bits, got 4"):
+            check_equivalence(circ, oracle_cnx(2))
+
+
+class TestClassicalKeyWidth:
+    def test_too_many_inputs_refused_at_once(self):
+        # 32 computational qubits: keys (m << 32) | out overflow int64
+        circ = build_cnx(31)
+        assert is_classical(circ)
+        with pytest.raises(WidthLimitError, match="63-bit keys"):
+            check_equivalence(circ, oracle_cnx(31))
+        with pytest.raises(WidthLimitError, match="63-bit keys"):
+            check_equivalence(circ, lambda bits: {bits: 1.0})
