@@ -17,6 +17,7 @@ parameters or unreadable input, 3 a circuit that fails verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Callable, Optional
 
@@ -182,10 +183,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import, and reused: parsing makes
+    # a fresh namespace each time, so no argument carries over
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

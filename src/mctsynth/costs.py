@@ -6,11 +6,12 @@ Two kinds of numbers appear here and they are kept strictly apart.
 Closed forms are analytic predictions for the constructions: Toffoli
 count, ancilla count, and lowered two-qubit operation count as
 functions of n (controls) and c (cycles).  Built counts are what the
-builders actually produce, measured by counting gates.  Where the two
-differ, both numbers are reported and the gap is flagged rather than
-papered over.  One such case is the cycle Toffoli form, a floored
-average that never under-counts the build and over-counts it by 0 to 3
-(n=4, c=2: form 6, built 5; n=7, c=2: form 15, built 13).
+builders actually produce: cost reports count the gates, and the table
+reads the cycle plan's exact counts.  Where the two differ, both
+numbers are reported and the gap is flagged rather than papered over.
+One such case is the cycle Toffoli form, a floored average that never
+under-counts the build and over-counts it by 0 to 3 (n=4, c=2: form 6,
+built 5; n=7, c=2: form 15, built 13).
 
 The module also carries fixed reference values for small n: the
 per-n operation and ancilla counts the cycle scheme is expected to hit
@@ -20,8 +21,7 @@ closed form disagrees with its fixed values by a known per-n offset;
 accessors surface both numbers, and the table prefers the fixed values
 where they exist.
 
-All count arithmetic is exact (int / Fraction); floats appear only in
-the explicitly asymptotic estimate.
+All count arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -30,10 +30,14 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
-from .cycle import build_cycle_cnx, build_cycle_cnx_auto, build_two_cycle_cnx
+from .cycle import (
+    build_cycle_cnx,
+    build_cycle_cnx_auto,
+    build_two_cycle_cnx,
+    plan_cycles,
+)
 from .decomp import GateBasis, lower_circuit, paired_toffolis
 from .ir import Circuit, GateKind, QubitRole, count_gates
 from .ladder import build_cnx, build_workspace_c3x, build_workspace_toffoli
@@ -64,13 +68,6 @@ def ladder_ops_form(n: int, basis: GateBasis) -> int:
 
 # ---------------------------------------------------------------------------
 # closed forms for the cycle scheme
-
-def avg_toffolis_per_cycle(n: int, c: int) -> Fraction:
-    """Average Toffoli cost of one cycle when the n-1 grouped controls
-    are divided evenly across c cycles.  Exact rational."""
-    _require_c(n, c)
-    return Fraction(2 * (n - 1) - c, c)
-
 
 def toffoli_count_form(n: int, c: int) -> int:
     """Predicted cycle-scheme Toffoli total: 2c-1 cycle runs at the
@@ -115,12 +112,6 @@ def best_ancilla_form(n: int) -> int:
     return ancilla_min_form(n, best_cycle_count(n))
 
 
-def asymptotic_toffolis(n: int) -> float:
-    """Large-n Toffoli estimate for the cycle scheme at the best cycle
-    count: 4(n - sqrt(n)), roughly double the ladder's 2n-3."""
-    return 4.0 * (n - math.sqrt(n))
-
-
 def cv_ops_form(n: int, c: Optional[int] = None) -> int:
     """Predicted two-qubit operation count of the cycle scheme in the
     CV basis: paired Toffolis at 4 operations, the 2c-1 cycle-closing
@@ -143,12 +134,6 @@ def two_cycle_toffoli_form(n: int) -> int:
     return 2 * n + 2 * f - 7
 
 
-def two_cycle_comparison_form(n: int) -> int:
-    """Toffoli count of the older borrowed-ancilla network the
-    two-cycle split is usually compared against: 8(n-5)."""
-    return 8 * (n - 5)
-
-
 def _require_c(n: int, c: int) -> None:
     if not 1 <= c <= n - 1:
         raise ValueError(f"cycle count must be in 1..{n - 1}, got {c}")
@@ -168,12 +153,6 @@ def baseline_cv_ops_form(n: int) -> int:
         raise ValueError("baseline form needs n >= 3")
     s = best_cycle_count(n)
     return 24 * n - 64 - 12 * math.ceil((n - 1) / s) - 12 * s
-
-
-def baseline_form_applicable(n: int) -> bool:
-    """The comparison form assumes enough spare qubits; below this
-    margin it is outside its stated domain."""
-    return n - best_ancilla_form(n) > 5
 
 
 # Fixed reference values for small n.  REFERENCE_CV_OPS and
@@ -200,15 +179,6 @@ def baseline_cv_ops(n: int) -> int:
     if n in REFERENCE_BASELINE_CV_OPS:
         return REFERENCE_BASELINE_CV_OPS[n]
     return baseline_cv_ops_form(n)
-
-
-def beats_baseline(n: int) -> Optional[bool]:
-    """Whether the cycle scheme's predicted CV count undercuts the
-    comparison form.  None when the comparison form is outside its
-    stated domain of validity."""
-    if not baseline_form_applicable(n):
-        return None
-    return cv_ops_form(n) < baseline_cv_ops_form(n)
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +381,13 @@ class TableRow:
 def make_table(lo: int = 3, hi: int = 64) -> list[TableRow]:
     """Per-n comparison rows: predicted and built counts for the cycle
     scheme at the best cycle count, next to the comparison
-    construction's reference value and closed form."""
+    construction's reference value and closed form.  The built count is
+    the plan's exact cv-basis op count; nothing is built or lowered."""
     if not (3 <= lo <= hi <= 64):
         raise ValueError("table range must satisfy 3 <= lo <= hi <= 64")
     rows = []
     for n in range(lo, hi + 1):
         s = best_cycle_count(n)
-        built = lower_circuit(build_cycle_cnx(n, s), GateBasis.CV_BASIS)
         baseline = baseline_cv_ops(n)
         form = baseline_cv_ops_form(n)
         rows.append(
@@ -427,7 +397,7 @@ def make_table(lo: int = 3, hi: int = 64) -> list[TableRow]:
                 ancilla=ancilla_min_form(n, s),
                 ours=cv_ops_form(n, s),
                 baseline=baseline,
-                ours_built=len(built.gates),
+                ours_built=plan_cycles(n, s).ops(GateBasis.CV_BASIS),
                 baseline_form=form,
                 baseline_delta=baseline - form,
             )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .decomp import TOFFOLI_LENGTHS, GateBasis
 from .ir import (
     Circuit,
     CircuitMeta,
@@ -46,59 +47,80 @@ def group_sizes(n: int, c: int) -> list[int]:
 
 @dataclass(frozen=True)
 class CyclePlan:
-    """Layout decisions for a cycle-scheme build, before any gate is
-    emitted.
+    """Layout and exact costs of a cycle-scheme build, before any gate
+    is emitted; build_cycle_cnx executes it.
 
     ``group_sizes`` is ascending; ``repeated_cycles`` are the indices of
     the blocks run twice (compute and uncompute), which are exactly the
     non-final ones and, the sizes being ascending, the cheapest ones
-    with ties broken toward the lowest index.  ``toffoli_total`` is what
-    the builder will actually emit, not a floored average.
+    with ties broken toward the lowest index.  ``block_widths`` are the
+    AND blocks' input counts: a group plus the running product (all but
+    the first block), and for the final block also the first control.
+    The process pool is sized by the widest block.
+
+    The counts are those of the built circuit, not a floored average:
+    ``toffoli_total`` Toffolis, of which ``paired`` are members of the
+    mirror pairs that peres_pairing finds and ``unpaired`` are not, and
+    ``copies`` CNOTs from single-input blocks.  ``ops(basis)`` is the
+    exact gate count of the build lowered to ``basis``.
     """
 
     n: int
     c: int
     group_sizes: tuple[int, ...]
     repeated_cycles: tuple[int, ...]
+    block_widths: tuple[int, ...]
     cycle_ancillas: int
     process_ancillas: int
     ancilla_budget: int
     toffoli_total: int
+    paired: int
+    unpaired: int
+    copies: int
 
-
-def _block_toffolis(m: int) -> int:
-    # cost of one AND block over m inputs: a copy, one Toffoli, or a
-    # ladder of 2m-3
-    if m <= 1:
-        return 0
-    if m == 2:
-        return 1
-    return 2 * m - 3
+    def ops(self, basis: GateBasis) -> int:
+        """Gate count of the build lowered to ``basis``."""
+        paired_length, unpaired_length = TOFFOLI_LENGTHS[basis]
+        return (paired_length * self.paired + unpaired_length * self.unpaired
+                + self.copies)
 
 
 def plan_cycles(n: int, c: int) -> CyclePlan:
-    """Predict the exact shape of build_cycle_cnx(n, c)."""
+    """Plan build_cycle_cnx(n, c): its layout and its exact counts."""
     if n < 2:
         raise ValueError("need at least two controls")
     sizes = group_sizes(n, c)
-    # block input widths: non-final blocks add the running product,
-    # the final block adds it plus the first control
-    widths = [
-        sizes[k] + (1 if k > 0 else 0) for k in range(c - 1)
-    ]
-    widths.append(sizes[c - 1] + (1 if c > 1 else 0) + 1)
-    pool = max(max(w - 2 for w in widths), 0)
-    total = sum(2 * _block_toffolis(w) for w in widths[:-1])
-    total += _block_toffolis(widths[-1])
+    widths = [size + (k > 0) for k, size in enumerate(sizes)]
+    widths[-1] += 1
+    pool = max(widths) - 2
+    # a block over m >= 3 inputs is a ladder whose m-2 chain Toffolis
+    # pair with their mirrors around the one Toffoli that writes its
+    # output; a repeated block runs twice, and a lone Toffoli (m = 2)
+    # then pairs with its rerun
+    paired = unpaired = copies = 0
+    for m in widths[:-1]:
+        if m == 1:
+            copies += 2
+        elif m == 2:
+            paired += 2
+        else:
+            paired += 4 * (m - 2)
+            unpaired += 2
+    paired += 2 * (widths[-1] - 2)
+    unpaired += 1
     return CyclePlan(
         n=n,
         c=c,
         group_sizes=tuple(sizes),
         repeated_cycles=tuple(range(c - 1)),
+        block_widths=tuple(widths),
         cycle_ancillas=c - 1,
         process_ancillas=pool,
         ancilla_budget=c - 1 + pool,
-        toffoli_total=total,
+        toffoli_total=paired + unpaired,
+        paired=paired,
+        unpaired=unpaired,
+        copies=copies,
     )
 
 
@@ -135,37 +157,25 @@ def build_cycle_cnx(n: int, c: int) -> Circuit:
     shrinks the process pool (the widest block shortens) at the price
     of extra Toffolis for the repeated blocks.
     """
-    if n < 2:
-        raise ValueError("need at least two controls")
-    sizes = group_sizes(n, c)
-
-    groups: list[list[int]] = []
-    next_control = 1
-    for s in sizes:
-        groups.append(list(range(next_control, next_control + s)))
-        next_control += s
-
+    plan = plan_cycles(n, c)
     target = n
     cycle_anc = [n + 1 + k for k in range(c - 1)]
-
-    # block inputs: each non-final block ANDs its group with the running
-    # product; the final block also takes the first control, which rides
-    # the firing Toffoli.
-    block_inputs: list[list[int]] = []
-    for k in range(c - 1):
-        inputs = list(groups[k])
-        if k > 0:
-            inputs.append(cycle_anc[k - 1])
-        block_inputs.append(inputs)
-    final_inputs = list(groups[c - 1])
-    if c > 1:
-        final_inputs.append(cycle_anc[c - 2])
-    final_inputs.append(0)
-
-    pool_size = max(
-        max(len(b) - 2 for b in block_inputs + [final_inputs]), 0
-    )
+    pool_size = plan.process_ancillas
     pool = [n + c + j for j in range(pool_size)]
+
+    # block k ANDs its share of the controls with what it carries: the
+    # running product (all but the first block) and, for the final
+    # block, the first control, which rides the firing Toffoli.
+    block_inputs: list[list[int]] = []
+    next_control = 1
+    for k, width in enumerate(plan.block_widths):
+        carried = [cycle_anc[k - 1]] if k > 0 else []
+        if k == c - 1:
+            carried.append(0)
+        take = width - len(carried)
+        block_inputs.append(list(range(next_control, next_control + take)) + carried)
+        next_control += take
+    final_inputs = block_inputs.pop()
 
     roles = (
         [QubitRole.CONTROL] * n

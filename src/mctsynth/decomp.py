@@ -78,6 +78,15 @@ class ToffoliRule(Enum):
     FOUR_CV = "four-cv"            # 4 gates, Toffoli then CNOT between controls
 
 
+# gates one Toffoli lowers to in each basis: as a mirror-pair member,
+# and alone
+TOFFOLI_LENGTHS: dict[GateBasis, tuple[int, int]] = {
+    GateBasis.NATIVE_TOFFOLI: (1, 1),
+    GateBasis.CNOT_LOCAL: (7, 15),
+    GateBasis.CV_BASIS: (4, 5),
+}
+
+
 ALLOWED_KINDS: dict[GateBasis, frozenset[GateKind]] = {
     GateBasis.NATIVE_TOFFOLI: frozenset(
         {GateKind.TOFFOLI, GateKind.CNOT, GateKind.X, GateKind.LOCAL, GateKind.CU}
@@ -436,15 +445,16 @@ def paired_toffolis(circuit: Circuit, lowered: Circuit) -> int:
     """
     if lowered.meta.basis != GateBasis.CNOT_LOCAL.value:
         raise ValueError(f"not a {GateBasis.CNOT_LOCAL.value}-basis lowering")
+    paired_length, alone_length = TOFFOLI_LENGTHS[GateBasis.CNOT_LOCAL]
     unpaired_length = 0
     for g in circuit.gates:
         if g.kind is GateKind.TOFFOLI:
-            unpaired_length += 15
+            unpaired_length += alone_length
         elif g.kind in (GateKind.CU, GateKind.CV, GateKind.CVDG):
             unpaired_length += 6
         else:
             unpaired_length += 1
-    return (unpaired_length - len(lowered.gates)) // (15 - 7)
+    return (unpaired_length - len(lowered.gates)) // (alone_length - paired_length)
 
 
 def _with_basis(circuit: Circuit, gates: list[Gate], basis: GateBasis) -> Circuit:

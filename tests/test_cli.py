@@ -1,5 +1,7 @@
 """End-to-end command line behavior and exit codes."""
 
+from pathlib import Path
+
 import pytest
 
 from mctsynth import cli, costs, decomp
@@ -7,6 +9,9 @@ from mctsynth.cli import main
 from mctsynth.decomp import GateBasis, ToffoliRule, lower_toffoli
 from mctsynth.ir import Circuit, QubitRole, new_circuit
 from mctsynth.qasmio import load, save
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -274,6 +279,50 @@ class TestTable:
         code, _, err = run(capsys, "table", "--max", "100")
         assert code == 2
         assert "3..64" in err
+
+    def test_max_64_matches_golden_file(self, capsys):
+        code, out, _ = run(capsys, "table", "--max", "64")
+        assert code == 0
+        assert out.encode() == (DATA / "table64.txt").read_bytes()
+
+
+class TestParser:
+    def test_built_once_and_shared(self, capsys, monkeypatch):
+        built, parsed = [], []
+        real = cli.build_parser
+
+        def recording():
+            parser = real()
+            parse = parser.parse_args
+
+            def parse_args(*args, **kwargs):
+                namespace = parse(*args, **kwargs)
+                parsed.append(set(vars(namespace)))
+                return namespace
+
+            parser.parse_args = parse_args
+            built.append(parser)
+            return parser
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", recording)
+        try:
+            code, out, _ = run(capsys, "synth", "--scheme", "ladder", "--n", "3")
+            assert code == 0
+            assert "toffoli  form 3  built 3" in out
+            code, out, _ = run(capsys, "table", "--max", "3", "--format", "csv")
+            assert (code, out.split(",")[0]) == (0, "n")
+            # neither synth's arguments nor csv carry over
+            code, out, _ = run(capsys, "table", "--max", "3")
+            assert (code, out.split()[:2]) == (0, ["n", "ancilla"])
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert parsed == [
+            {"command", "func", "scheme", "n", "c", "basis", "out", "format", "no_verify"},
+            {"command", "func", "max", "format"},
+            {"command", "func", "max", "format"},
+        ]
 
 
 class TestConvert:

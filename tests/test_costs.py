@@ -5,18 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from mctsynth import costs, cycle, decomp
 from mctsynth.costs import (
     REFERENCE_ANCILLA,
     REFERENCE_BASELINE_CV_OPS,
     REFERENCE_CV_OPS,
+    TableRow,
     ancilla_min_form,
     ancilla_split_form,
-    asymptotic_toffolis,
-    avg_toffolis_per_cycle,
     baseline_cv_ops,
     baseline_cv_ops_form,
-    baseline_form_applicable,
-    beats_baseline,
     best_ancilla_form,
     best_cycle_count,
     cost_report,
@@ -30,10 +28,10 @@ from mctsynth.costs import (
     report_json,
     report_text,
     toffoli_count_form,
-    two_cycle_comparison_form,
     two_cycle_toffoli_form,
 )
-from mctsynth.decomp import GateBasis
+from mctsynth.cycle import build_cycle_cnx
+from mctsynth.decomp import GateBasis, lower_circuit
 
 
 class TestLadderForms:
@@ -50,11 +48,6 @@ class TestLadderForms:
 
 
 class TestCycleForms:
-    def test_average_is_exact_rational(self):
-        assert avg_toffolis_per_cycle(11, 3) == Fraction(17, 3)
-        assert avg_toffolis_per_cycle(3, 1) == 3
-        assert avg_toffolis_per_cycle(5, 4) == 1
-
     def test_floored_totals(self):
         assert toffoli_count_form(11, 3) == 28
         assert toffoli_count_form(3, 1) == 3
@@ -64,7 +57,9 @@ class TestCycleForms:
     def test_floored_total_is_floor_of_scaled_average(self):
         for n in range(3, 20):
             for c in range(1, n):
-                avg = avg_toffolis_per_cycle(n, c)
+                # the average cycle cost when the n-1 grouped controls
+                # are divided evenly across c cycles
+                avg = Fraction(2 * (n - 1) - c, c)
                 assert toffoli_count_form(n, c) == ((2 * c - 1) * avg).__floor__()
 
     def test_ancilla_forms(self):
@@ -88,10 +83,6 @@ class TestCycleForms:
             vals = {c: ancilla_min_form(n, c) for c in range(1, n)}
             assert vals[best] == min(vals.values()), n
 
-    def test_asymptotic(self):
-        assert asymptotic_toffolis(100) == pytest.approx(360.0)
-        assert asymptotic_toffolis(4) == pytest.approx(8.0)
-
     def test_cv_ops_reference_values(self):
         for n, want in REFERENCE_CV_OPS.items():
             assert cv_ops_form(n) == want, n
@@ -108,7 +99,7 @@ class TestCycleForms:
         with pytest.raises(ValueError):
             toffoli_count_form(5, 5)
         with pytest.raises(ValueError):
-            avg_toffolis_per_cycle(5, 0)
+            ancilla_min_form(5, 0)
 
 
 class TestTwoCycleForms:
@@ -117,9 +108,6 @@ class TestTwoCycleForms:
         assert two_cycle_toffoli_form(7) == 15 == 3 * (7 - 2)
         assert two_cycle_toffoli_form(4) == 5
         assert two_cycle_toffoli_form(6) == 11
-
-    def test_comparison_form(self):
-        assert two_cycle_comparison_form(10) == 40
 
 
 class TestBaseline:
@@ -141,18 +129,6 @@ class TestBaseline:
     def test_accessor_prefers_reference(self):
         assert baseline_cv_ops(13) == 176
         assert baseline_cv_ops(16) == baseline_cv_ops_form(16)
-
-    def test_applicability_flag(self):
-        # the margin n - ancilla > 5 first clears at n=12
-        for n in range(3, 12):
-            assert not baseline_form_applicable(n), n
-        for n in range(12, 20):
-            assert baseline_form_applicable(n), n
-
-    def test_beats_baseline(self):
-        assert beats_baseline(8) is None
-        for n in (12, 13, 14, 15, 20, 40):
-            assert beats_baseline(n) is True, n
 
 
 class TestCostReport:
@@ -245,3 +221,31 @@ class TestTable:
         rows = make_table(3, 64)
         assert len(rows) == 62
         assert all(r.ours_built % 2 == 1 for r in rows)
+
+    def test_equals_lowered_builds(self):
+        # reference: each row's build lowered to the cv basis and counted
+        want = []
+        for n in range(3, 65):
+            s = best_cycle_count(n)
+            built = lower_circuit(build_cycle_cnx(n, s), GateBasis.CV_BASIS)
+            baseline, form = baseline_cv_ops(n), baseline_cv_ops_form(n)
+            want.append(TableRow(n, s, ancilla_min_form(n, s), cv_ops_form(n, s),
+                                 baseline, len(built.gates), form, baseline - form))
+        assert make_table(3, 64) == want
+
+    def test_builds_and_lowers_nothing(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (costs, cycle, decomp):
+            for name in ("build_cycle_cnx", "build_cycle_cnx_auto", "build_two_cycle_cnx",
+                         "build_cnx", "lower_circuit", "peres_pairing"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        make_table(3, 64)
+        assert calls == []

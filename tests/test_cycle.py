@@ -11,8 +11,21 @@ from mctsynth.cycle import (
     group_sizes,
     plan_cycles,
 )
+from mctsynth.decomp import GateBasis, lower_circuit, peres_pairing
 from mctsynth.ir import GateKind, QubitRole, count_gates
 from mctsynth.verify import EquivalenceClass, check_equivalence, oracle_cnx
+
+
+def _plan_grid():
+    """Every c for n=3..40; the ends and the best count's neighbours
+    for n=41..79."""
+    for n in range(3, 41):
+        for c in range(1, n):
+            yield n, c
+    for n in range(41, 80):
+        best = math.isqrt(n - 1)
+        for c in sorted({1, 2, best - 1, best, best + 1, n - 1}):
+            yield n, c
 
 
 def _ancilla_count(circ):
@@ -127,6 +140,34 @@ class TestPlanCycles:
                 )
                 assert plan.ancilla_budget == _ancilla_count(circ)
                 assert list(plan.group_sizes) == group_sizes(n, c)
+
+    def test_counts_by_hand(self):
+        # widths (2, 4): the repeated lone Toffoli pairs with its rerun,
+        # the final ladder pairs 2 of its 3 Toffolis twice over
+        plan = plan_cycles(5, 2)
+        assert plan.block_widths == (2, 4)
+        assert (plan.paired, plan.unpaired, plan.copies) == (6, 1, 0)
+        assert plan.ops(GateBasis.NATIVE_TOFFOLI) == plan.toffoli_total == 7
+        assert plan.ops(GateBasis.CV_BASIS) == 4 * 6 + 5 == 29
+        assert plan.ops(GateBasis.CNOT_LOCAL) == 7 * 6 + 15 == 57
+        # widths (1, 2, 3): a single-input block is a copy, run twice
+        plan = plan_cycles(4, 3)
+        assert plan.block_widths == (1, 2, 3)
+        assert (plan.paired, plan.unpaired, plan.copies) == (4, 1, 2)
+        assert plan.ops(GateBasis.CV_BASIS) == 4 * 4 + 5 + 2
+
+    def test_counts_match_pairing_and_lowering(self):
+        for n, c in _plan_grid():
+            plan = plan_cycles(n, c)
+            circ = build_cycle_cnx(n, c)
+            pairing = peres_pairing(circ)
+            assert (plan.paired, plan.unpaired) == (
+                2 * len(pairing.pairs), len(pairing.unpaired)
+            ), (n, c)
+            assert plan.toffoli_total == plan.paired + plan.unpaired
+            assert plan.copies == count_gates(circ, GateKind.CNOT), (n, c)
+            for basis in GateBasis:
+                assert plan.ops(basis) == len(lower_circuit(circ, basis).gates), (n, c, basis)
 
     def test_repeated_cycles_are_the_cheap_ones(self):
         plan = plan_cycles(11, 3)

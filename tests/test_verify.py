@@ -591,6 +591,19 @@ def _parity_builds():
             yield circ, oracle_cnx(n), n <= 5
 
 
+def _parity_sweep():
+    """Each of _parity_builds lowered to every basis, followed by its
+    one-gate-deleted mutants where those are checked."""
+    for circ, oracle, mutate in _parity_builds():
+        for basis in GateBasis:
+            lowered = lower_circuit(circ, basis)
+            yield lowered, oracle
+            if mutate:
+                for p in range(len(lowered.gates)):
+                    gates = lowered.gates[:p] + lowered.gates[p + 1:]
+                    yield Circuit(lowered.qubits, gates, lowered.meta), oracle
+
+
 def _same_verdict(a, b):
     return (a.klass, a.witness, a.max_deviation.hex()) == (b.klass, b.witness, b.max_deviation.hex())
 
@@ -617,19 +630,36 @@ class TestTabulatedOracle:
 
     def test_same_verdict_as_per_input_calls(self):
         checked = 0
-        for circ, oracle, mutate in _parity_builds():
-            for basis in GateBasis:
-                lowered = lower_circuit(circ, basis)
-                variants = [lowered]
-                if mutate:
-                    variants += [Circuit(lowered.qubits, lowered.gates[:p] + lowered.gates[p + 1:],
-                                         lowered.meta) for p in range(len(lowered.gates))]
-                for c in variants:
-                    fast = check_equivalence(c, oracle)
-                    slow = check_equivalence(c, lambda bits: oracle(bits))
-                    assert _same_verdict(fast, slow), (circ.meta, basis, len(c.gates))
-                    checked += 1
+        for c, oracle in _parity_sweep():
+            fast = check_equivalence(c, oracle)
+            slow = check_equivalence(c, lambda bits: oracle(bits))
+            assert _same_verdict(fast, slow), (c.meta, len(c.gates))
+            checked += 1
         assert checked > 1000
+
+    def test_merge_without_sort_gives_the_same_verdict(self, monkeypatch):
+        # when the circuit's keys are the oracle's, _classify takes them
+        # as the union unsorted; the same entries reversed, plus one of
+        # amplitude 0 at a key the circuit does not reach, must be merged
+        # by sorting
+        real = verify._classify
+        same_keys = []
+
+        def both(k, expected, got, tol):
+            keys, amps = got
+            same_keys.append(np.array_equal(keys, expected[1]))
+            fresh = min(set(range(1 << k)) - set(keys.tolist()))
+            merged = real(k, expected, (np.append(keys[::-1], fresh),
+                                        np.append(amps[::-1], 0j)), tol)
+            verdict = real(k, expected, got, tol)
+            assert _same_verdict(verdict, merged)
+            return verdict
+
+        monkeypatch.setattr(verify, "_classify", both)
+        for c, oracle in _parity_sweep():
+            check_equivalence(c, oracle)
+        assert sum(same_keys) > 100
+        assert len(same_keys) - sum(same_keys) > 100
 
     def test_not_called_per_input(self, monkeypatch):
         calls = []
