@@ -152,18 +152,20 @@ def lower_toffoli(c1: int, c2: int, t: int, rule: ToffoliRule) -> tuple[Gate, ..
     raise LoweringError(f"unknown rule {rule}")
 
 
+_RY_NEG = ry_matrix(-math.pi / 4)
+_RY_POS = ry_matrix(math.pi / 4)
+
+
 def _relative_phase_member(u: int, v: int, t: int) -> tuple[Gate, ...]:
     # equals Toffoli(u,v,t) times diag with -1 at |u=0, v=1, t=0>
-    neg = ry_matrix(-math.pi / 4)
-    pos = ry_matrix(math.pi / 4)
     return (
-        local(t, neg),
+        local(t, _RY_NEG),
         cnot(u, t),
-        local(t, neg),
+        local(t, _RY_NEG),
         cnot(v, t),
-        local(t, pos),
+        local(t, _RY_POS),
         cnot(u, t),
-        local(t, pos),
+        local(t, _RY_POS),
     )
 
 
@@ -388,11 +390,29 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
     compute_of: dict[int, ToffoliPair] = {p.compute: p for p in plan.pairs}
     uncompute_of: dict[int, ToffoliPair] = {p.uncompute: p for p in plan.pairs}
 
+    # A mirror circuit repeats its Toffolis, so each distinct lowering is
+    # made once and its gates shared.  The key holds exactly what
+    # _lower_gate reads: a Toffoli's qubits and, when paired, its cv
+    # member's CNOT orientation and side (both cnot-basis members take
+    # the same list); any other gate is lowered once per object.
+    cv_basis = basis is GateBasis.CV_BASIS
+    memo: dict[object, tuple[Gate, ...]] = {}
     out_gates = []
     for i, g in enumerate(circuit.gates):
-        out_gates.extend(
-            _lower_gate(g, i, basis, compute_of, uncompute_of)
-        )
+        if g.kind is GateKind.TOFFOLI:
+            pair = compute_of.get(i) or uncompute_of.get(i)
+            if pair is None:
+                key: object = (g.qubits,)
+            elif cv_basis:
+                key = (g.qubits, pair.cnot_control, pair.cnot_target, i == pair.uncompute)
+            else:
+                key = (g.qubits, True)
+        else:
+            key = id(g)
+        lowered = memo.get(key)
+        if lowered is None:
+            lowered = memo[key] = _lower_gate(g, i, basis, compute_of, uncompute_of)
+        out_gates.extend(lowered)
     return _with_basis(circuit, out_gates, basis)
 
 

@@ -18,6 +18,8 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Optional
 
 import numpy as np
@@ -195,13 +197,17 @@ class Circuit:
         if indices != list(range(len(indices))):
             raise ValueError("qubit indices must be 0..width-1 in order")
         width = len(indices)
-        for g in self.gates:
-            for q in g.qubits:
-                if not 0 <= q < width:
-                    raise ValueError(
-                        f"gate {g.kind.value}{g.qubits} references qubit {q} "
-                        f"outside width {width}"
-                    )
+        # one C-level pass over every operand; the loop only names the
+        # first bad gate
+        flat = list(chain.from_iterable(map(attrgetter("qubits"), self.gates)))
+        if flat and (min(flat) < 0 or max(flat) >= width):
+            for g in self.gates:
+                for q in g.qubits:
+                    if not 0 <= q < width:
+                        raise ValueError(
+                            f"gate {g.kind.value}{g.qubits} references qubit {q} "
+                            f"outside width {width}"
+                        )
 
     @property
     def width(self) -> int:

@@ -28,8 +28,9 @@ from __future__ import annotations
 import json
 import math
 import struct
+from functools import partial
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .ir import (
     Circuit,
@@ -52,6 +53,8 @@ _TEXT_KINDS = {
     GateKind.CVDG,
     GateKind.LOCAL,
 }
+# mnemonic -> kind for the reader; u(...) lines are told apart by shape
+_KIND_BY_MNEMONIC = {k.value: k for k in _TEXT_KINDS if k is not GateKind.LOCAL}
 
 
 class CircuitFileError(ValueError):
@@ -118,26 +121,36 @@ def dumps_text(circuit: Circuit) -> str:
     lines.append(
         f"meta scheme={opt(m.scheme)} n={opt(m.n)} c={opt(m.c)} basis={opt(m.basis)}"
     )
-    matrices: dict[bytes, str] = {}  # each distinct matrix is formatted once
-    for g in circuit.gates:
-        if g.kind not in _TEXT_KINDS:
-            raise CircuitFileError(
-                f"gate kind {g.kind.value!r} has no text mnemonic; "
-                f"use the json format"
-            )
-        idx = " ".join(str(q) for q in g.qubits)
-        if g.kind is GateKind.LOCAL:
-            assert g.matrix is not None
-            key = _matrix_bits(g.matrix)
-            entries = matrices.get(key)
-            if entries is None:
-                entries = matrices[key] = ",".join(
-                    _fmt_complex(z) for row in g.matrix for z in row
-                )
-            lines.append(f"u({entries}) {idx}")
-        else:
-            lines.append(f"{g.kind.value} {idx}")
+    lines += _format_each_once(circuit.gates, partial(_gate_line, matrices={}))
     return "\n".join(lines) + "\n"
+
+
+def _format_each_once(gates: tuple[Gate, ...], fmt: Callable[[Gate], str]) -> list[str]:
+    """``[fmt(g) for g in gates]``, calling fmt once per distinct gate
+    object, in order of first appearance.  Keying on id() is safe since
+    the tuple keeps every gate alive; Gate equality is not, because
+    0.0 == -0.0 would merge matrices that print differently."""
+    distinct = {id(g): g for g in gates}
+    text = {key: fmt(g) for key, g in distinct.items()}
+    return list(map(text.__getitem__, map(id, gates)))
+
+
+def _gate_line(g: Gate, matrices: dict[bytes, str]) -> str:
+    if g.kind not in _TEXT_KINDS:
+        raise CircuitFileError(
+            f"gate kind {g.kind.value!r} has no text mnemonic; use the json format"
+        )
+    idx = " ".join(map(str, g.qubits))
+    if g.kind is not GateKind.LOCAL:
+        return f"{g.kind.value} {idx}"
+    assert g.matrix is not None
+    key = _matrix_bits(g.matrix)
+    entries = matrices.get(key)
+    if entries is None:
+        entries = matrices[key] = ",".join(
+            _fmt_complex(z) for row in g.matrix for z in row
+        )
+    return f"u({entries}) {idx}"
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +197,11 @@ def _parse_indices(tokens: list[str], width: int, line: int) -> tuple[int, ...]:
 
 
 def loads_text(text: str) -> Circuit:
-    raw = text.splitlines()
     # keep 1-based line numbers while skipping blanks and comments
     numbered = [
-        (i + 1, ln.strip())
-        for i, ln in enumerate(raw)
-        if ln.strip() and not ln.strip().startswith("#")
+        (i, ln)
+        for i, ln in enumerate(map(str.strip, text.splitlines()), 1)
+        if ln and ln[0] != "#"
     ]
     if not numbered:
         raise CircuitFileError("empty circuit file")
@@ -225,43 +237,51 @@ def loads_text(text: str) -> Circuit:
         meta = _parse_meta(meta_line.split()[1:], lineno)
         body = body[1:]
 
-    gates: list[Gate] = []
+    # A gate line's Gate depends only on its text and the width, so each
+    # distinct line is parsed, checked and built once and the Gate is
+    # shared by its repeats.  A bad line raises at its first occurrence.
+    parsed: dict[str, Gate] = {}
     matrices: dict[str, Matrix2] = {}  # each distinct u() is parsed once
+    gates: list[Gate] = []
     for lineno, line in body:
-        tokens = line.split()
-        mnemonic = tokens[0]
-        if mnemonic.startswith("u(") and mnemonic.endswith(")"):
-            matrix = matrices.get(mnemonic)
-            if matrix is None:
-                entries = mnemonic[2:-1].split(",")
-                if len(entries) != 4:
-                    raise CircuitFileError(
-                        f"u() takes 4 matrix entries, got {len(entries)}", lineno
-                    )
-                zs = [_parse_complex(e, lineno) for e in entries]
-                matrix = matrices[mnemonic] = ((zs[0], zs[1]), (zs[2], zs[3]))
-            idx = _parse_indices(tokens[1:], width, lineno)
-            if len(idx) != 1:
-                raise CircuitFileError("u gate takes exactly one qubit", lineno)
-            try:
-                gates.append(Gate(GateKind.LOCAL, idx, matrix))
-            except ValueError as exc:
-                raise CircuitFileError(str(exc), lineno) from None
-            continue
-        kind = next(
-            (k for k in _TEXT_KINDS if k.value == mnemonic and k is not GateKind.LOCAL),
-            None,
-        )
-        if kind is None:
-            raise CircuitFileError(f"unknown mnemonic {mnemonic!r}", lineno)
-        idx = _parse_indices(tokens[1:], width, lineno)
-        try:
-            gates.append(Gate(kind, idx))
-        except ValueError as exc:
-            raise CircuitFileError(str(exc), lineno) from None
+        gate = parsed.get(line)
+        if gate is None:
+            gate = parsed[line] = _parse_gate(line, width, lineno, matrices)
+        gates.append(gate)
 
     circ = new_circuit(roles, meta)
     return Circuit(circ.qubits, tuple(gates), meta)
+
+
+def _parse_gate(
+    line: str, width: int, lineno: int, matrices: dict[str, Matrix2]
+) -> Gate:
+    tokens = line.split()
+    mnemonic = tokens[0]
+    matrix = None
+    if mnemonic.startswith("u(") and mnemonic.endswith(")"):
+        kind = GateKind.LOCAL
+        matrix = matrices.get(mnemonic)
+        if matrix is None:
+            entries = mnemonic[2:-1].split(",")
+            if len(entries) != 4:
+                raise CircuitFileError(
+                    f"u() takes 4 matrix entries, got {len(entries)}", lineno
+                )
+            zs = [_parse_complex(e, lineno) for e in entries]
+            matrix = matrices[mnemonic] = ((zs[0], zs[1]), (zs[2], zs[3]))
+        idx = _parse_indices(tokens[1:], width, lineno)
+        if len(idx) != 1:
+            raise CircuitFileError("u gate takes exactly one qubit", lineno)
+    else:
+        kind = _KIND_BY_MNEMONIC.get(mnemonic)
+        if kind is None:
+            raise CircuitFileError(f"unknown mnemonic {mnemonic!r}", lineno)
+        idx = _parse_indices(tokens[1:], width, lineno)
+    try:
+        return Gate(kind, idx, matrix)
+    except ValueError as exc:
+        raise CircuitFileError(str(exc), lineno) from None
 
 
 # ---------------------------------------------------------------------------
@@ -297,25 +317,22 @@ def dumps_json(circuit: Circuit) -> str:
     head = json.dumps(doc, indent=2)
     if not circuit.gates:
         return head + "\n"
-    matrices: dict[bytes, str] = {}
-    entries = []
-    for g in circuit.gates:
-        qubits = _JSON_QUBIT_SEP.join(map(str, g.qubits))
-        if g.matrix is None:
-            entries.append(_JSON_GATE_HEAD[g.kind] + qubits + _JSON_GATE_TAIL)
-            continue
-        key = _matrix_bits(g.matrix)
-        matrix = matrices.get(key)
-        if matrix is None:
-            text = json.dumps(_matrix_to_json(g.matrix), indent=2)
-            matrix = matrices[key] = text.replace("\n", "\n      ")
-        entries.append(
-            _JSON_GATE_HEAD[g.kind] + qubits + _JSON_MATRIX_HEAD + matrix + "\n    }"
-        )
-    return (
-        head[: -len(_JSON_EMPTY_GATES)]
-        + "[\n" + ",\n".join(entries) + "\n  ]\n}\n"
+    entries = _format_each_once(circuit.gates, partial(_json_gate, matrices={}))
+    return "".join(
+        (head[: -len(_JSON_EMPTY_GATES)], "[\n", ",\n".join(entries), "\n  ]\n}\n")
     )
+
+
+def _json_gate(g: Gate, matrices: dict[bytes, str]) -> str:
+    qubits = _JSON_QUBIT_SEP.join(map(str, g.qubits))
+    if g.matrix is None:
+        return _JSON_GATE_HEAD[g.kind] + qubits + _JSON_GATE_TAIL
+    key = _matrix_bits(g.matrix)
+    matrix = matrices.get(key)
+    if matrix is None:
+        text = json.dumps(_matrix_to_json(g.matrix), indent=2)
+        matrix = matrices[key] = text.replace("\n", "\n      ")
+    return _JSON_GATE_HEAD[g.kind] + qubits + _JSON_MATRIX_HEAD + matrix + "\n    }"
 
 
 def _fits_meta_line(value: str) -> bool:

@@ -14,6 +14,7 @@ from mctsynth.decomp import (
     PairingPlan,
     ToffoliPair,
     ToffoliRule,
+    _lower_gate,
     expand_controlled_unitary,
     lower_circuit,
     lower_toffoli,
@@ -28,6 +29,7 @@ from mctsynth.ir import (
     MAT_S,
     MAT_T,
     MAT_V,
+    MAT_VDG,
     MAT_X,
     MAT_Z,
     NAMED_UNITARIES,
@@ -45,6 +47,7 @@ from mctsynth.ir import (
     toffoli,
     x,
 )
+from mctsynth.qasmio import _matrix_bits
 from mctsynth.ladder import build_cnu, build_cnx, build_workspace_c3x, build_workspace_toffoli
 from mctsynth.verify import EquivalenceClass, check_equivalence, full_unitary, oracle_cnx
 
@@ -462,3 +465,57 @@ class TestLowerCircuit:
         u = full_unitary(lowered)
         want = np.diag([1, 1, 1, -1]).astype(complex)
         assert np.abs(u - want).max() < 1e-9
+
+
+def _unmemoised_lowering(circuit, basis):
+    """``lower_circuit`` written out gate by gate: ``_lower_gate`` is
+    called for every gate, with no lowering shared between gates."""
+    if basis is GateBasis.NATIVE_TOFFOLI:
+        out = []
+        for g in circuit.gates:
+            if g.kind is GateKind.CV or g.kind is GateKind.CVDG:
+                out.append(cu(*g.qubits, MAT_V if g.kind is GateKind.CV else MAT_VDG))
+            else:
+                out.append(g)
+        return out
+    try:
+        plan = peres_pairing(circuit)
+    except NoMirrorStructureError:
+        plan = PairingPlan((), ())
+    compute_of = {p.compute: p for p in plan.pairs}
+    uncompute_of = {p.uncompute: p for p in plan.pairs}
+    return [
+        h
+        for i, g in enumerate(circuit.gates)
+        for h in _lower_gate(g, i, basis, compute_of, uncompute_of)
+    ]
+
+
+def _gate_rows(gates):
+    return [(g.kind, g.qubits, g.matrix and _matrix_bits(g.matrix)) for g in gates]
+
+
+class TestLoweringMemo:
+    @pytest.mark.parametrize("basis", list(GateBasis))
+    def test_every_build_matches_unmemoised(self, basis):
+        for circ in _builds(40):
+            lowered = lower_circuit(circ, basis)
+            assert _gate_rows(lowered.gates) == \
+                _gate_rows(_unmemoised_lowering(circ, basis)), circ.meta
+
+    @pytest.mark.parametrize("basis", list(GateBasis))
+    def test_payloads_and_no_mirror_match_unmemoised(self, basis):
+        circuits = [build_cnu(n, m) for n in range(1, 6) for m in NAMED_UNITARIES.values()]
+        circuits.append(_circ([C, C, C, T], [toffoli(0, 1, 3), toffoli(0, 2, 3),
+                                             toffoli(0, 1, 3), cv(1, 3), cv(1, 3)]))
+        rng = random.Random(12)
+        circuits += [_random_mirror_circuit(rng) for _ in range(200)]
+        for circ in circuits:
+            circ = _circ([q.role for q in circ.qubits],
+                         [g for g in circ.gates if g.kind is not GateKind.MCX])
+            lowered = lower_circuit(circ, basis)
+            assert _gate_rows(lowered.gates) == _gate_rows(_unmemoised_lowering(circ, basis))
+
+    def test_repeated_toffolis_share_their_gates(self):
+        lowered = lower_circuit(build_cycle_cnx(12, 3), GateBasis.CNOT_LOCAL)
+        assert len({id(g) for g in lowered.gates}) < len(lowered.gates) / 2

@@ -10,8 +10,11 @@ import pytest
 from mctsynth.cycle import build_cycle_cnx, build_cycle_cnx_auto, build_two_cycle_cnx
 from mctsynth.decomp import GateBasis, lower_circuit
 from mctsynth.ir import (
+    ROLE_BY_LETTER,
     Circuit,
     CircuitMeta,
+    Gate,
+    GateKind,
     MAT_T,
     MAT_V,
     NAMED_UNITARIES,
@@ -31,6 +34,7 @@ from mctsynth.ladder import (
 )
 from mctsynth.qasmio import (
     CircuitFileError,
+    _matrix_bits,
     dumps,
     dumps_json,
     dumps_text,
@@ -414,6 +418,149 @@ def test_every_accepted_json_file_survives_text_round_trip():
             continue
         assert dumps_json(loads_text(text)) == first
     assert accepted > 200 and rejected > 200, (accepted, rejected)
+
+
+def _reference_loads_text(text):
+    """The reader written out one line at a time, with no caching: the
+    same checks in the same order, so the same error for a bad file."""
+    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
+    lines = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")]
+    # the generated files have a well-formed header and roles line
+    width = int(lines[0][1].split()[3])
+    roles = [ROLE_BY_LETTER[ch] for ch in lines[1][1].split()[1]]
+    body = lines[2:]
+    meta = CircuitMeta()
+    if body and body[0][1].startswith("meta"):
+        fields = dict(tok.partition("=")[::2] for tok in body[0][1].split()[1:])
+        meta = CircuitMeta(scheme=fields["scheme"], n=int(fields["n"]))
+        body = body[1:]
+    kinds = {"x": GateKind.X, "cx": GateKind.CNOT, "ccx": GateKind.TOFFOLI,
+             "cv": GateKind.CV, "cvdg": GateKind.CVDG}
+    gates = []
+    for lineno, line in body:
+        head, *rest = line.split()
+
+        def indices():
+            out = []
+            for tok in rest:
+                try:
+                    q = int(tok)
+                except ValueError:
+                    raise CircuitFileError(f"bad qubit index {tok!r}", lineno) from None
+                if not 0 <= q < width:
+                    raise CircuitFileError(
+                        f"qubit index {q} out of range for width {width}", lineno)
+                out.append(q)
+            return tuple(out)
+
+        matrix = None
+        if head.startswith("u(") and head.endswith(")"):
+            kind = GateKind.LOCAL
+            entries = head[2:-1].split(",")
+            if len(entries) != 4:
+                raise CircuitFileError(
+                    f"u() takes 4 matrix entries, got {len(entries)}", lineno)
+            zs = []
+            for e in entries:
+                try:
+                    zs.append(complex(e))
+                except ValueError:
+                    raise CircuitFileError(f"bad complex number {e!r}", lineno) from None
+            matrix = ((zs[0], zs[1]), (zs[2], zs[3]))
+            qubits = indices()
+            if len(qubits) != 1:
+                raise CircuitFileError("u gate takes exactly one qubit", lineno)
+        elif head in kinds:
+            kind = kinds[head]
+            qubits = indices()
+        else:
+            raise CircuitFileError(f"unknown mnemonic {head!r}", lineno)
+        try:
+            gates.append(Gate(kind, qubits, matrix))
+        except ValueError as exc:
+            raise CircuitFileError(str(exc), lineno) from None
+    return Circuit(new_circuit(roles).qubits, tuple(gates), meta)
+
+
+# u() entries, two of them equal to 1 or to 0 but for the signs of zeros
+_U_ENTRIES = [
+    "1.0+0.0j,0.0+0.0j,0.0+0.0j,1.0+0.0j",
+    "1.0-0.0j,-0.0+0.0j,0.0-0.0j,1.0+0.0j",
+    "0.0+0.0j,1.0+0.0j,1.0+0.0j,0.0+0.0j",
+    "0.7071067811865476+0.0j,0.7071067811865476+0.0j,"
+    "0.7071067811865476+0.0j,-0.7071067811865476+0.0j",
+    "(0.5+0.5j),(0.5-0.5j),(0.5-0.5j),(0.5+0.5j)",
+]
+# lines that fail, each for a different reason
+_BAD_LINES = [
+    "ccz 0 1 2", "cx 0 0", "ccx 0 1", "x 0 1", "cx 0 q", "cx 0 -1", "ccx 0 1 99",
+    "u(1.0+0.0j,0.0+0.0j) 0", "u(one,0j,0j,1.0+0.0j) 0", "u(2.0,0.0,0.0,2.0) 0",
+    "u(1.0+0.0j, 0.0+0.0j,0.0+0.0j,1.0+0.0j) 0", "u(1,0,0,1) 0 1", "u(1,0,0,1)",
+    "cx 1.0 2",
+]
+
+
+def _random_gate_line(rng, width):
+    """A well-formed gate line, with random spacing between its tokens."""
+    kind = rng.choice(["x", "cx", "ccx", "cv", "cvdg", "u"])
+    arity = {"x": 1, "u": 1, "cx": 2, "cv": 2, "cvdg": 2, "ccx": 3}[kind]
+    head = f"u({rng.choice(_U_ENTRIES)})" if kind == "u" else kind
+    tokens = [head] + [str(q) for q in rng.sample(range(width), arity)]
+    return "".join(tok + rng.choice([" ", "  ", "\t", " \t "]) for tok in tokens).rstrip()
+
+
+def _random_text_file(rng):
+    """A file over a small pool of distinct lines, so most gate lines
+    repeat, some of them with different spacing; about half the files
+    hold one or more bad lines."""
+    width = rng.randint(3, 6)
+    pool = [_random_gate_line(rng, width) for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.5:
+        pool += rng.sample(_BAD_LINES, rng.randint(1, 2))
+        pool += [line for line in pool if rng.random() < 0.3]
+    lines = ["mctqasm v1 width %d" % width, "roles " + "c" * (width - 1) + "t"]
+    if rng.random() < 0.5:
+        lines.append("meta scheme=cycle n=%d c=- basis=-" % (width - 1))
+    for _ in range(rng.randint(0, 40)):
+        line = rng.choice(pool)
+        pad = rng.choice(["", " ", "\t", "  "])
+        lines.append(pad + line + rng.choice(["", " ", "\t"]))
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "   ", "# comment", "  # " + line]))
+    return "\n".join(lines) + "\n"
+
+
+def test_text_reader_matches_per_line_reference():
+    rng = random.Random(7)
+    accepted = rejected = 0
+    for _ in range(1500):
+        text = _random_text_file(rng)
+        try:
+            want = _reference_loads_text(text)
+        except CircuitFileError as exc:
+            with pytest.raises(CircuitFileError) as info:
+                loads_text(text)
+            assert (str(info.value), info.value.line) == (str(exc), exc.line)
+            rejected += 1
+            continue
+        got = loads_text(text)
+        assert got.gates == want.gates
+        assert [g.matrix and _matrix_bits(g.matrix) for g in got.gates] == \
+            [g.matrix and _matrix_bits(g.matrix) for g in want.gates]
+        assert dumps_text(got) == dumps_text(want)
+        accepted += 1
+    assert accepted > 400 and rejected > 400, (accepted, rejected)
+
+
+def test_signed_zeros_written_apart_in_text():
+    # gates 0 and 2 are == (0.0 == -0.0) but must not share a line
+    circ = append(new_circuit([C, T]), *_SIGNED_ZEROS, *_SIGNED_ZEROS[::-1])
+    assert circ.gates[0] == circ.gates[2]
+    lines = dumps_text(circ).splitlines()[3:]
+    assert lines[0] != lines[2] and lines[0] == lines[5]
+    again = loads_text(dumps_text(circ))
+    assert [_matrix_bits(g.matrix) for g in again.gates] == \
+        [_matrix_bits(g.matrix) for g in circ.gates]
 
 
 class TestSniffAndFiles:

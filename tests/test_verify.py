@@ -10,6 +10,7 @@ from mctsynth import verify
 from mctsynth.decomp import GateBasis, ToffoliRule, lower_circuit, lower_toffoli
 from mctsynth.ir import (
     Circuit,
+    Gate,
     GateKind,
     MAT_H,
     MAT_S,
@@ -493,6 +494,45 @@ class TestOneGateDeleted:
                 v = _assert_matches_reference(mutant, oracle_cnx(n), unitary=False)
                 if v.klass is EquivalenceClass.MISMATCH:
                     assert _witness_is_wrong(mutant, oracle_cnx(n), v.witness.input_bits)
+
+
+_SWAPPED_KIND = {GateKind.CV: GateKind.CVDG, GateKind.CVDG: GateKind.CV}
+
+
+def _alterations(g):
+    """One-gate changes: a control swapped with the target of a Toffoli
+    or a CNOT (the cnot basis has nothing else to alter), or cv
+    swapped with cvdg."""
+    if g.kind is GateKind.TOFFOLI:
+        a, b, t = g.qubits
+        yield Gate(g.kind, (t, b, a))
+        yield Gate(g.kind, (a, t, b))
+    elif g.kind is GateKind.CNOT:
+        yield Gate(g.kind, g.qubits[::-1])
+    elif g.kind in _SWAPPED_KIND:
+        yield Gate(_SWAPPED_KIND[g.kind], g.qubits)
+
+
+class TestOneGateAltered:
+    @pytest.mark.parametrize("basis", list(GateBasis))
+    def test_every_builder_output(self, basis):
+        mismatches = 0
+        for circ, oracle in _builder_outputs():
+            lowered = lower_circuit(circ, basis)
+            for pos, g in enumerate(lowered.gates):
+                for altered in _alterations(g):
+                    gates = lowered.gates[:pos] + (altered,) + lowered.gates[pos + 1:]
+                    mutant = Circuit(lowered.qubits, gates, lowered.meta)
+                    v = check_equivalence(mutant, oracle)
+                    if v.klass is not EquivalenceClass.MISMATCH:
+                        # skipped as a change that keeps the function, which
+                        # one dense run per input must confirm
+                        assert v.klass is EquivalenceClass.EXACT, (circ.meta, pos)
+                        _assert_matches_reference(mutant, oracle, unitary=False)
+                        continue
+                    mismatches += 1
+                    assert _witness_is_wrong(mutant, oracle, v.witness.input_bits), (circ.meta, pos)
+        assert mismatches > 300
 
 
 class TestDenseFallback:
