@@ -103,7 +103,7 @@ def _matrix_from_json(data: object) -> Matrix2:
             (complex(a[0], a[1]), complex(b[0], b[1])),
             (complex(c[0], c[1]), complex(d[0], d[1])),
         )
-    except (TypeError, ValueError, IndexError):
+    except (TypeError, ValueError, IndexError, KeyError, OverflowError):
         raise CircuitFileError(f"bad matrix {data!r}") from None
 
 
@@ -373,6 +373,11 @@ def loads_json(text: str) -> Circuit:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CircuitFileError(f"bad json: {exc}", exc.lineno) from None
+    except ValueError as exc:
+        # an integer past the interpreter's digit limit
+        raise CircuitFileError(f"bad json: {exc}") from None
+    except RecursionError:
+        raise CircuitFileError("bad json: nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("format") != "mct-circuit":
         raise CircuitFileError("not a circuit document (format != mct-circuit)")
     if doc.get("version") != 1:

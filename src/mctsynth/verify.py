@@ -18,10 +18,20 @@ basis states, so they are bit-sliced: one boolean vector per wire holds
 that wire's value under every input, and each gate is one AND/XOR over
 those vectors, at negligible cost even at large widths.  Anything
 containing CV, CU, or local rotations is evolved as flat (input, basis
-index, amplitude) entries: permutation and diagonal gates move or
-rescale entries in place, and only mixing gates split entries and merge
-the duplicates.  An input whose support outgrows a cap is simulated
-again on a dense statevector, which is where the width cap matters.
+index, amplitude) entries, one step at a time.  Most steps are windows:
+runs of consecutive gates on at most three qubits whose product is
+monomial, one nonzero entry per column.  Every decomposed Toffoli is
+such a product (Barenco et al. 1995; the relative-phase form is a
+Toffoli times a diagonal, Maslov 2016), so a window moves each entry
+with one XOR and rescales it by one phase, both looked up by the
+entry's bits on the window's qubits, and never grows the support.  Each
+window is the longest monomial prefix of its run, not the whole run,
+so it ends where a decomposed Toffoli ends; a run's product is worked
+out once per shape and call.  A gate that starts no window is applied
+alone: permutation and diagonal gates move or rescale entries in place,
+and mixing gates split entries and merge the duplicates.  An input
+whose support outgrows a cap is simulated again on a dense statevector,
+which is where the width cap matters.
 
 The expected outputs are arrays too.  The built-in C^nX and C^nU oracles
 (``ControlledOracle``) are tabulated from n and the 2x2 alone; any other
@@ -36,7 +46,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice, product
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -262,6 +272,133 @@ def _sparse_step(
             np.concatenate((amps[~on], kid_amps[keep])), True)
 
 
+# a window is a run of consecutive gates on at most this many qubits,
+# read at most this many gates ahead of its first gate, so that planning
+# stays linear in the gate count
+_WINDOW_QUBITS = 3
+_WINDOW_SCAN = 32
+
+
+class _Window(NamedTuple):
+    """Gates fused into a generalized permutation of their qubits.  The
+    local index of an entry packs its bits at ``shifts``, most
+    significant first; its key is XORed with ``flips`` at that index and
+    its amplitude times ``phases`` there (None when a table does
+    nothing)."""
+
+    shifts: tuple[int, ...]
+    flips: Optional[np.ndarray]
+    phases: Optional[np.ndarray]
+
+
+def _window_step(
+    w: _Window, keys: np.ndarray, amps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply a window to sparse entries: every entry goes to exactly
+    one place, so the support neither grows nor needs merging."""
+    loc = (keys >> w.shifts[0]) & 1
+    for s in w.shifts[1:]:
+        loc = (loc << 1) | ((keys >> s) & 1)
+    if w.flips is not None:
+        keys = keys ^ w.flips[loc]
+    if w.phases is not None:
+        amps = amps * w.phases[loc]
+    return keys, amps
+
+
+def _embed(gate: Gate, pos: Sequence[int], d: int) -> np.ndarray:
+    """The gate as a 2**d x 2**d matrix, its operands at local positions
+    ``pos`` (position 0 is the most significant bit)."""
+    mat = _gate_action(gate)[2].tolist()
+    cmask = sum(1 << (d - 1 - p) for p in pos[:-1])
+    tbit = 1 << (d - 1 - pos[-1])
+    u = np.eye(1 << d, dtype=complex)
+    for j in range(1 << d):
+        if j & cmask == cmask:
+            t = int(j & tbit != 0)
+            u[j & ~tbit, j] = mat[0][t]
+            u[j | tbit, j] = mat[1][t]
+    return u
+
+
+def _monomial(u: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Row and entry of each column's one entry above the pruning
+    threshold, or None when some column has more or fewer."""
+    big = np.abs(u) > _SPARSE_PRUNE
+    if (np.count_nonzero(big) != len(u) or not big.any(axis=0).all()
+            or not big.any(axis=1).all()):
+        return None
+    rows = big.argmax(axis=0)
+    return rows, u[rows, np.arange(len(rows))]
+
+
+def _fuse(run: Sequence[Gate], shape: Sequence[tuple], embedded: dict) -> Optional[tuple]:
+    """The longest prefix of the run whose product is monomial, as its
+    gate count, the number of qubits it touches (the first ones in
+    order of appearance), and its local XOR bits and phases; None when
+    no prefix is.  ``embedded`` memoises each gate's matrix by shape."""
+    d = 1 + max(max(pos) for _, _, pos in shape)
+    product = np.eye(1 << d, dtype=complex)
+    best, used = None, 0
+    for count, (gate, part) in enumerate(zip(run, shape), 1):
+        if (part, d) not in embedded:
+            embedded[part, d] = _embed(gate, part[2], d)
+        product = embedded[part, d] @ product
+        used = max(used, max(part[2]) + 1)
+        mono = _monomial(product)
+        if mono is not None:
+            best = count, used, mono
+    if best is None:
+        return None
+    count, used, (rows, phases) = best
+    # the qubits past the prefix's own are the low local bits, on which
+    # it acts as the identity
+    drop = d - used
+    rows, phases = rows[::1 << drop] >> drop, phases[::1 << drop]
+    diff = rows ^ np.arange(len(rows))
+    bits = (diff[:, None] >> np.arange(used - 1, -1, -1)) & 1
+    return (count, used, bits if diff.any() else None,
+            None if (phases == 1).all() else phases)
+
+
+def _plan(gates: Sequence[Gate], width: int) -> list[Union[_Window, Gate]]:
+    """Split the gates into steps: each step is a ``_Window`` or a lone
+    ``Gate``.  A window is the longest prefix, of the run of gates that
+    fits on ``_WINDOW_QUBITS`` qubits, whose product is monomial; a gate
+    that starts no such prefix goes alone.  Cutting at the longest
+    monomial prefix, not at the end of the run, keeps a window from
+    taking the first gates of the next decomposed Toffoli.  Runs of the
+    same shape (kinds, matrices, and operands numbered by first
+    appearance) are fused once."""
+    fused: dict[tuple, Optional[tuple]] = {}
+    embedded: dict[tuple, np.ndarray] = {}
+    steps: list[Union[_Window, Gate]] = []
+    i = 0
+    while i < len(gates):
+        # each qubit's local position, by first appearance
+        place: dict[int, int] = {}
+        shape = []
+        for g in islice(gates, i, i + _WINDOW_SCAN):
+            pos = tuple(place.setdefault(q, len(place)) for q in g.qubits)
+            if len(place) > _WINDOW_QUBITS:
+                break
+            shape.append((g.kind, g.matrix, pos))
+        key = tuple(shape)
+        if key not in fused:
+            fused[key] = _fuse(gates[i:i + len(shape)], shape, embedded) if shape else None
+        plan = fused[key]
+        if plan is None:
+            steps.append(gates[i])
+            i += 1
+            continue
+        count, used, bits, phases = plan
+        shifts = tuple(width - 1 - q for q in islice(place, used))
+        weights = np.int64(1) << np.array(shifts, dtype=np.int64)
+        steps.append(_Window(shifts, None if bits is None else bits @ weights, phases))
+        i += count
+    return steps
+
+
 def _evolve_sparse(
     circuit: Circuit, comp: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -269,9 +406,9 @@ def _evolve_sparse(
     index, and the inputs whose support outgrew the cap (their entries
     are dropped)."""
     width = circuit.width
-    gates = circuit.gates
+    steps = _plan(circuit.gates, width)
     n_inputs = 1 << len(comp)
-    # work items: first input, end input, next gate, entries
+    # work items: first input, end input, next step, entries
     todo = []
     for lo in range(0, n_inputs, _ENTRY_BUDGET):
         masks = np.arange(lo, min(lo + _ENTRY_BUDGET, n_inputs), dtype=np.int64)
@@ -281,8 +418,12 @@ def _evolve_sparse(
     done_keys, done_amps, overflow = [], [], []
     while todo:
         lo, hi, start, keys, amps = todo.pop()
-        for pos in range(start, len(gates)):
-            keys, amps, mixed = _sparse_step(gates[pos], width, keys, amps)
+        for pos in range(start, len(steps)):
+            step = steps[pos]
+            if isinstance(step, _Window):
+                keys, amps = _window_step(step, keys, amps)
+                continue
+            keys, amps, mixed = _sparse_step(step, width, keys, amps)
             if not mixed:
                 continue
             owner = (keys >> width) - lo

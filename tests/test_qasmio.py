@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from mctsynth.cli import main
 from mctsynth.cycle import build_cycle_cnx, build_cycle_cnx_auto, build_two_cycle_cnx
 from mctsynth.decomp import GateBasis, lower_circuit
 from mctsynth.ir import (
@@ -418,6 +419,85 @@ def test_every_accepted_json_file_survives_text_round_trip():
             continue
         assert dumps_json(loads_text(text)) == first
     assert accepted > 200 and rejected > 200, (accepted, rejected)
+
+
+def _nodes(doc, path=()):
+    """Every node of a parsed json document, as its path of keys and
+    indices from the root."""
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _nodes(value, path + (i,))
+
+
+def _mutate(doc, rng):
+    """The document with one random node replaced by a value of another
+    type, or with one key or item deleted."""
+    path = rng.choice(list(_nodes(doc)))
+    replacements = [None, True, False, rng.randint(-9, 9), 2 ** 70, rng.uniform(-2, 2),
+                    math.nan, "cx", [], [0, 1], {}, {"kind": "x"}]
+    if not path:
+        return rng.choice(replacements)
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if rng.random() < 0.2:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = rng.choice(replacements)
+    return doc
+
+
+def _deep_and_huge_json():
+    """Files json.loads itself cannot return, or that overflow a float."""
+    head = '{"format": "mct-circuit", "version": 1, '
+    gate = '{"kind": "u", "qubits": [0], "matrix": %s}'
+    yield '{"a":' * 5000
+    yield '[' * 5000 + ']' * 5000
+    yield head + '"width": %s, "roles": "ct", "gates": []}' % ("7" * 5000)
+    yield head + '"width": 2, "roles": "ct", "gates": [{"kind": "cx", "qubits": [0, %s]}]}' % (
+        "1" * 5000)
+    yield head + '"width": 2, "roles": "ct", "gates": [%s]}' % (
+        gate % "[[[1%s, 0], [0, 0]], [[0, 0], [1, 0]]]" % ("0" * 400))
+    yield head + '"width": 2, "roles": "ct", "gates": [%s]}' % (gate % "[[{}, 0], [0, 0]]")
+    yield head + '"width": 2, "roles": "ct", "gates": [%s]}' % (
+        gate % ("[" * 900 + "]" * 900))
+
+
+def test_malformed_json_loads_or_raises_file_error(tmp_path, capsys):
+    """A valid cnot-basis document with one node changed, deleted, or
+    nested or sized past what json and floats hold: loads_json returns a
+    circuit or raises CircuitFileError, and ``mct verify`` on the file
+    exits 2 for every file that loads_json refuses, without a traceback."""
+    valid = json.loads(dumps_json(lower_circuit(build_cnx(3), GateBasis.CNOT_LOCAL)))
+    rng = random.Random(8)
+    files = [json.dumps(_mutate(json.loads(json.dumps(valid)), rng)) for _ in range(2000)]
+    special = list(_deep_and_huge_json())
+    loaded = refused = 0
+    for i, text in enumerate(files + special):
+        try:
+            circ = loads_json(text)
+        except CircuitFileError:
+            refused += 1
+            expected_codes = {2}
+        else:
+            assert isinstance(circ, Circuit)
+            assert i < len(files), "a deep or huge file loaded"
+            loaded += 1
+            expected_codes = {0, 2, 3}
+        if i % 10 == 0 or i >= len(files):
+            path = tmp_path / "mutant.json"
+            path.write_text(text)
+            code = main(["verify", "--circuit", str(path), "--oracle", "cnx:3"])
+            err = capsys.readouterr().err
+            assert code in expected_codes, (code, text[:200])
+            assert code != 2 or err.startswith("error: ")
+    # most nodes are matrix entries, and most changes to them leave a
+    # matrix that is not unitary
+    assert loaded > 50 and refused > 1000, (loaded, refused)
 
 
 def _reference_loads_text(text):

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from mctsynth import verify
+from mctsynth import qasmio, verify
+from mctsynth.cli import main
 from mctsynth.decomp import GateBasis, ToffoliRule, lower_circuit, lower_toffoli
 from mctsynth.ir import (
     Circuit,
@@ -533,6 +534,206 @@ class TestOneGateAltered:
                     mismatches += 1
                     assert _witness_is_wrong(mutant, oracle, v.witness.input_bits), (circ.meta, pos)
         assert mismatches > 300
+
+
+# ---------------------------------------------------------------------------
+# the windowed sparse engine against the gate-by-gate loop it replaced
+
+
+def _evolve_per_gate(circuit, comp):
+    """The sparse engine one gate at a time, as it ran before gates were
+    fused into windows: the reference the windowed engine must match."""
+    width = circuit.width
+    gates = circuit.gates
+    n_inputs = 1 << len(comp)
+    budget = verify._ENTRY_BUDGET
+    todo = []
+    for lo in range(0, n_inputs, budget):
+        masks = np.arange(lo, min(lo + budget, n_inputs), dtype=np.int64)
+        todo.append((lo, lo + len(masks), 0,
+                     (masks << width) | verify._spread(masks, comp, width),
+                     np.ones(len(masks), dtype=complex)))
+    done_keys, done_amps, overflow = [], [], []
+    while todo:
+        lo, hi, start, keys, amps = todo.pop()
+        for pos in range(start, len(gates)):
+            keys, amps, mixed = verify._sparse_step(gates[pos], width, keys, amps)
+            if not mixed:
+                continue
+            owner = (keys >> width) - lo
+            over = np.bincount(owner, minlength=hi - lo) > verify._SPARSE_SUPPORT_CAP
+            if over.any():
+                overflow.extend((lo + np.flatnonzero(over)).tolist())
+                keys, amps = keys[~over[owner]], amps[~over[owner]]
+            if len(keys) > budget and hi - lo > 1:
+                mid = (lo + hi) // 2
+                low = (keys >> width) < mid
+                todo.append((mid, hi, pos + 1, keys[~low], amps[~low]))
+                todo.append((lo, mid, pos + 1, keys[low], amps[low]))
+                break
+        else:
+            done_keys.append(keys)
+            done_amps.append(amps)
+    return np.concatenate(done_keys), np.concatenate(done_amps), overflow
+
+
+def _entries(keys, amps):
+    out = dict(zip(keys.tolist(), amps.tolist()))
+    assert len(out) == len(keys)
+    return out
+
+
+def _assert_windows_match_per_gate(circuit, oracle, monkeypatch):
+    """Final entries within 1e-12 of the per-gate loop's, and the same
+    verdict: class, witness and detail equal, deviation within 1e-12."""
+    comp = default_computational_qubits(circuit)
+    got = verify._evolve_sparse(circuit, comp)
+    want = _evolve_per_gate(circuit, comp)
+    assert got[2] == want[2]
+    a, b = _entries(*got[:2]), _entries(*want[:2])
+    assert max((abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys()), default=0) <= 1e-12
+    fast = check_equivalence(circuit, oracle)
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_evolve_sparse", lambda c, q: want)
+        slow = check_equivalence(circuit, oracle)
+    assert (fast.klass, fast.witness) == (slow.klass, slow.witness)
+    assert abs(fast.max_deviation - slow.max_deviation) <= 1e-12
+    return fast
+
+
+def _window_gate(rng, qubits):
+    """One gate of the kinds lowered circuits use, on the given qubits
+    in random order."""
+    qs = [int(q) for q in rng.permutation(qubits)]
+    pick = int(rng.integers(0, 9))
+    if pick == 0:
+        return x(qs[0])
+    if pick == 1:
+        return cnot(qs[0], qs[1])
+    if pick == 2:
+        return toffoli(qs[0], qs[1], qs[2])
+    if pick == 3:
+        return cv(qs[0], qs[1])
+    if pick == 4:
+        return cv(qs[0], qs[1]).inverse()
+    if pick == 5:
+        return local(qs[0], MAT_H)
+    if pick == 6:
+        return local(qs[0], MAT_T)
+    if pick == 7:
+        # quarter turns, as the cnot basis uses, or any angle
+        steps = int(rng.integers(-4, 5))
+        angle = steps * math.pi / 4 if rng.random() < 0.5 else rng.uniform(-math.pi, math.pi)
+        return local(qs[0], ry_matrix(angle))
+    return cu(qs[0], qs[1], _random_unitary(rng))
+
+
+def _random_window_circuits(count):
+    """Circuits on 3 to 7 qubits (two controls, a target, ancillas) made
+    of pieces on a few qubits at a time: single gates, decomposed
+    Toffolis, a gate list followed by its inverse, and the Toffoli the
+    oracle wants, so windows form, break, and straddle pieces, and
+    every verdict occurs."""
+    rng = np.random.default_rng(4242)
+    for trial in range(count):
+        width = 3 + trial % 5
+        gates = []
+        for _ in range(int(rng.integers(1, 7))):
+            focus = rng.choice(width, size=3, replace=False) if rng.random() < 0.9 \
+                else np.arange(width)
+            piece = int(rng.integers(0, 4))
+            if piece == 0:
+                gates.append(_window_gate(rng, focus))
+            elif piece == 1:
+                a, b, t = (int(q) for q in rng.permutation(focus)[:3])
+                gates += lower_toffoli(a, b, t, list(ToffoliRule)[int(rng.integers(0, 4))])
+            elif piece == 2:
+                body = [_window_gate(rng, focus) for _ in range(int(rng.integers(1, 5)))]
+                gates += body + [g.inverse() for g in reversed(body)]
+            else:
+                rule = list(ToffoliRule)[int(rng.integers(0, 4))]
+                gates += [toffoli(0, 1, 2)] if rng.random() < 0.5 else lower_toffoli(0, 1, 2, rule)
+        if trial % 7 == 0:
+            gates.append(local(int(rng.integers(0, 3)), _diagonal(rng, trial % 2 == 0)))
+        yield _circ([C, C, T] + [P] * (width - 3), gates)
+
+
+class TestWindowedEngine:
+    def test_parity_sweep(self, monkeypatch):
+        checked = 0
+        for c, oracle in _parity_sweep():
+            _assert_windows_match_per_gate(c, oracle, monkeypatch)
+            checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize("basis", list(GateBasis))
+    def test_every_named_unitary(self, basis, monkeypatch, tmp_path, capsys):
+        for name, matrix in sorted(NAMED_UNITARIES.items()):
+            for n in range(1, 7):
+                circ = lower_circuit(build_cnu(n, matrix), basis)
+                v = _assert_windows_match_per_gate(circ, oracle_cnu(n, matrix), monkeypatch)
+                assert v.klass is EquivalenceClass.EXACT
+                if n in (1, 4):
+                    # the CLI's verdict and exit code, per-gate and windowed
+                    path = tmp_path / "c.json"
+                    qasmio.save(circ, path)
+                    argv = ["verify", "--circuit", str(path), "--oracle", f"cnu:{n}:{name}"]
+                    fast = main(argv), capsys.readouterr().out.splitlines()
+                    with monkeypatch.context() as m:
+                        m.setattr(verify, "_evolve_sparse", _evolve_per_gate)
+                        slow = main(argv), capsys.readouterr().out.splitlines()
+                    assert fast[0] == slow[0] == 0
+                    assert fast[1][0] == slow[1][0] == "verdict exact"
+
+    def test_random_circuits(self, monkeypatch):
+        seen = set()
+        for trial, circ in enumerate(_random_window_circuits(600)):
+            oracle = oracle_cnx(2) if trial % 3 else oracle_cnu(2, MAT_H)
+            with monkeypatch.context() as m:
+                if trial % 4 == 0:
+                    # work items split in two, and resumed at a step
+                    m.setattr(verify, "_ENTRY_BUDGET", 4)
+                seen.add(_assert_windows_match_per_gate(circ, oracle, monkeypatch).klass)
+        assert seen == set(EquivalenceClass)
+
+
+class TestFusion:
+    def test_builds_never_mix(self, monkeypatch):
+        """Every lowered ladder, cycle and two-cycle build runs as
+        monomial windows alone: no step mixes basis states, and no input
+        ever holds more than one entry."""
+        steps = {"mixed": 0, "lone": 0, "window": 0}
+        real_step, real_window = verify._sparse_step, verify._window_step
+
+        def one_entry_each(keys, width):
+            owners = keys >> width
+            assert len(np.unique(owners)) == len(owners)
+
+        def lone(gate, width, keys, amps):
+            one_entry_each(keys, width)
+            out = real_step(gate, width, keys, amps)
+            steps["lone"] += 1
+            steps["mixed"] += out[2]
+            return out
+
+        def window(w, keys, amps):
+            steps["window"] += 1
+            return real_window(w, keys, amps)
+
+        monkeypatch.setattr(verify, "_sparse_step", lone)
+        monkeypatch.setattr(verify, "_window_step", window)
+        for n in range(3, 13):
+            builds = [build_cnx(n), build_two_cycle_cnx(n)]
+            builds += [build_cycle_cnx(n, c) for c in range(1, n)]
+            for circ in builds:
+                for basis in (GateBasis.CV_BASIS, GateBasis.CNOT_LOCAL):
+                    lowered = lower_circuit(circ, basis)
+                    comp = default_computational_qubits(lowered)
+                    keys, _, overflow = verify._evolve_sparse(lowered, comp)
+                    one_entry_each(keys, lowered.width)
+                    assert len(keys) == 1 << len(comp) and not overflow
+                    assert steps["mixed"] == 0, (circ.meta, basis)
+        assert steps["window"] > 1000
 
 
 class TestDenseFallback:
