@@ -40,6 +40,7 @@ from .verify import (
     check_equivalence,
     oracle_cnu,
     oracle_cnx,
+    resolve_max_width,
 )
 
 BASIS_BY_TOKEN = {
@@ -47,9 +48,6 @@ BASIS_BY_TOKEN = {
     "cnot": GateBasis.CNOT_LOCAL,
     "cv": GateBasis.CV_BASIS,
 }
-
-# widest circuit the synth path will verify before writing
-AUTO_VERIFY_WIDTH = 16
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -62,8 +60,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     if args.no_verify:
         print("verify  skipped (--no-verify)")
-    elif lowered.width > AUTO_VERIFY_WIDTH:
-        print(f"verify  skipped (width {lowered.width} > {AUTO_VERIFY_WIDTH})")
+    elif lowered.width > (cap := resolve_max_width()):
+        # checked here, not left to check_equivalence: the classical
+        # engine applies no width cap
+        print(f"verify  skipped (width {lowered.width} > {cap})")
     else:
         verdict = check_equivalence(lowered, oracle_cnx(circuit.meta.n))
         print(f"verify  {verdict.klass.value} (max deviation {verdict.max_deviation:.3g})")

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cycle import (
+    best_cycle_count,
     build_cycle_cnx,
     build_cycle_cnx_auto,
     build_two_cycle_cnx,
@@ -98,14 +99,6 @@ def ancilla_min_form(n: int, c: int) -> int:
     split form (the firing block's extra slot)."""
     _require_c(n, c)
     return math.ceil((n - 1) / c) + c - 1
-
-
-def best_cycle_count(n: int) -> int:
-    """Cycle count minimizing the ancilla total: floor of sqrt(n-1),
-    computed with the exact integer square root."""
-    if n < 2:
-        raise ValueError("need at least two controls")
-    return max(math.isqrt(n - 1), 1)
 
 
 def best_ancilla_form(n: int) -> int:
@@ -191,6 +184,8 @@ def build_scheme(scheme: str, n: Optional[int], c: Optional[int] = None) -> Circ
     """Build a scheme by name; the one place that maps scheme names to
     builders and checks their parameters.  The control count and cycle
     count used are in the circuit's metadata."""
+    if scheme in ("workspace-ccx", "workspace-c3x") and c is not None:
+        raise ValueError(f"the {scheme} scheme takes no cycle count")
     if scheme == "workspace-ccx":
         if n not in (None, 2):
             raise ValueError("workspace-ccx is fixed at n=2")

@@ -1,11 +1,18 @@
-"""Ladder-style multi-controlled gate construction.
+"""Ladder-style multi-controlled gate construction, and the AND-block
+plans that every C^nX builder executes.
 
 The ladder computes the AND of the controls into a chain of process
 ancillas with Toffolis, applies the payload, and uncomputes the chain
 in mirror order.  Every ancilla starts and ends at |0>.
 
-Register layout for n controls: controls are qubits 0..n-1, the target
-is qubit n, process ancillas follow.
+An AND block is such a ladder that XORs the AND of its inputs onto one
+output.  Each C^nX scheme is a ``CyclePlan``, a list of AND blocks over
+one shared process pool, and ``build_plan`` runs it as the standard
+Barenco et al. construction does: every block but the last into its
+own cycle ancilla, the last into the target, then the others again in
+reverse.  The ladder is the one-block plan; ``cycle`` has the others.
+Register layout: controls 0..n-1, target n, the cycle ancilla of block
+j at n+1+j, then the process pool, sized by the widest block.
 
 Also included here are two fixed small networks that realize a Toffoli
 and a triply-controlled NOT with a single workspace qubit, by routing
@@ -18,9 +25,15 @@ back clean.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable, Sequence
+
+from .decomp import TOFFOLI_LENGTHS, GateBasis
 from .ir import (
     Circuit,
     CircuitMeta,
+    Gate,
     Matrix2,
     QubitRole,
     append,
@@ -32,12 +45,140 @@ from .ir import (
 )
 
 
-def ladder_roles(n: int, ancillas: int) -> list[QubitRole]:
+def register_roles(n: int, cycle_ancillas: int, process_ancillas: int) -> list[QubitRole]:
     return (
         [QubitRole.CONTROL] * n
         + [QubitRole.TARGET]
-        + [QubitRole.PROCESS_ANCILLA] * ancillas
+        + [QubitRole.CYCLE_ANCILLA] * cycle_ancillas
+        + [QubitRole.PROCESS_ANCILLA] * process_ancillas
     )
+
+
+def and_chain(inputs: Sequence[int], pool: Iterable[int]) -> tuple[list[Gate], int]:
+    """Toffolis that AND ``inputs`` into the pool, one pool qubit per
+    input after the first, and the wire left holding the AND (the input
+    itself when there is only one)."""
+    gates: list[Gate] = []
+    wire = inputs[0]
+    for q, p in zip(inputs[1:], pool):
+        gates.append(toffoli(wire, q, p))
+        wire = p
+    return gates, wire
+
+
+def and_block(inputs: Sequence[int], out: int, pool: Iterable[int]) -> list[Gate]:
+    """XOR the AND of ``inputs`` onto ``out``: the chain over all inputs
+    but the last, the one gate that writes ``out``, and the chain in
+    mirror order, which restores the pool.  A single input is a copy."""
+    *head, last = inputs
+    if not head:
+        return [cnot(last, out)]
+    gates, wire = and_chain(head, pool)
+    return gates + [toffoli(wire, last, out)] + gates[::-1]
+
+
+@dataclass(frozen=True)
+class CyclePlan:
+    """Layout and exact costs of a C^nX build, before any gate is
+    emitted; build_plan executes it.
+
+    ``blocks`` holds each AND block's inputs as qubit indices.  The last
+    block writes the target; the others are the repeated cycles, run
+    once before it and once after, each writing its cycle ancilla.
+    ``block_widths`` are the blocks' input counts, and the process pool
+    is sized by the widest block.  ``meta`` is the built circuit's.
+
+    The counts are those of the built circuit, not a floored average:
+    ``toffoli_total`` Toffolis, of which ``paired`` are members of the
+    mirror pairs that peres_pairing finds and ``unpaired`` are not, and
+    ``copies`` CNOTs from single-input blocks.  ``ops(basis)`` is the
+    exact gate count of the build lowered to ``basis``.
+    """
+
+    meta: CircuitMeta
+    blocks: tuple[tuple[int, ...], ...]
+    block_widths: tuple[int, ...]
+    cycle_ancillas: int
+    process_ancillas: int
+    ancilla_budget: int
+    toffoli_total: int
+    paired: int
+    unpaired: int
+    copies: int
+
+    @property
+    def repeated_cycles(self) -> tuple[int, ...]:
+        return tuple(range(self.cycle_ancillas))
+
+    @property
+    def group_sizes(self) -> tuple[int, ...]:
+        """Controls each block takes, not counting the first control."""
+        n = self.meta.n
+        return tuple(sum(0 < q < n for q in block) for block in self.blocks)
+
+    def ops(self, basis: GateBasis) -> int:
+        """Gate count of the build lowered to ``basis``."""
+        paired_length, unpaired_length = TOFFOLI_LENGTHS[basis]
+        return (paired_length * self.paired + unpaired_length * self.unpaired
+                + self.copies)
+
+
+def plan_blocks(meta: CircuitMeta, blocks: Sequence[tuple[int, ...]]) -> CyclePlan:
+    """The plan that runs ``blocks`` (the last one firing), with the
+    exact counts of its build."""
+    widths = tuple(len(block) for block in blocks)
+    pool = max(max(widths) - 2, 0)
+    # a block over m >= 2 inputs is a ladder whose m-2 chain Toffolis
+    # pair with their mirrors around the one Toffoli that writes its
+    # output; a repeated block runs twice, and a lone Toffoli (m = 2)
+    # then pairs with its rerun.  A single input is a copy.
+    *repeated, final = widths
+    paired = unpaired = copies = 0
+    for m in repeated:
+        if m == 1:
+            copies += 2
+        elif m == 2:
+            paired += 2
+        else:
+            paired += 4 * (m - 2)
+            unpaired += 2
+    if final == 1:
+        copies += 1
+    else:
+        paired += 2 * (final - 2)
+        unpaired += 1
+    return CyclePlan(
+        meta=meta,
+        blocks=tuple(blocks),
+        block_widths=widths,
+        cycle_ancillas=len(repeated),
+        process_ancillas=pool,
+        ancilla_budget=len(repeated) + pool,
+        toffoli_total=paired + unpaired,
+        paired=paired,
+        unpaired=unpaired,
+        copies=copies,
+    )
+
+
+def build_plan(plan: CyclePlan) -> Circuit:
+    """Execute ``plan``: the repeated blocks, each into its cycle
+    ancilla, the last block into the target, then the repeated blocks
+    in reverse, which clears the cycle ancillas."""
+    n, k = plan.meta.n, plan.cycle_ancillas
+    roles = register_roles(n, k, plan.process_ancillas)
+    pool = range(n + 1 + k, len(roles))
+    outs = [*range(n + 1, n + 1 + k), n]
+    *repeated, fire = [and_block(b, out, pool) for b, out in zip(plan.blocks, outs)]
+    gates = chain.from_iterable(repeated + [fire] + repeated[::-1])
+    return append(new_circuit(roles, plan.meta), *gates)
+
+
+def plan_ladder(n: int) -> CyclePlan:
+    """Plan build_cnx(n): one block over all n controls."""
+    if n < 1:
+        raise ValueError("need at least one control")
+    return plan_blocks(CircuitMeta(scheme="ladder", n=n), [tuple(range(n))])
 
 
 def build_cnx(n: int) -> Circuit:
@@ -46,27 +187,9 @@ def build_cnx(n: int) -> Circuit:
     Uses n-2 process ancillas and 2n-3 Toffolis for n >= 2: the chain
     joins controls pairwise until one Toffoli short of the full AND,
     then the last Toffoli fires the target off the deepest ancilla and
-    the remaining control, and the chain unwinds.
+    the remaining control, and the chain unwinds.  n=1 is a CNOT.
     """
-    if n < 1:
-        raise ValueError("need at least one control")
-    if n == 1:
-        circ = new_circuit(ladder_roles(1, 0), CircuitMeta(scheme="ladder", n=1))
-        return append(circ, cnot(0, 1))
-    if n == 2:
-        circ = new_circuit(ladder_roles(2, 0), CircuitMeta(scheme="ladder", n=2))
-        return append(circ, toffoli(0, 1, 2))
-
-    target = n
-    anc = lambda j: n + 1 + j  # noqa: E731
-    circ = new_circuit(ladder_roles(n, n - 2), CircuitMeta(scheme="ladder", n=n))
-
-    compute = [toffoli(0, 1, anc(0))]
-    for j in range(1, n - 2):
-        compute.append(toffoli(anc(j - 1), j + 1, anc(j)))
-    fire = toffoli(anc(n - 3), n - 1, target)
-    uncompute = [g for g in reversed(compute)]
-    return append(circ, *compute, fire, *uncompute)
+    return build_plan(plan_ladder(n))
 
 
 def build_cnu(n: int, matrix: Matrix2) -> Circuit:
@@ -81,20 +204,9 @@ def build_cnu(n: int, matrix: Matrix2) -> Circuit:
     """
     if n < 1:
         raise ValueError("need at least one control")
-    if n == 1:
-        circ = new_circuit(ladder_roles(1, 0), CircuitMeta(scheme="ladder", n=1))
-        return append(circ, cu(0, 1, matrix))
-
-    target = n
-    anc = lambda j: n + 1 + j  # noqa: E731
-    circ = new_circuit(ladder_roles(n, n - 1), CircuitMeta(scheme="ladder", n=n))
-
-    compute = [toffoli(0, 1, anc(0))]
-    for j in range(1, n - 1):
-        compute.append(toffoli(anc(j - 1), j + 1, anc(j)))
-    payload = cu(anc(n - 2), target, matrix)
-    uncompute = [g for g in reversed(compute)]
-    return append(circ, *compute, payload, *uncompute)
+    gates, wire = and_chain(range(n), range(n + 1, 2 * n))
+    circ = new_circuit(register_roles(n, 0, n - 1), CircuitMeta(scheme="ladder", n=n))
+    return append(circ, *gates, cu(wire, n, matrix), *gates[::-1])
 
 
 def build_workspace_toffoli() -> Circuit:

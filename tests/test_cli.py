@@ -68,6 +68,17 @@ class TestSynth:
         assert "verify  skipped (width 31" in out
         assert path.exists()
 
+    def test_verifies_up_to_the_simulation_cap(self, capsys, tmp_path):
+        # width 24: the cycle build at c=3 lowered to the cnot basis
+        path = tmp_path / "c16.mq"
+        code, out, _ = run(
+            capsys, "synth", "--scheme", "cycle", "--n", "16", "--basis", "cnot",
+            "--out", str(path),
+        )
+        assert code == 0
+        assert "verify  exact" in out
+        assert load(path).width == 24
+
     def test_workspace_scheme(self, capsys, tmp_path):
         path = tmp_path / "w.mct"
         code, out, _ = run(
@@ -106,6 +117,12 @@ class TestSynth:
         )
         assert code == 2
         assert "no cycle count" in err
+        # nor do the fixed workspace networks
+        for scheme in ("workspace-ccx", "workspace-c3x"):
+            code, out, err = run(capsys, "synth", "--scheme", scheme, "--c", "7")
+            assert code == 2
+            assert out == ""
+            assert f"the {scheme} scheme takes no cycle count" in err
 
     def test_missing_n(self, capsys):
         code, _, err = run(capsys, "synth", "--scheme", "ladder")

@@ -1,18 +1,22 @@
 """Cycle-scheme builders and their plans."""
 
 import math
+from itertools import chain
 
 import pytest
 
+from mctsynth.costs import ladder_ops_form, two_cycle_toffoli_form
 from mctsynth.cycle import (
     build_cycle_cnx,
     build_cycle_cnx_auto,
     build_two_cycle_cnx,
     group_sizes,
     plan_cycles,
+    plan_two_cycle,
 )
 from mctsynth.decomp import GateBasis, lower_circuit, peres_pairing
 from mctsynth.ir import GateKind, QubitRole, count_gates
+from mctsynth.ladder import build_cnx, plan_ladder
 from mctsynth.verify import EquivalenceClass, check_equivalence, oracle_cnx
 
 
@@ -26,6 +30,15 @@ def _plan_grid():
         best = math.isqrt(n - 1)
         for c in sorted({1, 2, best - 1, best, best + 1, n - 1}):
             yield n, c
+
+
+def _ladder_and_two_cycle_plans():
+    """Ladder plans for n=1..79 and two-cycle plans for n=3..79, each
+    with its build."""
+    for n in range(1, 80):
+        yield plan_ladder(n), build_cnx(n)
+    for n in range(3, 80):
+        yield plan_two_cycle(n), build_two_cycle_cnx(n)
 
 
 def _ancilla_count(circ):
@@ -127,19 +140,20 @@ class TestBuildCycle:
 
 class TestPlanCycles:
     def test_plan_matches_build(self):
-        for n in range(3, 13):
-            for c in range(1, n):
-                plan = plan_cycles(n, c)
-                circ = build_cycle_cnx(n, c)
-                assert plan.toffoli_total == count_gates(circ, GateKind.TOFFOLI), (n, c)
-                assert plan.cycle_ancillas == len(
-                    circ.indices_with_role(QubitRole.CYCLE_ANCILLA)
-                )
-                assert plan.process_ancillas == len(
-                    circ.indices_with_role(QubitRole.PROCESS_ANCILLA)
-                )
-                assert plan.ancilla_budget == _ancilla_count(circ)
-                assert list(plan.group_sizes) == group_sizes(n, c)
+        cycles = [(plan_cycles(n, c), build_cycle_cnx(n, c))
+                  for n in range(3, 13) for c in range(1, n)]
+        for plan, circ in cycles + list(_ladder_and_two_cycle_plans()):
+            assert circ.meta == plan.meta
+            assert plan.toffoli_total == count_gates(circ, GateKind.TOFFOLI), plan.meta
+            assert plan.cycle_ancillas == len(
+                circ.indices_with_role(QubitRole.CYCLE_ANCILLA)
+            )
+            assert plan.process_ancillas == len(
+                circ.indices_with_role(QubitRole.PROCESS_ANCILLA)
+            )
+            assert plan.ancilla_budget == _ancilla_count(circ)
+            if plan.meta.scheme == "cycle":
+                assert list(plan.group_sizes) == group_sizes(plan.meta.n, plan.meta.c)
 
     def test_counts_by_hand(self):
         # widths (2, 4): the repeated lone Toffoli pairs with its rerun,
@@ -155,19 +169,28 @@ class TestPlanCycles:
         assert plan.block_widths == (1, 2, 3)
         assert (plan.paired, plan.unpaired, plan.copies) == (4, 1, 2)
         assert plan.ops(GateBasis.CV_BASIS) == 4 * 4 + 5 + 2
+        # a one-input ladder is a lone copy
+        plan = plan_ladder(1)
+        assert plan.block_widths == (1,)
+        assert (plan.paired, plan.unpaired, plan.copies) == (0, 0, 1)
 
     def test_counts_match_pairing_and_lowering(self):
-        for n, c in _plan_grid():
-            plan = plan_cycles(n, c)
-            circ = build_cycle_cnx(n, c)
+        cycles = ((plan_cycles(n, c), build_cycle_cnx(n, c)) for n, c in _plan_grid())
+        for plan, circ in chain(cycles, _ladder_and_two_cycle_plans()):
             pairing = peres_pairing(circ)
             assert (plan.paired, plan.unpaired) == (
                 2 * len(pairing.pairs), len(pairing.unpaired)
-            ), (n, c)
+            ), plan.meta
             assert plan.toffoli_total == plan.paired + plan.unpaired
-            assert plan.copies == count_gates(circ, GateKind.CNOT), (n, c)
+            assert plan.copies == count_gates(circ, GateKind.CNOT), plan.meta
             for basis in GateBasis:
-                assert plan.ops(basis) == len(lower_circuit(circ, basis).gates), (n, c, basis)
+                assert plan.ops(basis) == len(lower_circuit(circ, basis).gates), (
+                    plan.meta, basis)
+        for n in range(2, 80):
+            for basis in GateBasis:
+                assert plan_ladder(n).ops(basis) == ladder_ops_form(n, basis), (n, basis)
+        for n in range(3, 80):
+            assert plan_two_cycle(n).toffoli_total == two_cycle_toffoli_form(n), n
 
     def test_repeated_cycles_are_the_cheap_ones(self):
         plan = plan_cycles(11, 3)
