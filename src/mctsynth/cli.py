@@ -127,8 +127,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if not 3 <= args.max <= 64:
-        raise ValueError(f"table size must be in 3..64, got {args.max}")
     rows = make_table(3, args.max)
     if args.format == "csv":
         print(render_table_csv(rows))

@@ -379,7 +379,7 @@ def make_table(lo: int = 3, hi: int = 64) -> list[TableRow]:
     construction's reference value and closed form.  The built count is
     the plan's exact cv-basis op count; nothing is built or lowered."""
     if not (3 <= lo <= hi <= 64):
-        raise ValueError("table range must satisfy 3 <= lo <= hi <= 64")
+        raise ValueError(f"table range must be lo..hi within 3..64, got {lo}..{hi}")
     rows = []
     for n in range(lo, hi + 1):
         s = best_cycle_count(n)

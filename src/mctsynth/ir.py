@@ -92,7 +92,7 @@ _ARITY: dict[GateKind, Optional[int]] = {
 _MATRIX_KINDS = {GateKind.LOCAL, GateKind.CU}
 
 # Kinds whose action on their last operand is a plain bit flip when the
-# controls are satisfied.  Used by the cancellation pass.
+# controls are satisfied.  Used by verify.is_classical and _gate_action.
 X_LIKE_KINDS = {GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.MCX}
 
 

@@ -18,9 +18,11 @@ controlled-unitary gates have no text mnemonic and are rejected with a
 pointer to the JSON format, which carries every gate kind plus the same
 metadata.
 
+Both readers and both writers apply one set of header and gate rules,
+so a file either reader accepts converts to the other format and back.
 Both writers are deterministic: the same circuit always produces the
 same bytes.  Floats are serialized with repr, which round-trips
-exactly.
+exactly.  Files are read and written as UTF-8.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 import struct
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .ir import (
     Circuit,
@@ -38,23 +40,19 @@ from .ir import (
     Gate,
     GateKind,
     Matrix2,
+    QubitRole,
     ROLE_BY_LETTER,
     new_circuit,
 )
 
 TEXT_HEADER = "mctqasm v1"
 
-# kinds with a text mnemonic; everything else must go through JSON
-_TEXT_KINDS = {
-    GateKind.X,
-    GateKind.CNOT,
-    GateKind.TOFFOLI,
-    GateKind.CV,
-    GateKind.CVDG,
-    GateKind.LOCAL,
-}
+# kinds with a text mnemonic; mcx and cu must go through JSON
+_TEXT_KINDS = set(GateKind) - {GateKind.MCX, GateKind.CU}
 # mnemonic -> kind for the reader; u(...) lines are told apart by shape
 _KIND_BY_MNEMONIC = {k.value: k for k in _TEXT_KINDS if k is not GateKind.LOCAL}
+_KIND_BY_NAME = {k.value: k for k in GateKind}
+_META_KEYS = ("scheme", "n", "c", "basis")
 
 
 class CircuitFileError(ValueError):
@@ -64,6 +62,74 @@ class CircuitFileError(ValueError):
     def __init__(self, message: str, line: Optional[int] = None):
         self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
+
+
+# ---------------------------------------------------------------------------
+# the rules of a circuit file, for both formats; ``line`` is the text
+# line, and the json reader names the gate entry around the message
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_width(width: object, line: Optional[int] = None) -> int:
+    if isinstance(width, bool) or not isinstance(width, int) or width < 1:
+        raise CircuitFileError(f"bad width {width!r}", line)
+    return width
+
+
+def _roles(letters: str, width: int, line: Optional[int] = None) -> list[QubitRole]:
+    if len(letters) != width:
+        raise CircuitFileError(
+            f"roles string has {len(letters)} letters, width is {width}", line
+        )
+    try:
+        return [ROLE_BY_LETTER[ch] for ch in letters]
+    except KeyError as exc:
+        raise CircuitFileError(f"unknown role letter {exc.args[0]!r}", line) from None
+
+
+def _meta(fields: dict, line: Optional[int] = None) -> CircuitMeta:
+    """The meta fields: ``n`` and ``c`` integers; ``scheme`` and
+    ``basis`` strings the text meta line can hold, which splits on
+    whitespace and at '=' and reads a lone '-' as absent; any of them
+    None or absent."""
+    for key in _META_KEYS:
+        v = fields.get(key)
+        if v is None:
+            continue
+        if key in ("n", "c"):
+            ok = _is_int(v)
+        else:
+            ok = isinstance(v, str) and v != "-" and "=" not in v and not any(
+                map(str.isspace, v)
+            )
+        if not ok:
+            raise CircuitFileError(f"bad meta field {key}={v!r}", line)
+    return CircuitMeta(*map(fields.get, _META_KEYS))
+
+
+def _roles_string(circuit: Circuit) -> str:
+    """The roles string of a circuit whose header passes the reader's
+    checks, so that no writer emits a file the readers refuse."""
+    letters = "".join(q.role.value for q in circuit.qubits)
+    _roles(letters, _check_width(circuit.width))
+    _meta(vars(circuit.meta))
+    return letters
+
+
+def _index(q: int, width: int, line: Optional[int] = None) -> int:
+    if not 0 <= q < width:
+        raise CircuitFileError(f"qubit index {q} out of range for width {width}", line)
+    return q
+
+
+def _gate(kind: GateKind, qubits: tuple[int, ...], matrix: Optional[Matrix2],
+          line: Optional[int] = None) -> Gate:
+    try:
+        return Gate(kind, qubits, matrix)
+    except ValueError as exc:
+        raise CircuitFileError(str(exc), line) from None
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +158,6 @@ def _matrix_bits(m: Matrix2) -> bytes:
     )
 
 
-def _matrix_to_json(m: Matrix2) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
 def _matrix_from_json(data: object) -> Matrix2:
     try:
         (a, b), (c, d) = data  # type: ignore[misc]
@@ -111,16 +173,11 @@ def _matrix_from_json(data: object) -> Matrix2:
 # text writer
 
 def dumps_text(circuit: Circuit) -> str:
-    lines = [f"{TEXT_HEADER} width {circuit.width}"]
-    lines.append("roles " + "".join(q.role.value for q in circuit.qubits))
-    m = circuit.meta
-
-    def opt(v) -> str:
-        return "-" if v is None else str(v)
-
-    lines.append(
-        f"meta scheme={opt(m.scheme)} n={opt(m.n)} c={opt(m.c)} basis={opt(m.basis)}"
-    )
+    lines = [f"{TEXT_HEADER} width {circuit.width}", "roles " + _roles_string(circuit)]
+    fields = vars(circuit.meta)
+    lines.append("meta " + " ".join(
+        f"{key}={'-' if fields[key] is None else fields[key]}" for key in _META_KEYS
+    ))
     lines += _format_each_once(circuit.gates, partial(_gate_line, matrices={}))
     return "\n".join(lines) + "\n"
 
@@ -157,28 +214,20 @@ def _gate_line(g: Gate, matrices: dict[bytes, str]) -> str:
 # text reader
 
 def _parse_meta(tokens: list[str], line: int) -> CircuitMeta:
-    fields: dict[str, Optional[str]] = {}
+    fields: dict[str, Union[str, int, None]] = {}
     for tok in tokens:
         if "=" not in tok:
             raise CircuitFileError(f"bad meta field {tok!r}", line)
         key, _, val = tok.partition("=")
         fields[key] = None if val == "-" else val
-
-    def as_int(key: str) -> Optional[int]:
+    for key in ("n", "c"):
         v = fields.get(key)
-        if v is None:
-            return None
-        try:
-            return int(v)
-        except ValueError:
-            raise CircuitFileError(f"bad meta integer {key}={v!r}", line) from None
-
-    return CircuitMeta(
-        scheme=fields.get("scheme"),
-        n=as_int("n"),
-        c=as_int("c"),
-        basis=fields.get("basis"),
-    )
+        if v is not None:
+            try:
+                fields[key] = int(v)
+            except ValueError:
+                raise CircuitFileError(f"bad meta integer {key}={v!r}", line) from None
+    return _meta(fields, line)
 
 
 def _parse_indices(tokens: list[str], width: int, line: int) -> tuple[int, ...]:
@@ -188,11 +237,7 @@ def _parse_indices(tokens: list[str], width: int, line: int) -> tuple[int, ...]:
             idx = int(tok)
         except ValueError:
             raise CircuitFileError(f"bad qubit index {tok!r}", line) from None
-        if not 0 <= idx < width:
-            raise CircuitFileError(
-                f"qubit index {idx} out of range for width {width}", line
-            )
-        out.append(idx)
+        out.append(_index(idx, width, line))
     return tuple(out)
 
 
@@ -214,21 +259,12 @@ def loads_text(text: str) -> Circuit:
         width = int(tokens[3])
     except ValueError:
         raise CircuitFileError(f"bad width {tokens[3]!r}", lineno) from None
-    if width < 1:
-        raise CircuitFileError(f"bad width {width}", lineno)
+    _check_width(width, lineno)
 
     if len(numbered) < 2 or not numbered[1][1].startswith("roles "):
         raise CircuitFileError("missing roles line", lineno)
     lineno, roles_line = numbered[1]
-    letters = roles_line.split(maxsplit=1)[1].strip()
-    if len(letters) != width:
-        raise CircuitFileError(
-            f"roles string has {len(letters)} letters, width is {width}", lineno
-        )
-    try:
-        roles = [ROLE_BY_LETTER[ch] for ch in letters]
-    except KeyError as exc:
-        raise CircuitFileError(f"unknown role letter {exc.args[0]!r}", lineno) from None
+    roles = _roles(roles_line.split(maxsplit=1)[1].strip(), width, lineno)
 
     body = numbered[2:]
     meta = CircuitMeta()
@@ -249,8 +285,7 @@ def loads_text(text: str) -> Circuit:
             gate = parsed[line] = _parse_gate(line, width, lineno, matrices)
         gates.append(gate)
 
-    circ = new_circuit(roles, meta)
-    return Circuit(circ.qubits, tuple(gates), meta)
+    return Circuit(new_circuit(roles).qubits, tuple(gates), meta)
 
 
 def _parse_gate(
@@ -278,10 +313,7 @@ def _parse_gate(
         if kind is None:
             raise CircuitFileError(f"unknown mnemonic {mnemonic!r}", lineno)
         idx = _parse_indices(tokens[1:], width, lineno)
-    try:
-        return Gate(kind, idx, matrix)
-    except ValueError as exc:
-        raise CircuitFileError(str(exc), lineno) from None
+    return _gate(kind, idx, matrix, lineno)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +342,7 @@ def dumps_json(circuit: Circuit) -> str:
         "format": "mct-circuit",
         "version": 1,
         "width": circuit.width,
-        "roles": "".join(q.role.value for q in circuit.qubits),
+        "roles": _roles_string(circuit),
         "meta": {"scheme": m.scheme, "n": m.n, "c": m.c, "basis": m.basis},
         "gates": [],
     }
@@ -330,42 +362,24 @@ def _json_gate(g: Gate, matrices: dict[bytes, str]) -> str:
     key = _matrix_bits(g.matrix)
     matrix = matrices.get(key)
     if matrix is None:
-        text = json.dumps(_matrix_to_json(g.matrix), indent=2)
+        floats = [[[float(z.real), float(z.imag)] for z in row] for row in g.matrix]
+        text = json.dumps(floats, indent=2)
         matrix = matrices[key] = text.replace("\n", "\n      ")
     return _JSON_GATE_HEAD[g.kind] + qubits + _JSON_MATRIX_HEAD + matrix + "\n    }"
 
 
-def _fits_meta_line(value: str) -> bool:
-    """Whether the text meta line can carry the string: it splits on
-    whitespace and at '=', and reads a lone '-' as null."""
-    return value != "-" and "=" not in value and not any(ch.isspace() for ch in value)
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _meta_from_json(data: object) -> CircuitMeta:
-    """The meta object, with the field types the text format can write
-    back: ``n`` and ``c`` integers, ``scheme`` and ``basis`` strings
-    that the text meta line can hold, any of them null or absent."""
-    if data is None:
-        return CircuitMeta()
-    if not isinstance(data, dict):
-        raise CircuitFileError(f"meta must be an object, got {data!r}")
-    for key in ("scheme", "n", "c", "basis"):
-        v = data.get(key)
-        if v is None:
-            continue
-        ok = _is_int(v) if key in ("n", "c") else isinstance(v, str) and _fits_meta_line(v)
-        if not ok:
-            raise CircuitFileError(f"bad meta field {key}={v!r}")
-    return CircuitMeta(
-        scheme=data.get("scheme"),
-        n=data.get("n"),
-        c=data.get("c"),
-        basis=data.get("basis"),
-    )
+def _gate_from_json(entry: Any, width: int) -> Gate:
+    try:
+        kind = _KIND_BY_NAME[entry["kind"]]
+        qubits = tuple(entry["qubits"])
+    except (KeyError, TypeError):
+        raise CircuitFileError(repr(entry)) from None
+    for q in qubits:
+        if not _is_int(q):
+            raise CircuitFileError(f"qubit index {q!r} is not an integer")
+        _index(q, width)
+    matrix = _matrix_from_json(entry["matrix"]) if "matrix" in entry else None
+    return _gate(kind, qubits, matrix)
 
 
 def loads_json(text: str) -> Circuit:
@@ -388,48 +402,21 @@ def loads_json(text: str) -> Circuit:
         raw_gates = doc["gates"]
     except KeyError as exc:
         raise CircuitFileError(f"missing field: {exc}") from None
-    if not _is_int(width):
-        raise CircuitFileError(f"bad width {width!r}")
-    if len(letters) != width:
-        raise CircuitFileError(
-            f"roles string has {len(letters)} letters, width is {width}"
-        )
-    try:
-        roles = [ROLE_BY_LETTER[ch] for ch in letters]
-    except KeyError as exc:
-        raise CircuitFileError(f"unknown role letter {exc.args[0]!r}") from None
-
+    roles = _roles(letters, _check_width(width))
     if not isinstance(raw_gates, list):
         raise CircuitFileError(f"gates must be a list, got {raw_gates!r}")
-    meta = _meta_from_json(doc.get("meta"))
+    raw_meta = doc.get("meta")
+    if raw_meta is not None and not isinstance(raw_meta, dict):
+        raise CircuitFileError(f"meta must be an object, got {raw_meta!r}")
+    meta = _meta(raw_meta or {})
 
-    kinds = {k.value: k for k in GateKind}
     gates: list[Gate] = []
     for pos, entry in enumerate(raw_gates):
         try:
-            kind = kinds[entry["kind"]]
-            qubits = tuple(entry["qubits"])
-        except (KeyError, TypeError):
-            raise CircuitFileError(f"bad gate entry {pos}: {entry!r}") from None
-        for q in qubits:
-            if not _is_int(q):
-                raise CircuitFileError(
-                    f"bad gate entry {pos}: qubit index {q!r} is not an integer"
-                )
-            if not 0 <= q < width:
-                raise CircuitFileError(
-                    f"bad gate entry {pos}: qubit index {q} out of range"
-                )
-        matrix = None
-        if "matrix" in entry:
-            matrix = _matrix_from_json(entry["matrix"])
-        try:
-            gates.append(Gate(kind, qubits, matrix))
-        except ValueError as exc:
+            gates.append(_gate_from_json(entry, width))
+        except CircuitFileError as exc:
             raise CircuitFileError(f"bad gate entry {pos}: {exc}") from None
-
-    circ = new_circuit(roles, meta)
-    return Circuit(circ.qubits, tuple(gates), meta)
+    return Circuit(new_circuit(roles).qubits, tuple(gates), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +444,12 @@ def format_for_path(path: Union[str, Path]) -> str:
 
 def save(circuit: Circuit, path: Union[str, Path], fmt: Optional[str] = None) -> None:
     fmt = fmt or format_for_path(path)
-    Path(path).write_text(dumps(circuit, fmt))
+    Path(path).write_text(dumps(circuit, fmt), encoding="utf-8")
 
 
 def load(path: Union[str, Path]) -> Circuit:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CircuitFileError(f"cannot read {path}: {exc.strerror}") from None
     return loads(text)

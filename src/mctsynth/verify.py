@@ -84,7 +84,10 @@ def resolve_max_width(requested: Optional[int] = None) -> int:
         return requested
     env = os.environ.get("MCT_MAX_WIDTH")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"MCT_MAX_WIDTH must be an integer, got {env!r}") from None
     return DEFAULT_MAX_WIDTH
 
 

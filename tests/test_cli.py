@@ -1,14 +1,18 @@
 """End-to-end command line behavior and exit codes."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mctsynth
 from mctsynth import cli, costs, decomp
 from mctsynth.cli import main
 from mctsynth.decomp import GateBasis, ToffoliRule, lower_toffoli
-from mctsynth.ir import Circuit, QubitRole, new_circuit
-from mctsynth.qasmio import load, save
+from mctsynth.ir import Circuit, CircuitMeta, QubitRole, append, cnot, new_circuit
+from mctsynth.qasmio import dumps_json, dumps_text, load, save
 
 
 DATA = Path(__file__).parent / "data"
@@ -366,6 +370,46 @@ class TestConvert:
         )
         assert code == 2
         assert "cannot read" in err
+
+    @pytest.mark.parametrize("name, body, out, message", [
+        ("a.mct", "mctqasm v1 width 2\nroles ct\nmeta scheme=a=b n=1 c=- basis=-\ncx 0 1\n",
+         "o.json", "line 3: bad meta field scheme='a=b'"),
+        ("a.json", '{"format": "mct-circuit", "version": 1, "width": 0, "roles": "", '
+         '"gates": []}', "o.mct", "bad width 0"),
+    ], ids=["text-meta-holding-equals", "json-width-0"])
+    def test_refuses_what_the_other_reader_refuses(self, capsys, tmp_path, name, body,
+                                                  out, message):
+        path = tmp_path / name
+        path.write_text(body)
+        code, _, err = run(capsys, "convert", "--infile", str(path),
+                           "--out", str(tmp_path / out))
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / out).exists()
+
+    def test_utf8_both_ways_under_an_ascii_locale(self, tmp_path):
+        """Files are UTF-8 whatever the locale: a meta string outside
+        ASCII converts both ways under the C locale."""
+        env = dict(os.environ, PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONPATH=str(Path(mctsynth.__file__).parents[1]))
+        circ = append(new_circuit([QubitRole.CONTROL, QubitRole.TARGET],
+                                  CircuitMeta(scheme="\u00e9t\u00e9")), cnot(0, 1))
+        save(circ, tmp_path / "a.mct")
+        # json.dumps escapes the string; this file holds it as raw UTF-8
+        raw = dumps_json(circ).replace("\\u00e9", "\u00e9")
+        (tmp_path / "raw.json").write_bytes(raw.encode("utf-8"))
+        for infile, out in (("a.mct", "b.json"), ("b.json", "b.mct"), ("raw.json", "c.mct")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "mctsynth.cli", "convert",
+                 "--infile", str(tmp_path / infile), "--out", str(tmp_path / out)],
+                env=env, capture_output=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+        text = dumps_text(circ).encode("utf-8")
+        assert (tmp_path / "a.mct").read_bytes() == text
+        assert (tmp_path / "b.mct").read_bytes() == text
+        assert (tmp_path / "c.mct").read_bytes() == text
+        assert (tmp_path / "b.json").read_bytes() == dumps_json(circ).encode("utf-8")
 
 
 class TestMalformedJson:

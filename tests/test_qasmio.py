@@ -632,6 +632,79 @@ def test_text_reader_matches_per_line_reference():
     assert accepted > 400 and rejected > 400, (accepted, rejected)
 
 
+def _random_header_text(rng):
+    """A text file that loads_text may or may not accept: widths 0..6,
+    random role letters, and meta values over an alphabet with the
+    characters the meta line splits on or reads as absent, and
+    non-ASCII ones; each meta field is there or not."""
+    width = rng.randint(0, 6)
+    alphabet = ["a", "-", "=", " ", "\t", "\u00e9", "\u00a0", "\u2028", "_", "\x1c", "5",
+                "+", "\u0665"]
+
+    def value(numeric):
+        if numeric and rng.random() < 0.6:
+            return rng.choice(["-", str(rng.randint(-3, 600))])
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 3)))
+
+    lines = ["mctqasm v1 width %d" % width,
+             "roles " + "".join(rng.choice("ctypw") for _ in range(width))]
+    if rng.random() < 0.8:
+        fields = [f"{key}={value(key in ('n', 'c'))}" for key in ("scheme", "n", "c", "basis")
+                  if rng.random() < 0.7]
+        lines.append(" ".join(["meta"] + fields))
+    if width >= 3:
+        lines += [_random_gate_line(rng, width) for _ in range(rng.randint(0, 6))]
+    return "\n".join(lines) + "\n"
+
+
+def test_every_accepted_text_file_survives_json_round_trip():
+    rng = random.Random(11)
+    accepted = rejected = 0
+    for _ in range(3000):
+        try:
+            circ = loads_text(_random_header_text(rng))
+        except CircuitFileError:
+            rejected += 1
+            continue
+        accepted += 1
+        assert dumps_text(loads_json(dumps_json(circ))) == dumps_text(circ)
+    assert accepted > 300 and rejected > 300, (accepted, rejected)
+
+
+class TestWritersKeepTheReadersRules:
+    @pytest.mark.parametrize("meta", [
+        CircuitMeta(scheme="my scheme"), CircuitMeta(scheme="a=b"), CircuitMeta(basis="-"),
+        CircuitMeta(basis="tab\there"), CircuitMeta(n="5"), CircuitMeta(c=True),
+        CircuitMeta(n=2.0),
+    ])
+    @pytest.mark.parametrize("dump", [dumps_text, dumps_json])
+    def test_bad_meta_refused(self, dump, meta):
+        circ = append(new_circuit([C, C, T], meta), toffoli(0, 1, 2))
+        with pytest.raises(CircuitFileError, match="bad meta field"):
+            dump(circ)
+
+    @pytest.mark.parametrize("dump", [dumps_text, dumps_json])
+    def test_width_zero_refused(self, dump):
+        with pytest.raises(CircuitFileError, match="bad width 0"):
+            dump(new_circuit([]))
+
+    @pytest.mark.parametrize("name", ["c.mct", "c.json"])
+    def test_save_writes_nothing_when_refused(self, tmp_path, name):
+        with pytest.raises(CircuitFileError):
+            save(new_circuit([C, T], CircuitMeta(scheme="my scheme")), tmp_path / name)
+        assert not (tmp_path / name).exists()
+
+    def test_json_width_zero_refused(self):
+        with pytest.raises(CircuitFileError, match="bad width"):
+            loads_json(_doc(width=0, roles=""))
+
+    def test_text_meta_value_holding_equals_refused(self):
+        text = "mctqasm v1 width 3\nroles cct\nmeta scheme=a=b n=2 c=- basis=-\nccx 0 1 2\n"
+        with pytest.raises(CircuitFileError, match="bad meta field scheme='a=b'") as info:
+            loads_text(text)
+        assert info.value.line == 3
+
+
 def test_signed_zeros_written_apart_in_text():
     # gates 0 and 2 are == (0.0 == -0.0) but must not share a line
     circ = append(new_circuit([C, T]), *_SIGNED_ZEROS, *_SIGNED_ZEROS[::-1])

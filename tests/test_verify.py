@@ -263,7 +263,7 @@ class TestMaxWidthResolution:
 
     def test_bad_env_rejected(self, monkeypatch):
         monkeypatch.setenv("MCT_MAX_WIDTH", "many")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="MCT_MAX_WIDTH"):
             resolve_max_width()
 
 
