@@ -22,7 +22,9 @@ Both readers and both writers apply one set of header and gate rules,
 so a file either reader accepts converts to the other format and back.
 Both writers are deterministic: the same circuit always produces the
 same bytes.  Floats are serialized with repr, which round-trips
-exactly.  Files are read and written as UTF-8.
+exactly.  Integers in a text file are written one way only: 0, or a
+digit 1-9 followed by digits, all ASCII.  Files are read and written as
+UTF-8.
 """
 
 from __future__ import annotations
@@ -72,6 +74,18 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _decimal(token: str) -> Optional[int]:
+    """The integer a text token spells the one way the writers write
+    it, with ``str``: 0, or an ASCII digit 1-9 followed by ASCII
+    digits.  None for any other spelling, such as '03', '+3', '3_0' or
+    a non-ASCII digit, that ``int`` would read."""
+    try:
+        value = int(token)
+    except ValueError:
+        return None
+    return value if value >= 0 and str(value) == token else None
+
+
 def _check_width(width: object, line: Optional[int] = None) -> int:
     if isinstance(width, bool) or not isinstance(width, int) or width < 1:
         raise CircuitFileError(f"bad width {width!r}", line)
@@ -90,7 +104,7 @@ def _roles(letters: str, width: int, line: Optional[int] = None) -> list[QubitRo
 
 
 def _meta(fields: dict, line: Optional[int] = None) -> CircuitMeta:
-    """The meta fields: ``n`` and ``c`` integers; ``scheme`` and
+    """The meta fields: ``n`` and ``c`` integers from 0; ``scheme`` and
     ``basis`` strings the text meta line can hold, which splits on
     whitespace and at '=' and reads a lone '-' as absent; any of them
     None or absent."""
@@ -99,7 +113,7 @@ def _meta(fields: dict, line: Optional[int] = None) -> CircuitMeta:
         if v is None:
             continue
         if key in ("n", "c"):
-            ok = _is_int(v)
+            ok = _is_int(v) and v >= 0
         else:
             ok = isinstance(v, str) and v != "-" and "=" not in v and not any(
                 map(str.isspace, v)
@@ -223,21 +237,26 @@ def _parse_meta(tokens: list[str], line: int) -> CircuitMeta:
     for key in ("n", "c"):
         v = fields.get(key)
         if v is not None:
-            try:
-                fields[key] = int(v)
-            except ValueError:
-                raise CircuitFileError(f"bad meta integer {key}={v!r}", line) from None
+            fields[key] = _decimal(v)
+            if fields[key] is None:
+                raise CircuitFileError(f"bad meta integer {key}={v!r}", line)
     return _meta(fields, line)
 
 
-def _parse_indices(tokens: list[str], width: int, line: int) -> tuple[int, ...]:
+def _parse_indices(
+    tokens: list[str], width: int, line: int, indices: dict[str, int]
+) -> tuple[int, ...]:
+    """The qubit indices; ``indices`` memoises each token already
+    found to be a good index."""
     out = []
     for tok in tokens:
-        try:
-            idx = int(tok)
-        except ValueError:
-            raise CircuitFileError(f"bad qubit index {tok!r}", line) from None
-        out.append(_index(idx, width, line))
+        idx = indices.get(tok)
+        if idx is None:
+            idx = _decimal(tok)
+            if idx is None:
+                raise CircuitFileError(f"bad qubit index {tok!r}", line)
+            indices[tok] = _index(idx, width, line)
+        out.append(idx)
     return tuple(out)
 
 
@@ -255,10 +274,9 @@ def loads_text(text: str) -> Circuit:
     tokens = header.split()
     if tokens[:2] != TEXT_HEADER.split() or len(tokens) != 4 or tokens[2] != "width":
         raise CircuitFileError(f"bad header {header!r}", lineno)
-    try:
-        width = int(tokens[3])
-    except ValueError:
-        raise CircuitFileError(f"bad width {tokens[3]!r}", lineno) from None
+    width = _decimal(tokens[3])
+    if width is None:
+        raise CircuitFileError(f"bad width {tokens[3]!r}", lineno)
     _check_width(width, lineno)
 
     if len(numbered) < 2 or not numbered[1][1].startswith("roles "):
@@ -278,18 +296,20 @@ def loads_text(text: str) -> Circuit:
     # shared by its repeats.  A bad line raises at its first occurrence.
     parsed: dict[str, Gate] = {}
     matrices: dict[str, Matrix2] = {}  # each distinct u() is parsed once
+    indices: dict[str, int] = {}  # and each distinct qubit index
     gates: list[Gate] = []
     for lineno, line in body:
         gate = parsed.get(line)
         if gate is None:
-            gate = parsed[line] = _parse_gate(line, width, lineno, matrices)
+            gate = parsed[line] = _parse_gate(line, width, lineno, matrices, indices)
         gates.append(gate)
 
     return Circuit(new_circuit(roles).qubits, tuple(gates), meta)
 
 
 def _parse_gate(
-    line: str, width: int, lineno: int, matrices: dict[str, Matrix2]
+    line: str, width: int, lineno: int, matrices: dict[str, Matrix2],
+    indices: dict[str, int],
 ) -> Gate:
     tokens = line.split()
     mnemonic = tokens[0]
@@ -305,14 +325,14 @@ def _parse_gate(
                 )
             zs = [_parse_complex(e, lineno) for e in entries]
             matrix = matrices[mnemonic] = ((zs[0], zs[1]), (zs[2], zs[3]))
-        idx = _parse_indices(tokens[1:], width, lineno)
+        idx = _parse_indices(tokens[1:], width, lineno, indices)
         if len(idx) != 1:
             raise CircuitFileError("u gate takes exactly one qubit", lineno)
     else:
         kind = _KIND_BY_MNEMONIC.get(mnemonic)
         if kind is None:
             raise CircuitFileError(f"unknown mnemonic {mnemonic!r}", lineno)
-        idx = _parse_indices(tokens[1:], width, lineno)
+        idx = _parse_indices(tokens[1:], width, lineno, indices)
     return _gate(kind, idx, matrix, lineno)
 
 

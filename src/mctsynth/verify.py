@@ -14,9 +14,11 @@ bit of the basis index.
 
 All inputs are simulated together, as arrays, by one of two batched
 engines.  Circuits built purely from X-like gates map basis states to
-basis states, so they are bit-sliced: one boolean vector per wire holds
-that wire's value under every input, and each gate is one AND/XOR over
-those vectors, at negligible cost even at large widths.  Anything
+basis states, so they are bit-sliced: each wire is a row of uint64
+words, each word holding the wire's value under 64 inputs, and each
+gate is one AND/XOR over rows.  The inputs are laid out a word at a
+time: each of the low six input bits is one constant word, and each
+higher bit makes a word of all ones or all zeros.  Anything
 containing CV, CU, or local rotations is evolved as flat (input, basis
 index, amplitude) entries, one step at a time.  Most steps are windows:
 runs of consecutive gates on at most three qubits whose product is
@@ -37,7 +39,14 @@ The expected outputs are arrays too.  The built-in C^nX and C^nU oracles
 (``ControlledOracle``) are tabulated from n and the 2x2 alone; any other
 oracle is called once per input, in input order, and its dicts are
 flattened into the same layout.  Both engines' outputs are compared with
-that table by the same array operations.
+that table by the same array operations.  The one exception is a
+classical circuit checked against a ``ControlledOracle`` whose table
+is one-to-one with amplitude 1 (C^nX, or C^nU with U = X) at a
+tolerance between 0 and 1: its verdict is read off the words.  Each
+computational wire is XORed with its input pattern, corrected at the
+two inputs the table moves, and the lowest input left with a
+difference is the witness.  That is the verdict the table comparison
+gives, as an integer computation.
 """
 
 from __future__ import annotations
@@ -80,15 +89,21 @@ class WidthLimitError(ValueError):
 
 
 def resolve_max_width(requested: Optional[int] = None) -> int:
+    """The simulation cap: ``requested``, else ``MCT_MAX_WIDTH``, else
+    the default; a cap below 1 is refused."""
     if requested is not None:
-        return requested
-    env = os.environ.get("MCT_MAX_WIDTH")
-    if env:
+        cap, source = requested, "max_width"
+    else:
+        env = os.environ.get("MCT_MAX_WIDTH")
+        if not env:
+            return DEFAULT_MAX_WIDTH
         try:
-            return int(env)
+            cap, source = int(env), "MCT_MAX_WIDTH"
         except ValueError:
             raise ValueError(f"MCT_MAX_WIDTH must be an integer, got {env!r}") from None
-    return DEFAULT_MAX_WIDTH
+    if cap < 1:
+        raise ValueError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -197,32 +212,89 @@ def is_classical(circuit: Circuit) -> bool:
     return all(g.kind in X_LIKE_KINDS for g in circuit.gates)
 
 
+# word j has bit b set iff bit j of b is: input bit j over the 64
+# inputs of any word, for the low six bits of the input number
+_LOW_WORDS = np.array(
+    [sum(1 << b for b in range(64) if b >> j & 1) for j in range(6)], dtype=np.uint64
+)
+_ONES = np.uint64((1 << 64) - 1)
+
+
 def _run_classical(
-    circuit: Circuit, comp: Sequence[int], ancillas: Sequence[int]
+    circuit: Circuit,
+    comp: Sequence[int],
+    ancillas: Sequence[int],
+    moved: Optional[dict[int, int]] = None,
 ) -> tuple:
-    """Bit-sliced propagation, a block of inputs at a time."""
+    """Bit-sliced propagation, a block of inputs at a time.  Each wire
+    is a row of uint64 words, bit b of word w holding its value under
+    input lo + 64w + b, and each gate is one AND/XOR over rows.
+
+    Returns (failure, got) as the sparse engine does.  With ``moved``,
+    the inputs a permutation table does not map to themselves and the
+    outputs it maps them to, got is instead the lowest input whose
+    output differs from the table's, or None."""
     k = len(comp)
     n_inputs = 1 << k
-    out = np.zeros(n_inputs, dtype=np.int64)
-    for lo in range(0, n_inputs, _ENTRY_BUDGET):
-        masks = np.arange(lo, min(lo + _ENTRY_BUDGET, n_inputs), dtype=np.int64)
-        wires = np.zeros((circuit.width, len(masks)), dtype=bool)
-        for i, q in enumerate(comp):
-            wires[q] = (masks >> (k - 1 - i)) & 1
-        for gate in circuit.gates:
-            flip = True
-            for c in gate.controls:
+    steps = [(g.controls, g.target) for g in circuit.gates]
+    rows, spare = list(comp), list(ancillas)
+    per_block = max(_ENTRY_BUDGET >> 6, 1) << 6
+    out = np.zeros(n_inputs if moved is None else 0, dtype=np.int64)
+    mismatch = None
+    for lo in range(0, n_inputs, per_block):
+        count = min(per_block, n_inputs - lo)
+        n_words = -(-count // 64)
+        # comp[k-1-j] carries input bit j: a constant word below bit 6,
+        # and above it all ones or all zeros by the word's number
+        word_no = np.arange(lo >> 6, (lo >> 6) + n_words, dtype=np.uint64)
+        pattern = np.empty((k, n_words), dtype=np.uint64)
+        for j in range(k):
+            pattern[k - 1 - j] = _LOW_WORDS[j] if j < 6 else (word_no >> (j - 6) & 1) * _ONES
+        valid = np.full(n_words, _ONES)
+        if count % 64:
+            valid[-1] = (1 << count % 64) - 1
+        wires = np.zeros((circuit.width, n_words), dtype=np.uint64)
+        wires[rows] = pattern
+        for controls, target in steps:
+            if not controls:
+                wires[target] ^= _ONES
+                continue
+            flip = wires[controls[0]]
+            for c in controls[1:]:
                 flip = flip & wires[c]
-            wires[gate.target] ^= flip
-        dirty = np.flatnonzero(wires[list(ancillas)].any(axis=0))
-        if len(dirty):
-            return (lo + int(dirty[0]), 1.0), None
-        block = out[lo:lo + len(masks)]
-        for q in comp:
-            block <<= 1
-            block |= wires[q]
+            wires[target] ^= flip
+        dirty = _lowest(np.bitwise_or.reduce(wires[spare], axis=0) & valid)
+        if dirty is not None:
+            return (lo + dirty, 1.0), None
+        if moved is None:
+            block = out[lo:lo + count]
+            for q in comp:
+                as_bytes = wires[q].astype("<u8", copy=False).view(np.uint8)
+                block <<= 1
+                block |= np.unpackbits(as_bytes, bitorder="little")[:count]
+        elif mismatch is None:
+            for m, want in moved.items():
+                if lo <= m < lo + count:
+                    w, b = divmod(m - lo, 64)
+                    for i, bit in enumerate(_bits(want, k)):
+                        word = int(pattern[i, w])
+                        pattern[i, w] = word | 1 << b if bit else word & ~(1 << b)
+            diff = _lowest(np.bitwise_or.reduce(wires[rows] ^ pattern, axis=0) & valid)
+            if diff is not None:
+                mismatch = lo + diff
+    if moved is not None:
+        return None, mismatch
     masks = np.arange(n_inputs, dtype=np.int64)
     return None, ((masks << k) | out, np.ones(n_inputs, dtype=complex))
+
+
+def _lowest(words: np.ndarray) -> Optional[int]:
+    """Number of the lowest set bit over the words, or None."""
+    nonzero = np.flatnonzero(words)
+    if not len(nonzero):
+        return None
+    w = int(words[nonzero[0]])
+    return 64 * int(nonzero[0]) + (w & -w).bit_length() - 1
 
 
 # give up on an input's sparse entries once this many basis states
@@ -592,11 +664,15 @@ def check_equivalence(
     )
     k = len(comp)
     ancillas = tuple(q for q in range(width) if q not in comp)
+    tabulated = isinstance(oracle, ControlledOracle) and oracle.n + 1 == k
+    moved = None
     if is_classical(circuit):
         if 2 * k > 63:
             raise WidthLimitError(f"{k} computational qubits exceed the classical "
                                   f"engine's 63-bit keys")
-        failure, got = _run_classical(circuit, comp, ancillas)
+        if tabulated and 0 < tol < 1:
+            moved = _moves(oracle)
+        failure, got = _run_classical(circuit, comp, ancillas, moved)
     else:
         if width > limit:
             raise WidthLimitError(f"width {width} exceeds simulation cap {limit}")
@@ -605,7 +681,6 @@ def check_equivalence(
                                   f"exceeds the sparse engine's 63-bit keys")
         failure, got = _run_sparse(circuit, comp, ancillas, tol)
 
-    tabulated = isinstance(oracle, ControlledOracle) and oracle.n + 1 == k
     if failure is not None:
         first, deviation = failure
         if not tabulated:
@@ -617,9 +692,35 @@ def check_equivalence(
             deviation,
             Mismatch(_bits(first, k), "ancilla not restored to |0>"),
         )
+    if moved is not None:
+        # what _classify finds for a one-to-one table of amplitude 1:
+        # either every output is the table's, or the first input that
+        # differs has no amplitude where the table puts its 1
+        if got is None:
+            return EquivalenceVerdict(EquivalenceClass.EXACT, 0.0)
+        want = _bits(moved.get(got, got), k)
+        return EquivalenceVerdict(
+            EquivalenceClass.MISMATCH,
+            1.0,
+            Mismatch(_bits(got, k), f"no amplitude on expected output {want}"),
+        )
     assert got is not None
     expected = oracle.table() if tabulated else _call_each(oracle, k)
     return _classify(k, expected, got, tol)
+
+
+def _moves(oracle: ControlledOracle) -> Optional[dict[int, int]]:
+    """The two inputs with every control set, each with its output,
+    when both outputs are one basis state of amplitude exactly 1; the
+    table then maps every other input to itself.  None otherwise."""
+    last = (1 << (oracle.n + 1)) - 2
+    moved = {}
+    for t in (0, 1):
+        out = oracle((1,) * oracle.n + (t,))
+        if list(out.values()) != [1]:
+            return None
+        moved[last + t] = last | next(iter(out))[-1]
+    return moved
 
 
 def _bits(m: int, k: int) -> tuple[int, ...]:

@@ -72,6 +72,19 @@ class TestSynth:
         assert "verify  skipped (width 31" in out
         assert path.exists()
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one_exits_two_and_writes_nothing(self, capsys, tmp_path,
+                                                        monkeypatch, cap):
+        monkeypatch.setenv("MCT_MAX_WIDTH", cap)
+        path = tmp_path / "c.mq"
+        code, out, err = run(
+            capsys, "synth", "--scheme", "ladder", "--n", "3", "--out", str(path),
+        )
+        assert code == 2
+        assert err == f"error: MCT_MAX_WIDTH must be at least 1, got {cap}\n"
+        assert "verify" not in out
+        assert not path.exists()
+
     def test_verifies_up_to_the_simulation_cap(self, capsys, tmp_path):
         # width 24: the cycle build at c=3 lowered to the cnot basis
         path = tmp_path / "c16.mq"
@@ -376,7 +389,13 @@ class TestConvert:
          "o.json", "line 3: bad meta field scheme='a=b'"),
         ("a.json", '{"format": "mct-circuit", "version": 1, "width": 0, "roles": "", '
          '"gates": []}', "o.mct", "bad width 0"),
-    ], ids=["text-meta-holding-equals", "json-width-0"])
+        ("a.mct", "mctqasm v1 width 2\nroles ct\nmeta n=+1\ncx 0 1\n", "o.json",
+         "line 3: bad meta integer n='+1'"),
+        ("a.mct", "mctqasm v1 width 02\nroles ct\ncx 0 1\n", "o.json", "line 1: bad width '02'"),
+        ("a.mct", "mctqasm v1 width 2\nroles ct\ncx 0 01\n", "o.json",
+         "line 3: bad qubit index '01'"),
+    ], ids=["text-meta-holding-equals", "json-width-0", "text-meta-plus", "text-width-zero-led",
+            "text-index-zero-led"])
     def test_refuses_what_the_other_reader_refuses(self, capsys, tmp_path, name, body,
                                                   out, message):
         path = tmp_path / name

@@ -221,6 +221,7 @@ class TestJsonRoundTrip:
     @pytest.mark.parametrize("field", [
         '"n": "x"', '"n": 2.0', '"n": true', '"c": "2"', '"c": false',
         '"scheme": 3', '"scheme": ["cycle"]', '"basis": 1', '"basis": {}',
+        '"n": -1', '"c": -3',
     ])
     def test_meta_field_types(self, field):
         doc = (
@@ -523,10 +524,10 @@ def _reference_loads_text(text):
         def indices():
             out = []
             for tok in rest:
-                try:
-                    q = int(tok)
-                except ValueError:
-                    raise CircuitFileError(f"bad qubit index {tok!r}", lineno) from None
+                # 0, or no leading zero; ASCII digits and nothing else
+                if not (tok.isascii() and tok.isdigit()) or tok[0] == "0" != tok:
+                    raise CircuitFileError(f"bad qubit index {tok!r}", lineno)
+                q = int(tok)
                 if not 0 <= q < width:
                     raise CircuitFileError(
                         f"qubit index {q} out of range for width {width}", lineno)
@@ -576,7 +577,7 @@ _BAD_LINES = [
     "ccz 0 1 2", "cx 0 0", "ccx 0 1", "x 0 1", "cx 0 q", "cx 0 -1", "ccx 0 1 99",
     "u(1.0+0.0j,0.0+0.0j) 0", "u(one,0j,0j,1.0+0.0j) 0", "u(2.0,0.0,0.0,2.0) 0",
     "u(1.0+0.0j, 0.0+0.0j,0.0+0.0j,1.0+0.0j) 0", "u(1,0,0,1) 0 1", "u(1,0,0,1)",
-    "cx 1.0 2",
+    "cx 1.0 2", "cx 0 +1", "cx 0 01", "ccx 0 1 \u0662", "cx 0 1_0",
 ]
 
 
@@ -632,6 +633,11 @@ def test_text_reader_matches_per_line_reference():
     assert accepted > 400 and rejected > 400, (accepted, rejected)
 
 
+# integers int() reads but the text reader refuses: only 0 or a digit
+# 1-9 followed by digits, all ASCII, is one
+_NONCANONICAL = ["00", "02", "+5", "-0", "5_0", "\u0665", "\uff15", "-3"]
+
+
 def _random_header_text(rng):
     """A text file that loads_text may or may not accept: widths 0..6,
     random role letters, and meta values over an alphabet with the
@@ -643,10 +649,12 @@ def _random_header_text(rng):
 
     def value(numeric):
         if numeric and rng.random() < 0.6:
-            return rng.choice(["-", str(rng.randint(-3, 600))])
+            return rng.choice(["-", str(rng.randint(-3, 600)), str(rng.randint(0, 600)),
+                               rng.choice(_NONCANONICAL)])
         return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 3)))
 
-    lines = ["mctqasm v1 width %d" % width,
+    spelled = rng.choice(["%d", "%d", "%d", "0%d", "+%d", "%d_0"]) % width
+    lines = ["mctqasm v1 width " + spelled,
              "roles " + "".join(rng.choice("ctypw") for _ in range(width))]
     if rng.random() < 0.8:
         fields = [f"{key}={value(key in ('n', 'c'))}" for key in ("scheme", "n", "c", "basis")
@@ -661,13 +669,21 @@ def test_every_accepted_text_file_survives_json_round_trip():
     rng = random.Random(11)
     accepted = rejected = 0
     for _ in range(3000):
+        text = _random_header_text(rng)
         try:
-            circ = loads_text(_random_header_text(rng))
+            circ = loads_text(text)
         except CircuitFileError:
             rejected += 1
             continue
         accepted += 1
-        assert dumps_text(loads_json(dumps_json(circ))) == dumps_text(circ)
+        back = dumps_text(loads_json(dumps_json(circ)))
+        assert back == dumps_text(circ)
+        # the width and the meta integers come back spelled as they were
+        lines = text.splitlines()
+        assert back.splitlines()[0] == lines[0]
+        if len(lines) > 2 and lines[2].startswith("meta"):
+            numbers = [tok for tok in lines[2].split() if tok[:2] in ("n=", "c=")]
+            assert set(numbers) <= set(back.splitlines()[2].split())
     assert accepted > 300 and rejected > 300, (accepted, rejected)
 
 
@@ -675,7 +691,7 @@ class TestWritersKeepTheReadersRules:
     @pytest.mark.parametrize("meta", [
         CircuitMeta(scheme="my scheme"), CircuitMeta(scheme="a=b"), CircuitMeta(basis="-"),
         CircuitMeta(basis="tab\there"), CircuitMeta(n="5"), CircuitMeta(c=True),
-        CircuitMeta(n=2.0),
+        CircuitMeta(n=2.0), CircuitMeta(n=-1),
     ])
     @pytest.mark.parametrize("dump", [dumps_text, dumps_json])
     def test_bad_meta_refused(self, dump, meta):
@@ -697,6 +713,25 @@ class TestWritersKeepTheReadersRules:
     def test_json_width_zero_refused(self):
         with pytest.raises(CircuitFileError, match="bad width"):
             loads_json(_doc(width=0, roles=""))
+
+    @pytest.mark.parametrize("header, meta, gate, message", [
+        ("width 03", "n=2", "ccx 0 1 2", "line 1: bad width '03'"),
+        ("width 3", "n=02", "ccx 0 1 2", "line 3: bad meta integer n='02'"),
+        ("width 3", "n=+2", "ccx 0 1 2", "line 3: bad meta integer n='+2'"),
+        ("width 3", "n=5_0", "ccx 0 1 2", "line 3: bad meta integer n='5_0'"),
+        ("width 3", "n=\u0665", "ccx 0 1 2", "line 3: bad meta integer n='\u0665'"),
+        ("width 3", "n=2 c=-1", "ccx 0 1 2", "line 3: bad meta integer c='-1'"),
+        ("width 3", "n=2", "ccx 0 +1 2", "line 4: bad qubit index '+1'"),
+        ("width 3", "n=2", "ccx 0 01 2", "line 4: bad qubit index '01'"),
+    ])
+    def test_text_integers_spelled_one_way_only(self, header, meta, gate, message):
+        text = f"mctqasm v1 {header}\nroles cct\nmeta {meta}\n{gate}\n"
+        with pytest.raises(CircuitFileError) as info:
+            loads_text(text)
+        assert str(info.value) == message
+        # the same file spelled the writers' way loads and round-trips
+        canonical = "mctqasm v1 width 3\nroles cct\nmeta scheme=- n=2 c=- basis=-\nccx 0 1 2\n"
+        assert dumps_text(loads_json(dumps_json(loads_text(canonical)))) == canonical
 
     def test_text_meta_value_holding_equals_refused(self):
         text = "mctqasm v1 width 3\nroles cct\nmeta scheme=a=b n=2 c=- basis=-\nccx 0 1 2\n"

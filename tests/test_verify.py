@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -265,6 +266,24 @@ class TestMaxWidthResolution:
         monkeypatch.setenv("MCT_MAX_WIDTH", "many")
         with pytest.raises(ValueError, match="MCT_MAX_WIDTH"):
             resolve_max_width()
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_env_below_one_rejected(self, monkeypatch, cap):
+        monkeypatch.setenv("MCT_MAX_WIDTH", cap)
+        with pytest.raises(ValueError, match=f"MCT_MAX_WIDTH must be at least 1, got {cap}$"):
+            resolve_max_width()
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_explicit_below_one_rejected(self, monkeypatch, cap):
+        monkeypatch.delenv("MCT_MAX_WIDTH", raising=False)
+        with pytest.raises(ValueError, match=f"max_width must be at least 1, got {cap}$"):
+            resolve_max_width(cap)
+        with pytest.raises(ValueError, match="at least 1"):
+            check_equivalence(build_cnx(2), oracle_cnx(2), max_width=cap)
+
+    def test_cap_of_one_accepted(self, monkeypatch):
+        monkeypatch.setenv("MCT_MAX_WIDTH", "1")
+        assert resolve_max_width() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -869,14 +888,24 @@ class TestTabulatedOracle:
         assert list(oracle((1, 1, 1))) == [(1, 1, 0), (1, 1, 1)]
         assert oracle.table()[1][-2:].tolist() == [(7 << 3) | 6, (7 << 3) | 7]
 
-    def test_same_verdict_as_per_input_calls(self):
+    @staticmethod
+    def _assert_same_verdicts(tol):
         checked = 0
         for c, oracle in _parity_sweep():
-            fast = check_equivalence(c, oracle)
-            slow = check_equivalence(c, lambda bits: oracle(bits))
+            fast = check_equivalence(c, oracle, tol=tol)
+            slow = check_equivalence(c, lambda bits: oracle(bits), tol=tol)
             assert _same_verdict(fast, slow), (c.meta, len(c.gates))
             checked += 1
         assert checked > 1000
+
+    def test_same_verdict_as_per_input_calls(self):
+        self._assert_same_verdicts(verify.DEFAULT_TOL)
+
+    # the words give the verdict only for 0 < tol < 1; every other tol
+    # goes through _classify, so both sides of each bound are covered
+    @pytest.mark.parametrize("tol", [0.0, 0.5, 1.0, 2.0])
+    def test_same_verdict_at_other_tolerances(self, tol):
+        self._assert_same_verdicts(tol)
 
     def test_merge_without_sort_gives_the_same_verdict(self, monkeypatch):
         # when the circuit's keys are the oracle's, _classify takes them
@@ -924,6 +953,82 @@ class TestTabulatedOracle:
         circ = Circuit(good.qubits, good.gates + tail, good.meta)
         with pytest.raises(ValueError, match="expected 3 bits, got 4"):
             check_equivalence(circ, oracle_cnx(2))
+
+
+class TestWordEngine:
+    """The classical engine holds 64 inputs to a word and reads the
+    verdict of a one-to-one table of amplitude 1 off the words."""
+
+    @staticmethod
+    def _both(circ, oracle, tol=verify.DEFAULT_TOL):
+        """The verdict read off the words, after checking it against
+        the per-input calls, which go through _classify."""
+        fast = check_equivalence(circ, oracle, tol=tol)
+        slow = check_equivalence(circ, lambda bits: oracle(bits), tol=tol)
+        assert _same_verdict(fast, slow)
+        return fast
+
+    def test_permutation_oracles_skip_classify(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_classify reached")
+
+        monkeypatch.setattr(verify, "_classify", refuse)
+        circ = build_cycle_cnx(9, 3)
+        broken = Circuit(circ.qubits, circ.gates[1:], circ.meta)
+        for oracle in (oracle_cnx(9), oracle_cnu(9, NAMED_UNITARIES["x"])):
+            for tol in (verify.DEFAULT_TOL, 0.5):
+                assert check_equivalence(circ, oracle, tol=tol) == \
+                    verify.EquivalenceVerdict(EquivalenceClass.EXACT, 0.0)
+                assert check_equivalence(broken, oracle, tol=tol).klass is \
+                    EquivalenceClass.MISMATCH
+
+    def test_later_block_ancilla_beats_earlier_block_mismatch(self):
+        # 17 inputs, two blocks; control 0 is the top input bit, so it
+        # is 0 throughout the first block and 1 throughout the second
+        good = build_cnx(16)
+        comp = default_computational_qubits(good)
+        ancilla = next(q for q in range(good.width) if q not in comp)
+        assert len(comp) == 17 and 1 << 17 > verify._ENTRY_BUDGET
+        bad = Circuit(good.qubits, good.gates + (x(comp[-1]), cnot(comp[0], ancilla)),
+                      good.meta)
+        v = self._both(bad, oracle_cnx(16))
+        assert v.witness == Mismatch((1,) + (0,) * 16, "ancilla not restored to |0>")
+
+    def test_mismatch_only_in_a_later_block_gives_the_lowest_witness(self):
+        good = build_cnx(16)
+        comp = default_computational_qubits(good)
+        tails = {1 << 16: (cnot(comp[0], comp[-1]),),
+                 3 << 15: (x(comp[-1]), toffoli(comp[0], comp[1], comp[-1]), x(comp[-1]))}
+        for m, tail in tails.items():
+            bad = Circuit(good.qubits, good.gates + tail, good.meta)
+            v = self._both(bad, oracle_cnx(16))
+            want = _input_tuple(m, 17)
+            assert v.witness == Mismatch(
+                want, f"no amplitude on expected output {want}")
+            assert (v.klass, v.max_deviation) == (EquivalenceClass.MISMATCH, 1.0)
+
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_fewer_inputs_than_a_word(self, n):
+        # bare x gates flip every bit of a word, past the 2**(n+1)
+        # inputs too; those bits must never read as a failure
+        good = build_cnx(n) if n else _circ([T], [x(0)])
+        comp = default_computational_qubits(good)
+        spare = tuple(q for q in range(good.width) if q not in comp)
+        flips = tuple(chain.from_iterable((x(q), x(q)) for q in spare))
+        t = x(comp[-1])
+        oracle = oracle_cnx(n)
+        for tol in (verify.DEFAULT_TOL, 0.5):
+            exact = Circuit(good.qubits, flips + (t,) + good.gates + (t,), good.meta)
+            assert self._both(exact, oracle, tol).klass is EquivalenceClass.EXACT
+            # the build twice is the identity, so the first input the
+            # table moves is the first to fail
+            twice = Circuit(good.qubits, good.gates * 2, good.meta)
+            last = (1 << (n + 1)) - 2
+            assert self._both(twice, oracle, tol).witness.input_bits == _input_tuple(last, n + 1)
+        if spare:
+            left = Circuit(good.qubits, good.gates + (x(spare[0]),), good.meta)
+            assert self._both(left, oracle).witness == Mismatch(
+                (0,) * (n + 1), "ancilla not restored to |0>")
 
 
 class TestClassicalKeyWidth:
