@@ -43,16 +43,9 @@ from .verify import (
     resolve_max_width,
 )
 
-BASIS_BY_TOKEN = {
-    "toffoli": GateBasis.NATIVE_TOFFOLI,
-    "cnot": GateBasis.CNOT_LOCAL,
-    "cv": GateBasis.CV_BASIS,
-}
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     circuit = build_scheme(args.scheme, args.n, args.c)
-    lowered = lower_circuit(circuit, BASIS_BY_TOKEN[args.basis])
+    lowered = lower_circuit(circuit, GateBasis(args.basis))
     print(report_text(cost_report_for(circuit, lowered)))
 
     if args.out is None:
@@ -154,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True, choices=SCHEMES)
     p.add_argument("--n", type=int, help="number of controls")
     p.add_argument("--c", type=int, help="cycle count (cycle scheme only)")
-    p.add_argument("--basis", choices=sorted(BASIS_BY_TOKEN), default="toffoli")
+    p.add_argument("--basis", choices=sorted(b.value for b in GateBasis), default="toffoli")
     p.add_argument("--out", help="write the lowered circuit to this path")
     p.add_argument("--format", choices=("text", "json"),
                    help="file format (default: by extension)")

@@ -8,6 +8,10 @@ Three target bases are supported:
 * CV_BASIS allows CNOT, the controlled square root of X and its
   inverse, plus single-qubit gates.
 
+One loop lowers every basis, a gate at a time: a kind the basis allows
+is kept, and any other gate is rewritten from what it applies to its
+target, ``Gate.action`` in ``ir``, the one map from gate kind to 2x2.
+
 The interesting part is what happens to Toffolis.  A lone Toffoli costs
 6 CNOTs (with locals, 15 gates total) or 5 two-qubit gates in the CV
 basis.  But the circuits built here are compute/uncompute mirrors, and
@@ -59,9 +63,6 @@ from .ir import (
     MAT_H,
     MAT_T,
     MAT_TDG,
-    MAT_V,
-    MAT_VDG,
-    MAT_X,
 )
 
 
@@ -353,42 +354,25 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
     Mirrored Toffoli pairs take the cheap replacements; everything else
     takes the exact single-gate rules, so the lowered circuit equals
     the original as a unitary.  Circuits without mirror structure are
-    lowered with every Toffoli standalone.
+    lowered with every Toffoli standalone.  The toffoli basis keeps
+    every Toffoli, so it is not paired.
 
     MCX gates are not accepted: synthesize them into Toffolis first.
     """
-    allowed = ALLOWED_KINDS[basis]
     for g in circuit.gates:
         if g.kind is GateKind.MCX:
             raise LoweringError(
                 "mcx has no direct lowering; synthesize it into toffolis first"
             )
 
-    if basis is GateBasis.NATIVE_TOFFOLI:
-        out_gates: list[Gate] = []
-        for g in circuit.gates:
-            if g.kind in allowed:
-                out_gates.append(g)
-            elif g.kind is GateKind.CV:
-                out_gates.append(Gate(GateKind.CU, g.qubits, matrix=MAT_V))
-            elif g.kind is GateKind.CVDG:
-                out_gates.append(Gate(GateKind.CU, g.qubits, matrix=MAT_VDG))
-            else:
-                raise LoweringError(f"cannot lower {g.kind.value} to {basis.value}")
-        return _with_basis(circuit, out_gates, basis)
-
-    try:
-        plan = peres_pairing(circuit)
-    except NoMirrorStructureError:
-        plan = PairingPlan(
-            pairs=(),
-            unpaired=tuple(
-                i for i, g in enumerate(circuit.gates)
-                if g.kind is GateKind.TOFFOLI
-            ),
-        )
-    compute_of: dict[int, ToffoliPair] = {p.compute: p for p in plan.pairs}
-    uncompute_of: dict[int, ToffoliPair] = {p.uncompute: p for p in plan.pairs}
+    pairs: tuple[ToffoliPair, ...] = ()
+    if basis is not GateBasis.NATIVE_TOFFOLI:
+        try:
+            pairs = peres_pairing(circuit).pairs
+        except NoMirrorStructureError:
+            pass
+    compute_of: dict[int, ToffoliPair] = {p.compute: p for p in pairs}
+    uncompute_of: dict[int, ToffoliPair] = {p.uncompute: p for p in pairs}
 
     # A mirror circuit repeats its Toffolis, so each distinct lowering is
     # made once and its gates shared.  The key holds exactly what
@@ -397,12 +381,12 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
     # the same list); any other gate is lowered once per object.
     cv_basis = basis is GateBasis.CV_BASIS
     memo: dict[object, tuple[Gate, ...]] = {}
-    out_gates = []
+    out_gates: list[Gate] = []
     for i, g in enumerate(circuit.gates):
         if g.kind is GateKind.TOFFOLI:
             pair = compute_of.get(i) or uncompute_of.get(i)
             if pair is None:
-                key: object = (g.qubits,)
+                key: object = g.qubits
             elif cv_basis:
                 key = (g.qubits, pair.cnot_control, pair.cnot_target, i == pair.uncompute)
             else:
@@ -423,7 +407,13 @@ def _lower_gate(
     compute_of: dict[int, ToffoliPair],
     uncompute_of: dict[int, ToffoliPair],
 ) -> tuple[Gate, ...]:
+    """One gate in ``basis``: itself when the basis allows its kind, a
+    Toffoli rule for a Toffoli, a local for X, and otherwise (CU, CV,
+    CVDG) the controlled ``Gate.action``, as a CU where the basis has
+    one and expanded where it does not."""
     allowed = ALLOWED_KINDS[basis]
+    if g.kind in allowed:
+        return (g,)
     if g.kind is GateKind.TOFFOLI:
         u, v, t = g.qubits
         pair = compute_of.get(position) or uncompute_of.get(position)
@@ -442,17 +432,11 @@ def _lower_gate(
             return member
         # same relative-phase list for both members
         return _relative_phase_member(u, v, t)
-    if g.kind in allowed:
-        return (g,)
     if g.kind is GateKind.X:
-        return (local(g.qubits[0], MAT_X),)
-    if g.kind is GateKind.CU:
-        return expand_controlled_unitary(g.qubits[0], g.qubits[1], g.matrix)
-    if g.kind is GateKind.CV:
-        return expand_controlled_unitary(g.qubits[0], g.qubits[1], MAT_V)
-    if g.kind is GateKind.CVDG:
-        return expand_controlled_unitary(g.qubits[0], g.qubits[1], MAT_VDG)
-    raise LoweringError(f"cannot lower {g.kind.value} to {basis.value}")
+        return (local(g.target, g.action),)
+    if GateKind.CU in allowed:
+        return (Gate(GateKind.CU, g.qubits, matrix=g.action),)
+    return expand_controlled_unitary(*g.qubits, g.action)
 
 
 def paired_toffolis(circuit: Circuit, lowered: Circuit) -> int:

@@ -92,7 +92,7 @@ _ARITY: dict[GateKind, Optional[int]] = {
 _MATRIX_KINDS = {GateKind.LOCAL, GateKind.CU}
 
 # Kinds whose action on their last operand is a plain bit flip when the
-# controls are satisfied.  Used by verify.is_classical and _gate_action.
+# controls are satisfied.  Used by Gate.action and verify.is_classical.
 X_LIKE_KINDS = {GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.MCX}
 
 
@@ -136,6 +136,18 @@ class Gate:
     @property
     def controls(self) -> tuple[int, ...]:
         return self.qubits[:-1]
+
+    @property
+    def action(self) -> Matrix2:
+        """The 2x2 applied to the target when every control is 1.  This
+        is the one place that says what each kind does."""
+        if self.kind in X_LIKE_KINDS:
+            return MAT_X
+        if self.kind is GateKind.CV:
+            return MAT_V
+        if self.kind is GateKind.CVDG:
+            return MAT_VDG
+        return self.matrix
 
     def inverse(self) -> "Gate":
         if self.kind is GateKind.CV:

@@ -106,16 +106,6 @@ class CyclePlan:
     unpaired: int
     copies: int
 
-    @property
-    def repeated_cycles(self) -> tuple[int, ...]:
-        return tuple(range(self.cycle_ancillas))
-
-    @property
-    def group_sizes(self) -> tuple[int, ...]:
-        """Controls each block takes, not counting the first control."""
-        n = self.meta.n
-        return tuple(sum(0 < q < n for q in block) for block in self.blocks)
-
     def ops(self, basis: GateBasis) -> int:
         """Gate count of the build lowered to ``basis``."""
         paired_length, unpaired_length = TOFFOLI_LENGTHS[basis]

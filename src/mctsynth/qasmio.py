@@ -107,7 +107,10 @@ def _meta(fields: dict, line: Optional[int] = None) -> CircuitMeta:
     """The meta fields: ``n`` and ``c`` integers from 0; ``scheme`` and
     ``basis`` strings the text meta line can hold, which splits on
     whitespace and at '=' and reads a lone '-' as absent; any of them
-    None or absent."""
+    None or absent, and no other key."""
+    for key, v in fields.items():
+        if key not in _META_KEYS:
+            raise CircuitFileError(f"bad meta field {key}={v!r}", line)
     for key in _META_KEYS:
         v = fields.get(key)
         if v is None:
@@ -233,6 +236,8 @@ def _parse_meta(tokens: list[str], line: int) -> CircuitMeta:
         if "=" not in tok:
             raise CircuitFileError(f"bad meta field {tok!r}", line)
         key, _, val = tok.partition("=")
+        if key in fields:
+            raise CircuitFileError(f"repeated meta field {key!r}", line)
         fields[key] = None if val == "-" else val
     for key in ("n", "c"):
         v = fields.get(key)

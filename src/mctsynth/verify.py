@@ -10,7 +10,9 @@ Verdicts distinguish exact agreement, agreement up to one global phase,
 agreement up to a per-basis-state (diagonal) phase, and mismatch.
 
 Simulation convention is big-endian: qubit 0 is the most significant
-bit of the basis index.
+bit of the basis index.  Every engine reads what a gate applies to its
+target from ``Gate.action`` in ``ir``, the one map from gate kind to
+2x2 matrix.
 
 All inputs are simulated together, as arrays, by one of two batched
 engines.  Circuits built purely from X-like gates map basis states to
@@ -62,15 +64,12 @@ import numpy as np
 from .ir import (
     Circuit,
     Gate,
-    GateKind,
     Matrix2,
     QubitRole,
     X_LIKE_KINDS,
     as_array,
     as_matrix2,
     MAT_X,
-    MAT_V,
-    MAT_VDG,
 )
 
 DEFAULT_MAX_WIDTH = 24
@@ -109,22 +108,6 @@ def resolve_max_width(requested: Optional[int] = None) -> int:
 # ---------------------------------------------------------------------------
 # statevector engine
 
-def _gate_action(gate: Gate) -> tuple[tuple[int, ...], int, np.ndarray]:
-    """Controls, target, and the 2x2 applied on the target when all
-    controls are 1."""
-    kind = gate.kind
-    if kind in X_LIKE_KINDS:
-        mat: Matrix2 = MAT_X
-    elif kind is GateKind.CV:
-        mat = MAT_V
-    elif kind is GateKind.CVDG:
-        mat = MAT_VDG
-    else:
-        assert gate.matrix is not None
-        mat = gate.matrix
-    return gate.controls, gate.target, as_array(mat)
-
-
 def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Apply the whole circuit to a statevector of length 2**width."""
     width = circuit.width
@@ -132,7 +115,7 @@ def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
         raise ValueError(f"state length {state.shape} does not match width {width}")
     psi = state.astype(complex).reshape((2,) * width)
     for gate in circuit.gates:
-        controls, target, mat = _gate_action(gate)
+        controls, target = gate.controls, gate.target
         sel: list = [slice(None)] * width
         for c in controls:
             sel[c] = 1
@@ -140,7 +123,7 @@ def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
         # position of the target axis after the control axes are fixed
         tpos = target - sum(1 for c in controls if c < target)
         view = np.moveaxis(sub, tpos, 0)
-        updated = np.tensordot(mat, view, axes=([1], [0]))
+        updated = np.tensordot(as_array(gate.action), view, axes=([1], [0]))
         view[...] = updated
     return psi.reshape(-1)
 
@@ -312,10 +295,9 @@ def _sparse_step(
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Apply one gate to sparse entries; the flag says whether it mixed
     basis states (and so may have grown the support)."""
-    controls, target, mat = _gate_action(gate)
-    cmask = sum(1 << (width - 1 - c) for c in controls)
-    tbit = 1 << (width - 1 - target)
-    (a00, a01), (a10, a11) = mat.tolist()
+    cmask = sum(1 << (width - 1 - c) for c in gate.controls)
+    tbit = 1 << (width - 1 - gate.target)
+    (a00, a01), (a10, a11) = gate.action
     on = (keys & cmask) == cmask
     diagonal = a01 == 0 and a10 == 0
     if diagonal or (a00 == 0 and a11 == 0):
@@ -384,7 +366,7 @@ def _window_step(
 def _embed(gate: Gate, pos: Sequence[int], d: int) -> np.ndarray:
     """The gate as a 2**d x 2**d matrix, its operands at local positions
     ``pos`` (position 0 is the most significant bit)."""
-    mat = _gate_action(gate)[2].tolist()
+    mat = gate.action
     cmask = sum(1 << (d - 1 - p) for p in pos[:-1])
     tbit = 1 << (d - 1 - pos[-1])
     u = np.eye(1 << d, dtype=complex)
@@ -648,12 +630,13 @@ def check_equivalence(
     basis input, ancillas held at |0> and required to return to |0>.
 
     The bit order handed to the oracle is the order of
-    ``computational_qubits``.  An ancilla left set on any input is
-    reported ahead of every other mismatch.  A ``ControlledOracle`` of
-    the right arity (what ``oracle_cnx`` and ``oracle_cnu`` return) is
-    read as one table and never called per input.  Any other oracle is
-    called once per input, in input order, and not past an input that
-    leaves an ancilla set.
+    ``computational_qubits``, which must be distinct indices into the
+    register (``ValueError`` before any simulation otherwise).  An
+    ancilla left set on any input is reported ahead of every other
+    mismatch.  A ``ControlledOracle`` of the right arity (what
+    ``oracle_cnx`` and ``oracle_cnu`` return) is read as one table and
+    never called per input.  Any other oracle is called once per input,
+    in input order, and not past an input that leaves an ancilla set.
     """
     width = circuit.width
     limit = resolve_max_width(max_width)
@@ -662,6 +645,11 @@ def check_equivalence(
         if computational_qubits is not None
         else default_computational_qubits(circuit)
     )
+    for i, q in enumerate(comp):
+        if not 0 <= q < width:
+            raise ValueError(f"computational qubit {q} outside width {width}")
+        if q in comp[:i]:
+            raise ValueError(f"computational qubit {q} listed twice")
     k = len(comp)
     ancillas = tuple(q for q in range(width) if q not in comp)
     tabulated = isinstance(oracle, ControlledOracle) and oracle.n + 1 == k

@@ -138,6 +138,12 @@ class TestBuildCycle:
         assert (m.scheme, m.n, m.c) == ("cycle", 9, 3)
 
 
+def _group_sizes(plan):
+    """Controls each block takes, not counting the first control."""
+    n = plan.meta.n
+    return [sum(0 < q < n for q in block) for block in plan.blocks]
+
+
 class TestPlanCycles:
     def test_plan_matches_build(self):
         cycles = [(plan_cycles(n, c), build_cycle_cnx(n, c))
@@ -153,7 +159,7 @@ class TestPlanCycles:
             )
             assert plan.ancilla_budget == _ancilla_count(circ)
             if plan.meta.scheme == "cycle":
-                assert list(plan.group_sizes) == group_sizes(plan.meta.n, plan.meta.c)
+                assert _group_sizes(plan) == group_sizes(plan.meta.n, plan.meta.c)
 
     def test_counts_by_hand(self):
         # widths (2, 4): the repeated lone Toffoli pairs with its rerun,
@@ -194,10 +200,12 @@ class TestPlanCycles:
 
     def test_repeated_cycles_are_the_cheap_ones(self):
         plan = plan_cycles(11, 3)
-        assert plan.repeated_cycles == (0, 1)
+        # every block but the last is repeated, each into its own cycle
+        # ancilla
+        assert len(plan.blocks) - 1 == plan.cycle_ancillas == 2
         # ascending sizes put the cheapest blocks first
-        assert plan.group_sizes == (3, 3, 4)
-        assert plan_cycles(9, 1).repeated_cycles == ()
+        assert _group_sizes(plan) == group_sizes(11, 3) == [3, 3, 4]
+        assert plan_cycles(9, 1).blocks[:-1] == ()
 
     def test_ancilla_non_increasing_up_to_best(self):
         # more cycles shrink the pool faster than they add join bits,

@@ -221,7 +221,7 @@ class TestJsonRoundTrip:
     @pytest.mark.parametrize("field", [
         '"n": "x"', '"n": 2.0', '"n": true', '"c": "2"', '"c": false',
         '"scheme": 3', '"scheme": ["cycle"]', '"basis": 1', '"basis": {}',
-        '"n": -1', '"c": -3',
+        '"n": -1', '"c": -3', '"extra": 5', '"n": 2, "Scheme": "cycle"',
     ])
     def test_meta_field_types(self, field):
         doc = (
@@ -721,6 +721,10 @@ class TestWritersKeepTheReadersRules:
         ("width 3", "n=5_0", "ccx 0 1 2", "line 3: bad meta integer n='5_0'"),
         ("width 3", "n=\u0665", "ccx 0 1 2", "line 3: bad meta integer n='\u0665'"),
         ("width 3", "n=2 c=-1", "ccx 0 1 2", "line 3: bad meta integer c='-1'"),
+        ("width 3", "foo=1 n=2", "ccx 0 1 2", "line 3: bad meta field foo='1'"),
+        ("width 3", "sheme=- n=2", "ccx 0 1 2", "line 3: bad meta field sheme=None"),
+        ("width 3", "n=2 n=3", "ccx 0 1 2", "line 3: repeated meta field 'n'"),
+        ("width 3", "n=2 c=- n=2", "ccx 0 1 2", "line 3: repeated meta field 'n'"),
         ("width 3", "n=2", "ccx 0 +1 2", "line 4: bad qubit index '+1'"),
         ("width 3", "n=2", "ccx 0 01 2", "line 4: bad qubit index '01'"),
     ])

@@ -248,6 +248,23 @@ class TestCheckEquivalence:
         v = check_equivalence(lowered, oracle_cnx(3))
         assert v.klass is EquivalenceClass.EXACT
 
+    @pytest.mark.parametrize("basis", [GateBasis.NATIVE_TOFFOLI, GateBasis.CV_BASIS])
+    @pytest.mark.parametrize("comp, message", [
+        ((0, 1, 2, 9), "computational qubit 9 outside width 5"),
+        ((0, 1, 2, 5), "computational qubit 5 outside width 5"),
+        ((0, 1, 2, -1), "computational qubit -1 outside width 5"),
+        ((0, 0, 1, 3), "computational qubit 0 listed twice"),
+    ])
+    def test_bad_computational_qubits_refused(self, monkeypatch, basis, comp, message):
+        # the toffoli basis runs the classical engine, cv the sparse one;
+        # neither may start on a bad register
+        lowered = lower_circuit(build_cnx(3), basis)
+        assert lowered.width == 5 and is_classical(lowered) == (basis is GateBasis.NATIVE_TOFFOLI)
+        for engine in ("_run_classical", "_run_sparse"):
+            monkeypatch.setattr(verify, engine, lambda *args: pytest.fail("simulated"))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_equivalence(lowered, oracle_cnx(3), computational_qubits=comp)
+
 
 class TestMaxWidthResolution:
     def test_default(self, monkeypatch):
