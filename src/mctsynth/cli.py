@@ -73,29 +73,22 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def _parse_oracle(spec: str) -> tuple[Oracle, int]:
     """Oracle spec: ``cnx:N`` or ``cnu:N:NAME``; returns it with its
-    control count."""
-    parts = spec.split(":")
-    if parts[0] == "cnx" and len(parts) == 2:
-        n = _positive_int(parts[1], "oracle control count")
+    control count, which is spelled as the circuit files spell an
+    integer."""
+    kind, *fields = spec.split(":")
+    if (kind, len(fields)) not in (("cnx", 1), ("cnu", 2)):
+        raise ValueError(f"bad oracle spec {spec!r} (want cnx:N or cnu:N:NAME)")
+    n = qasmio.decimal(fields[0])
+    if n is None:
+        raise ValueError(f"bad oracle control count {fields[0]!r}")
+    if n < 1:
+        raise ValueError(f"oracle control count must be positive, got {n}")
+    if kind == "cnx":
         return oracle_cnx(n), n
-    if parts[0] == "cnu" and len(parts) == 3:
-        n = _positive_int(parts[1], "oracle control count")
-        name = parts[2]
-        if name not in NAMED_UNITARIES:
-            known = ", ".join(sorted(NAMED_UNITARIES))
-            raise ValueError(f"unknown unitary {name!r} (known: {known})")
-        return oracle_cnu(n, NAMED_UNITARIES[name]), n
-    raise ValueError(f"bad oracle spec {spec!r} (want cnx:N or cnu:N:NAME)")
-
-
-def _positive_int(token: str, what: str) -> int:
-    try:
-        v = int(token)
-    except ValueError:
-        raise ValueError(f"bad {what} {token!r}") from None
-    if v < 1:
-        raise ValueError(f"{what} must be positive, got {v}")
-    return v
+    if fields[1] not in NAMED_UNITARIES:
+        known = ", ".join(sorted(NAMED_UNITARIES))
+        raise ValueError(f"unknown unitary {fields[1]!r} (known: {known})")
+    return oracle_cnu(n, NAMED_UNITARIES[fields[1]]), n
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

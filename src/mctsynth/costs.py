@@ -29,8 +29,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .cycle import (
     best_cycle_count,
@@ -38,10 +38,17 @@ from .cycle import (
     build_cycle_cnx_auto,
     build_two_cycle_cnx,
     plan_cycles,
+    plan_two_cycle,
 )
-from .decomp import GateBasis, lower_circuit, paired_toffolis
+from .decomp import GateBasis, lower_circuit, peres_pairing
 from .ir import Circuit, GateKind, QubitRole, count_gates
-from .ladder import build_cnx, build_workspace_c3x, build_workspace_toffoli
+from .ladder import (
+    CyclePlan,
+    build_cnx,
+    build_workspace_c3x,
+    build_workspace_toffoli,
+    plan_ladder,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -177,38 +184,70 @@ def baseline_cv_ops(n: int) -> int:
 # ---------------------------------------------------------------------------
 # the schemes
 
-SCHEMES = ("ladder", "cycle", "two-cycle", "workspace-ccx", "workspace-c3x")
+def _ladder_forms(n: int, c: Optional[int], basis: GateBasis) -> dict:
+    if n < 2:
+        return {}
+    return dict(toffoli_form=ladder_toffoli_form(n), ancilla_form=ladder_ancilla_form(n),
+                ops_form=ladder_ops_form(n, basis))
+
+
+def _cycle_forms(n: int, c: int, basis: GateBasis) -> dict:
+    forms = dict(c=c, toffoli_form=toffoli_count_form(n, c), ancilla_form=ancilla_min_form(n, c),
+                 ancilla_split=ancilla_split_form(n, c))
+    if basis is GateBasis.CV_BASIS and n >= 3:
+        forms["ops_form"] = cv_ops_form(n, c)
+        if c == best_cycle_count(n):
+            forms["baseline_ops"] = baseline_cv_ops(n)
+    return forms
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One scheme: ``build(n, c)``; ``forms(n, c, basis)``, its closed
+    forms and reported c as CostReport fields; ``plan(n, c)``, the
+    CyclePlan of an AND-block scheme; ``fixed_n``, the one n of a fixed
+    network; and ``no_c``, why a cycle count is refused, if it is."""
+
+    build: Callable[[Optional[int], Optional[int]], Circuit]
+    forms: Callable[[int, Optional[int], GateBasis], dict] = lambda n, c, basis: {}
+    plan: Optional[Callable[[int, Optional[int]], CyclePlan]] = None
+    fixed_n: Optional[int] = None
+    no_c: Optional[str] = "takes no cycle count"
+
+
+# The one table of schemes; the --scheme choices are its keys, in order.
+# Builders are called through this module's globals, not held, so that
+# a wrapper put on one of those names sees every build.
+SCHEMES: dict[str, Scheme] = {
+    "ladder": Scheme(lambda n, c: build_cnx(n), _ladder_forms, lambda n, c: plan_ladder(n)),
+    "cycle": Scheme(lambda n, c: build_cycle_cnx_auto(n) if c is None else build_cycle_cnx(n, c),
+                    _cycle_forms, lambda n, c: plan_cycles(n, c), no_c=None),
+    "two-cycle": Scheme(lambda n, c: build_two_cycle_cnx(n),
+                        lambda n, c, basis: dict(c=2, toffoli_form=two_cycle_toffoli_form(n)),
+                        lambda n, c: plan_two_cycle(n), no_c="has a fixed cycle count"),
+    "workspace-ccx": Scheme(lambda n, c: build_workspace_toffoli(), fixed_n=2),
+    "workspace-c3x": Scheme(lambda n, c: build_workspace_c3x(), fixed_n=3),
+}
+
+
+def _scheme(name: str) -> Scheme:
+    if name not in SCHEMES:
+        raise ValueError(f"unknown scheme {name!r}")
+    return SCHEMES[name]
 
 
 def build_scheme(scheme: str, n: Optional[int], c: Optional[int] = None) -> Circuit:
-    """Build a scheme by name; the one place that maps scheme names to
-    builders and checks their parameters.  The control count and cycle
-    count used are in the circuit's metadata."""
-    if scheme in ("workspace-ccx", "workspace-c3x") and c is not None:
-        raise ValueError(f"the {scheme} scheme takes no cycle count")
-    if scheme == "workspace-ccx":
-        if n not in (None, 2):
-            raise ValueError("workspace-ccx is fixed at n=2")
-        return build_workspace_toffoli()
-    if scheme == "workspace-c3x":
-        if n not in (None, 3):
-            raise ValueError("workspace-c3x is fixed at n=3")
-        return build_workspace_c3x()
-    if n is None:
+    """Build a scheme by name, after its refusals of the parameters.
+    The control count and cycle count used are in the circuit's
+    metadata."""
+    entry = _scheme(scheme)
+    if entry.fixed_n is None and n is None:
         raise ValueError(f"scheme {scheme!r} needs --n")
-    if scheme == "ladder":
-        if c is not None:
-            raise ValueError("the ladder scheme takes no cycle count")
-        return build_cnx(n)
-    if scheme == "two-cycle":
-        if c is not None:
-            raise ValueError("the two-cycle scheme has a fixed cycle count")
-        return build_two_cycle_cnx(n)
-    if scheme == "cycle":
-        if c is None:
-            return build_cycle_cnx_auto(n)
-        return build_cycle_cnx(n, c)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if c is not None and entry.no_c:
+        raise ValueError(f"the {scheme} scheme {entry.no_c}")
+    if entry.fixed_n is not None and n not in (None, entry.fixed_n):
+        raise ValueError(f"{scheme} is fixed at n={entry.fixed_n}")
+    return entry.build(n, c)
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +263,17 @@ class CostReport:
 
     scheme: str
     n: int
-    c: Optional[int]
     basis: str
-    toffoli_form: Optional[int]
     toffoli_built: int
-    ancilla_form: Optional[int]
-    ancilla_split: Optional[int]
     ancilla_built: int
-    ops_form: Optional[int]
     ops_built: int
-    baseline_ops: Optional[int]
-    discrepancies: tuple[str, ...] = field(default_factory=tuple)
+    c: Optional[int] = None
+    toffoli_form: Optional[int] = None
+    ancilla_form: Optional[int] = None
+    ancilla_split: Optional[int] = None
+    ops_form: Optional[int] = None
+    baseline_ops: Optional[int] = None
+    discrepancies: tuple[str, ...] = ()
 
 
 def report_json(report: CostReport) -> str:
@@ -290,72 +329,35 @@ def cost_report_for(circuit: Circuit, lowered: Circuit) -> CostReport:
     """Built counts of ``circuit``, as made by build_scheme, and of
     ``lowered``, its lowering, next to the closed forms of its scheme.
     The scheme, n and c are read from the circuit's metadata and the
-    basis from the lowered circuit's."""
-    scheme, n = circuit.meta.scheme, circuit.meta.n
+    basis from the lowered circuit's.  The paired Toffolis in the
+    cnot-basis note are the scheme's plan count, or, for a fixed
+    network, peres_pairing's."""
+    scheme, n, c = circuit.meta.scheme, circuit.meta.n, circuit.meta.c
+    entry = _scheme(scheme)
     basis = GateBasis(lowered.meta.basis)
-    toffoli_form: Optional[int] = None
-    ancilla_form: Optional[int] = None
-    ancilla_split: Optional[int] = None
-    ops_form: Optional[int] = None
-    baseline: Optional[int] = None
-    used_c: Optional[int] = None
-
-    if scheme == "ladder":
-        if n >= 2:
-            toffoli_form = ladder_toffoli_form(n)
-            ancilla_form = ladder_ancilla_form(n)
-            ops_form = ladder_ops_form(n, basis)
-    elif scheme == "cycle":
-        used_c = circuit.meta.c
-        toffoli_form = toffoli_count_form(n, used_c)
-        ancilla_form = ancilla_min_form(n, used_c)
-        ancilla_split = ancilla_split_form(n, used_c)
-        if basis is GateBasis.CV_BASIS and n >= 3:
-            ops_form = cv_ops_form(n, used_c)
-            if used_c == best_cycle_count(n):
-                baseline = baseline_cv_ops(n)
-    elif scheme == "two-cycle":
-        toffoli_form = two_cycle_toffoli_form(n)
-        used_c = 2
-    elif scheme not in ("workspace-ccx", "workspace-c3x"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-
+    forms = entry.forms(n, c, basis)
     toffoli_built = count_gates(circuit, GateKind.TOFFOLI)
     ancilla_built = _ancilla_count(circuit)
     ops_built = len(lowered.gates)
 
     notes: list[str] = []
-    if toffoli_form is not None and toffoli_form != toffoli_built:
-        notes.append(f"toffoli form {toffoli_form} != built {toffoli_built}")
-    if ancilla_form is not None and ancilla_form != ancilla_built:
-        notes.append(f"ancilla form {ancilla_form} != built {ancilla_built}")
-    if ops_form is not None and ops_form != ops_built:
-        notes.append(f"ops form {ops_form} != built {ops_built}")
+    for what, built in (("toffoli", toffoli_built), ("ancilla", ancilla_built),
+                        ("ops", ops_built)):
+        form = forms.get(f"{what}_form")
+        if form is not None and form != built:
+            notes.append(f"{what} form {form} != built {built}")
     if basis is GateBasis.CNOT_LOCAL:
         # the 7-gate mirrored member has a widely quoted 11-gate variant
         # (3 CNOTs + 8 locals); surface what the count would be under
         # that reading so the two are never conflated
-        members = paired_toffolis(circuit, lowered)
+        members = (entry.plan(n, c).paired if entry.plan
+                   else 2 * len(peres_pairing(circuit).pairs))
         if members:
-            notes.append(
-                f"paired members counted at 7 gates; the 11-gate reading "
-                f"would give {ops_built + 4 * members} ops"
-            )
-    return CostReport(
-        scheme=scheme,
-        n=n,
-        c=used_c,
-        basis=basis.value,
-        toffoli_form=toffoli_form,
-        toffoli_built=toffoli_built,
-        ancilla_form=ancilla_form,
-        ancilla_split=ancilla_split,
-        ancilla_built=ancilla_built,
-        ops_form=ops_form,
-        ops_built=ops_built,
-        baseline_ops=baseline,
-        discrepancies=tuple(notes),
-    )
+            notes.append(f"paired members counted at 7 gates; the 11-gate reading "
+                         f"would give {ops_built + 4 * members} ops")
+    return CostReport(scheme=scheme, n=n, basis=basis.value, toffoli_built=toffoli_built,
+                      ancilla_built=ancilla_built, ops_built=ops_built,
+                      discrepancies=tuple(notes), **forms)
 
 
 # ---------------------------------------------------------------------------

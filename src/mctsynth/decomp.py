@@ -87,6 +87,9 @@ TOFFOLI_LENGTHS: dict[GateBasis, tuple[int, int]] = {
     GateBasis.CV_BASIS: (4, 5),
 }
 
+# gates one controlled unitary (CU) lowers to in each basis
+CU_LENGTHS = {GateBasis.NATIVE_TOFFOLI: 1, GateBasis.CNOT_LOCAL: 6, GateBasis.CV_BASIS: 6}
+
 
 ALLOWED_KINDS: dict[GateBasis, frozenset[GateKind]] = {
     GateBasis.NATIVE_TOFFOLI: frozenset(
@@ -437,28 +440,6 @@ def _lower_gate(
     if GateKind.CU in allowed:
         return (Gate(GateKind.CU, g.qubits, matrix=g.action),)
     return expand_controlled_unitary(*g.qubits, g.action)
-
-
-def paired_toffolis(circuit: Circuit, lowered: Circuit) -> int:
-    """How many Toffolis of ``circuit`` took a paired (relative-phase)
-    member in ``lowered``, its CNOT_LOCAL lowering.
-
-    A Toffoli lowers to 15 gates alone and to 7 as a paired member; a
-    controlled unitary to 6 gates and any other gate to 1.  So the count
-    follows from the two gate counts, without pairing the circuit again.
-    """
-    if lowered.meta.basis != GateBasis.CNOT_LOCAL.value:
-        raise ValueError(f"not a {GateBasis.CNOT_LOCAL.value}-basis lowering")
-    paired_length, alone_length = TOFFOLI_LENGTHS[GateBasis.CNOT_LOCAL]
-    unpaired_length = 0
-    for g in circuit.gates:
-        if g.kind is GateKind.TOFFOLI:
-            unpaired_length += alone_length
-        elif g.kind in (GateKind.CU, GateKind.CV, GateKind.CVDG):
-            unpaired_length += 6
-        else:
-            unpaired_length += 1
-    return (unpaired_length - len(lowered.gates)) // (alone_length - paired_length)
 
 
 def _with_basis(circuit: Circuit, gates: list[Gate], basis: GateBasis) -> Circuit:

@@ -6,13 +6,15 @@ ancillas with Toffolis, applies the payload, and uncomputes the chain
 in mirror order.  Every ancilla starts and ends at |0>.
 
 An AND block is such a ladder that XORs the AND of its inputs onto one
-output.  Each C^nX scheme is a ``CyclePlan``, a list of AND blocks over
-one shared process pool, and ``build_plan`` runs it as the standard
-Barenco et al. construction does: every block but the last into its
-own cycle ancilla, the last into the target, then the others again in
-reverse.  The ladder is the one-block plan; ``cycle`` has the others.
-Register layout: controls 0..n-1, target n, the cycle ancilla of block
-j at n+1+j, then the process pool, sized by the widest block.
+output, or, given a 2x2 payload, applies the payload to the output
+controlled on that AND.  Each scheme is a ``CyclePlan``, a list of AND
+blocks over one shared process pool, and ``build_plan`` runs it as the
+standard Barenco et al. construction does: every block but the last
+into its own cycle ancilla, the last into the target, then the others
+again in reverse.  The ladder is the one-block plan, with or without a
+payload; ``cycle`` has the others.  Register layout: controls 0..n-1,
+target n, the cycle ancilla of block j at n+1+j, then the process pool,
+sized by the widest block.
 
 Also included here are two fixed small networks that realize a Toffoli
 and a triply-controlled NOT with a single workspace qubit, by routing
@@ -27,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .decomp import TOFFOLI_LENGTHS, GateBasis
+from .decomp import CU_LENGTHS, TOFFOLI_LENGTHS, GateBasis
 from .ir import (
     Circuit,
     CircuitMeta,
@@ -45,36 +47,27 @@ from .ir import (
 )
 
 
-def register_roles(n: int, cycle_ancillas: int, process_ancillas: int) -> list[QubitRole]:
-    return (
-        [QubitRole.CONTROL] * n
-        + [QubitRole.TARGET]
-        + [QubitRole.CYCLE_ANCILLA] * cycle_ancillas
-        + [QubitRole.PROCESS_ANCILLA] * process_ancillas
-    )
-
-
-def and_chain(inputs: Sequence[int], pool: Iterable[int]) -> tuple[list[Gate], int]:
-    """Toffolis that AND ``inputs`` into the pool, one pool qubit per
-    input after the first, and the wire left holding the AND (the input
-    itself when there is only one)."""
-    gates: list[Gate] = []
-    wire = inputs[0]
-    for q, p in zip(inputs[1:], pool):
+def and_block(
+    inputs: Sequence[int], out: int, pool: Iterable[int], payload: Optional[Matrix2] = None
+) -> list[Gate]:
+    """XOR the AND of ``inputs`` onto ``out``, or apply ``payload`` to
+    ``out`` controlled on it: Toffolis chain the inputs into the pool,
+    one pool qubit per input after the first, one gate writes ``out``
+    from the wire left holding the chain's AND, and the chain in mirror
+    order restores the pool.  A flip takes the last input on the gate
+    that writes ``out``, so its chain stops one short; a single input
+    is a copy."""
+    flip = payload is None and len(inputs) > 1
+    chained = inputs[:-1] if flip else inputs
+    gates, wire = [], chained[0]
+    for q, p in zip(chained[1:], pool):
         gates.append(toffoli(wire, q, p))
         wire = p
-    return gates, wire
-
-
-def and_block(inputs: Sequence[int], out: int, pool: Iterable[int]) -> list[Gate]:
-    """XOR the AND of ``inputs`` onto ``out``: the chain over all inputs
-    but the last, the one gate that writes ``out``, and the chain in
-    mirror order, which restores the pool.  A single input is a copy."""
-    *head, last = inputs
-    if not head:
-        return [cnot(last, out)]
-    gates, wire = and_chain(head, pool)
-    return gates + [toffoli(wire, last, out)] + gates[::-1]
+    if flip:
+        fire = toffoli(wire, inputs[-1], out)
+    else:
+        fire = cnot(wire, out) if payload is None else cu(wire, out, payload)
+    return gates + [fire] + gates[::-1]
 
 
 @dataclass(frozen=True)
@@ -83,16 +76,17 @@ class CyclePlan:
     emitted; build_plan executes it.
 
     ``blocks`` holds each AND block's inputs as qubit indices.  The last
-    block writes the target; the others are the repeated cycles, run
-    once before it and once after, each writing its cycle ancilla.
-    ``block_widths`` are the blocks' input counts, and the process pool
-    is sized by the widest block.  ``meta`` is the built circuit's.
+    block writes the target, with ``payload`` if there is one; the
+    others are the repeated cycles, run once before it and once after,
+    each writing its cycle ancilla.  ``block_widths`` are the blocks'
+    input counts, and the process pool is sized by the widest block.
+    ``meta`` is the built circuit's.
 
     The counts are those of the built circuit, not a floored average:
     ``toffoli_total`` Toffolis, of which ``paired`` are members of the
     mirror pairs that peres_pairing finds and ``unpaired`` are not, and
     ``copies`` CNOTs from single-input blocks.  ``ops(basis)`` is the
-    exact gate count of the build lowered to ``basis``.
+    exact gate count of the build lowered to ``basis``, payload included.
     """
 
     meta: CircuitMeta
@@ -105,24 +99,30 @@ class CyclePlan:
     paired: int
     unpaired: int
     copies: int
+    payload: Optional[Matrix2] = None
 
     def ops(self, basis: GateBasis) -> int:
         """Gate count of the build lowered to ``basis``."""
         paired_length, unpaired_length = TOFFOLI_LENGTHS[basis]
+        payload = 0 if self.payload is None else CU_LENGTHS[basis]
         return (paired_length * self.paired + unpaired_length * self.unpaired
-                + self.copies)
+                + self.copies + payload)
 
 
-def plan_blocks(meta: CircuitMeta, blocks: Sequence[tuple[int, ...]]) -> CyclePlan:
-    """The plan that runs ``blocks`` (the last one firing), with the
-    exact counts of its build."""
+def plan_blocks(
+    meta: CircuitMeta, blocks: Sequence[tuple[int, ...]], payload: Optional[Matrix2] = None
+) -> CyclePlan:
+    """The plan that runs ``blocks`` (the last one firing, with
+    ``payload`` if given), with the exact counts of its build."""
     widths = tuple(len(block) for block in blocks)
-    pool = max(max(widths) - 2, 0)
+    *repeated, final = widths
     # a block over m >= 2 inputs is a ladder whose m-2 chain Toffolis
     # pair with their mirrors around the one Toffoli that writes its
     # output; a repeated block runs twice, and a lone Toffoli (m = 2)
-    # then pairs with its rerun.  A single input is a copy.
-    *repeated, final = widths
+    # then pairs with its rerun.  A single input is a copy.  A payload
+    # chain runs over all m inputs, so its m-1 Toffolis pair around the
+    # payload and take one more pool qubit.
+    pool = max(max(widths) - 2, final - 1 if payload is not None else 0, 0)
     paired = unpaired = copies = 0
     for m in repeated:
         if m == 1:
@@ -132,7 +132,9 @@ def plan_blocks(meta: CircuitMeta, blocks: Sequence[tuple[int, ...]]) -> CyclePl
         else:
             paired += 4 * (m - 2)
             unpaired += 2
-    if final == 1:
+    if payload is not None:
+        paired += 2 * (final - 1)
+    elif final == 1:
         copies += 1
     else:
         paired += 2 * (final - 2)
@@ -148,6 +150,7 @@ def plan_blocks(meta: CircuitMeta, blocks: Sequence[tuple[int, ...]]) -> CyclePl
         paired=paired,
         unpaired=unpaired,
         copies=copies,
+        payload=payload,
     )
 
 
@@ -156,19 +159,22 @@ def build_plan(plan: CyclePlan) -> Circuit:
     ancilla, the last block into the target, then the repeated blocks
     in reverse, which clears the cycle ancillas."""
     n, k = plan.meta.n, plan.cycle_ancillas
-    roles = register_roles(n, k, plan.process_ancillas)
+    roles = ([QubitRole.CONTROL] * n + [QubitRole.TARGET] + [QubitRole.CYCLE_ANCILLA] * k
+             + [QubitRole.PROCESS_ANCILLA] * plan.process_ancillas)
     pool = range(n + 1 + k, len(roles))
-    outs = [*range(n + 1, n + 1 + k), n]
-    *repeated, fire = [and_block(b, out, pool) for b, out in zip(plan.blocks, outs)]
+    *cycles, final = plan.blocks
+    repeated = [and_block(b, out, pool) for b, out in zip(cycles, range(n + 1, n + 1 + k))]
+    fire = and_block(final, n, pool, plan.payload)
     gates = chain.from_iterable(repeated + [fire] + repeated[::-1])
     return append(new_circuit(roles, plan.meta), *gates)
 
 
-def plan_ladder(n: int) -> CyclePlan:
-    """Plan build_cnx(n): one block over all n controls."""
+def plan_ladder(n: int, payload: Optional[Matrix2] = None) -> CyclePlan:
+    """Plan build_cnx(n), or build_cnu(n, payload) when given one: one
+    block over all n controls."""
     if n < 1:
         raise ValueError("need at least one control")
-    return plan_blocks(CircuitMeta(scheme="ladder", n=n), [tuple(range(n))])
+    return plan_blocks(CircuitMeta(scheme="ladder", n=n), [tuple(range(n))], payload)
 
 
 def build_cnx(n: int) -> Circuit:
@@ -192,11 +198,7 @@ def build_cnu(n: int, matrix: Matrix2) -> Circuit:
     because the payload is not self-inverse and cannot ride on the
     final chain link the way a plain flip can.
     """
-    if n < 1:
-        raise ValueError("need at least one control")
-    gates, wire = and_chain(range(n), range(n + 1, 2 * n))
-    circ = new_circuit(register_roles(n, 0, n - 1), CircuitMeta(scheme="ladder", n=n))
-    return append(circ, *gates, cu(wire, n, matrix), *gates[::-1])
+    return build_plan(plan_ladder(n, matrix))
 
 
 def build_workspace_toffoli() -> Circuit:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections import Counter
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
@@ -74,7 +75,7 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _decimal(token: str) -> Optional[int]:
+def decimal(token: str) -> Optional[int]:
     """The integer a text token spells the one way the writers write
     it, with ``str``: 0, or an ASCII digit 1-9 followed by ASCII
     digits.  None for any other spelling, such as '03', '+3', '3_0' or
@@ -242,7 +243,7 @@ def _parse_meta(tokens: list[str], line: int) -> CircuitMeta:
     for key in ("n", "c"):
         v = fields.get(key)
         if v is not None:
-            fields[key] = _decimal(v)
+            fields[key] = decimal(v)
             if fields[key] is None:
                 raise CircuitFileError(f"bad meta integer {key}={v!r}", line)
     return _meta(fields, line)
@@ -257,7 +258,7 @@ def _parse_indices(
     for tok in tokens:
         idx = indices.get(tok)
         if idx is None:
-            idx = _decimal(tok)
+            idx = decimal(tok)
             if idx is None:
                 raise CircuitFileError(f"bad qubit index {tok!r}", line)
             indices[tok] = _index(idx, width, line)
@@ -279,7 +280,7 @@ def loads_text(text: str) -> Circuit:
     tokens = header.split()
     if tokens[:2] != TEXT_HEADER.split() or len(tokens) != 4 or tokens[2] != "width":
         raise CircuitFileError(f"bad header {header!r}", lineno)
-    width = _decimal(tokens[3])
+    width = decimal(tokens[3])
     if width is None:
         raise CircuitFileError(f"bad width {tokens[3]!r}", lineno)
     _check_width(width, lineno)
@@ -407,13 +408,24 @@ def _gate_from_json(entry: Any, width: int) -> Gate:
     return _gate(kind, qubits, matrix)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object, refusing a key given twice, which ``json`` would
+    settle silently in favour of the last."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise ValueError(f"duplicate key {key!r}")
+    return obj
+
+
 def loads_json(text: str) -> Circuit:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise CircuitFileError(f"bad json: {exc}", exc.lineno) from None
     except ValueError as exc:
-        # an integer past the interpreter's digit limit
+        # a duplicate key, or an integer past the interpreter's digit
+        # limit
         raise CircuitFileError(f"bad json: {exc}") from None
     except RecursionError:
         raise CircuitFileError("bad json: nested too deeply") from None

@@ -146,6 +146,27 @@ class TestSynth:
         assert code == 2
         assert "--n" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["ladder", "--n", "5", "--c", "2"], "the ladder scheme takes no cycle count"),
+        (["two-cycle", "--n", "5", "--c", "2"], "the two-cycle scheme has a fixed cycle count"),
+        (["workspace-ccx", "--c", "1"], "the workspace-ccx scheme takes no cycle count"),
+        (["workspace-c3x", "--n", "4", "--c", "1"],
+         "the workspace-c3x scheme takes no cycle count"),
+        (["workspace-ccx", "--n", "3"], "workspace-ccx is fixed at n=2"),
+        (["cycle", "--c", "2"], "scheme 'cycle' needs --n"),
+        (["ladder", "--c", "2"], "scheme 'ladder' needs --n"),
+    ])
+    def test_refusal_messages(self, capsys, argv, message):
+        code, out, err = run(capsys, "synth", "--scheme", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_scheme_choices_are_the_table(self, capsys):
+        code, out, _ = run(capsys, "synth", "--help")
+        assert code == 0
+        assert "{" + ",".join(costs.SCHEMES) + "}" in out
+        assert list(costs.SCHEMES) == [
+            "ladder", "cycle", "two-cycle", "workspace-ccx", "workspace-c3x"]
+
     def test_unknown_scheme_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "synth", "--scheme", "pyramid", "--n", "4")
         assert code == 2
@@ -280,6 +301,21 @@ class TestVerify:
         )
         assert code == 2
         assert "cannot read" in err
+
+    @pytest.mark.parametrize("spec", ["cnx:01", "cnx: 1", "cnx:+1", "cnx:\u0661",
+                                      "cnu:01:z", "cnx:0", "cnx:-1"])
+    def test_oracle_count_spelled_as_files_spell_it(self, capsys, tmp_path, spec):
+        # the one spelling of 1 is "1", as in the circuit files
+        path = tmp_path / "c1.mct"
+        run(capsys, "synth", "--scheme", "ladder", "--n", "1", "--out", str(path))
+        code, out, err = run(capsys, "verify", "--circuit", str(path), "--oracle", spec)
+        assert (code, out) == (2, "")
+        count = spec.split(":")[1]
+        if count == "0":
+            assert err == "error: oracle control count must be positive, got 0\n"
+        else:
+            assert err == f"error: bad oracle control count {count!r}\n"
+        assert run(capsys, "verify", "--circuit", str(path), "--oracle", "cnx:1")[0] == 0
 
     def test_bad_oracle_spec(self, capsys, tmp_path):
         path = tmp_path / "c.mct"

@@ -1,5 +1,6 @@
 """Closed forms, reference values, reports, and the comparison table."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -188,6 +189,38 @@ class TestCostReport:
         text = report_text(r)
         assert "scheme   cycle  n=5  c=2" in text
         assert "built 29" in text
+
+
+class TestSchemeTable:
+    @pytest.mark.parametrize("name", list(costs.SCHEMES))
+    def test_builds_and_reports_every_entry(self, name):
+        entry = costs.SCHEMES[name]
+        circuit = costs.build_scheme(name, None if entry.fixed_n else 5)
+        assert circuit.meta.scheme == name
+        for basis in GateBasis:
+            report = costs.cost_report_for(circuit, lower_circuit(circuit, basis))
+            assert (report.scheme, report.basis) == (name, basis.value)
+
+    @pytest.mark.parametrize("name", list(costs.SCHEMES))
+    def test_eleven_gate_note_counts_the_pairs(self, name):
+        # read from the plan, or paired afresh for a fixed network; both
+        # must be what the lowering paired
+        entry = costs.SCHEMES[name]
+        for n in [None] if entry.fixed_n else range(3, 12):
+            circuit = costs.build_scheme(name, n)
+            lowered = lower_circuit(circuit, GateBasis.CNOT_LOCAL)
+            members = 2 * len(decomp.peres_pairing(circuit).pairs)
+            assert members > 0
+            note = (f"paired members counted at 7 gates; the 11-gate reading "
+                    f"would give {len(lowered.gates) + 4 * members} ops")
+            assert note in costs.cost_report_for(circuit, lowered).discrepancies, (name, n)
+
+    def test_unknown_scheme_in_metadata(self):
+        circuit = build_cycle_cnx(5, 2)
+        circuit = dataclasses.replace(
+            circuit, meta=dataclasses.replace(circuit.meta, scheme="mystery"))
+        with pytest.raises(ValueError, match="unknown scheme 'mystery'"):
+            costs.cost_report_for(circuit, lower_circuit(circuit, GateBasis.CV_BASIS))
 
 
 class TestTable:

@@ -15,8 +15,8 @@ from mctsynth.cycle import (
     plan_two_cycle,
 )
 from mctsynth.decomp import GateBasis, lower_circuit, peres_pairing
-from mctsynth.ir import GateKind, QubitRole, count_gates
-from mctsynth.ladder import build_cnx, plan_ladder
+from mctsynth.ir import MAT_V, NAMED_UNITARIES, GateKind, QubitRole, count_gates
+from mctsynth.ladder import build_cnu, build_cnx, plan_ladder
 from mctsynth.verify import EquivalenceClass, check_equivalence, oracle_cnx
 
 
@@ -33,10 +33,14 @@ def _plan_grid():
 
 
 def _ladder_and_two_cycle_plans():
-    """Ladder plans for n=1..79 and two-cycle plans for n=3..79, each
-    with its build."""
+    """Ladder plans for n=1..79, C^nU ladder plans for n=1..12 and every
+    named unitary, and two-cycle plans for n=3..79, each with its
+    build."""
     for n in range(1, 80):
         yield plan_ladder(n), build_cnx(n)
+    for n in range(1, 13):
+        for matrix in NAMED_UNITARIES.values():
+            yield plan_ladder(n, matrix), build_cnu(n, matrix)
     for n in range(3, 80):
         yield plan_two_cycle(n), build_two_cycle_cnx(n)
 
@@ -179,6 +183,18 @@ class TestPlanCycles:
         plan = plan_ladder(1)
         assert plan.block_widths == (1,)
         assert (plan.paired, plan.unpaired, plan.copies) == (0, 0, 1)
+        # a payload ladder chains all 4 inputs, so its 3 chain Toffolis
+        # pair around the payload, which lowers like any CU
+        plan = plan_ladder(4, MAT_V)
+        assert (plan.paired, plan.unpaired, plan.copies) == (6, 0, 0)
+        assert plan.process_ancillas == 3
+        assert plan.ops(GateBasis.NATIVE_TOFFOLI) == 6 + 1
+        assert plan.ops(GateBasis.CV_BASIS) == 4 * 6 + 6
+        assert plan.ops(GateBasis.CNOT_LOCAL) == 7 * 6 + 6
+        # with one input the payload is the whole build
+        plan = plan_ladder(1, MAT_V)
+        assert (plan.paired, plan.unpaired, plan.copies, plan.process_ancillas) == (0, 0, 0, 0)
+        assert plan.ops(GateBasis.CV_BASIS) == 6
 
     def test_counts_match_pairing_and_lowering(self):
         cycles = ((plan_cycles(n, c), build_cycle_cnx(n, c)) for n, c in _plan_grid())

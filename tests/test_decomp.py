@@ -18,7 +18,6 @@ from mctsynth.decomp import (
     expand_controlled_unitary,
     lower_circuit,
     lower_toffoli,
-    paired_toffolis,
     peres_pairing,
     zyz_angles,
 )
@@ -360,33 +359,6 @@ class TestPairingMatchesReference:
             assert peres_pairing(circ) == _reference_pairing(circ, stats)
         # the seeded set exercises both ways a candidate is turned down
         assert stats["crossing"] > 100 and stats["rejected"] > 100, stats
-
-
-class TestPairedToffolis:
-    def test_matches_pairing_plan(self):
-        circuits = list(_builds(12)) + [
-            build_cnu(n, m) for n in range(1, 6) for m in NAMED_UNITARIES.values()
-        ]
-        for circ in circuits:
-            lowered = lower_circuit(circ, GateBasis.CNOT_LOCAL)
-            assert paired_toffolis(circ, lowered) == 2 * len(peres_pairing(circ).pairs)
-
-    def test_mixed_gates_and_no_mirror(self):
-        rng = random.Random(9)
-        for _ in range(200):
-            circ = _random_mirror_circuit(rng)
-            circ = _circ([q.role for q in circ.qubits],
-                         [g for g in circ.gates if g.kind is not GateKind.MCX]
-                         + [cu(0, 1, MAT_H), x(2)])
-            lowered = lower_circuit(circ, GateBasis.CNOT_LOCAL)
-            assert paired_toffolis(circ, lowered) == 2 * len(peres_pairing(circ).pairs)
-        lone = _circ([C, C, T, P], [toffoli(0, 1, 2), toffoli(0, 1, 3)])
-        assert paired_toffolis(lone, lower_circuit(lone, GateBasis.CNOT_LOCAL)) == 0
-
-    def test_other_bases_rejected(self):
-        circ = build_cnx(4)
-        with pytest.raises(ValueError):
-            paired_toffolis(circ, lower_circuit(circ, GateBasis.CV_BASIS))
 
 
 class TestLowerCircuit:

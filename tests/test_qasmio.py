@@ -328,6 +328,36 @@ def _doc(width=2, roles="ct", gates=(), meta=None):
     return json.dumps(doc)
 
 
+# a valid C^1X document with one key given twice: at the top level, in
+# meta, in a gate entry, and the gate list itself
+DUPLICATE_KEY_DOCS = {
+    "width": '{"format": "mct-circuit", "version": 1, "width": 2, "width": 2, "roles": "ct", '
+             '"gates": [{"kind": "cx", "qubits": [0, 1]}]}',
+    "n": '{"format": "mct-circuit", "version": 1, "width": 2, "roles": "ct", '
+         '"meta": {"n": 1, "n": 1}, "gates": [{"kind": "cx", "qubits": [0, 1]}]}',
+    "kind": '{"format": "mct-circuit", "version": 1, "width": 2, "roles": "ct", '
+            '"gates": [{"kind": "cx", "kind": "cx", "qubits": [0, 1]}]}',
+    "gates": '{"format": "mct-circuit", "version": 1, "width": 2, "roles": "ct", '
+             '"gates": [], "gates": [{"kind": "cx", "qubits": [0, 1]}]}',
+}
+
+
+@pytest.mark.parametrize("key", DUPLICATE_KEY_DOCS)
+def test_json_duplicate_key_refused(key, tmp_path, capsys):
+    doc = DUPLICATE_KEY_DOCS[key]
+    with pytest.raises(CircuitFileError, match=f"duplicate key '{key}'"):
+        loads_json(doc)
+    # keeping the last value, as json.loads does, reads a good circuit
+    assert loads_json(json.dumps(json.loads(doc))).width == 2
+    path = tmp_path / "dup.json"
+    path.write_text(doc)
+    for argv in (["verify", "--circuit", str(path), "--oracle", "cnx:1"],
+                 ["convert", "--infile", str(path), "--out", str(tmp_path / "o.mct")]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: bad json: duplicate key '{key}'\n")
+    assert not (tmp_path / "o.mct").exists()
+
+
 class TestJsonIntegers:
     @pytest.mark.parametrize("width", [2.9, 2.0, True, "2", None, [2]])
     def test_width_must_be_an_int(self, width):
