@@ -331,7 +331,7 @@ def cost_report_for(circuit: Circuit, lowered: Circuit) -> CostReport:
     The scheme, n and c are read from the circuit's metadata and the
     basis from the lowered circuit's.  The paired Toffolis in the
     cnot-basis note are the scheme's plan count, or, for a fixed
-    network, peres_pairing's."""
+    network or a circuit holding a CU payload, peres_pairing's."""
     scheme, n, c = circuit.meta.scheme, circuit.meta.n, circuit.meta.c
     entry = _scheme(scheme)
     basis = GateBasis(lowered.meta.basis)
@@ -349,8 +349,10 @@ def cost_report_for(circuit: Circuit, lowered: Circuit) -> CostReport:
     if basis is GateBasis.CNOT_LOCAL:
         # the 7-gate mirrored member has a widely quoted 11-gate variant
         # (3 CNOTs + 8 locals); surface what the count would be under
-        # that reading so the two are never conflated
-        members = (entry.plan(n, c).paired if entry.plan
+        # that reading so the two are never conflated; a C^nU ladder's
+        # payload block is not in the scheme's C^nX plan
+        members = (entry.plan(n, c).paired
+                   if entry.plan and not count_gates(circuit, GateKind.CU)
                    else 2 * len(peres_pairing(circuit).pairs))
         if members:
             notes.append(f"paired members counted at 7 gates; the 11-gate reading "

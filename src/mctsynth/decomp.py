@@ -377,15 +377,20 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
     compute_of: dict[int, ToffoliPair] = {p.compute: p for p in pairs}
     uncompute_of: dict[int, ToffoliPair] = {p.uncompute: p for p in pairs}
 
-    # A mirror circuit repeats its Toffolis, so each distinct lowering is
-    # made once and its gates shared.  The key holds exactly what
-    # _lower_gate reads: a Toffoli's qubits and, when paired, its cv
-    # member's CNOT orientation and side (both cnot-basis members take
-    # the same list); any other gate is lowered once per object.
+    # A gate the basis allows is kept as it is.  A mirror circuit repeats
+    # its Toffolis, so each distinct lowering is made once and its gates
+    # shared.  The key holds exactly what _lower_gate reads: a Toffoli's
+    # qubits and, when paired, its cv member's CNOT orientation and side
+    # (both cnot-basis members take the same list); any other gate is
+    # lowered once per object.
     cv_basis = basis is GateBasis.CV_BASIS
+    allowed = ALLOWED_KINDS[basis]
     memo: dict[object, tuple[Gate, ...]] = {}
     out_gates: list[Gate] = []
     for i, g in enumerate(circuit.gates):
+        if g.kind in allowed:
+            out_gates.append(g)
+            continue
         if g.kind is GateKind.TOFFOLI:
             pair = compute_of.get(i) or uncompute_of.get(i)
             if pair is None:
@@ -410,13 +415,10 @@ def _lower_gate(
     compute_of: dict[int, ToffoliPair],
     uncompute_of: dict[int, ToffoliPair],
 ) -> tuple[Gate, ...]:
-    """One gate in ``basis``: itself when the basis allows its kind, a
+    """One gate whose kind ``basis`` does not allow, in that basis: a
     Toffoli rule for a Toffoli, a local for X, and otherwise (CU, CV,
     CVDG) the controlled ``Gate.action``, as a CU where the basis has
     one and expanded where it does not."""
-    allowed = ALLOWED_KINDS[basis]
-    if g.kind in allowed:
-        return (g,)
     if g.kind is GateKind.TOFFOLI:
         u, v, t = g.qubits
         pair = compute_of.get(position) or uncompute_of.get(position)
@@ -437,7 +439,7 @@ def _lower_gate(
         return _relative_phase_member(u, v, t)
     if g.kind is GateKind.X:
         return (local(g.target, g.action),)
-    if GateKind.CU in allowed:
+    if GateKind.CU in ALLOWED_KINDS[basis]:
         return (Gate(GateKind.CU, g.qubits, matrix=g.action),)
     return expand_controlled_unitary(*g.qubits, g.action)
 

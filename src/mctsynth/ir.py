@@ -139,15 +139,8 @@ class Gate:
 
     @property
     def action(self) -> Matrix2:
-        """The 2x2 applied to the target when every control is 1.  This
-        is the one place that says what each kind does."""
-        if self.kind in X_LIKE_KINDS:
-            return MAT_X
-        if self.kind is GateKind.CV:
-            return MAT_V
-        if self.kind is GateKind.CVDG:
-            return MAT_VDG
-        return self.matrix
+        """The 2x2 applied to the target when every control is 1."""
+        return kind_action(self.kind, self.matrix)
 
     def inverse(self) -> "Gate":
         if self.kind is GateKind.CV:
@@ -158,6 +151,19 @@ class Gate:
             return Gate(self.kind, self.qubits, dagger(self.matrix))
         # the classical-reversible kinds are involutions
         return self
+
+
+def kind_action(kind: GateKind, matrix: Optional[Matrix2]) -> Matrix2:
+    """The 2x2 a gate of this kind and matrix applies to its target when
+    every control is 1.  This is the one place that says what each kind
+    does."""
+    if kind in X_LIKE_KINDS:
+        return MAT_X
+    if kind is GateKind.CV:
+        return MAT_V
+    if kind is GateKind.CVDG:
+        return MAT_VDG
+    return matrix
 
 
 # Lowering and loading produce a handful of distinct matrices many times

@@ -31,11 +31,12 @@ with one XOR and rescales it by one phase, both looked up by the
 entry's bits on the window's qubits, and never grows the support.  Each
 window is the longest monomial prefix of its run, not the whole run,
 so it ends where a decomposed Toffoli ends; a run's product is worked
-out once per shape and call.  A gate that starts no window is applied
-alone: permutation and diagonal gates move or rescale entries in place,
-and mixing gates split entries and merge the duplicates.  An input
-whose support outgrows a cap is simulated again on a dense statevector,
-which is where the width cap matters.
+out once per shape and process, and kept in a bounded cache.  A gate
+that starts no window is applied alone: permutation and diagonal gates
+move or rescale entries in place, and mixing gates split entries and
+merge the duplicates.  An input whose support outgrows a cap is
+simulated again on a dense statevector, which is where the width cap
+matters.
 
 The expected outputs are arrays too.  The built-in C^nX and C^nU oracles
 (``ControlledOracle``) are tabulated from n and the 2x2 alone; any other
@@ -53,6 +54,7 @@ gives, as an integer computation.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -69,6 +71,7 @@ from .ir import (
     X_LIKE_KINDS,
     as_array,
     as_matrix2,
+    kind_action,
     MAT_X,
 )
 
@@ -363,21 +366,6 @@ def _window_step(
     return keys, amps
 
 
-def _embed(gate: Gate, pos: Sequence[int], d: int) -> np.ndarray:
-    """The gate as a 2**d x 2**d matrix, its operands at local positions
-    ``pos`` (position 0 is the most significant bit)."""
-    mat = gate.action
-    cmask = sum(1 << (d - 1 - p) for p in pos[:-1])
-    tbit = 1 << (d - 1 - pos[-1])
-    u = np.eye(1 << d, dtype=complex)
-    for j in range(1 << d):
-        if j & cmask == cmask:
-            t = int(j & tbit != 0)
-            u[j & ~tbit, j] = mat[0][t]
-            u[j | tbit, j] = mat[1][t]
-    return u
-
-
 def _monomial(u: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Row and entry of each column's one entry above the pruning
     threshold, or None when some column has more or fewer."""
@@ -389,19 +377,43 @@ def _monomial(u: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
     return rows, u[rows, np.arange(len(rows))]
 
 
-def _fuse(run: Sequence[Gate], shape: Sequence[tuple], embedded: dict) -> Optional[tuple]:
-    """The longest prefix of the run whose product is monomial, as its
-    gate count, the number of qubits it touches (the first ones in
-    order of appearance), and its local XOR bits and phases; None when
-    no prefix is.  ``embedded`` memoises each gate's matrix by shape."""
+# distinct run shapes whose fused product is kept for the whole process;
+# the lowered C^nX builds up to n=16 have 13 between them
+_FUSED_SHAPES = 256
+
+# the identity on d local qubits, for every window size d
+_IDENTITY = tuple(np.eye(1 << d, dtype=complex) for d in range(_WINDOW_QUBITS + 1))
+
+
+@functools.lru_cache(maxsize=_FUSED_SHAPES)
+def _fused(shape: tuple) -> Optional[tuple]:
+    """The longest prefix of a run of this shape (kinds, matrices, and
+    operands numbered by first appearance) whose product is monomial, as
+    its gate count, the number of qubits it touches (the first ones in
+    order of appearance), and its local XOR bits and phases, both read
+    only; None when no prefix is.  It depends on the shape alone, so it
+    is worked out once per process."""
     d = 1 + max(max(pos) for _, _, pos in shape)
-    product = np.eye(1 << d, dtype=complex)
+    product = _IDENTITY[d]
     best, used = None, 0
-    for count, (gate, part) in enumerate(zip(run, shape), 1):
-        if (part, d) not in embedded:
-            embedded[part, d] = _embed(gate, part[2], d)
-        product = embedded[part, d] @ product
-        used = max(used, max(part[2]) + 1)
+    # each gate as a 2**d x 2**d matrix, its operands at local positions
+    # pos (position 0 is the most significant bit); a run repeats gates
+    embedded: dict[tuple, np.ndarray] = {}
+    for count, part in enumerate(shape, 1):
+        kind, matrix, pos = part
+        u = embedded.get(part)
+        if u is None:
+            mat = kind_action(kind, matrix)
+            cmask = sum(1 << (d - 1 - p) for p in pos[:-1])
+            tbit = 1 << (d - 1 - pos[-1])
+            u = embedded[part] = _IDENTITY[d].copy()
+            for j in range(1 << d):
+                if j & cmask == cmask:
+                    t = int(j & tbit != 0)
+                    u[j & ~tbit, j] = mat[0][t]
+                    u[j | tbit, j] = mat[1][t]
+        product = u @ product
+        used = max(used, max(pos) + 1)
         mono = _monomial(product)
         if mono is not None:
             best = count, used, mono
@@ -413,9 +425,13 @@ def _fuse(run: Sequence[Gate], shape: Sequence[tuple], embedded: dict) -> Option
     drop = d - used
     rows, phases = rows[::1 << drop] >> drop, phases[::1 << drop]
     diff = rows ^ np.arange(len(rows))
-    bits = (diff[:, None] >> np.arange(used - 1, -1, -1)) & 1
-    return (count, used, bits if diff.any() else None,
-            None if (phases == 1).all() else phases)
+    bits = (diff[:, None] >> np.arange(used - 1, -1, -1)) & 1 if diff.any() else None
+    phases = None if (phases == 1).all() else phases
+    for table in (bits, phases):
+        if table is not None:
+            # shared by every later plan in the process
+            table.setflags(write=False)
+    return count, used, bits, phases
 
 
 def _plan(gates: Sequence[Gate], width: int) -> list[Union[_Window, Gate]]:
@@ -424,11 +440,11 @@ def _plan(gates: Sequence[Gate], width: int) -> list[Union[_Window, Gate]]:
     fits on ``_WINDOW_QUBITS`` qubits, whose product is monomial; a gate
     that starts no such prefix goes alone.  Cutting at the longest
     monomial prefix, not at the end of the run, keeps a window from
-    taking the first gates of the next decomposed Toffoli.  Runs of the
-    same shape (kinds, matrices, and operands numbered by first
-    appearance) are fused once."""
-    fused: dict[tuple, Optional[tuple]] = {}
-    embedded: dict[tuple, np.ndarray] = {}
+    taking the first gates of the next decomposed Toffoli.  Each run's
+    product is looked up by its shape in ``_fused``.  A window's XOR
+    mask is an int64, so widths above 63 are refused."""
+    if width > 63:
+        raise ValueError(f"width {width} exceeds the 63 bits of a window's XOR mask")
     steps: list[Union[_Window, Gate]] = []
     i = 0
     while i < len(gates):
@@ -440,10 +456,7 @@ def _plan(gates: Sequence[Gate], width: int) -> list[Union[_Window, Gate]]:
             if len(place) > _WINDOW_QUBITS:
                 break
             shape.append((g.kind, g.matrix, pos))
-        key = tuple(shape)
-        if key not in fused:
-            fused[key] = _fuse(gates[i:i + len(shape)], shape, embedded) if shape else None
-        plan = fused[key]
+        plan = _fused(tuple(shape)) if shape else None
         if plan is None:
             steps.append(gates[i])
             i += 1

@@ -33,6 +33,8 @@ from mctsynth.costs import (
 )
 from mctsynth.cycle import build_cycle_cnx
 from mctsynth.decomp import GateBasis, lower_circuit
+from mctsynth.ir import MAT_V, NAMED_UNITARIES
+from mctsynth.ladder import build_cnu
 
 
 class TestLadderForms:
@@ -214,6 +216,22 @@ class TestSchemeTable:
             note = (f"paired members counted at 7 gates; the 11-gate reading "
                     f"would give {len(lowered.gates) + 4 * members} ops")
             assert note in costs.cost_report_for(circuit, lowered).discrepancies, (name, n)
+
+    def test_eleven_gate_note_counts_cnu_pairs(self):
+        # a C^nU ladder says scheme=ladder, but its payload block pairs
+        # more Toffolis than the C^nX ladder plan
+        for name, matrix in sorted(NAMED_UNITARIES.items()):
+            for n in range(2, 8):
+                circuit = build_cnu(n, matrix)
+                lowered = lower_circuit(circuit, GateBasis.CNOT_LOCAL)
+                members = 2 * len(decomp.peres_pairing(circuit).pairs)
+                note = (f"paired members counted at 7 gates; the 11-gate reading "
+                        f"would give {len(lowered.gates) + 4 * members} ops")
+                assert note in costs.cost_report_for(circuit, lowered).discrepancies, (name, n)
+        circuit = build_cnu(4, MAT_V)
+        report = costs.cost_report_for(circuit, lower_circuit(circuit, GateBasis.CNOT_LOCAL))
+        assert report.ops_built == 48
+        assert report.discrepancies[-1].endswith("would give 72 ops")
 
     def test_unknown_scheme_in_metadata(self):
         circuit = build_cycle_cnx(5, 2)

@@ -440,8 +440,9 @@ class TestLowerCircuit:
 
 
 def _unmemoised_lowering(circuit, basis):
-    """``lower_circuit`` written out gate by gate: ``_lower_gate`` is
-    called for every gate, with no lowering shared between gates."""
+    """``lower_circuit`` written out gate by gate: every gate the basis
+    allows is kept, and ``_lower_gate`` is called for every other gate,
+    with no lowering shared between gates."""
     if basis is GateBasis.NATIVE_TOFFOLI:
         out = []
         for g in circuit.gates:
@@ -459,7 +460,8 @@ def _unmemoised_lowering(circuit, basis):
     return [
         h
         for i, g in enumerate(circuit.gates)
-        for h in _lower_gate(g, i, basis, compute_of, uncompute_of)
+        for h in ((g,) if g.kind in ALLOWED_KINDS[basis]
+                  else _lower_gate(g, i, basis, compute_of, uncompute_of))
     ]
 
 

@@ -694,11 +694,37 @@ def _random_window_circuits(count):
         yield _circ([C, C, T] + [P] * (width - 3), gates)
 
 
+def _assert_same_plan(a, b):
+    """The same steps: windows with equal shifts and equal flip and
+    phase tables, and the very same lone gates."""
+    assert len(a) == len(b)
+    for s, t in zip(a, b):
+        if isinstance(s, verify._Window):
+            assert isinstance(t, verify._Window) and s.shifts == t.shifts
+            for u, v in ((s.flips, t.flips), (s.phases, t.phases)):
+                assert (u is None) == (v is None)
+                if u is not None:
+                    assert u.dtype == v.dtype and u.tobytes() == v.tobytes()
+        else:
+            assert s is t
+
+
+def _shape(gates):
+    """The key ``_plan`` looks a run of these gates up by."""
+    place = {}
+    return tuple((g.kind, g.matrix, tuple(place.setdefault(q, len(place)) for q in g.qubits))
+                 for g in gates)
+
+
 class TestWindowedEngine:
     def test_parity_sweep(self, monkeypatch):
         checked = 0
         for c, oracle in _parity_sweep():
             _assert_windows_match_per_gate(c, oracle, monkeypatch)
+            # planned from the cache as the sweep left it, and afresh
+            warm = verify._plan(c.gates, c.width)
+            verify._fused.cache_clear()
+            _assert_same_plan(warm, verify._plan(c.gates, c.width))
             checked += 1
         assert checked > 1000
 
@@ -770,6 +796,44 @@ class TestFusion:
                     assert len(keys) == 1 << len(comp) and not overflow
                     assert steps["mixed"] == 0, (circ.meta, basis)
         assert steps["window"] > 1000
+
+    def test_cache_stays_bounded(self, monkeypatch):
+        """More distinct run shapes than the cache holds: it stays at its
+        size, every verdict matches the per-gate loop, and a shape fused
+        again after it was evicted gives the same verdict."""
+        rng = np.random.default_rng(5150)
+        verify._fused.cache_clear()
+        size = verify._fused.cache_info().maxsize
+        circuits = []
+        for trial in range(size + 20):
+            # a random diagonal on one of the 3 qubits makes each shape new
+            gates = [toffoli(0, 1, 2), local(int(rng.integers(0, 3)), _diagonal(rng, trial % 2 == 0))]
+            circuits.append(_circ([C, C, T], gates))
+        verdicts = [_assert_windows_match_per_gate(c, oracle_cnx(2), monkeypatch)
+                    for c in circuits]
+        info = verify._fused.cache_info()
+        assert info.misses == size + 20 and info.currsize == size
+        assert {v.klass for v in verdicts} == {EquivalenceClass.GLOBAL_PHASE,
+                                               EquivalenceClass.DIAGONAL_PHASE}
+        assert _same_verdict(check_equivalence(circuits[0], oracle_cnx(2)), verdicts[0])
+
+    def test_cached_tables_are_read_only(self):
+        gates = lower_toffoli(1, 2, 0, ToffoliRule.RELATIVE_PHASE)
+        (step,) = verify._plan(gates, 3)
+        _, _, bits, phases = verify._fused(_shape(gates))
+        assert step.phases is phases
+        for table in (bits, phases):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = table[1]
+
+    def test_width_past_63_refused(self):
+        # the target's XOR mask is 1 << 62 at width 63, and would wrap
+        # past int64 at width 64
+        gates = lower_toffoli(61, 62, 0, ToffoliRule.FIVE_CV)
+        (step,) = verify._plan(gates, 63)
+        assert set(step.flips.tolist()) == {0, 1 << 62}
+        with pytest.raises(ValueError, match="width 64"):
+            verify._plan(gates, 64)
 
 
 class TestDenseFallback:
