@@ -42,14 +42,23 @@ The expected outputs are arrays too.  The built-in C^nX and C^nU oracles
 (``ControlledOracle``) are tabulated from n and the 2x2 alone; any other
 oracle is called once per input, in input order, and its dicts are
 flattened into the same layout.  Both engines' outputs are compared with
-that table by the same array operations.  The one exception is a
-classical circuit checked against a ``ControlledOracle`` whose table
-is one-to-one with amplitude 1 (C^nX, or C^nU with U = X) at a
-tolerance between 0 and 1: its verdict is read off the words.  Each
-computational wire is XORed with its input pattern, corrected at the
-two inputs the table moves, and the lowest input left with a
-difference is the witness.  That is the verdict the table comparison
-gives, as an integer computation.
+that table by the same array operations, with two shortcuts that give
+the same verdict, bit for bit.
+
+Against a ``ControlledOracle`` whose table is one-to-one with amplitude
+1 (C^nX, or C^nU with U = X), at a tolerance between 0 and 1, a
+verdict is read off integers alone.  For a classical circuit, each
+computational wire's words are XORed with its input pattern, corrected
+at the two inputs the table moves, and the lowest input left with a
+difference is the witness.  A circuit planned as windows alone, none
+with a phase (every C^nX build lowered to cv), keeps one basis state of
+amplitude 1 per input, so only its basis indices are evolved and
+compared with the table's, the same way.
+
+Otherwise, when the table holds one entry per input and the circuit's
+outputs are one entry per input, as every all-window build's are, the
+phase of each input is fitted on that entry alone, with no merging of
+keys and no grouping by input.
 """
 
 from __future__ import annotations
@@ -102,7 +111,10 @@ def resolve_max_width(requested: Optional[int] = None) -> int:
         try:
             cap, source = int(env), "MCT_MAX_WIDTH"
         except ValueError:
-            raise ValueError(f"MCT_MAX_WIDTH must be an integer, got {env!r}") from None
+            cap = None
+        # only as str() writes an integer: not '5_0', '+9', ' 9' or '٩'
+        if cap is None or str(cap) != env:
+            raise ValueError(f"MCT_MAX_WIDTH must be an integer, got {env!r}")
     if cap < 1:
         raise ValueError(f"{source} must be at least 1, got {cap}")
     return cap
@@ -470,17 +482,17 @@ def _plan(gates: Sequence[Gate], width: int) -> list[Union[_Window, Gate]]:
 
 
 def _evolve_sparse(
-    circuit: Circuit, comp: Sequence[int]
+    steps: Sequence[Union[_Window, Gate]], width: int, comp: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Final sparse entries of every input, keyed (m << width) | basis
-    index, and the inputs whose support outgrew the cap (their entries
-    are dropped)."""
-    width = circuit.width
-    steps = _plan(circuit.gates, width)
+    """Final sparse entries of every input after the planned steps,
+    keyed (m << width) | basis index, and the inputs whose support
+    outgrew the cap (their entries are dropped).  Work items are done
+    in input order, so the entries are grouped by input in that order."""
     n_inputs = 1 << len(comp)
-    # work items: first input, end input, next step, entries
+    # work items: first input, end input, next step, entries; the last
+    # is taken first, and a split pushes its upper half first
     todo = []
-    for lo in range(0, n_inputs, _ENTRY_BUDGET):
+    for lo in reversed(range(0, n_inputs, _ENTRY_BUDGET)):
         masks = np.arange(lo, min(lo + _ENTRY_BUDGET, n_inputs), dtype=np.int64)
         todo.append((lo, lo + len(masks), 0,
                      (masks << width) | _spread(masks, comp, width),
@@ -514,13 +526,17 @@ def _evolve_sparse(
 
 
 def _run_sparse(
-    circuit: Circuit, comp: Sequence[int], ancillas: Sequence[int], tol: float
+    circuit: Circuit,
+    steps: Sequence[Union[_Window, Gate]],
+    comp: Sequence[int],
+    ancillas: Sequence[int],
+    tol: float,
 ) -> tuple:
-    """Batched sparse evolution, with the dense statevector for inputs
-    whose support outgrew the cap.  Amplitudes of magnitude at most
-    ``tol`` are dropped."""
+    """Batched sparse evolution of the circuit's planned steps, with the
+    dense statevector for inputs whose support outgrew the cap.
+    Amplitudes of magnitude at most ``tol`` are dropped."""
     width = circuit.width
-    keys, amps, overflow = _evolve_sparse(circuit, comp)
+    keys, amps, overflow = _evolve_sparse(steps, width, comp)
     all_keys, all_amps = [keys], [amps]
     for m in overflow:
         state = np.zeros(2**width, dtype=complex)
@@ -538,6 +554,32 @@ def _run_sparse(
         m = inputs[dirty].min()
         return (int(m), float(_abs(amps[dirty & (inputs == m)]).max())), None
     return None, ((inputs << len(comp)) | _gather(idx, comp, width), amps)
+
+
+def _run_permutation(
+    steps: Sequence[_Window],
+    width: int,
+    comp: Sequence[int],
+    ancillas: Sequence[int],
+    moved: dict[int, int],
+) -> tuple:
+    """Sparse evolution of windows without phases, against a permutation
+    table.  Each input keeps one basis state of amplitude 1 throughout,
+    in input order, so only basis indices are compared.
+
+    Returns (failure, got) as ``_run_classical`` does with ``moved``:
+    got is the lowest input whose output differs from the table's, or
+    None."""
+    keys, _, _ = _evolve_sparse(steps, width, comp)
+    idx = keys & ((1 << width) - 1)
+    dirty = (idx & sum(1 << (width - 1 - a) for a in ancillas)) != 0
+    if dirty.any():
+        return (int(dirty.argmax()), 1.0), None
+    outputs = np.arange(len(idx), dtype=np.int64)
+    for m, want in moved.items():
+        outputs[m] = want
+    differ = idx != _spread(outputs, comp, width)
+    return None, int(differ.argmax()) if differ.any() else None
 
 
 # ---------------------------------------------------------------------------
@@ -666,13 +708,11 @@ def check_equivalence(
     k = len(comp)
     ancillas = tuple(q for q in range(width) if q not in comp)
     tabulated = isinstance(oracle, ControlledOracle) and oracle.n + 1 == k
-    moved = None
+    moved = _moves(oracle) if tabulated and 0 < tol < 1 else None
     if is_classical(circuit):
         if 2 * k > 63:
             raise WidthLimitError(f"{k} computational qubits exceed the classical "
                                   f"engine's 63-bit keys")
-        if tabulated and 0 < tol < 1:
-            moved = _moves(oracle)
         failure, got = _run_classical(circuit, comp, ancillas, moved)
     else:
         if width > limit:
@@ -680,7 +720,13 @@ def check_equivalence(
         if width + len(comp) > 63:
             raise WidthLimitError(f"width {width} with {len(comp)} inputs "
                                   f"exceeds the sparse engine's 63-bit keys")
-        failure, got = _run_sparse(circuit, comp, ancillas, tol)
+        steps = _plan(circuit.gates, width)
+        if moved is not None and all(isinstance(s, _Window) and s.phases is None
+                                     for s in steps):
+            failure, got = _run_permutation(steps, width, comp, ancillas, moved)
+        else:
+            moved = None
+            failure, got = _run_sparse(circuit, steps, comp, ancillas, tol)
 
     if failure is not None:
         first, deviation = failure
@@ -694,7 +740,8 @@ def check_equivalence(
             Mismatch(_bits(first, k), "ancilla not restored to |0>"),
         )
     if moved is not None:
-        # what _classify finds for a one-to-one table of amplitude 1:
+        # what _classify finds for a one-to-one table of amplitude 1 and
+        # outputs of one basis state of amplitude 1 each:
         # either every output is the table's, or the first input that
         # differs has no amplitude where the table puts its 1
         if got is None:
@@ -766,45 +813,60 @@ def _classify(
     counts, exp_keys, exp_amps = expected
     n = len(counts)
     got_keys, got_amps = got
-    starts = np.cumsum(counts) - counts
     size = _abs(exp_amps)
-    top = np.maximum.reduceat(size, starts)
+    one_each = _one_entry_each(k, counts, got_keys)
+    if one_each:
+        # each input's one entry is its anchor, and the union of its
+        # keys is that key where the circuit's agrees; where it differs,
+        # the circuit puts nothing on the oracle's key, so the input
+        # fails as missing, or at tol 0 as a magnitude off by 1, and its
+        # deviation is nan, as in the grouped fit
+        top = size
+        g, e = got_amps, exp_amps
+        want_keys, want = exp_keys, exp_amps
+        seen = np.where(got_keys == exp_keys, got_amps, 0)
+    else:
+        starts = np.cumsum(counts) - counts
+        top = np.maximum.reduceat(size, starts)
+        at = np.where(size == np.repeat(top, counts), np.arange(len(size)), len(size))
+        anchor = np.minimum.reduceat(at, starts)
+        # union of the circuit's and the oracle's outputs, grouped by
+        # input; when both hold the same strictly increasing keys, as an
+        # exact classical check does, that array is the union and needs
+        # no sort
+        if np.array_equal(got_keys, exp_keys) and (exp_keys[1:] > exp_keys[:-1]).all():
+            union, where = exp_keys, np.tile(np.arange(len(exp_keys)), 2)
+        else:
+            union, where = np.unique(np.concatenate((got_keys, exp_keys)), return_inverse=True)
+        g = np.zeros(len(union), dtype=complex)
+        g[where[:len(got_keys)]] = got_amps
+        e = np.zeros(len(union), dtype=complex)
+        e[where[len(got_keys):]] = exp_amps
+        owner = union >> k
+        groups = np.searchsorted(owner, np.arange(n))
+        want_keys, want = exp_keys[anchor], exp_amps[anchor]
+        seen = g[np.searchsorted(union, want_keys)]
     if not top.all():
         raise ValueError("oracle output has no nonzero amplitude")
-    at = np.where(size == np.repeat(top, counts), np.arange(len(size)), len(size))
-    anchor = np.minimum.reduceat(at, starts)
-
-    # union of the circuit's and the oracle's outputs, grouped by input;
-    # when both hold the same strictly increasing keys, as an exact
-    # classical check does, that array is the union and needs no sort
-    if np.array_equal(got_keys, exp_keys) and (exp_keys[1:] > exp_keys[:-1]).all():
-        union, where = exp_keys, np.tile(np.arange(len(exp_keys)), 2)
-    else:
-        union, where = np.unique(np.concatenate((got_keys, exp_keys)), return_inverse=True)
-    g = np.zeros(len(union), dtype=complex)
-    g[where[:len(got_keys)]] = got_amps
-    e = np.zeros(len(union), dtype=complex)
-    e[where[len(got_keys):]] = exp_amps
-    owner = union >> k
-    groups = np.searchsorted(owner, np.arange(n))
 
     def deviation(phase) -> np.ndarray:
         return _abs(g - _mul(phase, e))
 
-    want = exp_amps[anchor]
-    seen = g[np.searchsorted(union, exp_keys[anchor])]
     with np.errstate(divide="ignore", invalid="ignore"):
         phase = _div(seen, want)
         scale = _abs(phase)
         off = np.abs(scale - 1.0)
         phase = _div(phase, _complex(scale, np.zeros_like(scale)))
-        dev = np.maximum.reduceat(deviation(phase[owner]), groups)
+        if one_each:
+            dev = deviation(phase)
+        else:
+            dev = np.maximum.reduceat(deviation(phase[owner]), groups)
     missing = _abs(seen) < tol
     failed = missing | (off > tol) | (dev > tol)
     if failed.any():
         m = int(np.argmax(failed))
         if missing[m]:
-            key = _bits(int(exp_keys[anchor[m]]), k)
+            key = _bits(int(want_keys[m]), k)
             deviation_m, detail = float(_abs(want[m])), f"no amplitude on expected output {key}"
         elif off[m] > tol:
             deviation_m, detail = float(off[m]), "amplitude magnitude differs from oracle"
@@ -821,6 +883,14 @@ def _classify(
     if global_dev <= tol:
         return EquivalenceVerdict(EquivalenceClass.GLOBAL_PHASE, global_dev)
     return EquivalenceVerdict(EquivalenceClass.DIAGONAL_PHASE, float(dev.max()))
+
+
+def _one_entry_each(k: int, counts: np.ndarray, got_keys: np.ndarray) -> bool:
+    """Whether the oracle gives each input one entry and the circuit's
+    outputs are one entry per input, in input order."""
+    n = len(counts)
+    return (len(got_keys) == n and bool((counts == 1).all())
+            and np.array_equal(got_keys >> k, np.arange(n)))
 
 
 # Complex arithmetic on arrays written out over real and imaginary parts,

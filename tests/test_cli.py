@@ -72,16 +72,26 @@ class TestSynth:
         assert "verify  skipped (width 31" in out
         assert path.exists()
 
-    @pytest.mark.parametrize("cap", ["0", "-3"])
-    def test_cap_below_one_exits_two_and_writes_nothing(self, capsys, tmp_path,
-                                                        monkeypatch, cap):
+    # only the spelling str() writes is read: int() would also take the
+    # underscore, the sign, the space, the Arabic-Indic digit and the 0
+    @pytest.mark.parametrize("cap, message", [
+        ("0", "must be at least 1, got 0"),
+        ("-3", "must be at least 1, got -3"),
+        ("5_0", "must be an integer, got '5_0'"),
+        ("+9", "must be an integer, got '+9'"),
+        (" 9", "must be an integer, got ' 9'"),
+        ("\u0669", "must be an integer, got '\u0669'"),
+        ("09", "must be an integer, got '09'"),
+    ])
+    def test_bad_cap_exits_two_and_writes_nothing(self, capsys, tmp_path,
+                                                  monkeypatch, cap, message):
         monkeypatch.setenv("MCT_MAX_WIDTH", cap)
         path = tmp_path / "c.mq"
         code, out, err = run(
             capsys, "synth", "--scheme", "ladder", "--n", "3", "--out", str(path),
         )
         assert code == 2
-        assert err == f"error: MCT_MAX_WIDTH must be at least 1, got {cap}\n"
+        assert err == f"error: MCT_MAX_WIDTH {message}\n"
         assert "verify" not in out
         assert not path.exists()
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from collections import Counter
 from itertools import chain
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from mctsynth import qasmio, verify
 from mctsynth.cli import main
+from mctsynth.costs import build_scheme
 from mctsynth.decomp import GateBasis, ToffoliRule, lower_circuit, lower_toffoli
 from mctsynth.ir import (
     Circuit,
@@ -279,10 +281,13 @@ class TestMaxWidthResolution:
         monkeypatch.setenv("MCT_MAX_WIDTH", "12")
         assert resolve_max_width(20) == 20
 
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("MCT_MAX_WIDTH", "many")
-        with pytest.raises(ValueError, match="MCT_MAX_WIDTH"):
+    # only the spelling str() writes: int() would also read the others
+    @pytest.mark.parametrize("cap", ["many", "5_0", "+9", " 9", "9 ", "\u0669", "09", "-0", "1e3"])
+    def test_bad_env_rejected(self, monkeypatch, cap):
+        monkeypatch.setenv("MCT_MAX_WIDTH", cap)
+        with pytest.raises(ValueError) as err:
             resolve_max_width()
+        assert str(err.value) == f"MCT_MAX_WIDTH must be an integer, got {cap!r}"
 
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_env_below_one_rejected(self, monkeypatch, cap):
@@ -619,19 +624,36 @@ def _entries(keys, amps):
     return out
 
 
+def _evolve_windowed(circuit, comp):
+    """The windowed engine's final entries, planned afresh."""
+    return verify._evolve_sparse(verify._plan(circuit.gates, circuit.width), circuit.width, comp)
+
+
+def _per_gate_reference(m, circuit):
+    """Patch, in the monkeypatch context m, what check_equivalence
+    simulates: every gate is planned as a lone step, so no verdict is
+    read off windows, and the sparse entries are the per-gate loop's,
+    handed over in reverse, so that _classify groups them by sorting
+    rather than reading one entry per input.  Returns those entries."""
+    want = _evolve_per_gate(circuit, default_computational_qubits(circuit))
+    m.setattr(verify, "_plan", lambda gates, width: list(gates))
+    m.setattr(verify, "_evolve_sparse",
+              lambda steps, width, comp: (want[0][::-1], want[1][::-1], want[2]))
+    return want
+
+
 def _assert_windows_match_per_gate(circuit, oracle, monkeypatch):
     """Final entries within 1e-12 of the per-gate loop's, and the same
-    verdict: class, witness and detail equal, deviation within 1e-12."""
-    comp = default_computational_qubits(circuit)
-    got = verify._evolve_sparse(circuit, comp)
-    want = _evolve_per_gate(circuit, comp)
+    verdict as the per-gate entries give by the general path: class,
+    witness and detail equal, deviation within 1e-12."""
+    fast = check_equivalence(circuit, oracle)
+    with monkeypatch.context() as m:
+        want = _per_gate_reference(m, circuit)
+        slow = check_equivalence(circuit, oracle)
+    got = _evolve_windowed(circuit, default_computational_qubits(circuit))
     assert got[2] == want[2]
     a, b = _entries(*got[:2]), _entries(*want[:2])
     assert max((abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys()), default=0) <= 1e-12
-    fast = check_equivalence(circuit, oracle)
-    with monkeypatch.context() as m:
-        m.setattr(verify, "_evolve_sparse", lambda c, q: want)
-        slow = check_equivalence(circuit, oracle)
     assert (fast.klass, fast.witness) == (slow.klass, slow.witness)
     assert abs(fast.max_deviation - slow.max_deviation) <= 1e-12
     return fast
@@ -742,7 +764,7 @@ class TestWindowedEngine:
                     argv = ["verify", "--circuit", str(path), "--oracle", f"cnu:{n}:{name}"]
                     fast = main(argv), capsys.readouterr().out.splitlines()
                     with monkeypatch.context() as m:
-                        m.setattr(verify, "_evolve_sparse", _evolve_per_gate)
+                        _per_gate_reference(m, circ)
                         slow = main(argv), capsys.readouterr().out.splitlines()
                     assert fast[0] == slow[0] == 0
                     assert fast[1][0] == slow[1][0] == "verdict exact"
@@ -791,7 +813,7 @@ class TestFusion:
                 for basis in (GateBasis.CV_BASIS, GateBasis.CNOT_LOCAL):
                     lowered = lower_circuit(circ, basis)
                     comp = default_computational_qubits(lowered)
-                    keys, _, overflow = verify._evolve_sparse(lowered, comp)
+                    keys, _, overflow = _evolve_windowed(lowered, comp)
                     one_entry_each(keys, lowered.width)
                     assert len(keys) == 1 << len(comp) and not overflow
                     assert steps["mixed"] == 0, (circ.meta, basis)
@@ -949,6 +971,42 @@ def _same_verdict(a, b):
     return (a.klass, a.witness, a.max_deviation.hex()) == (b.klass, b.witness, b.max_deviation.hex())
 
 
+def _general_verdict(circuit, oracle, tol, monkeypatch):
+    """The verdict by the general path: the oracle called per input, so
+    that nothing is read off the keys alone, and the sparse entries
+    handed to _classify in reverse, so that it groups them by sorting
+    rather than reading one entry per input."""
+    real = verify._evolve_sparse
+
+    def reversed_entries(*args):
+        keys, amps, overflow = real(*args)
+        return keys[::-1], amps[::-1], overflow
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_evolve_sparse", reversed_entries)
+        return check_equivalence(circuit, lambda bits: oracle(bits), tol=tol)
+
+
+def _count_paths(monkeypatch):
+    """Count how checks reach their verdicts: the keys of windows
+    without phases alone, or _classify's one-entry or general branch."""
+    paths = Counter()
+    real_keys, real_one = verify._run_permutation, verify._one_entry_each
+
+    def keys_only(*args):
+        paths["keys only"] += 1
+        return real_keys(*args)
+
+    def one_entry(*args):
+        taken = real_one(*args)
+        paths["one entry" if taken else "general"] += 1
+        return taken
+
+    monkeypatch.setattr(verify, "_run_permutation", keys_only)
+    monkeypatch.setattr(verify, "_one_entry_each", one_entry)
+    return paths
+
+
 class TestTabulatedOracle:
     @pytest.mark.parametrize("name", sorted(NAMED_UNITARIES) + ["cnx"])
     def test_table_equals_per_input_calls(self, name):
@@ -970,23 +1028,29 @@ class TestTabulatedOracle:
         assert oracle.table()[1][-2:].tolist() == [(7 << 3) | 6, (7 << 3) | 7]
 
     @staticmethod
-    def _assert_same_verdicts(tol):
+    def _assert_same_verdicts(tol, monkeypatch):
+        """Every sweep case gives the same verdict, bit for bit, three
+        ways: against the table, by per-input calls, and by the general
+        path of _classify."""
         checked = 0
         for c, oracle in _parity_sweep():
             fast = check_equivalence(c, oracle, tol=tol)
             slow = check_equivalence(c, lambda bits: oracle(bits), tol=tol)
             assert _same_verdict(fast, slow), (c.meta, len(c.gates))
+            assert _same_verdict(fast, _general_verdict(c, oracle, tol, monkeypatch)), \
+                (c.meta, len(c.gates))
             checked += 1
         assert checked > 1000
 
-    def test_same_verdict_as_per_input_calls(self):
-        self._assert_same_verdicts(verify.DEFAULT_TOL)
+    def test_same_verdict_as_per_input_calls(self, monkeypatch):
+        self._assert_same_verdicts(verify.DEFAULT_TOL, monkeypatch)
 
-    # the words give the verdict only for 0 < tol < 1; every other tol
-    # goes through _classify, so both sides of each bound are covered
-    @pytest.mark.parametrize("tol", [0.0, 0.5, 1.0, 2.0])
-    def test_same_verdict_at_other_tolerances(self, tol):
-        self._assert_same_verdicts(tol)
+    # the words, and the keys of windows without phases, give the
+    # verdict only for 0 < tol < 1; every other tol goes through
+    # _classify, so both sides of each bound are covered
+    @pytest.mark.parametrize("tol", [0.0, 1e-15, 0.5, 1.0, 2.0])
+    def test_same_verdict_at_other_tolerances(self, tol, monkeypatch):
+        self._assert_same_verdicts(tol, monkeypatch)
 
     def test_merge_without_sort_gives_the_same_verdict(self, monkeypatch):
         # when the circuit's keys are the oracle's, _classify takes them
@@ -1034,6 +1098,91 @@ class TestTabulatedOracle:
         circ = Circuit(good.qubits, good.gates + tail, good.meta)
         with pytest.raises(ValueError, match="expected 3 bits, got 4"):
             check_equivalence(circ, oracle_cnx(2))
+
+
+class TestOneEntryVerdict:
+    """A lowered build keeps one basis state per input, so its verdict is
+    read off the final keys (windows without phases, against a
+    permutation table) or fitted entry by entry; either way it is the
+    verdict of the general path, bit for bit."""
+
+    @pytest.mark.parametrize("basis", [GateBasis.CV_BASIS, GateBasis.CNOT_LOCAL])
+    def test_lowered_builds_never_take_the_general_path(self, basis, monkeypatch):
+        paths = _count_paths(monkeypatch)
+        want = {"keys only": 1} if basis is GateBasis.CV_BASIS else {"one entry": 1}
+        builds = []
+        for n in range(2, 10):
+            builds += [build_cnx(n)] + [build_cycle_cnx(n, c) for c in range(1, n)]
+            if n >= 3:
+                builds.append(build_two_cycle_cnx(n))
+        # width 24, the cap, as mct synth checks it: two blocks of inputs
+        builds.append(build_scheme("cycle", 16))
+        for circ in builds:
+            paths.clear()
+            v = check_equivalence(lower_circuit(circ, basis), oracle_cnx(circ.meta.n))
+            assert v.klass is EquivalenceClass.EXACT
+            assert paths == want, (circ.meta, paths)
+        assert len(builds) > 50
+
+    @pytest.mark.parametrize("name", ["x", "z", "s", "sdg", "t", "tdg"])
+    def test_monomial_payloads_never_take_the_general_path(self, name, monkeypatch):
+        paths = _count_paths(monkeypatch)
+        matrix = NAMED_UNITARIES[name]
+        for n in range(1, 7):
+            for basis in GateBasis:
+                paths.clear()
+                v = check_equivalence(lower_circuit(build_cnu(n, matrix), basis),
+                                      oracle_cnu(n, matrix))
+                assert v.klass is EquivalenceClass.EXACT
+                assert paths["general"] == 0 and sum(paths.values()) == 1, (n, basis, paths)
+
+    def test_blocks_of_four_inputs(self, monkeypatch):
+        """Inputs split over blocks of four: both fast paths are still
+        taken, and the witness is the lowest failing input over all
+        blocks, as the general path finds it."""
+        paths = _count_paths(monkeypatch)
+        monkeypatch.setattr(verify, "_ENTRY_BUDGET", 4)
+        taken, witnesses = Counter(), set()
+        for c, oracle in _parity_sweep():
+            if c.meta.n > 4 or is_classical(c):
+                continue
+            paths.clear()
+            fast = check_equivalence(c, oracle)
+            taken.update(paths)
+            assert _same_verdict(fast, _general_verdict(c, oracle, verify.DEFAULT_TOL,
+                                                        monkeypatch)), (c.meta, len(c.gates))
+            if fast.witness is not None:
+                witnesses.add((fast.witness.detail.split()[0], fast.witness.input_bits[0]))
+        # a deleted gate of a decomposed Toffoli may leave a step that
+        # mixes, and such a mutant takes the general path
+        assert taken["keys only"] > 20 and taken["one entry"] > 50, taken
+        # ancillas and outputs both found wrong in the upper half of the
+        # inputs too, past the first blocks
+        assert {("ancilla", 1), ("no", 1), ("ancilla", 0), ("no", 0)} <= witnesses
+
+    @pytest.mark.parametrize("basis", [GateBasis.CV_BASIS, GateBasis.CNOT_LOCAL])
+    def test_later_block_ancilla_beats_earlier_block_mismatch(self, basis, monkeypatch):
+        # every input's output is wrong, but the ancilla is left set only
+        # once control 0, the top input bit, is 1: in the third block
+        paths = _count_paths(monkeypatch)
+        monkeypatch.setattr(verify, "_ENTRY_BUDGET", 4)
+        good = lower_circuit(build_cnx(3), basis)
+        comp = default_computational_qubits(good)
+        ancilla = next(q for q in range(good.width) if q not in comp)
+        bad = Circuit(good.qubits, good.gates + (x(comp[-1]), cnot(comp[0], ancilla)), good.meta)
+        v = check_equivalence(bad, oracle_cnx(3))
+        assert v.witness == Mismatch((1, 0, 0, 0), "ancilla not restored to |0>")
+        assert "general" not in paths
+        assert _same_verdict(v, _general_verdict(bad, oracle_cnx(3), verify.DEFAULT_TOL,
+                                                 monkeypatch))
+
+    def test_zero_amplitude_oracle_refused_on_the_one_entry_branch(self, monkeypatch):
+        paths = _count_paths(monkeypatch)
+        for basis in (GateBasis.CV_BASIS, GateBasis.CNOT_LOCAL):
+            lowered = lower_circuit(build_cycle_cnx(4, 2), basis)
+            with pytest.raises(ValueError, match="^oracle output has no nonzero amplitude$"):
+                check_equivalence(lowered, lambda bits: {bits: 0})
+        assert paths == {"one entry": 2}
 
 
 class TestWordEngine:
