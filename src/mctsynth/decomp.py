@@ -11,6 +11,9 @@ Three target bases are supported:
 One loop lowers every basis, a gate at a time: a kind the basis allows
 is kept, and any other gate is rewritten from what it applies to its
 target, ``Gate.action`` in ``ir``, the one map from gate kind to 2x2.
+The Toffoli rules are data (kind, operand slots, matrix per gate), and
+one lowering builds each distinct output gate once and shares it with
+every repeat.
 
 The interesting part is what happens to Toffolis.  A lone Toffoli costs
 6 CNOTs (with locals, 15 gates total) or 5 two-qubit gates in the CV
@@ -44,7 +47,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from operator import itemgetter
+from typing import Callable, Optional
 
 from .ir import (
     Circuit,
@@ -53,10 +57,8 @@ from .ir import (
     Matrix2,
     as_array,
     as_matrix2,
-    cnot,
-    cv,
-    cvdg,
     local,
+    matrix_bits,
     ry_matrix,
     rz_matrix,
     phase_matrix,
@@ -112,7 +114,89 @@ class NoMirrorStructureError(LoweringError):
 
 
 # ---------------------------------------------------------------------------
+# rules as data, and the gates they make
+
+# One gate of a rule: its kind, a getter that picks its qubits out of
+# the rule's operands, its matrix, and the matrix's bits.
+_RuleGate = tuple[GateKind, Callable[[tuple[int, ...]], tuple[int, ...]],
+                  Optional[Matrix2], Optional[bytes]]
+
+
+def _rule(*gates: tuple) -> tuple[_RuleGate, ...]:
+    """A rule from (kind, operand slots[, matrix]) per gate, the slots
+    indexing the operands the rule is instantiated on."""
+    out = []
+    for kind, slots, *matrix in gates:
+        m = matrix[0] if matrix else None
+        # a one-slot slice keeps a lone qubit in a tuple
+        first = slots[0]
+        pick = itemgetter(*slots) if len(slots) > 1 else itemgetter(slice(first, first + 1))
+        out.append((kind, pick, m, None if m is None else matrix_bits(m)))
+    return tuple(out)
+
+
+# A table of the gates of one lowering holds one ``Gate`` per distinct
+# (kind, qubits, matrix bits), made on its first request and returned
+# for every repeat.  Matrices are keyed by their bits, since 0.0 == -0.0
+# would merge matrices that print differently.
+_GateTable = dict[tuple[GateKind, tuple[int, ...], Optional[bytes]], Gate]
+
+
+def _instantiate(
+    rule: tuple[_RuleGate, ...], operands: tuple[int, ...], table: _GateTable
+) -> tuple[Gate, ...]:
+    """The rule's gates on ``operands``, from ``table``."""
+    out = []
+    for kind, pick, matrix, bits in rule:
+        qubits = pick(operands)
+        gate = table.get((kind, qubits, bits))
+        if gate is None:
+            gate = table[kind, qubits, bits] = Gate(kind, qubits, matrix)
+        out.append(gate)
+    return tuple(out)
+
+
+def _share(gate: Gate, table: _GateTable) -> Gate:
+    """The gate of ``table`` equal to ``gate`` in bits; ``gate`` itself
+    when it is the first."""
+    bits = None if gate.matrix is None else matrix_bits(gate.matrix)
+    return table.setdefault((gate.kind, gate.qubits, bits), gate)
+
+
+# ---------------------------------------------------------------------------
 # single-Toffoli rules
+
+_L, _CX, _CV, _CVDG = GateKind.LOCAL, GateKind.CNOT, GateKind.CV, GateKind.CVDG
+_RY_NEG = ry_matrix(-math.pi / 4)
+_RY_POS = ry_matrix(math.pi / 4)
+
+# Operand slots 0, 1, 2 are the Toffoli's (c1, c2, t), except in the
+# FOUR_CV member and its mirror, where they are (x, y, t): the member is
+# the Toffoli followed by CNOT(y, x).
+_RULES: dict[ToffoliRule, tuple[_RuleGate, ...]] = {
+    ToffoliRule.SIX_CNOT: _rule(
+        (_L, (2,), MAT_H), (_CX, (1, 2)), (_L, (2,), MAT_TDG), (_CX, (0, 2)),
+        (_L, (2,), MAT_T), (_CX, (1, 2)), (_L, (2,), MAT_TDG), (_CX, (0, 2)),
+        (_L, (1,), MAT_T), (_L, (2,), MAT_T), (_L, (2,), MAT_H), (_CX, (0, 1)),
+        (_L, (0,), MAT_T), (_L, (1,), MAT_TDG), (_CX, (0, 1)),
+    ),
+    # Toffoli times diag with -1 at |c1=0, c2=1, t=0>
+    ToffoliRule.RELATIVE_PHASE: _rule(
+        (_L, (2,), _RY_NEG), (_CX, (0, 2)), (_L, (2,), _RY_NEG), (_CX, (1, 2)),
+        (_L, (2,), _RY_POS), (_CX, (0, 2)), (_L, (2,), _RY_POS),
+    ),
+    ToffoliRule.FIVE_CV: _rule(
+        (_CV, (1, 2)), (_CX, (0, 1)), (_CVDG, (1, 2)), (_CX, (0, 1)), (_CV, (0, 2)),
+    ),
+    ToffoliRule.FOUR_CV: _rule(
+        (_CV, (0, 2)), (_CX, (1, 0)), (_CVDG, (0, 2)), (_CV, (1, 2)),
+    ),
+}
+# the FOUR_CV member's inverse list, for the mirror member of a pair
+_FOUR_CV_MIRROR = _rule(
+    (_CVDG, (1, 2)), (_CV, (0, 2)), (_CX, (1, 0)), (_CVDG, (0, 2)),
+)
+
 
 def lower_toffoli(c1: int, c2: int, t: int, rule: ToffoliRule) -> tuple[Gate, ...]:
     """Replacement gate list for a Toffoli on (c1, c2, t).
@@ -123,72 +207,10 @@ def lower_toffoli(c1: int, c2: int, t: int, rule: ToffoliRule) -> tuple[Gate, ..
     RELATIVE_PHASE implements the Toffoli times a diagonal; standalone
     it is only correct up to that diagonal.
     """
-    if rule is ToffoliRule.SIX_CNOT:
-        return (
-            local(t, MAT_H),
-            cnot(c2, t),
-            local(t, MAT_TDG),
-            cnot(c1, t),
-            local(t, MAT_T),
-            cnot(c2, t),
-            local(t, MAT_TDG),
-            cnot(c1, t),
-            local(c2, MAT_T),
-            local(t, MAT_T),
-            local(t, MAT_H),
-            cnot(c1, c2),
-            local(c1, MAT_T),
-            local(c2, MAT_TDG),
-            cnot(c1, c2),
-        )
-    if rule is ToffoliRule.RELATIVE_PHASE:
-        return _relative_phase_member(c1, c2, t)
-    if rule is ToffoliRule.FIVE_CV:
-        return (
-            cv(c2, t),
-            cnot(c1, c2),
-            cvdg(c2, t),
-            cnot(c1, c2),
-            cv(c1, t),
-        )
-    if rule is ToffoliRule.FOUR_CV:
-        return _four_cv_member(c1, c2, t, cnot_control=c2, cnot_target=c1)
-    raise LoweringError(f"unknown rule {rule}")
-
-
-_RY_NEG = ry_matrix(-math.pi / 4)
-_RY_POS = ry_matrix(math.pi / 4)
-
-
-def _relative_phase_member(u: int, v: int, t: int) -> tuple[Gate, ...]:
-    # equals Toffoli(u,v,t) times diag with -1 at |u=0, v=1, t=0>
-    return (
-        local(t, _RY_NEG),
-        cnot(u, t),
-        local(t, _RY_NEG),
-        cnot(v, t),
-        local(t, _RY_POS),
-        cnot(u, t),
-        local(t, _RY_POS),
-    )
-
-
-def _four_cv_member(
-    u: int, v: int, t: int, cnot_control: int, cnot_target: int
-) -> tuple[Gate, ...]:
-    # equals Toffoli(u,v,t) followed by CNOT(cnot_control, cnot_target)
-    y, x = cnot_control, cnot_target
-    assert {y, x} == {u, v}
-    return (
-        cv(x, t),
-        cnot(y, x),
-        cvdg(x, t),
-        cv(y, t),
-    )
-
-
-def _inverse_list(gates: tuple[Gate, ...]) -> tuple[Gate, ...]:
-    return tuple(g.inverse() for g in reversed(gates))
+    gates = _RULES.get(rule)
+    if gates is None:
+        raise LoweringError(f"unknown rule {rule}")
+    return _instantiate(gates, (c1, c2, t), {})
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +235,12 @@ def expand_controlled_unitary(
     ctrl: int, tgt: int, matrix: Matrix2
 ) -> tuple[Gate, ...]:
     """Controlled-U as two CNOTs, three locals on the target, and a
-    phase shift on the control.
+    phase shift on the control."""
+    return _instantiate(_controlled_rule(matrix), (ctrl, tgt), {})
+
+
+def _controlled_rule(matrix: Matrix2) -> tuple[_RuleGate, ...]:
+    """expand_controlled_unitary as a rule on (ctrl, tgt).
 
     With U = e^{i a} Rz(b) Ry(g) Rz(d), the locals are C, B, A with
     A B C = I and A X B X C = e^{-i a} U; the shift on the control
@@ -223,13 +250,9 @@ def expand_controlled_unitary(
     mat_a = _mat_mul(rz_matrix(beta), ry_matrix(gamma / 2))
     mat_b = _mat_mul(ry_matrix(-gamma / 2), rz_matrix(-(delta + beta) / 2))
     mat_c = rz_matrix((delta - beta) / 2)
-    return (
-        local(tgt, mat_c),
-        cnot(ctrl, tgt),
-        local(tgt, mat_b),
-        cnot(ctrl, tgt),
-        local(tgt, mat_a),
-        local(ctrl, phase_matrix(alpha)),
+    return _rule(
+        (_L, (1,), mat_c), (_CX, (0, 1)), (_L, (1,), mat_b), (_CX, (0, 1)),
+        (_L, (1,), mat_a), (_L, (0,), phase_matrix(alpha)),
     )
 
 
@@ -360,6 +383,10 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
     lowered with every Toffoli standalone.  The toffoli basis keeps
     every Toffoli, so it is not paired.
 
+    The lowered circuit holds one ``Gate`` object per distinct (kind,
+    qubits, matrix bits), shared by all its repeats, so the writers
+    format each distinct gate once.
+
     MCX gates are not accepted: synthesize them into Toffolis first.
     """
     for g in circuit.gates:
@@ -377,19 +404,25 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
     compute_of: dict[int, ToffoliPair] = {p.compute: p for p in pairs}
     uncompute_of: dict[int, ToffoliPair] = {p.uncompute: p for p in pairs}
 
-    # A gate the basis allows is kept as it is.  A mirror circuit repeats
-    # its Toffolis, so each distinct lowering is made once and its gates
-    # shared.  The key holds exactly what _lower_gate reads: a Toffoli's
-    # qubits and, when paired, its cv member's CNOT orientation and side
-    # (both cnot-basis members take the same list); any other gate is
-    # lowered once per object.
+    # A gate the basis allows is kept, as the table's copy of it.  A
+    # mirror circuit repeats its Toffolis, so each distinct lowering is
+    # made once and its gates shared.  The key holds exactly what
+    # _lower_gate reads: a Toffoli's qubits and, when paired, its cv
+    # member's CNOT orientation and side (both cnot-basis members take
+    # the same list); any other gate is lowered once per object.  Across
+    # lowerings, ``table`` shares each distinct gate.
     cv_basis = basis is GateBasis.CV_BASIS
     allowed = ALLOWED_KINDS[basis]
+    table: _GateTable = {}
+    kept: dict[int, Gate] = {}
     memo: dict[object, tuple[Gate, ...]] = {}
     out_gates: list[Gate] = []
     for i, g in enumerate(circuit.gates):
         if g.kind in allowed:
-            out_gates.append(g)
+            shared = kept.get(id(g))
+            if shared is None:
+                shared = kept[id(g)] = _share(g, table)
+            out_gates.append(shared)
             continue
         if g.kind is GateKind.TOFFOLI:
             pair = compute_of.get(i) or uncompute_of.get(i)
@@ -403,7 +436,7 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
             key = id(g)
         lowered = memo.get(key)
         if lowered is None:
-            lowered = memo[key] = _lower_gate(g, i, basis, compute_of, uncompute_of)
+            lowered = memo[key] = _lower_gate(g, i, basis, compute_of, uncompute_of, table)
         out_gates.extend(lowered)
     return _with_basis(circuit, out_gates, basis)
 
@@ -414,34 +447,30 @@ def _lower_gate(
     basis: GateBasis,
     compute_of: dict[int, ToffoliPair],
     uncompute_of: dict[int, ToffoliPair],
+    table: Optional[_GateTable] = None,
 ) -> tuple[Gate, ...]:
     """One gate whose kind ``basis`` does not allow, in that basis: a
     Toffoli rule for a Toffoli, a local for X, and otherwise (CU, CV,
     CVDG) the controlled ``Gate.action``, as a CU where the basis has
-    one and expanded where it does not."""
+    one and expanded where it does not.  The gates come from ``table``,
+    or are made for this gate alone when there is none."""
+    table = {} if table is None else table
     if g.kind is GateKind.TOFFOLI:
-        u, v, t = g.qubits
         pair = compute_of.get(position) or uncompute_of.get(position)
         if pair is None:
-            if basis is GateBasis.CV_BASIS:
-                return lower_toffoli(u, v, t, ToffoliRule.FIVE_CV)
-            return lower_toffoli(u, v, t, ToffoliRule.SIX_CNOT)
+            rule = ToffoliRule.FIVE_CV if basis is GateBasis.CV_BASIS else ToffoliRule.SIX_CNOT
+            return _instantiate(_RULES[rule], g.qubits, table)
         if basis is GateBasis.CV_BASIS:
-            member = _four_cv_member(
-                u, v, t,
-                cnot_control=pair.cnot_control,
-                cnot_target=pair.cnot_target,
-            )
-            if position == pair.uncompute:
-                member = _inverse_list(member)
-            return member
+            member = _FOUR_CV_MIRROR if position == pair.uncompute \
+                else _RULES[ToffoliRule.FOUR_CV]
+            return _instantiate(member, (pair.cnot_target, pair.cnot_control, g.target), table)
         # same relative-phase list for both members
-        return _relative_phase_member(u, v, t)
+        return _instantiate(_RULES[ToffoliRule.RELATIVE_PHASE], g.qubits, table)
     if g.kind is GateKind.X:
-        return (local(g.target, g.action),)
+        return (_share(local(g.target, g.action), table),)
     if GateKind.CU in ALLOWED_KINDS[basis]:
-        return (Gate(GateKind.CU, g.qubits, matrix=g.action),)
-    return expand_controlled_unitary(*g.qubits, g.action)
+        return (_share(Gate(GateKind.CU, g.qubits, matrix=g.action), table),)
+    return _instantiate(_controlled_rule(g.action), g.qubits, table)
 
 
 def _with_basis(circuit: Circuit, gates: list[Gate], basis: GateBasis) -> Circuit:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain
@@ -51,6 +52,15 @@ class QubitId:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError(f"qubit index must be non-negative, got {self.index}")
+
+
+def is_int(value: object) -> bool:
+    """An integer that a circuit file can hold: an ``int`` that is not
+    a ``bool``.  Gate operands and the readers' integers follow it."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_INT_TYPES = {int}
 
 
 class GateKind(Enum):
@@ -119,6 +129,11 @@ class Gate:
             raise ValueError(
                 f"{self.kind.value} takes {arity} qubit(s), got {len(self.qubits)}"
             )
+        if set(map(type, self.qubits)) != _INT_TYPES and not all(map(is_int, self.qubits)):
+            bad = next(q for q in self.qubits if not is_int(q))
+            raise ValueError(
+                f"operand {bad!r} of {self.kind.value}{self.qubits} is not an integer"
+            )
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"duplicate operand in {self.kind.value}{self.qubits}")
         if self.kind in _MATRIX_KINDS:
@@ -176,6 +191,15 @@ def _is_unitary(m: Matrix2) -> bool:
     return bool(np.allclose(a @ a.conj().T, np.eye(2), atol=TOL_UNITARY))
 
 
+def matrix_bits(m: Matrix2) -> bytes:
+    """The matrix's float bits: equal bits give equal text, where tuple
+    equality would mistake 0.0 for -0.0."""
+    (a, b), (c, d) = m
+    return struct.pack(
+        "8d", a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
+    )
+
+
 def as_array(m: Matrix2) -> np.ndarray:
     return np.array(m, dtype=complex)
 
@@ -215,9 +239,10 @@ class Circuit:
         if indices != list(range(len(indices))):
             raise ValueError("qubit indices must be 0..width-1 in order")
         width = len(indices)
-        # one C-level pass over every operand; the loop only names the
-        # first bad gate
-        flat = list(chain.from_iterable(map(attrgetter("qubits"), self.gates)))
+        # each distinct operand tuple is range-checked once, at C level
+        # (Gate admits only int operands, so tuples that are equal hold
+        # the same indices); the loop only names the first bad gate
+        flat = list(chain.from_iterable(set(map(attrgetter("qubits"), self.gates))))
         if flat and (min(flat) < 0 or max(flat) >= width):
             for g in self.gates:
                 for q in g.qubits:

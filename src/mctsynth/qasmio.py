@@ -25,13 +25,17 @@ same bytes.  Floats are serialized with repr, which round-trips
 exactly.  Integers in a text file are written one way only: 0, or a
 digit 1-9 followed by digits, all ASCII.  Files are read and written as
 UTF-8.
+
+Lowered circuits repeat most of their gates, and ``lower_circuit``
+shares one ``Gate`` object per distinct gate, so the writers format
+each distinct gate object once, and the text reader parses each
+distinct line once and shares its ``Gate`` with every repeat.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import struct
 from collections import Counter
 from functools import partial
 from pathlib import Path
@@ -45,6 +49,8 @@ from .ir import (
     Matrix2,
     QubitRole,
     ROLE_BY_LETTER,
+    is_int,
+    matrix_bits,
     new_circuit,
 )
 
@@ -70,10 +76,6 @@ class CircuitFileError(ValueError):
 # ---------------------------------------------------------------------------
 # the rules of a circuit file, for both formats; ``line`` is the text
 # line, and the json reader names the gate entry around the message
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
 
 def decimal(token: str) -> Optional[int]:
     """The integer a text token spells the one way the writers write
@@ -117,7 +119,7 @@ def _meta(fields: dict, line: Optional[int] = None) -> CircuitMeta:
         if v is None:
             continue
         if key in ("n", "c"):
-            ok = _is_int(v) and v >= 0
+            ok = is_int(v) and v >= 0
         else:
             ok = isinstance(v, str) and v != "-" and "=" not in v and not any(
                 map(str.isspace, v)
@@ -160,20 +162,11 @@ def _fmt_complex(z: complex) -> str:
     return f"{re!r}{sign}{abs(im)!r}j"
 
 
-def _parse_complex(token: str, line: int) -> complex:
+def _parse_complex(token: str) -> complex:
     try:
         return complex(token)
     except ValueError:
-        raise CircuitFileError(f"bad complex number {token!r}", line) from None
-
-
-def _matrix_bits(m: Matrix2) -> bytes:
-    """The matrix's float bits: equal bits give equal text, where tuple
-    equality would mistake 0.0 for -0.0."""
-    (a, b), (c, d) = m
-    return struct.pack(
-        "8d", a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
-    )
+        raise CircuitFileError(f"bad complex number {token!r}") from None
 
 
 def _matrix_from_json(data: object) -> Matrix2:
@@ -219,7 +212,7 @@ def _gate_line(g: Gate, matrices: dict[bytes, str]) -> str:
     if g.kind is not GateKind.LOCAL:
         return f"{g.kind.value} {idx}"
     assert g.matrix is not None
-    key = _matrix_bits(g.matrix)
+    key = matrix_bits(g.matrix)
     entries = matrices.get(key)
     if entries is None:
         entries = matrices[key] = ",".join(
@@ -249,9 +242,7 @@ def _parse_meta(tokens: list[str], line: int) -> CircuitMeta:
     return _meta(fields, line)
 
 
-def _parse_indices(
-    tokens: list[str], width: int, line: int, indices: dict[str, int]
-) -> tuple[int, ...]:
+def _parse_indices(tokens: list[str], width: int, indices: dict[str, int]) -> tuple[int, ...]:
     """The qubit indices; ``indices`` memoises each token already
     found to be a good index."""
     out = []
@@ -260,23 +251,27 @@ def _parse_indices(
         if idx is None:
             idx = decimal(tok)
             if idx is None:
-                raise CircuitFileError(f"bad qubit index {tok!r}", line)
-            indices[tok] = _index(idx, width, line)
+                raise CircuitFileError(f"bad qubit index {tok!r}")
+            indices[tok] = _index(idx, width)
         out.append(idx)
     return tuple(out)
 
 
 def loads_text(text: str) -> Circuit:
-    # keep 1-based line numbers while skipping blanks and comments
-    numbered = [
-        (i, ln)
-        for i, ln in enumerate(map(str.strip, text.splitlines()), 1)
-        if ln and ln[0] != "#"
-    ]
-    if not numbered:
+    lines = text.splitlines()
+    # the header, roles and meta lines: the first three that are neither
+    # blank nor comments, with their 1-based line numbers
+    head: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if line and line[0] != "#":
+            head.append((lineno, line))
+            if len(head) == 3:
+                break
+    if not head:
         raise CircuitFileError("empty circuit file")
 
-    lineno, header = numbered[0]
+    lineno, header = head[0]
     tokens = header.split()
     if tokens[:2] != TEXT_HEADER.split() or len(tokens) != 4 or tokens[2] != "width":
         raise CircuitFileError(f"bad header {header!r}", lineno)
@@ -285,37 +280,45 @@ def loads_text(text: str) -> Circuit:
         raise CircuitFileError(f"bad width {tokens[3]!r}", lineno)
     _check_width(width, lineno)
 
-    if len(numbered) < 2 or not numbered[1][1].startswith("roles "):
+    if len(head) < 2 or not head[1][1].startswith("roles "):
         raise CircuitFileError("missing roles line", lineno)
-    lineno, roles_line = numbered[1]
+    lineno, roles_line = head[1]
     roles = _roles(roles_line.split(maxsplit=1)[1].strip(), width, lineno)
 
-    body = numbered[2:]
     meta = CircuitMeta()
-    if body and body[0][1].startswith("meta"):
-        lineno, meta_line = body[0]
+    if len(head) == 3 and head[2][1].startswith("meta"):
+        lineno, meta_line = head[2]
         meta = _parse_meta(meta_line.split()[1:], lineno)
-        body = body[1:]
 
-    # A gate line's Gate depends only on its text and the width, so each
-    # distinct line is parsed, checked and built once and the Gate is
-    # shared by its repeats.  A bad line raises at its first occurrence.
-    parsed: dict[str, Gate] = {}
+    # The body's raw lines, each distinct one once, in order of first
+    # appearance.  A gate line's Gate depends only on its stripped text
+    # and the width, so it is parsed, checked and built once and shared
+    # by every repeat; blank and comment lines map to None.  The first
+    # bad line in this order is the first in the file, and its number
+    # is looked up only to raise.
+    body = lines[lineno:]
+    parsed: dict[str, Optional[Gate]] = dict.fromkeys(body)
+    by_text: dict[str, Gate] = {}
     matrices: dict[str, Matrix2] = {}  # each distinct u() is parsed once
     indices: dict[str, int] = {}  # and each distinct qubit index
-    gates: list[Gate] = []
-    for lineno, line in body:
-        gate = parsed.get(line)
+    for raw in parsed:
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        gate = by_text.get(line)
         if gate is None:
-            gate = parsed[line] = _parse_gate(line, width, lineno, matrices, indices)
-        gates.append(gate)
+            try:
+                gate = by_text[line] = _parse_gate(line, width, matrices, indices)
+            except CircuitFileError as exc:
+                raise CircuitFileError(str(exc), lineno + body.index(raw) + 1) from None
+        parsed[raw] = gate
+    gates = tuple(filter(None, map(parsed.__getitem__, body)))
 
-    return Circuit(new_circuit(roles).qubits, tuple(gates), meta)
+    return Circuit(new_circuit(roles).qubits, gates, meta)
 
 
 def _parse_gate(
-    line: str, width: int, lineno: int, matrices: dict[str, Matrix2],
-    indices: dict[str, int],
+    line: str, width: int, matrices: dict[str, Matrix2], indices: dict[str, int]
 ) -> Gate:
     tokens = line.split()
     mnemonic = tokens[0]
@@ -326,20 +329,18 @@ def _parse_gate(
         if matrix is None:
             entries = mnemonic[2:-1].split(",")
             if len(entries) != 4:
-                raise CircuitFileError(
-                    f"u() takes 4 matrix entries, got {len(entries)}", lineno
-                )
-            zs = [_parse_complex(e, lineno) for e in entries]
+                raise CircuitFileError(f"u() takes 4 matrix entries, got {len(entries)}")
+            zs = [_parse_complex(e) for e in entries]
             matrix = matrices[mnemonic] = ((zs[0], zs[1]), (zs[2], zs[3]))
-        idx = _parse_indices(tokens[1:], width, lineno, indices)
+        idx = _parse_indices(tokens[1:], width, indices)
         if len(idx) != 1:
-            raise CircuitFileError("u gate takes exactly one qubit", lineno)
+            raise CircuitFileError("u gate takes exactly one qubit")
     else:
         kind = _KIND_BY_MNEMONIC.get(mnemonic)
         if kind is None:
-            raise CircuitFileError(f"unknown mnemonic {mnemonic!r}", lineno)
-        idx = _parse_indices(tokens[1:], width, lineno, indices)
-    return _gate(kind, idx, matrix, lineno)
+            raise CircuitFileError(f"unknown mnemonic {mnemonic!r}")
+        idx = _parse_indices(tokens[1:], width, indices)
+    return _gate(kind, idx, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +386,7 @@ def _json_gate(g: Gate, matrices: dict[bytes, str]) -> str:
     qubits = _JSON_QUBIT_SEP.join(map(str, g.qubits))
     if g.matrix is None:
         return _JSON_GATE_HEAD[g.kind] + qubits + _JSON_GATE_TAIL
-    key = _matrix_bits(g.matrix)
+    key = matrix_bits(g.matrix)
     matrix = matrices.get(key)
     if matrix is None:
         floats = [[[float(z.real), float(z.imag)] for z in row] for row in g.matrix]
@@ -401,7 +402,7 @@ def _gate_from_json(entry: Any, width: int) -> Gate:
     except (KeyError, TypeError):
         raise CircuitFileError(repr(entry)) from None
     for q in qubits:
-        if not _is_int(q):
+        if not is_int(q):
             raise CircuitFileError(f"qubit index {q!r} is not an integer")
         _index(q, width)
     matrix = _matrix_from_json(entry["matrix"]) if "matrix" in entry else None

@@ -41,12 +41,12 @@ from mctsynth.ir import (
     cv,
     cvdg,
     local,
+    matrix_bits,
     mcx,
     new_circuit,
     toffoli,
     x,
 )
-from mctsynth.qasmio import _matrix_bits
 from mctsynth.ladder import build_cnu, build_cnx, build_workspace_c3x, build_workspace_toffoli
 from mctsynth.verify import EquivalenceClass, check_equivalence, full_unitary, oracle_cnx
 
@@ -466,7 +466,7 @@ def _unmemoised_lowering(circuit, basis):
 
 
 def _gate_rows(gates):
-    return [(g.kind, g.qubits, g.matrix and _matrix_bits(g.matrix)) for g in gates]
+    return [(g.kind, g.qubits, g.matrix and matrix_bits(g.matrix)) for g in gates]
 
 
 class TestLoweringMemo:
@@ -491,5 +491,23 @@ class TestLoweringMemo:
             assert _gate_rows(lowered.gates) == _gate_rows(_unmemoised_lowering(circ, basis))
 
     def test_repeated_toffolis_share_their_gates(self):
-        lowered = lower_circuit(build_cycle_cnx(12, 3), GateBasis.CNOT_LOCAL)
-        assert len({id(g) for g in lowered.gates}) < len(lowered.gates) / 2
+        # exactly one object per distinct gate row, kept gates included
+        circuits = [build_cnx(1), build_cnx(2), *_builds(16)]
+        circuits += [build_cnu(n, m) for n in range(1, 9) for m in NAMED_UNITARIES.values()]
+        for circ in circuits:
+            for basis in GateBasis:
+                gates = lower_circuit(circ, basis).gates
+                rows = _gate_rows(gates)
+                assert len(set(zip(rows, map(id, gates)))) == len(set(rows)), \
+                    (circ.meta, basis)
+
+    @pytest.mark.parametrize("basis", list(GateBasis))
+    def test_signed_zeros_are_not_shared(self, basis):
+        # equal as tuples, since 0.0 == -0.0, but written differently
+        plus = ((1 + 0j, 0j), (0j, 1 + 0j))
+        minus = ((1 + 0j, complex(-0.0, 0.0)), (0j, 1 + 0j))
+        a, b, a_copy = local(1, plus), local(1, minus), local(1, (plus[0], plus[1]))
+        gates = lower_circuit(_circ([C, T], [a, b, cnot(0, 1), a_copy, b]), basis).gates
+        assert gates[0] is gates[3] and gates[1] is gates[4] and gates[0] is not gates[1]
+        assert [matrix_bits(gates[i].matrix) for i in (0, 1)] == \
+            [matrix_bits(plus), matrix_bits(minus)]

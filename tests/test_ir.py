@@ -129,6 +129,21 @@ class TestCircuit:
         with pytest.raises(ValueError):
             Circuit(base.qubits, (cnot(0, 5),), base.meta)
 
+    def test_repeated_bad_gate_names_first_bad_gate(self):
+        # an out-of-range gate twice as one object and once as an equal
+        # copy: the range check sees its operands once, and the error
+        # still names the first bad gate in gate order
+        base = new_circuit(_ct_roles(4))
+        bad = cnot(3, 6)
+        for gates, named in [
+            ((x(0), bad, bad, cnot(3, 6), toffoli(0, 1, 8)), "cx(3, 6) references qubit 6"),
+            ((toffoli(0, 1, 8), bad, x(0), bad, cnot(3, 6)), "ccx(0, 1, 8) references qubit 8"),
+            ((cnot(3, 6), x(1), bad, bad), "cx(3, 6) references qubit 6"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                Circuit(base.qubits, gates, base.meta)
+            assert str(info.value) == f"gate {named} outside width 5"
+
     def test_roles_and_lookup(self):
         c = new_circuit(_ct_roles(2, [QubitRole.PROCESS_ANCILLA]))
         assert c.width == 4

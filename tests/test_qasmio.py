@@ -5,6 +5,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mctsynth.cli import main
@@ -23,6 +24,7 @@ from mctsynth.ir import (
     append,
     cu,
     local,
+    matrix_bits,
     mcx,
     new_circuit,
     toffoli,
@@ -35,7 +37,6 @@ from mctsynth.ladder import (
 )
 from mctsynth.qasmio import (
     CircuitFileError,
-    _matrix_bits,
     dumps,
     dumps_json,
     dumps_text,
@@ -641,26 +642,92 @@ def _random_text_file(rng):
     return "\n".join(lines) + "\n"
 
 
+def _reshaped_text_file(text, rng):
+    """The same file with CRLF or LF line ends, blank and comment lines
+    before the header and between the header, roles and meta lines,
+    and then either the body as it is, the body with one bad gate line
+    added twice with two different paddings, or a body of comments
+    only."""
+    lines = text.splitlines()
+    top = 3 if len(lines) > 2 and lines[2].startswith("meta") else 2
+    shaped = []
+    for line in lines[:top]:
+        for _ in range(rng.randint(0, 2)):
+            shaped.append(rng.choice(["", "  ", "\t", "# comment", "  # mctqasm v1 width 9",
+                                      "#roles cct"]))
+        shaped.append(line)
+    body = lines[top:]
+    pick = rng.random()
+    if pick < 0.4:
+        bad = rng.choice(_BAD_LINES)
+        first, second = sorted(rng.sample(range(len(body) + 2), 2))
+        body.insert(first, rng.choice(["", " ", "\t"]) + bad)
+        body.insert(second, bad + rng.choice([" ", "\t", "  "]))
+    elif pick < 0.6:
+        body = [rng.choice(["#", "# " + line, "", "  #" + line]) for line in body]
+    eol = rng.choice(["\n", "\r\n"])
+    return eol.join(shaped + body) + eol
+
+
+def _matches_reference(text):
+    """loads_text gives the reference's gates and bytes, or its error
+    text and line; True when the file is accepted."""
+    try:
+        want = _reference_loads_text(text)
+    except CircuitFileError as exc:
+        with pytest.raises(CircuitFileError) as info:
+            loads_text(text)
+        assert (str(info.value), info.value.line) == (str(exc), exc.line)
+        return False
+    got = loads_text(text)
+    assert got.gates == want.gates
+    assert [g.matrix and matrix_bits(g.matrix) for g in got.gates] == \
+        [g.matrix and matrix_bits(g.matrix) for g in want.gates]
+    assert dumps_text(got) == dumps_text(want)
+    return True
+
+
 def test_text_reader_matches_per_line_reference():
     rng = random.Random(7)
+    # the reshaping draws from its own stream, so the plain files are
+    # the same ones as before it was added
+    reshape = random.Random(8)
     accepted = rejected = 0
+    shaped_accepted = shaped_rejected = 0
     for _ in range(1500):
         text = _random_text_file(rng)
-        try:
-            want = _reference_loads_text(text)
-        except CircuitFileError as exc:
-            with pytest.raises(CircuitFileError) as info:
-                loads_text(text)
-            assert (str(info.value), info.value.line) == (str(exc), exc.line)
+        if _matches_reference(text):
+            accepted += 1
+        else:
             rejected += 1
-            continue
-        got = loads_text(text)
-        assert got.gates == want.gates
-        assert [g.matrix and _matrix_bits(g.matrix) for g in got.gates] == \
-            [g.matrix and _matrix_bits(g.matrix) for g in want.gates]
-        assert dumps_text(got) == dumps_text(want)
-        accepted += 1
+        if _matches_reference(_reshaped_text_file(text, reshape)):
+            shaped_accepted += 1
+        else:
+            shaped_rejected += 1
     assert accepted > 400 and rejected > 400, (accepted, rejected)
+    assert shaped_accepted > 300 and shaped_rejected > 600, (shaped_accepted, shaped_rejected)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_first_of_two_paddings_of_a_bad_line_is_reported(eol):
+    lines = ["", "# c", "mctqasm v1 width 3", "#", "roles cct", "",
+             "meta scheme=- n=- c=- basis=-",
+             "cx 0 1", "cx 0 1", "\tcx 0  7", "cx 0 1", "cx 0 7", "\tcx 0  7"]
+    with pytest.raises(CircuitFileError) as info:
+        loads_text(eol.join(lines) + eol)
+    assert (str(info.value), info.value.line) == \
+        ("line 10: qubit index 7 out of range for width 3", 10)
+    lines[9], lines[11] = lines[11], lines[9]
+    with pytest.raises(CircuitFileError) as info:
+        loads_text(eol.join(lines) + eol)
+    assert info.value.line == 10
+
+
+def test_comment_only_body_reads_as_no_gates():
+    text = "mctqasm v1 width 3\r\n# x\r\nroles cct\r\n# ccx 0 1 2\r\n\r\n  # cx 0 1\r\n"
+    circ = loads_text(text)
+    assert circ.gates == () and circ.width == 3
+    assert dumps_text(circ) == "mctqasm v1 width 3\nroles cct\nmeta scheme=- n=- c=- basis=-\n"
 
 
 # integers int() reads but the text reader refuses: only 0 or a digit
@@ -781,8 +848,18 @@ def test_signed_zeros_written_apart_in_text():
     lines = dumps_text(circ).splitlines()[3:]
     assert lines[0] != lines[2] and lines[0] == lines[5]
     again = loads_text(dumps_text(circ))
-    assert [_matrix_bits(g.matrix) for g in again.gates] == \
-        [_matrix_bits(g.matrix) for g in circ.gates]
+    assert [matrix_bits(g.matrix) for g in again.gates] == \
+        [matrix_bits(g.matrix) for g in circ.gates]
+
+
+@pytest.mark.parametrize("operand", [True, False, 1.0, np.int64(1)])
+@pytest.mark.parametrize("dump", [dumps_text, dumps_json])
+def test_no_writer_gets_a_non_integer_operand(dump, operand):
+    # the text writer would write "cx True 2" or "cx 1.0 2", which the
+    # reader refuses, and the json writer a bare True, which is not json
+    with pytest.raises(ValueError) as info:
+        dump(append(new_circuit([C, C, T]), Gate(GateKind.CNOT, (operand, 2))))
+    assert str(info.value) == f"operand {operand!r} of cx({operand!r}, 2) is not an integer"
 
 
 class TestSniffAndFiles:
