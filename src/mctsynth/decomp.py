@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from operator import itemgetter
@@ -277,53 +277,32 @@ class PairingPlan:
     unpaired: tuple[int, ...]
 
 
-class _TouchIndex:
-    """Per qubit, the sorted gate positions where it is the target and
-    where it is touched at all, so that a question about the gates
-    strictly between two positions is answered by bisection."""
-
-    def __init__(self, circuit: Circuit):
-        self.targeted: list[list[int]] = [[] for _ in range(circuit.width)]
-        self.touched: list[list[int]] = [[] for _ in range(circuit.width)]
-        for pos, g in enumerate(circuit.gates):
-            self.targeted[g.target].append(pos)
-            for q in g.qubits:
-                self.touched[q].append(pos)
-
-    @staticmethod
-    def _any_between(positions: list[int], i: int, j: int) -> bool:
-        return bisect_right(positions, i) < bisect_left(positions, j)
-
-    def only_controls_between(self, q: int, i: int, j: int) -> bool:
-        return not self._any_between(self.targeted[q], i, j)
-
-    def untouched_between(self, q: int, i: int, j: int) -> bool:
-        return not self._any_between(self.touched[q], i, j)
-
-
 def _pair_valid(
-    gates: tuple[Gate, ...], index: _TouchIndex, i: int, j: int
+    operands: tuple[int, ...], cand: int, last_target: list[int], last_touch: list[int]
 ) -> Optional[tuple[int, int]]:
-    """CNOT orientation (y, x) for pairing the Toffolis at i and j, or
-    None when they cannot pair.
+    """CNOT orientation (y, x) for pairing the Toffoli at ``cand`` with a
+    later one on the same ``operands``, or None when they cannot pair.
+    ``last_target`` and ``last_touch`` hold, per qubit, the position of
+    the last gate before the later member to target it, and of the last
+    to touch it at all.
 
     Between the members, u, v and w may be touched only as controls,
     which is the diagonal condition; and one control x must be untouched
     there, so the CV member's CNOT y -> x commutes with everything in
     between.  x is u when u is untouched, else v when v is.
     """
-    u, v, w = gates[i].qubits
-    if not all(index.only_controls_between(q, i, j) for q in (u, v, w)):
+    u, v, w = operands
+    if last_target[u] > cand or last_target[v] > cand or last_target[w] > cand:
         return None
-    if index.untouched_between(u, i, j):
+    if last_touch[u] <= cand:
         return (v, u)
-    if index.untouched_between(v, i, j):
+    if last_touch[v] <= cand:
         return (u, v)
     return None
 
 
 def peres_pairing(circuit: Circuit) -> PairingPlan:
-    """Match mirrored Toffoli pairs greedily.
+    """Match mirrored Toffoli pairs greedily, in one pass over the gates.
 
     Requires the Toffoli operand sequence to read the same forwards and
     backwards; the compute/uncompute builders all guarantee that.  Each
@@ -338,36 +317,44 @@ def peres_pairing(circuit: Circuit) -> PairingPlan:
     the unmatched and the retired Toffolis in gate order.
     """
     gates = circuit.gates
-    positions = [i for i, g in enumerate(gates) if g.kind is GateKind.TOFFOLI]
-    operand_seq = [gates[i].qubits for i in positions]
+    toffoli = GateKind.TOFFOLI
+    operand_seq = [g.qubits for g in gates if g.kind is toffoli]
     if operand_seq != operand_seq[::-1]:
         raise NoMirrorStructureError(
             "toffoli operand sequence is not mirror-symmetric"
         )
-    index = _TouchIndex(circuit)
+    # per qubit, the position of the last gate so far that targets it,
+    # and of the last that touches it at all
+    last_target = [-1] * circuit.width
+    last_touch = [-1] * circuit.width
     pairs: list[ToffoliPair] = []
     retired: list[int] = []
     # unmatched Toffolis outside every pair span, in gate order; and per
     # operand triple, the latest Toffoli on it while it is one of them
     unmatched: list[int] = []
     candidate: dict[tuple[int, ...], int] = {}
-    for pos in positions:
-        operands = gates[pos].qubits
-        cand = candidate.pop(operands, None)
-        orientation = None if cand is None else _pair_valid(gates, index, cand, pos)
-        if orientation is None:
-            unmatched.append(pos)
-            candidate[operands] = pos
-            continue
-        y, x = orientation
-        pairs.append(
-            ToffoliPair(compute=cand, uncompute=pos, cnot_control=y, cnot_target=x)
-        )
-        k = bisect_left(unmatched, cand)
-        for inside in unmatched[k + 1 :]:
-            candidate.pop(gates[inside].qubits, None)
-            retired.append(inside)
-        del unmatched[k:]
+    for pos, g in enumerate(gates):
+        operands = g.qubits
+        if g.kind is toffoli:
+            cand = candidate.pop(operands, None)
+            orientation = None if cand is None \
+                else _pair_valid(operands, cand, last_target, last_touch)
+            if orientation is None:
+                unmatched.append(pos)
+                candidate[operands] = pos
+            else:
+                y, x = orientation
+                pairs.append(
+                    ToffoliPair(compute=cand, uncompute=pos, cnot_control=y, cnot_target=x)
+                )
+                k = bisect_left(unmatched, cand)
+                for inside in unmatched[k + 1 :]:
+                    candidate.pop(gates[inside].qubits, None)
+                    retired.append(inside)
+                del unmatched[k:]
+        last_target[operands[-1]] = pos
+        for q in operands:
+            last_touch[q] = pos
     return PairingPlan(pairs=tuple(pairs), unpaired=tuple(sorted(unmatched + retired)))
 
 

@@ -16,11 +16,11 @@ target from ``Gate.action`` in ``ir``, the one map from gate kind to
 
 All inputs are simulated together, as arrays, by one of two batched
 engines.  Circuits built purely from X-like gates map basis states to
-basis states, so they are bit-sliced: each wire is a row of uint64
-words, each word holding the wire's value under 64 inputs, and each
-gate is one AND/XOR over rows.  The inputs are laid out a word at a
-time: each of the low six input bits is one constant word, and each
-higher bit makes a word of all ones or all zeros.  Anything
+basis states, so they are bit-sliced: inputs go in blocks of up to
+2**16, each wire is one Python int whose bit b is its value under the
+block's input b, and each gate is one AND/XOR over ints.  An input bit
+below the block size is one fixed pattern, built once per process; a
+higher bit is all ones or all zeros over the block.  Anything
 containing CV, CU, or local rotations is evolved as flat (input, basis
 index, amplitude) entries, one step at a time.  Most steps are windows:
 runs of consecutive gates on at most three qubits whose product is
@@ -48,7 +48,7 @@ the same verdict, bit for bit.
 Against a ``ControlledOracle`` whose table is one-to-one with amplitude
 1 (C^nX, or C^nU with U = X), at a tolerance between 0 and 1, a
 verdict is read off integers alone.  For a classical circuit, each
-computational wire's words are XORed with its input pattern, corrected
+computational wire's bits are XORed with its input pattern, corrected
 at the two inputs the table moves, and the lowest input left with a
 difference is the witness.  A circuit planned as windows alone, none
 with a phase (every C^nX build lowered to cv), keeps one basis state of
@@ -210,12 +210,22 @@ def is_classical(circuit: Circuit) -> bool:
     return all(g.kind in X_LIKE_KINDS for g in circuit.gates)
 
 
-# word j has bit b set iff bit j of b is: input bit j over the 64
-# inputs of any word, for the low six bits of the input number
-_LOW_WORDS = np.array(
-    [sum(1 << b for b in range(64) if b >> j & 1) for j in range(6)], dtype=np.uint64
-)
-_ONES = np.uint64((1 << 64) - 1)
+@functools.lru_cache(maxsize=None)
+def _patterns(size_log: int) -> tuple[int, ...]:
+    """Input bit j over the 2**size_log inputs of a block, for every j
+    below size_log: bit i of pattern j is bit j of i.  Built once per
+    process and block size, by repeating bytes."""
+    n_bytes = max(1 << size_log >> 3, 1)
+    mask = (1 << (1 << size_log)) - 1
+    out = []
+    for j in range(size_log):
+        if j < 3:
+            unit = bytes([sum(1 << b for b in range(8) if b >> j & 1)])
+        else:
+            half = 1 << (j - 3)
+            unit = b"\x00" * half + b"\xff" * half
+        out.append(int.from_bytes(unit * (n_bytes // len(unit)), "little") & mask)
+    return tuple(out)
 
 
 def _run_classical(
@@ -225,8 +235,8 @@ def _run_classical(
     moved: Optional[dict[int, int]] = None,
 ) -> tuple:
     """Bit-sliced propagation, a block of inputs at a time.  Each wire
-    is a row of uint64 words, bit b of word w holding its value under
-    input lo + 64w + b, and each gate is one AND/XOR over rows.
+    is one Python int, bit b holding its value under input lo + b, and
+    each gate is one AND/XOR over wires.
 
     Returns (failure, got) as the sparse engine does.  With ``moved``,
     the inputs a permutation table does not map to themselves and the
@@ -235,64 +245,62 @@ def _run_classical(
     k = len(comp)
     n_inputs = 1 << k
     steps = [(g.controls, g.target) for g in circuit.gates]
-    rows, spare = list(comp), list(ancillas)
-    per_block = max(_ENTRY_BUDGET >> 6, 1) << 6
+    # a block is the budget rounded down to a power of two, so input
+    # bits below size_log are the block's patterns, and above it all
+    # ones or all zeros by the block's number
+    size_log = min(k, _ENTRY_BUDGET.bit_length() - 1)
+    block = 1 << size_log
+    valid = (1 << block) - 1
+    low = _patterns(size_log)
     out = np.zeros(n_inputs if moved is None else 0, dtype=np.int64)
     mismatch = None
-    for lo in range(0, n_inputs, per_block):
-        count = min(per_block, n_inputs - lo)
-        n_words = -(-count // 64)
-        # comp[k-1-j] carries input bit j: a constant word below bit 6,
-        # and above it all ones or all zeros by the word's number
-        word_no = np.arange(lo >> 6, (lo >> 6) + n_words, dtype=np.uint64)
-        pattern = np.empty((k, n_words), dtype=np.uint64)
-        for j in range(k):
-            pattern[k - 1 - j] = _LOW_WORDS[j] if j < 6 else (word_no >> (j - 6) & 1) * _ONES
-        valid = np.full(n_words, _ONES)
-        if count % 64:
-            valid[-1] = (1 << count % 64) - 1
-        wires = np.zeros((circuit.width, n_words), dtype=np.uint64)
-        wires[rows] = pattern
+    for lo in range(0, n_inputs, block):
+        # comp[k-1-j] carries input bit j
+        pattern = [low[j] if j < size_log else valid * (lo >> j & 1)
+                   for j in range(k - 1, -1, -1)]
+        wires = [0] * circuit.width
+        for q, bits in zip(comp, pattern):
+            wires[q] = bits
         for controls, target in steps:
             if not controls:
-                wires[target] ^= _ONES
+                wires[target] ^= valid
                 continue
             flip = wires[controls[0]]
             for c in controls[1:]:
-                flip = flip & wires[c]
+                flip &= wires[c]
             wires[target] ^= flip
-        dirty = _lowest(np.bitwise_or.reduce(wires[spare], axis=0) & valid)
-        if dirty is not None:
-            return (lo + dirty, 1.0), None
+        dirty = 0
+        for q in ancillas:
+            dirty |= wires[q]
+        if dirty:
+            return (lo + _lowest(dirty), 1.0), None
         if moved is None:
-            block = out[lo:lo + count]
+            outputs = out[lo:lo + block]
+            n_bytes = max(block >> 3, 1)
             for q in comp:
-                as_bytes = wires[q].astype("<u8", copy=False).view(np.uint8)
-                block <<= 1
-                block |= np.unpackbits(as_bytes, bitorder="little")[:count]
+                as_bytes = np.frombuffer(wires[q].to_bytes(n_bytes, "little"), dtype=np.uint8)
+                outputs <<= 1
+                outputs |= np.unpackbits(as_bytes, bitorder="little")[:block]
         elif mismatch is None:
             for m, want in moved.items():
-                if lo <= m < lo + count:
-                    w, b = divmod(m - lo, 64)
+                if lo <= m < lo + block:
+                    b = 1 << (m - lo)
                     for i, bit in enumerate(_bits(want, k)):
-                        word = int(pattern[i, w])
-                        pattern[i, w] = word | 1 << b if bit else word & ~(1 << b)
-            diff = _lowest(np.bitwise_or.reduce(wires[rows] ^ pattern, axis=0) & valid)
-            if diff is not None:
-                mismatch = lo + diff
+                        pattern[i] = pattern[i] | b if bit else pattern[i] & ~b
+            diff = 0
+            for q, bits in zip(comp, pattern):
+                diff |= wires[q] ^ bits
+            if diff:
+                mismatch = lo + _lowest(diff)
     if moved is not None:
         return None, mismatch
     masks = np.arange(n_inputs, dtype=np.int64)
     return None, ((masks << k) | out, np.ones(n_inputs, dtype=complex))
 
 
-def _lowest(words: np.ndarray) -> Optional[int]:
-    """Number of the lowest set bit over the words, or None."""
-    nonzero = np.flatnonzero(words)
-    if not len(nonzero):
-        return None
-    w = int(words[nonzero[0]])
-    return 64 * int(nonzero[0]) + (w & -w).bit_length() - 1
+def _lowest(bits: int) -> int:
+    """Number of the lowest set bit of a nonzero int."""
+    return (bits & -bits).bit_length() - 1
 
 
 # give up on an input's sparse entries once this many basis states

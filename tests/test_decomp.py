@@ -344,6 +344,10 @@ def _builds(nmax):
             yield build_cycle_cnx(n, c)
     yield build_workspace_toffoli()
     yield build_workspace_c3x()
+    # the only builds whose mirror holds a CU between its halves
+    for matrix in NAMED_UNITARIES.values():
+        for n in range(1, 9):
+            yield build_cnu(n, matrix)
 
 
 class TestPairingMatchesReference:
@@ -493,7 +497,6 @@ class TestLoweringMemo:
     def test_repeated_toffolis_share_their_gates(self):
         # exactly one object per distinct gate row, kept gates included
         circuits = [build_cnx(1), build_cnx(2), *_builds(16)]
-        circuits += [build_cnu(n, m) for n in range(1, 9) for m in NAMED_UNITARIES.values()]
         for circ in circuits:
             for basis in GateBasis:
                 gates = lower_circuit(circ, basis).gates

@@ -1185,9 +1185,71 @@ class TestOneEntryVerdict:
         assert paths == {"one entry": 2}
 
 
+def _classical_reference(circuit, comp, moved):
+    """What _run_classical must return, worked out from the per-gate
+    sparse loop's final entries: the lowest input with an ancilla left
+    set, else the outputs keyed (m << k) | output, or with ``moved`` the
+    lowest input whose output differs from the table's."""
+    width, k = circuit.width, len(comp)
+    keys, amps, overflow = _evolve_per_gate(circuit, comp)
+    assert not overflow and len(keys) == 1 << k
+    order = np.argsort(keys)
+    keys, amps = keys[order], amps[order]
+    inputs, idx = keys >> width, keys & ((1 << width) - 1)
+    assert inputs.tolist() == list(range(1 << k))
+    spare = sum(1 << (width - 1 - q) for q in range(width) if q not in comp)
+    dirty = np.flatnonzero(idx & spare)
+    if len(dirty):
+        return (int(inputs[dirty[0]]), 1.0), None
+    outputs = verify._gather(idx, comp, width)
+    if moved is None:
+        return None, ((inputs << k) | outputs, amps)
+    want = np.arange(1 << k)
+    for m, out in moved.items():
+        want[m] = out
+    differ = np.flatnonzero(outputs != want)
+    return None, int(differ[0]) if len(differ) else None
+
+
 class TestWordEngine:
-    """The classical engine holds 64 inputs to a word and reads the
-    verdict of a one-to-one table of amplitude 1 off the words."""
+    """The classical engine holds each wire as one int, a bit per input
+    of a block, and reads the verdict of a one-to-one table of
+    amplitude 1 off those bits."""
+
+    @pytest.mark.parametrize("budget", [4, verify._ENTRY_BUDGET])
+    def test_matches_the_per_gate_engine(self, budget, monkeypatch):
+        monkeypatch.setattr(verify, "_ENTRY_BUDGET", budget)
+        checked, failures, witnesses = 0, 0, 0
+        for c, oracle in _parity_sweep():
+            if not is_classical(c):
+                continue
+            comp = default_computational_qubits(c)
+            spare = tuple(q for q in range(c.width) if q not in comp)
+            failure, got = verify._run_classical(c, comp, spare)
+            want_failure, want_got = _classical_reference(c, comp, None)
+            assert failure == want_failure, (c.meta, len(c.gates))
+            if failure is None:
+                assert got[0].tolist() == want_got[0].tolist()
+                assert got[1].tobytes() == want_got[1].tobytes()
+            else:
+                assert got is None
+                failures += 1
+            moved = verify._moves(oracle)
+            want = _classical_reference(c, comp, moved)
+            assert verify._run_classical(c, comp, spare, moved) == want, (c.meta, len(c.gates))
+            witnesses += want[1] is not None
+            checked += 1
+        # builds and their mutants: ancillas left set, and outputs wrong
+        assert checked > 120 and failures > 50 and witnesses > 10, (checked, failures, witnesses)
+
+    @pytest.mark.parametrize("size_log", [0, 1, 2, 3, 4, 7, 16])
+    def test_block_patterns(self, size_log):
+        patterns = verify._patterns(size_log)
+        assert len(patterns) == size_log
+        for j, pattern in enumerate(patterns):
+            assert pattern.bit_length() <= 1 << size_log
+            bits = [pattern >> i & 1 for i in range(1 << size_log)]
+            assert bits == [i >> j & 1 for i in range(1 << size_log)]
 
     @staticmethod
     def _both(circ, oracle, tol=verify.DEFAULT_TOL):
@@ -1239,8 +1301,9 @@ class TestWordEngine:
 
     @pytest.mark.parametrize("n", range(0, 5))
     def test_fewer_inputs_than_a_word(self, n):
-        # bare x gates flip every bit of a word, past the 2**(n+1)
-        # inputs too; those bits must never read as a failure
+        # bare x gates flip every input's bit of a block, and a block
+        # holds no more than the 2**(n+1) inputs; none may read as a
+        # failure
         good = build_cnx(n) if n else _circ([T], [x(0)])
         comp = default_computational_qubits(good)
         spare = tuple(q for q in range(good.width) if q not in comp)
