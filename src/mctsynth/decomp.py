@@ -81,18 +81,6 @@ class ToffoliRule(Enum):
     FOUR_CV = "four-cv"            # 4 gates, Toffoli then CNOT between controls
 
 
-# gates one Toffoli lowers to in each basis: as a mirror-pair member,
-# and alone
-TOFFOLI_LENGTHS: dict[GateBasis, tuple[int, int]] = {
-    GateBasis.NATIVE_TOFFOLI: (1, 1),
-    GateBasis.CNOT_LOCAL: (7, 15),
-    GateBasis.CV_BASIS: (4, 5),
-}
-
-# gates one controlled unitary (CU) lowers to in each basis
-CU_LENGTHS = {GateBasis.NATIVE_TOFFOLI: 1, GateBasis.CNOT_LOCAL: 6, GateBasis.CV_BASIS: 6}
-
-
 ALLOWED_KINDS: dict[GateBasis, frozenset[GateKind]] = {
     GateBasis.NATIVE_TOFFOLI: frozenset(
         {GateKind.TOFFOLI, GateKind.CNOT, GateKind.X, GateKind.LOCAL, GateKind.CU}
@@ -197,6 +185,14 @@ _FOUR_CV_MIRROR = _rule(
     (_CVDG, (1, 2)), (_CV, (0, 2)), (_CX, (1, 0)), (_CVDG, (0, 2)),
 )
 
+# gates one Toffoli lowers to in each basis: as a mirror-pair member, and alone
+TOFFOLI_LENGTHS: dict[GateBasis, tuple[int, int]] = {
+    GateBasis.NATIVE_TOFFOLI: (1, 1),
+    GateBasis.CNOT_LOCAL: (len(_RULES[ToffoliRule.RELATIVE_PHASE]),
+                           len(_RULES[ToffoliRule.SIX_CNOT])),
+    GateBasis.CV_BASIS: (len(_RULES[ToffoliRule.FOUR_CV]), len(_RULES[ToffoliRule.FIVE_CV])),
+}
+
 
 def lower_toffoli(c1: int, c2: int, t: int, rule: ToffoliRule) -> tuple[Gate, ...]:
     """Replacement gate list for a Toffoli on (c1, c2, t).
@@ -258,6 +254,11 @@ def _controlled_rule(matrix: Matrix2) -> tuple[_RuleGate, ...]:
 
 def _mat_mul(m1: Matrix2, m2: Matrix2) -> Matrix2:
     return as_matrix2(as_array(m1) @ as_array(m2))
+
+
+# gates one controlled unitary (CU) lowers to in each basis, for any matrix
+CU_LENGTHS = {basis: 1 if GateKind.CU in ALLOWED_KINDS[basis] else len(_controlled_rule(MAT_H))
+              for basis in GateBasis}
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,6 @@ class CyclePlan:
     block_widths: tuple[int, ...]
     cycle_ancillas: int
     process_ancillas: int
-    ancilla_budget: int
     toffoli_total: int
     paired: int
     unpaired: int
@@ -145,7 +144,6 @@ def plan_blocks(
         block_widths=widths,
         cycle_ancillas=len(repeated),
         process_ancillas=pool,
-        ancilla_budget=len(repeated) + pool,
         toffoli_total=paired + unpaired,
         paired=paired,
         unpaired=unpaired,

@@ -15,28 +15,29 @@ target from ``Gate.action`` in ``ir``, the one map from gate kind to
 2x2 matrix.
 
 All inputs are simulated together, as arrays, by one of two batched
-engines.  Circuits built purely from X-like gates map basis states to
-basis states, so they are bit-sliced: inputs go in blocks of up to
-2**16, each wire is one Python int whose bit b is its value under the
-block's input b, and each gate is one AND/XOR over ints.  An input bit
-below the block size is one fixed pattern, built once per process; a
-higher bit is all ones or all zeros over the block.  Anything
-containing CV, CU, or local rotations is evolved as flat (input, basis
-index, amplitude) entries, one step at a time.  Most steps are windows:
-runs of consecutive gates on at most three qubits whose product is
-monomial, one nonzero entry per column.  Every decomposed Toffoli is
-such a product (Barenco et al. 1995; the relative-phase form is a
-Toffoli times a diagonal, Maslov 2016), so a window moves each entry
-with one XOR and rescales it by one phase, both looked up by the
-entry's bits on the window's qubits, and never grows the support.  Each
-window is the longest monomial prefix of its run, not the whole run,
-so it ends where a decomposed Toffoli ends; a run's product is worked
-out once per shape and process, and kept in a bounded cache.  A gate
-that starts no window is applied alone: permutation and diagonal gates
-move or rescale entries in place, and mixing gates split entries and
-merge the duplicates.  An input whose support outgrows a cap is
-simulated again on a dense statevector, which is where the width cap
-matters.
+engines, one per kind of state.  Bit planes carry basis states: inputs
+go in blocks of up to 2**16, each wire is one Python int whose bit b is
+its value under the block's input b, and each step XORs into one wire
+a sum of ANDs of wires.  An input bit below the block size is one fixed
+pattern, built once per process; a higher bit is all ones or all zeros
+over the block.  A circuit of X-like gates runs there, a step per gate.
+Sparse entries, flat (input, basis index, amplitude) arrays, run the
+rest, one step at a time.  Most steps are windows: runs of consecutive
+gates on at most three qubits whose product is monomial, one nonzero
+entry per column.  Every decomposed Toffoli is such a product (Barenco
+et al. 1995; the relative-phase form is a Toffoli times a diagonal,
+Maslov 2016), so a window moves each entry with one XOR and rescales it
+by one phase, both looked up by the entry's bits on the window's
+qubits, and never grows the support.  Each window is the longest
+monomial prefix of its run, not the whole run, so it ends where a
+decomposed Toffoli ends; a run's product is worked out once per shape
+and process, and kept in a bounded cache with its XOR table as bit-plane
+steps, the algebraic normal form of each bit it flips (the Moebius
+transform).  A gate that starts no window is applied alone: permutation
+and diagonal gates move or rescale entries in place, and mixing gates
+split entries and merge the duplicates.  An input whose support
+outgrows a cap is simulated again on a dense statevector, which is
+where the width cap matters.
 
 The expected outputs are arrays too.  The built-in C^nX and C^nU oracles
 (``ControlledOracle``) are tabulated from n and the 2x2 alone; any other
@@ -46,14 +47,12 @@ that table by the same array operations, with two shortcuts that give
 the same verdict, bit for bit.
 
 Against a ``ControlledOracle`` whose table is one-to-one with amplitude
-1 (C^nX, or C^nU with U = X), at a tolerance between 0 and 1, a
-verdict is read off integers alone.  For a classical circuit, each
+1 (C^nX, or C^nU with U = X), at a tolerance between 0 and 1, bit planes
+also run a circuit planned as windows without phases (every C^nX build
+lowered to cv), and the verdict is read off their bits: each
 computational wire's bits are XORed with its input pattern, corrected
 at the two inputs the table moves, and the lowest input left with a
-difference is the witness.  A circuit planned as windows alone, none
-with a phase (every C^nX build lowered to cv), keeps one basis state of
-amplitude 1 per input, so only its basis indices are evolved and
-compared with the table's, the same way.
+difference is the witness.
 
 Otherwise, when the table holds one entry per input and the circuit's
 outputs are one entry per input, as every all-window build's are, the
@@ -229,14 +228,17 @@ def _patterns(size_log: int) -> tuple[int, ...]:
 
 
 def _run_classical(
-    circuit: Circuit,
+    steps: Sequence[tuple[int, tuple[tuple[int, ...], ...]]],
+    width: int,
     comp: Sequence[int],
     ancillas: Sequence[int],
     moved: Optional[dict[int, int]] = None,
 ) -> tuple:
-    """Bit-sliced propagation, a block of inputs at a time.  Each wire
-    is one Python int, bit b holding its value under input lo + b, and
-    each gate is one AND/XOR over wires.
+    """Bit-sliced propagation, a block of inputs at a time: each wire is
+    one Python int, bit b holding its value under input lo + b.  A step
+    (target, products) XORs into the target the sum of its products,
+    each the AND of the wires it lists; wire -1 is the constant 1, and
+    wires -2..-4 are scratch, cleared by the steps that use them.
 
     Returns (failure, got) as the sparse engine does.  With ``moved``,
     the inputs a permutation table does not map to themselves and the
@@ -244,7 +246,6 @@ def _run_classical(
     output differs from the table's, or None."""
     k = len(comp)
     n_inputs = 1 << k
-    steps = [(g.controls, g.target) for g in circuit.gates]
     # a block is the budget rounded down to a power of two, so input
     # bits below size_log are the block's patterns, and above it all
     # ones or all zeros by the block's number
@@ -258,16 +259,16 @@ def _run_classical(
         # comp[k-1-j] carries input bit j
         pattern = [low[j] if j < size_log else valid * (lo >> j & 1)
                    for j in range(k - 1, -1, -1)]
-        wires = [0] * circuit.width
+        wires = [0] * width + [0, 0, 0, valid]
         for q, bits in zip(comp, pattern):
             wires[q] = bits
-        for controls, target in steps:
-            if not controls:
-                wires[target] ^= valid
-                continue
-            flip = wires[controls[0]]
-            for c in controls[1:]:
-                flip &= wires[c]
+        for target, products in steps:
+            flip = 0
+            for product in products:
+                term = wires[product[0]]
+                for q in product[1:]:
+                    term &= wires[q]
+                flip = flip ^ term if flip else term
             wires[target] ^= flip
         dirty = 0
         for q in ancillas:
@@ -364,11 +365,12 @@ class _Window(NamedTuple):
     local index of an entry packs its bits at ``shifts``, most
     significant first; its key is XORed with ``flips`` at that index and
     its amplitude times ``phases`` there (None when a table does
-    nothing)."""
+    nothing); ``xor`` is the XOR table as ``_xor_steps``."""
 
     shifts: tuple[int, ...]
     flips: Optional[np.ndarray]
     phases: Optional[np.ndarray]
+    xor: tuple
 
 
 def _window_step(
@@ -410,9 +412,9 @@ def _fused(shape: tuple) -> Optional[tuple]:
     """The longest prefix of a run of this shape (kinds, matrices, and
     operands numbered by first appearance) whose product is monomial, as
     its gate count, the number of qubits it touches (the first ones in
-    order of appearance), and its local XOR bits and phases, both read
-    only; None when no prefix is.  It depends on the shape alone, so it
-    is worked out once per process."""
+    order of appearance), its local XOR bits and phases, both read only,
+    and its XOR bits as bit-plane steps; None when no prefix is.  It
+    depends on the shape alone, so it is worked out once per process."""
     d = 1 + max(max(pos) for _, _, pos in shape)
     product = _IDENTITY[d]
     best, used = None, 0
@@ -451,7 +453,27 @@ def _fused(shape: tuple) -> Optional[tuple]:
         if table is not None:
             # shared by every later plan in the process
             table.setflags(write=False)
-    return count, used, bits, phases
+    return count, used, bits, phases, () if bits is None else _xor_steps(bits)
+
+
+def _xor_steps(bits: np.ndarray) -> tuple:
+    """A window's XOR bits as ``_run_classical`` steps on its local
+    positions: each flipping position XORs in its flip's algebraic normal
+    form in the old bits (the Moebius transform), through scratch wires,
+    cleared last, when more than one flips, as each reads the others."""
+    anf, used = bits.copy(), bits.shape[1]
+    for i in range(used):
+        view = anf.reshape(-1, 2, 1 << i, used)
+        view[:, 1] ^= view[:, 0]
+    sums = [(p, tuple(tuple(q for q in range(used) if j >> (used - 1 - q) & 1) or (-1,)
+                      for j in np.flatnonzero(anf[:, p])))
+            for p in range(used) if anf[:, p].any()]
+    if len(sums) > 1:
+        scratch = range(-2, -2 - len(sums), -1)
+        sums = ([(s, products) for s, (_, products) in zip(scratch, sums)]
+                + [(p, ((s,),)) for s, (p, _) in zip(scratch, sums)]
+                + [(s, ((s,),)) for s in scratch])
+    return tuple(sums)
 
 
 def _plan(gates: Sequence[Gate], width: int) -> list[Union[_Window, Gate]]:
@@ -481,10 +503,10 @@ def _plan(gates: Sequence[Gate], width: int) -> list[Union[_Window, Gate]]:
             steps.append(gates[i])
             i += 1
             continue
-        count, used, bits, phases = plan
+        count, used, bits, phases, xor = plan
         shifts = tuple(width - 1 - q for q in islice(place, used))
         weights = np.int64(1) << np.array(shifts, dtype=np.int64)
-        steps.append(_Window(shifts, None if bits is None else bits @ weights, phases))
+        steps.append(_Window(shifts, None if bits is None else bits @ weights, phases, xor))
         i += count
     return steps
 
@@ -562,32 +584,6 @@ def _run_sparse(
         m = inputs[dirty].min()
         return (int(m), float(_abs(amps[dirty & (inputs == m)]).max())), None
     return None, ((inputs << len(comp)) | _gather(idx, comp, width), amps)
-
-
-def _run_permutation(
-    steps: Sequence[_Window],
-    width: int,
-    comp: Sequence[int],
-    ancillas: Sequence[int],
-    moved: dict[int, int],
-) -> tuple:
-    """Sparse evolution of windows without phases, against a permutation
-    table.  Each input keeps one basis state of amplitude 1 throughout,
-    in input order, so only basis indices are compared.
-
-    Returns (failure, got) as ``_run_classical`` does with ``moved``:
-    got is the lowest input whose output differs from the table's, or
-    None."""
-    keys, _, _ = _evolve_sparse(steps, width, comp)
-    idx = keys & ((1 << width) - 1)
-    dirty = (idx & sum(1 << (width - 1 - a) for a in ancillas)) != 0
-    if dirty.any():
-        return (int(dirty.argmax()), 1.0), None
-    outputs = np.arange(len(idx), dtype=np.int64)
-    for m, want in moved.items():
-        outputs[m] = want
-    differ = idx != _spread(outputs, comp, width)
-    return None, int(differ.argmax()) if differ.any() else None
 
 
 # ---------------------------------------------------------------------------
@@ -721,20 +717,25 @@ def check_equivalence(
         if 2 * k > 63:
             raise WidthLimitError(f"{k} computational qubits exceed the classical "
                                   f"engine's 63-bit keys")
-        failure, got = _run_classical(circuit, comp, ancillas, moved)
+        steps = [(g.target, (g.controls or (-1,),)) for g in circuit.gates]
     else:
         if width > limit:
             raise WidthLimitError(f"width {width} exceeds simulation cap {limit}")
         if width + len(comp) > 63:
             raise WidthLimitError(f"width {width} with {len(comp)} inputs "
                                   f"exceeds the sparse engine's 63-bit keys")
-        steps = _plan(circuit.gates, width)
-        if moved is not None and all(isinstance(s, _Window) and s.phases is None
-                                     for s in steps):
-            failure, got = _run_permutation(steps, width, comp, ancillas, moved)
-        else:
-            moved = None
-            failure, got = _run_sparse(circuit, steps, comp, ancillas, tol)
+        plan, steps = _plan(circuit.gates, width), None
+        if moved is not None and all(isinstance(s, _Window) and s.phases is None for s in plan):
+            # each window's steps on its qubits; wires -1..-4 stay as they are
+            steps = []
+            for w in plan:
+                at = [width - 1 - s for s in w.shifts] + [-4, -3, -2, -1]
+                steps += [(at[t], tuple(tuple(at[q] for q in p) for p in ps)) for t, ps in w.xor]
+    if steps is not None:
+        failure, got = _run_classical(steps, width, comp, ancillas, moved)
+    else:
+        moved = None
+        failure, got = _run_sparse(circuit, plan, comp, ancillas, tol)
 
     if failure is not None:
         first, deviation = failure

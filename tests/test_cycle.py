@@ -161,7 +161,7 @@ class TestPlanCycles:
             assert plan.process_ancillas == len(
                 circ.indices_with_role(QubitRole.PROCESS_ANCILLA)
             )
-            assert plan.ancilla_budget == _ancilla_count(circ)
+            assert plan.cycle_ancillas + plan.process_ancillas == _ancilla_count(circ)
             if plan.meta.scheme == "cycle":
                 assert _group_sizes(plan) == group_sizes(plan.meta.n, plan.meta.c)
 
@@ -228,7 +228,8 @@ class TestPlanCycles:
         # up to the square-root optimum
         for n in range(4, 26):
             best = max(math.isqrt(n - 1), 1)
-            budgets = [plan_cycles(n, c).ancilla_budget for c in range(1, best + 1)]
+            plans = [plan_cycles(n, c) for c in range(1, best + 1)]
+            budgets = [p.cycle_ancillas + p.process_ancillas for p in plans]
             assert budgets == sorted(budgets, reverse=True), n
 
     def test_toffolis_non_decreasing_up_to_best(self):

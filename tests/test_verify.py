@@ -717,12 +717,12 @@ def _random_window_circuits(count):
 
 
 def _assert_same_plan(a, b):
-    """The same steps: windows with equal shifts and equal flip and
-    phase tables, and the very same lone gates."""
+    """The same steps: windows with equal shifts, equal flip and phase
+    tables and equal bit-plane steps, and the very same lone gates."""
     assert len(a) == len(b)
     for s, t in zip(a, b):
         if isinstance(s, verify._Window):
-            assert isinstance(t, verify._Window) and s.shifts == t.shifts
+            assert isinstance(t, verify._Window) and (s.shifts, s.xor) == (t.shifts, t.xor)
             for u, v in ((s.flips, t.flips), (s.phases, t.phases)):
                 assert (u is None) == (v is None)
                 if u is not None:
@@ -779,6 +779,29 @@ class TestWindowedEngine:
                     m.setattr(verify, "_ENTRY_BUDGET", 4)
                 seen.add(_assert_windows_match_per_gate(circ, oracle, monkeypatch).klass)
         assert seen == set(EquivalenceClass)
+
+
+def _run_local(xor, used):
+    """A window's bit-plane steps on all 2**used local inputs at once:
+    bit j of position p's plane is p's bit in j (position 0 the most
+    significant), wire -1 is all ones and wires -2..-4 start at 0.  The
+    XOR each local input sees, as rows of bits by position; scratch
+    must end cleared."""
+    size = 1 << used
+    wires = {p: sum(1 << j for j in range(size) if j >> (used - 1 - p) & 1)
+             for p in range(used)}
+    start = dict(wires)
+    wires.update({-1: (1 << size) - 1, -2: 0, -3: 0, -4: 0})
+    for target, products in xor:
+        flip = 0
+        for product in products:
+            term = wires[-1]
+            for q in product:
+                term &= wires[q]
+            flip ^= term
+        wires[target] ^= flip
+    assert wires[-1] == (1 << size) - 1 and wires[-2] == wires[-3] == wires[-4] == 0
+    return [[(wires[p] ^ start[p]) >> j & 1 for p in range(used)] for j in range(size)]
 
 
 class TestFusion:
@@ -842,11 +865,59 @@ class TestFusion:
     def test_cached_tables_are_read_only(self):
         gates = lower_toffoli(1, 2, 0, ToffoliRule.RELATIVE_PHASE)
         (step,) = verify._plan(gates, 3)
-        _, _, bits, phases = verify._fused(_shape(gates))
-        assert step.phases is phases
+        _, _, bits, phases, xor = verify._fused(_shape(gates))
+        assert step.phases is phases and step.xor is xor
         for table in (bits, phases):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = table[1]
+        # the bit-plane steps are tuples all the way down
+        assert isinstance(xor, tuple) and all(
+            isinstance(t, int) and all(isinstance(p, tuple) for p in products)
+            for t, products in xor)
+
+    def test_xor_steps_reproduce_the_bits(self, monkeypatch):
+        """Every entry the sweep's plans fuse: its steps, run on bit
+        planes of every local input, flip exactly its XOR bits."""
+        shapes = set()
+        real = verify._fused
+
+        def recording(shape):
+            shapes.add(shape)
+            return real(shape)
+
+        monkeypatch.setattr(verify, "_fused", recording)
+        for c, _ in _parity_sweep():
+            if not is_classical(c):
+                verify._plan(c.gates, c.width)
+        monkeypatch.undo()
+        flipping = 0
+        for entry in filter(None, map(verify._fused, shapes)):
+            _, used, bits, _, xor = entry
+            if bits is None:
+                assert xor == ()
+                continue
+            assert _run_local(xor, used) == bits.tolist()
+            flipping += 1
+        assert flipping > 20, flipping
+
+    @pytest.mark.parametrize("gates, flips", [
+        # an unconditional flip gives the constant term
+        ([x(0)], {0: ((-1,),)}),
+        ([cnot(0, 1), x(1)], {1: ((-1,), (0,))}),
+        ([toffoli(0, 1, 2), x(2)], {2: ((-1,), (0, 1))}),
+        # a SWAP: each position's flip reads the other's old bit
+        ([cnot(0, 1), cnot(1, 0), cnot(0, 1)], {0: ((1,), (0,)), 1: ((1,), (0,))}),
+    ])
+    def test_hand_made_windows(self, gates, flips):
+        _, used, bits, _, xor = verify._fused(_shape(gates))
+        assert _run_local(xor, used) == bits.tolist()
+        if len(flips) == 1:
+            assert dict(xor) == flips
+        else:
+            # through scratch wires, then into the positions, then cleared
+            sums = {t: products for t, products in xor if t < -1 and products[0] != (t,)}
+            assert sorted(sums.values()) == sorted(flips.values())
+            assert {t for t, _ in xor} == set(flips) | set(sums)
 
     def test_width_past_63_refused(self):
         # the target's XOR mask is 1 << 62 at width 63, and would wrap
@@ -988,21 +1059,22 @@ def _general_verdict(circuit, oracle, tol, monkeypatch):
 
 
 def _count_paths(monkeypatch):
-    """Count how checks reach their verdicts: the keys of windows
-    without phases alone, or _classify's one-entry or general branch."""
+    """Count how checks reach their verdicts: the bit planes, which the
+    circuits counted here (none classical) reach only as windows without
+    phases, or _classify's one-entry or general branch."""
     paths = Counter()
-    real_keys, real_one = verify._run_permutation, verify._one_entry_each
+    real_planes, real_one = verify._run_classical, verify._one_entry_each
 
-    def keys_only(*args):
-        paths["keys only"] += 1
-        return real_keys(*args)
+    def bit_planes(*args):
+        paths["bit planes"] += 1
+        return real_planes(*args)
 
     def one_entry(*args):
         taken = real_one(*args)
         paths["one entry" if taken else "general"] += 1
         return taken
 
-    monkeypatch.setattr(verify, "_run_permutation", keys_only)
+    monkeypatch.setattr(verify, "_run_classical", bit_planes)
     monkeypatch.setattr(verify, "_one_entry_each", one_entry)
     return paths
 
@@ -1102,14 +1174,14 @@ class TestTabulatedOracle:
 
 class TestOneEntryVerdict:
     """A lowered build keeps one basis state per input, so its verdict is
-    read off the final keys (windows without phases, against a
-    permutation table) or fitted entry by entry; either way it is the
-    verdict of the general path, bit for bit."""
+    read off bit planes (windows without phases, against a permutation
+    table) or fitted entry by entry; either way it is the verdict of the
+    general path, bit for bit."""
 
     @pytest.mark.parametrize("basis", [GateBasis.CV_BASIS, GateBasis.CNOT_LOCAL])
     def test_lowered_builds_never_take_the_general_path(self, basis, monkeypatch):
         paths = _count_paths(monkeypatch)
-        want = {"keys only": 1} if basis is GateBasis.CV_BASIS else {"one entry": 1}
+        want = {"bit planes": 1} if basis is GateBasis.CV_BASIS else {"one entry": 1}
         builds = []
         for n in range(2, 10):
             builds += [build_cnx(n)] + [build_cycle_cnx(n, c) for c in range(1, n)]
@@ -1155,7 +1227,7 @@ class TestOneEntryVerdict:
                 witnesses.add((fast.witness.detail.split()[0], fast.witness.input_bits[0]))
         # a deleted gate of a decomposed Toffoli may leave a step that
         # mixes, and such a mutant takes the general path
-        assert taken["keys only"] > 20 and taken["one entry"] > 50, taken
+        assert taken["bit planes"] > 20 and taken["one entry"] > 50, taken
         # ancillas and outputs both found wrong in the upper half of the
         # inputs too, past the first blocks
         assert {("ancilla", 1), ("no", 1), ("ancilla", 0), ("no", 0)} <= witnesses
@@ -1189,9 +1261,18 @@ def _classical_reference(circuit, comp, moved):
     """What _run_classical must return, worked out from the per-gate
     sparse loop's final entries: the lowest input with an ancilla left
     set, else the outputs keyed (m << k) | output, or with ``moved`` the
-    lowest input whose output differs from the table's."""
+    lowest input whose output differs from the table's.  Both answers,
+    without and with ``moved``, from one run of the loop, in blocks of
+    the default budget."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verify, "_ENTRY_BUDGET", _DEFAULT_BUDGET)
+        evolved = _evolve_per_gate(circuit, comp)
+    return [_classical_answer(circuit, comp, evolved, want) for want in (None, moved)]
+
+
+def _classical_answer(circuit, comp, evolved, moved):
     width, k = circuit.width, len(comp)
-    keys, amps, overflow = _evolve_per_gate(circuit, comp)
+    keys, amps, overflow = evolved
     assert not overflow and len(keys) == 1 << k
     order = np.argsort(keys)
     keys, amps = keys[order], amps[order]
@@ -1211,36 +1292,86 @@ def _classical_reference(circuit, comp, moved):
     return None, int(differ[0]) if len(differ) else None
 
 
+def _bit_plane_steps(circuit, oracle, monkeypatch):
+    """The steps check_equivalence hands the bit planes, or None when it
+    runs sparse entries; neither engine runs."""
+    handed = []
+
+    def stop(*args):
+        return (0, 0.0), None
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_run_classical", lambda steps, *args: handed.append(steps) or stop())
+        m.setattr(verify, "_run_sparse", stop)
+        check_equivalence(circuit, oracle)
+    return handed[0] if handed else None
+
+
+def _appended_x():
+    """Each build of _parity_builds lowered to cv, with an x appended on
+    the target, and on its first ancilla: a window that flips a bit
+    unconditionally."""
+    for circ, oracle, _ in _parity_builds():
+        lowered = lower_circuit(circ, GateBasis.CV_BASIS)
+        comp = default_computational_qubits(lowered)
+        spare = [q for q in range(lowered.width) if q not in comp]
+        for q in [comp[-1]] + spare[:1]:
+            yield Circuit(lowered.qubits, lowered.gates + (x(q),), lowered.meta), oracle
+
+
+_DEFAULT_BUDGET = verify._ENTRY_BUDGET
+
+
 class TestWordEngine:
-    """The classical engine holds each wire as one int, a bit per input
+    """The bit-plane engine holds each wire as one int, a bit per input
     of a block, and reads the verdict of a one-to-one table of
     amplitude 1 off those bits."""
 
     @pytest.mark.parametrize("budget", [4, verify._ENTRY_BUDGET])
     def test_matches_the_per_gate_engine(self, budget, monkeypatch):
+        """Toffoli-level sweep cases, the sweep's window plans without
+        phases, and cv builds with an x appended, each run on bit planes
+        against the per-gate loop's answers."""
         monkeypatch.setattr(verify, "_ENTRY_BUDGET", budget)
-        checked, failures, witnesses = 0, 0, 0
-        for c, oracle in _parity_sweep():
-            if not is_classical(c):
+        checked, failures, witnesses = Counter(), Counter(), Counter()
+        cases = chain((("sweep", c, oracle) for c, oracle in _parity_sweep()),
+                      (("appended x", c, oracle) for c, oracle in _appended_x()))
+        for source, c, oracle in cases:
+            steps = _bit_plane_steps(c, oracle, monkeypatch)
+            if steps is None:
                 continue
+            kind = "toffoli" if is_classical(c) else source
             comp = default_computational_qubits(c)
             spare = tuple(q for q in range(c.width) if q not in comp)
-            failure, got = verify._run_classical(c, comp, spare)
-            want_failure, want_got = _classical_reference(c, comp, None)
+            failure, got = verify._run_classical(steps, c.width, comp, spare)
+            (want_failure, want_got), want = _classical_reference(c, comp, verify._moves(oracle))
             assert failure == want_failure, (c.meta, len(c.gates))
             if failure is None:
                 assert got[0].tolist() == want_got[0].tolist()
-                assert got[1].tobytes() == want_got[1].tobytes()
+                if kind == "toffoli":
+                    assert got[1].tobytes() == want_got[1].tobytes()
+                else:
+                    # fused windows without phases: the per-gate loop
+                    # reaches amplitude 1 up to rounding
+                    assert got[1].tolist() == [1] * len(got[1])
+                    assert np.abs(want_got[1] - 1).max() < 1e-12
             else:
                 assert got is None
-                failures += 1
+                failures[kind] += 1
             moved = verify._moves(oracle)
-            want = _classical_reference(c, comp, moved)
-            assert verify._run_classical(c, comp, spare, moved) == want, (c.meta, len(c.gates))
-            witnesses += want[1] is not None
-            checked += 1
+            assert verify._run_classical(steps, c.width, comp, spare, moved) == want, \
+                (c.meta, len(c.gates))
+            witnesses[kind] += want[1] is not None
+            checked[kind] += 1
         # builds and their mutants: ancillas left set, and outputs wrong
-        assert checked > 120 and failures > 50 and witnesses > 10, (checked, failures, witnesses)
+        assert checked["toffoli"] > 120 and failures["toffoli"] > 50 \
+            and witnesses["toffoli"] > 10, (checked, failures, witnesses)
+        assert checked["sweep"] >= 70 and failures["sweep"] + witnesses["sweep"] > 0, \
+            (checked, failures, witnesses)
+        # every appended x fails: on the target at input 0, on an
+        # ancilla as an ancilla left set
+        assert failures["appended x"] + witnesses["appended x"] == checked["appended x"] > 60, \
+            (checked, failures, witnesses)
 
     @pytest.mark.parametrize("size_log", [0, 1, 2, 3, 4, 7, 16])
     def test_block_patterns(self, size_log):
