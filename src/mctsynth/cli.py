@@ -33,7 +33,6 @@ from .costs import (
 )
 from .decomp import GateBasis, lower_circuit
 from .ir import NAMED_UNITARIES, QubitRole
-from .qasmio import CircuitFileError
 from .verify import (
     EquivalenceClass,
     Oracle,
@@ -183,10 +182,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     func: Callable[[argparse.Namespace], int] = args.func
     try:
         return func(args)
-    except CircuitFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
+        # a CircuitFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

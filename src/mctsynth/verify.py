@@ -46,13 +46,14 @@ flattened into the same layout.  Both engines' outputs are compared with
 that table by the same array operations, with two shortcuts that give
 the same verdict, bit for bit.
 
-Against a ``ControlledOracle`` whose table is one-to-one with amplitude
-1 (C^nX, or C^nU with U = X), at a tolerance between 0 and 1, bit planes
-also run a circuit planned as windows without phases (every C^nX build
-lowered to cv), and the verdict is read off their bits: each
-computational wire's bits are XORed with its input pattern, corrected
-at the two inputs the table moves, and the lowest input left with a
-difference is the witness.
+Against a C^nX table (a ``ControlledOracle`` whose matrix is X) at a
+tolerance above 0, bit planes also run a circuit planned as windows
+without phases (every C^nX build lowered to cv), each window's steps
+put on the qubits it carries, and the verdict is read off their bits
+as a miter: one more step applies the table's inverse, C^nX itself,
+and the circuit is exact when every wire ends as it began.  The lowest
+input left changed is the witness, and one call of the oracle gives
+the output it should have had.
 
 Otherwise, when the table holds one entry per input and the circuit's
 outputs are one entry per input, as every all-window build's are, the
@@ -232,7 +233,7 @@ def _run_classical(
     width: int,
     comp: Sequence[int],
     ancillas: Sequence[int],
-    moved: Optional[dict[int, int]] = None,
+    miter: bool = False,
 ) -> tuple:
     """Bit-sliced propagation, a block of inputs at a time: each wire is
     one Python int, bit b holding its value under input lo + b.  A step
@@ -240,10 +241,10 @@ def _run_classical(
     each the AND of the wires it lists; wire -1 is the constant 1, and
     wires -2..-4 are scratch, cleared by the steps that use them.
 
-    Returns (failure, got) as the sparse engine does.  With ``moved``,
-    the inputs a permutation table does not map to themselves and the
-    outputs it maps them to, got is instead the lowest input whose
-    output differs from the table's, or None."""
+    Returns (failure, got) as the sparse engine does.  With ``miter``,
+    the steps end with the inverse of the table checked against, and got
+    is instead the lowest input whose computational wires did not end as
+    they began, or None."""
     k = len(comp)
     n_inputs = 1 << k
     # a block is the budget rounded down to a power of two, so input
@@ -253,7 +254,7 @@ def _run_classical(
     block = 1 << size_log
     valid = (1 << block) - 1
     low = _patterns(size_log)
-    out = np.zeros(n_inputs if moved is None else 0, dtype=np.int64)
+    out = np.zeros(0 if miter else n_inputs, dtype=np.int64)
     mismatch = None
     for lo in range(0, n_inputs, block):
         # comp[k-1-j] carries input bit j
@@ -275,7 +276,7 @@ def _run_classical(
             dirty |= wires[q]
         if dirty:
             return (lo + _lowest(dirty), 1.0), None
-        if moved is None:
+        if not miter:
             outputs = out[lo:lo + block]
             n_bytes = max(block >> 3, 1)
             for q in comp:
@@ -283,17 +284,12 @@ def _run_classical(
                 outputs <<= 1
                 outputs |= np.unpackbits(as_bytes, bitorder="little")[:block]
         elif mismatch is None:
-            for m, want in moved.items():
-                if lo <= m < lo + block:
-                    b = 1 << (m - lo)
-                    for i, bit in enumerate(_bits(want, k)):
-                        pattern[i] = pattern[i] | b if bit else pattern[i] & ~b
             diff = 0
             for q, bits in zip(comp, pattern):
                 diff |= wires[q] ^ bits
             if diff:
                 mismatch = lo + _lowest(diff)
-    if moved is not None:
+    if miter:
         return None, mismatch
     masks = np.arange(n_inputs, dtype=np.int64)
     return None, ((masks << k) | out, np.ones(n_inputs, dtype=complex))
@@ -361,28 +357,31 @@ _WINDOW_SCAN = 32
 
 
 class _Window(NamedTuple):
-    """Gates fused into a generalized permutation of their qubits.  The
-    local index of an entry packs its bits at ``shifts``, most
-    significant first; its key is XORed with ``flips`` at that index and
-    its amplitude times ``phases`` there (None when a table does
-    nothing); ``xor`` is the XOR table as ``_xor_steps``."""
+    """Gates fused into a generalized permutation of ``qubits``.  The
+    local index of an entry packs its bits on those qubits, the first
+    most significant; at that index ``bits`` holds which of them flip
+    and ``phases`` what the amplitude is multiplied by (None when a
+    table does nothing); ``xor`` is the flips as ``_xor_steps``.  The
+    tables are ``_fused``'s, shared and read only."""
 
-    shifts: tuple[int, ...]
-    flips: Optional[np.ndarray]
+    qubits: tuple[int, ...]
+    bits: Optional[np.ndarray]
     phases: Optional[np.ndarray]
     xor: tuple
 
 
 def _window_step(
-    w: _Window, keys: np.ndarray, amps: np.ndarray
+    w: _Window, width: int, keys: np.ndarray, amps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply a window to sparse entries: every entry goes to exactly
-    one place, so the support neither grows nor needs merging."""
-    loc = (keys >> w.shifts[0]) & 1
-    for s in w.shifts[1:]:
+    one place, so the support neither grows nor needs merging.  Keys
+    hold ``width`` bits, at most 63, so each XOR mask fits an int64."""
+    shifts = [width - 1 - q for q in w.qubits]
+    loc = (keys >> shifts[0]) & 1
+    for s in shifts[1:]:
         loc = (loc << 1) | ((keys >> s) & 1)
-    if w.flips is not None:
-        keys = keys ^ w.flips[loc]
+    if w.bits is not None:
+        keys = keys ^ (w.bits @ np.array([1 << s for s in shifts], dtype=np.int64))[loc]
     if w.phases is not None:
         amps = amps * w.phases[loc]
     return keys, amps
@@ -476,17 +475,14 @@ def _xor_steps(bits: np.ndarray) -> tuple:
     return tuple(sums)
 
 
-def _plan(gates: Sequence[Gate], width: int) -> list[Union[_Window, Gate]]:
+def _plan(gates: Sequence[Gate]) -> list[Union[_Window, Gate]]:
     """Split the gates into steps: each step is a ``_Window`` or a lone
     ``Gate``.  A window is the longest prefix, of the run of gates that
     fits on ``_WINDOW_QUBITS`` qubits, whose product is monomial; a gate
     that starts no such prefix goes alone.  Cutting at the longest
     monomial prefix, not at the end of the run, keeps a window from
     taking the first gates of the next decomposed Toffoli.  Each run's
-    product is looked up by its shape in ``_fused``.  A window's XOR
-    mask is an int64, so widths above 63 are refused."""
-    if width > 63:
-        raise ValueError(f"width {width} exceeds the 63 bits of a window's XOR mask")
+    product is looked up by its shape in ``_fused``."""
     steps: list[Union[_Window, Gate]] = []
     i = 0
     while i < len(gates):
@@ -503,10 +499,8 @@ def _plan(gates: Sequence[Gate], width: int) -> list[Union[_Window, Gate]]:
             steps.append(gates[i])
             i += 1
             continue
-        count, used, bits, phases, xor = plan
-        shifts = tuple(width - 1 - q for q in islice(place, used))
-        weights = np.int64(1) << np.array(shifts, dtype=np.int64)
-        steps.append(_Window(shifts, None if bits is None else bits @ weights, phases, xor))
+        count, used, *tables = plan
+        steps.append(_Window(tuple(islice(place, used)), *tables))
         i += count
     return steps
 
@@ -533,7 +527,7 @@ def _evolve_sparse(
         for pos in range(start, len(steps)):
             step = steps[pos]
             if isinstance(step, _Window):
-                keys, amps = _window_step(step, keys, amps)
+                keys, amps = _window_step(step, width, keys, amps)
                 continue
             keys, amps, mixed = _sparse_step(step, width, keys, amps)
             if not mixed:
@@ -696,7 +690,10 @@ def check_equivalence(
     ``oracle_cnx`` and ``oracle_cnu`` return) is read as one table and
     never called per input.  Any other oracle is called once per input,
     in input order, and not past an input that leaves an ancilla set.
+    ``tol`` must be at least 0 and below 1 (``ValueError`` otherwise).
     """
+    if not 0 <= tol < 1:
+        raise ValueError(f"tol must be at least 0 and below 1, got {tol}")
     width = circuit.width
     limit = resolve_max_width(max_width)
     comp = tuple(
@@ -712,7 +709,8 @@ def check_equivalence(
     k = len(comp)
     ancillas = tuple(q for q in range(width) if q not in comp)
     tabulated = isinstance(oracle, ControlledOracle) and oracle.n + 1 == k
-    moved = _moves(oracle) if tabulated and 0 < tol < 1 else None
+    # a matrix given as an array compares as rows of numbers
+    miter = tabulated and tol > 0 and tuple(map(tuple, oracle.matrix)) == MAT_X
     if is_classical(circuit):
         if 2 * k > 63:
             raise WidthLimitError(f"{k} computational qubits exceed the classical "
@@ -724,18 +722,21 @@ def check_equivalence(
         if width + len(comp) > 63:
             raise WidthLimitError(f"width {width} with {len(comp)} inputs "
                                   f"exceeds the sparse engine's 63-bit keys")
-        plan, steps = _plan(circuit.gates, width), None
-        if moved is not None and all(isinstance(s, _Window) and s.phases is None for s in plan):
+        plan, steps = _plan(circuit.gates), None
+        if miter and all(isinstance(s, _Window) and s.phases is None for s in plan):
             # each window's steps on its qubits; wires -1..-4 stay as they are
             steps = []
             for w in plan:
-                at = [width - 1 - s for s in w.shifts] + [-4, -3, -2, -1]
+                at = w.qubits + (-4, -3, -2, -1)
                 steps += [(at[t], tuple(tuple(at[q] for q in p) for p in ps)) for t, ps in w.xor]
-    if steps is not None:
-        failure, got = _run_classical(steps, width, comp, ancillas, moved)
-    else:
-        moved = None
+    if steps is None:
+        miter = False
         failure, got = _run_sparse(circuit, plan, comp, ancillas, tol)
+    else:
+        if miter:
+            # the table's inverse is C^nX again
+            steps.append((comp[-1], (comp[:-1] or (-1,),)))
+        failure, got = _run_classical(steps, width, comp, ancillas, miter)
 
     if failure is not None:
         first, deviation = failure
@@ -748,36 +749,23 @@ def check_equivalence(
             deviation,
             Mismatch(_bits(first, k), "ancilla not restored to |0>"),
         )
-    if moved is not None:
-        # what _classify finds for a one-to-one table of amplitude 1 and
-        # outputs of one basis state of amplitude 1 each:
-        # either every output is the table's, or the first input that
-        # differs has no amplitude where the table puts its 1
+    if miter:
+        # what _classify finds for a C^nX table and outputs of one basis
+        # state of amplitude 1 each: either every output is the table's,
+        # or the first input that differs has no amplitude where the
+        # table puts its 1
         if got is None:
             return EquivalenceVerdict(EquivalenceClass.EXACT, 0.0)
-        want = _bits(moved.get(got, got), k)
+        bits = _bits(got, k)
+        (want,) = oracle(bits)
         return EquivalenceVerdict(
             EquivalenceClass.MISMATCH,
             1.0,
-            Mismatch(_bits(got, k), f"no amplitude on expected output {want}"),
+            Mismatch(bits, f"no amplitude on expected output {want}"),
         )
     assert got is not None
     expected = oracle.table() if tabulated else _call_each(oracle, k)
     return _classify(k, expected, got, tol)
-
-
-def _moves(oracle: ControlledOracle) -> Optional[dict[int, int]]:
-    """The two inputs with every control set, each with its output,
-    when both outputs are one basis state of amplitude exactly 1; the
-    table then maps every other input to itself.  None otherwise."""
-    last = (1 << (oracle.n + 1)) - 2
-    moved = {}
-    for t in (0, 1):
-        out = oracle((1,) * oracle.n + (t,))
-        if list(out.values()) != [1]:
-            return None
-        moved[last + t] = last | next(iter(out))[-1]
-    return moved
 
 
 def _bits(m: int, k: int) -> tuple[int, ...]:

@@ -626,7 +626,7 @@ def _entries(keys, amps):
 
 def _evolve_windowed(circuit, comp):
     """The windowed engine's final entries, planned afresh."""
-    return verify._evolve_sparse(verify._plan(circuit.gates, circuit.width), circuit.width, comp)
+    return verify._evolve_sparse(verify._plan(circuit.gates), circuit.width, comp)
 
 
 def _per_gate_reference(m, circuit):
@@ -636,7 +636,7 @@ def _per_gate_reference(m, circuit):
     handed over in reverse, so that _classify groups them by sorting
     rather than reading one entry per input.  Returns those entries."""
     want = _evolve_per_gate(circuit, default_computational_qubits(circuit))
-    m.setattr(verify, "_plan", lambda gates, width: list(gates))
+    m.setattr(verify, "_plan", lambda gates: list(gates))
     m.setattr(verify, "_evolve_sparse",
               lambda steps, width, comp: (want[0][::-1], want[1][::-1], want[2]))
     return want
@@ -717,13 +717,13 @@ def _random_window_circuits(count):
 
 
 def _assert_same_plan(a, b):
-    """The same steps: windows with equal shifts, equal flip and phase
-    tables and equal bit-plane steps, and the very same lone gates."""
+    """The same steps: windows on the same qubits, with equal XOR bits,
+    phase tables and bit-plane steps, and the very same lone gates."""
     assert len(a) == len(b)
     for s, t in zip(a, b):
         if isinstance(s, verify._Window):
-            assert isinstance(t, verify._Window) and (s.shifts, s.xor) == (t.shifts, t.xor)
-            for u, v in ((s.flips, t.flips), (s.phases, t.phases)):
+            assert isinstance(t, verify._Window) and (s.qubits, s.xor) == (t.qubits, t.xor)
+            for u, v in ((s.bits, t.bits), (s.phases, t.phases)):
                 assert (u is None) == (v is None)
                 if u is not None:
                     assert u.dtype == v.dtype and u.tobytes() == v.tobytes()
@@ -744,9 +744,9 @@ class TestWindowedEngine:
         for c, oracle in _parity_sweep():
             _assert_windows_match_per_gate(c, oracle, monkeypatch)
             # planned from the cache as the sweep left it, and afresh
-            warm = verify._plan(c.gates, c.width)
+            warm = verify._plan(c.gates)
             verify._fused.cache_clear()
-            _assert_same_plan(warm, verify._plan(c.gates, c.width))
+            _assert_same_plan(warm, verify._plan(c.gates))
             checked += 1
         assert checked > 1000
 
@@ -823,9 +823,9 @@ class TestFusion:
             steps["mixed"] += out[2]
             return out
 
-        def window(w, keys, amps):
+        def window(w, width, keys, amps):
             steps["window"] += 1
-            return real_window(w, keys, amps)
+            return real_window(w, width, keys, amps)
 
         monkeypatch.setattr(verify, "_sparse_step", lone)
         monkeypatch.setattr(verify, "_window_step", window)
@@ -864,9 +864,9 @@ class TestFusion:
 
     def test_cached_tables_are_read_only(self):
         gates = lower_toffoli(1, 2, 0, ToffoliRule.RELATIVE_PHASE)
-        (step,) = verify._plan(gates, 3)
+        (step,) = verify._plan(gates)
         _, _, bits, phases, xor = verify._fused(_shape(gates))
-        assert step.phases is phases and step.xor is xor
+        assert step.bits is bits and step.phases is phases and step.xor is xor
         for table in (bits, phases):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = table[1]
@@ -888,7 +888,7 @@ class TestFusion:
         monkeypatch.setattr(verify, "_fused", recording)
         for c, _ in _parity_sweep():
             if not is_classical(c):
-                verify._plan(c.gates, c.width)
+                verify._plan(c.gates)
         monkeypatch.undo()
         flipping = 0
         for entry in filter(None, map(verify._fused, shapes)):
@@ -919,14 +919,32 @@ class TestFusion:
             assert sorted(sums.values()) == sorted(flips.values())
             assert {t for t, _ in xor} == set(flips) | set(sums)
 
-    def test_width_past_63_refused(self):
-        # the target's XOR mask is 1 << 62 at width 63, and would wrap
-        # past int64 at width 64
+    def test_window_step_at_width_63(self):
+        # the target's XOR mask is 1 << 62 at width 63, the highest bit
+        # an int64 key holds below its sign
         gates = lower_toffoli(61, 62, 0, ToffoliRule.FIVE_CV)
-        (step,) = verify._plan(gates, 63)
-        assert set(step.flips.tolist()) == {0, 1 << 62}
-        with pytest.raises(ValueError, match="width 64"):
-            verify._plan(gates, 64)
+        (step,) = verify._plan(gates)
+        assert sorted(step.qubits) == [0, 61, 62] and step.phases is None
+        bit = {q: 1 << (62 - q) for q in (0, 61, 62)}
+        keys = np.array([sum(b for i, b in enumerate(bit.values()) if j >> i & 1)
+                         for j in range(8)], dtype=np.int64)
+        amps = np.ones(len(keys), dtype=complex)
+        out, out_amps = verify._window_step(step, 63, keys, amps)
+        fires = (keys & bit[61] != 0) & (keys & bit[62] != 0)
+        assert out.tolist() == (keys ^ np.where(fires, 1 << 62, 0)).tolist()
+        assert (out >= 0).all() and out_amps is amps
+
+    def test_sparse_keys_past_63_bits_refused(self, monkeypatch):
+        # width 61 with 32 inputs: keys (m << 61) | index overflow int64;
+        # this refusal alone keeps the window masks within 63 bits
+        monkeypatch.setenv("MCT_MAX_WIDTH", "64")
+        lowered = lower_circuit(build_cnx(31), GateBasis.CV_BASIS)
+        assert lowered.width == 61 and not is_classical(lowered)
+        for step in ("_plan", "_run_classical", "_run_sparse"):
+            monkeypatch.setattr(verify, step, lambda *args: pytest.fail("planned or simulated"))
+        with pytest.raises(WidthLimitError, match="^width 61 with 32 inputs exceeds "
+                                                  "the sparse engine's 63-bit keys$"):
+            check_equivalence(lowered, oracle_cnx(31))
 
 
 class TestDenseFallback:
@@ -1117,12 +1135,49 @@ class TestTabulatedOracle:
     def test_same_verdict_as_per_input_calls(self, monkeypatch):
         self._assert_same_verdicts(verify.DEFAULT_TOL, monkeypatch)
 
-    # the words, and the keys of windows without phases, give the
-    # verdict only for 0 < tol < 1; every other tol goes through
-    # _classify, so both sides of each bound are covered
-    @pytest.mark.parametrize("tol", [0.0, 1e-15, 0.5, 1.0, 2.0])
+    # the bit planes give a C^nX verdict as a miter only for tol > 0;
+    # at tol 0 it goes through _classify
+    @pytest.mark.parametrize("tol", [0.0, 1e-15, 0.5])
     def test_same_verdict_at_other_tolerances(self, tol, monkeypatch):
         self._assert_same_verdicts(tol, monkeypatch)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9, 1.0, 2.0])
+    def test_tolerance_outside_zero_to_one_refused(self, tol, monkeypatch):
+        # nan passed a wrong circuit, a negative tol failed a right one,
+        # and at 1 or more the verdict hung on the engine
+        for engine in ("_run_classical", "_run_sparse"):
+            monkeypatch.setattr(verify, engine, lambda *args: pytest.fail("simulated"))
+        for basis in (GateBasis.NATIVE_TOFFOLI, GateBasis.CV_BASIS):
+            lowered = lower_circuit(build_cnx(3), basis)
+            for oracle in (oracle_cnx(3), lambda bits: oracle_cnx(3)(bits)):
+                with pytest.raises(ValueError, match=f"^tol must be at least 0 and below 1, "
+                                                     f"got {tol}$"):
+                    check_equivalence(lowered, oracle, tol=tol)
+
+    def test_identity_payload_goes_through_classify(self, monkeypatch):
+        """A table that moves nothing is not C^nX, so no miter reads it:
+        every sweep case gets the verdict of the per-input calls and of
+        the general path, through _classify unless an ancilla fails."""
+        identity = ((1, 0), (0, 1))
+        real = verify._classify
+        classified = []
+        monkeypatch.setattr(verify, "_classify",
+                            lambda *args: classified.append(1) or real(*args))
+        seen = Counter()
+        for c, cnx in _parity_sweep():
+            oracle = ControlledOracle(cnx.n, identity)
+            classified.clear()
+            fast = check_equivalence(c, oracle)
+            assert len(classified) == (fast.witness is None
+                                       or not fast.witness.detail.startswith("ancilla"))
+            slow = check_equivalence(c, lambda bits: oracle(bits))
+            assert _same_verdict(fast, slow), (c.meta, len(c.gates))
+            assert _same_verdict(fast, _general_verdict(c, oracle, verify.DEFAULT_TOL,
+                                                        monkeypatch)), (c.meta, len(c.gates))
+            seen[fast.klass] += 1
+        # the builds are C^nX, and a mutant without its firing gate is
+        # the identity
+        assert seen[EquivalenceClass.MISMATCH] > 1000 and seen[EquivalenceClass.EXACT] > 0, seen
 
     def test_merge_without_sort_gives_the_same_verdict(self, monkeypatch):
         # when the circuit's keys are the oracle's, _classify takes them
@@ -1157,10 +1212,23 @@ class TestTabulatedOracle:
             return real(self, bits)
 
         monkeypatch.setattr(ControlledOracle, "__call__", counting)
-        v = check_equivalence(build_cycle_cnx(10, 3), oracle_cnx(10))
-        assert v.klass is EquivalenceClass.EXACT
-        # only the two inputs with every control set are worked out by a call
-        assert calls == [(1,) * 10 + (0,), (1,) * 10 + (1,)]
+        for basis in (GateBasis.NATIVE_TOFFOLI, GateBasis.CV_BASIS):
+            good = lower_circuit(build_cycle_cnx(10, 3), basis)
+            comp = default_computational_qubits(good)
+            spare = next(q for q in range(good.width) if q not in comp)
+            calls.clear()
+            # an exact C^nX check asks the oracle nothing, nor does an
+            # ancilla left set
+            assert check_equivalence(good, oracle_cnx(10)).klass is EquivalenceClass.EXACT
+            left = Circuit(good.qubits, good.gates + (x(spare),), good.meta)
+            assert check_equivalence(left, oracle_cnx(10)).witness.detail.startswith("ancilla")
+            assert calls == []
+            # a wrong output asks it once, for what the witness should give
+            wrong = Circuit(good.qubits, good.gates + (x(comp[-1]),), good.meta)
+            v = check_equivalence(wrong, oracle_cnx(10))
+            assert v.witness == Mismatch((0,) * 11, "no amplitude on expected output "
+                                                    f"{(0,) * 11}")
+            assert calls == [(0,) * 11]
 
     @pytest.mark.parametrize("tail", [(), (x(3),)])
     def test_wrong_arity_still_raises(self, tail):
@@ -1257,6 +1325,13 @@ class TestOneEntryVerdict:
         assert paths == {"one entry": 2}
 
 
+def _cnx_moves(k):
+    """The inputs a C^nX table on k bits does not map to themselves,
+    each with the output it maps it to: the two with every control set."""
+    last = (1 << k) - 2
+    return {last: last + 1, last + 1: last}
+
+
 def _classical_reference(circuit, comp, moved):
     """What _run_classical must return, worked out from the per-gate
     sparse loop's final entries: the lowest input with an ancilla left
@@ -1324,14 +1399,17 @@ _DEFAULT_BUDGET = verify._ENTRY_BUDGET
 
 class TestWordEngine:
     """The bit-plane engine holds each wire as one int, a bit per input
-    of a block, and reads the verdict of a one-to-one table of
-    amplitude 1 off those bits."""
+    of a block, and reads the verdict against a C^nX table off those
+    bits as a miter: after the table's inverse every wire must end as it
+    began."""
 
     @pytest.mark.parametrize("budget", [4, verify._ENTRY_BUDGET])
     def test_matches_the_per_gate_engine(self, budget, monkeypatch):
         """Toffoli-level sweep cases, the sweep's window plans without
         phases, and cv builds with an x appended, each run on bit planes
-        against the per-gate loop's answers."""
+        against the per-gate loop's answers: the handed steps without
+        their last, the table's inverse, give the outputs, and with it
+        the miter's witness."""
         monkeypatch.setattr(verify, "_ENTRY_BUDGET", budget)
         checked, failures, witnesses = Counter(), Counter(), Counter()
         cases = chain((("sweep", c, oracle) for c, oracle in _parity_sweep()),
@@ -1343,8 +1421,9 @@ class TestWordEngine:
             kind = "toffoli" if is_classical(c) else source
             comp = default_computational_qubits(c)
             spare = tuple(q for q in range(c.width) if q not in comp)
-            failure, got = verify._run_classical(steps, c.width, comp, spare)
-            (want_failure, want_got), want = _classical_reference(c, comp, verify._moves(oracle))
+            assert steps[-1] == (comp[-1], (comp[:-1] or (-1,),))
+            failure, got = verify._run_classical(steps[:-1], c.width, comp, spare)
+            (want_failure, want_got), want = _classical_reference(c, comp, _cnx_moves(len(comp)))
             assert failure == want_failure, (c.meta, len(c.gates))
             if failure is None:
                 assert got[0].tolist() == want_got[0].tolist()
@@ -1358,8 +1437,7 @@ class TestWordEngine:
             else:
                 assert got is None
                 failures[kind] += 1
-            moved = verify._moves(oracle)
-            assert verify._run_classical(steps, c.width, comp, spare, moved) == want, \
+            assert verify._run_classical(steps, c.width, comp, spare, True) == want, \
                 (c.meta, len(c.gates))
             witnesses[kind] += want[1] is not None
             checked[kind] += 1
@@ -1372,6 +1450,27 @@ class TestWordEngine:
         # ancilla as an ancilla left set
         assert failures["appended x"] + witnesses["appended x"] == checked["appended x"] > 60, \
             (checked, failures, witnesses)
+
+    def test_no_controls(self):
+        # n = 0: the table's inverse is a bare X, the one step that
+        # reads wire -1
+        oracle = ControlledOracle(0, MAT_X)
+        assert check_equivalence(_circ([T], [x(0)]), oracle) == \
+            verify.EquivalenceVerdict(EquivalenceClass.EXACT, 0.0)
+        v = check_equivalence(_circ([T], []), oracle)
+        assert (v.klass, v.max_deviation) == (EquivalenceClass.MISMATCH, 1.0)
+        assert v.witness == Mismatch((0,), "no amplitude on expected output (1,)")
+
+    def test_matrix_as_an_array(self, monkeypatch):
+        # X given as a numpy array is still a C^nX table, read as a miter
+        paths = _count_paths(monkeypatch)
+        good = lower_circuit(build_cnx(3), GateBasis.CV_BASIS)
+        wrong = Circuit(good.qubits, good.gates + (x(3),), good.meta)
+        for circ in (good, wrong):
+            paths.clear()
+            v = check_equivalence(circ, ControlledOracle(3, np.array(MAT_X)))
+            assert paths == {"bit planes": 1} and v.equivalent == (circ is good)
+            assert _same_verdict(v, check_equivalence(circ, oracle_cnx(3)))
 
     @pytest.mark.parametrize("size_log", [0, 1, 2, 3, 4, 7, 16])
     def test_block_patterns(self, size_log):
