@@ -138,18 +138,17 @@ def _roles_string(circuit: Circuit) -> str:
     return letters
 
 
-def _index(q: int, width: int, line: Optional[int] = None) -> int:
+def _index(q: int, width: int) -> int:
     if not 0 <= q < width:
-        raise CircuitFileError(f"qubit index {q} out of range for width {width}", line)
+        raise CircuitFileError(f"qubit index {q} out of range for width {width}")
     return q
 
 
-def _gate(kind: GateKind, qubits: tuple[int, ...], matrix: Optional[Matrix2],
-          line: Optional[int] = None) -> Gate:
+def _gate(kind: GateKind, qubits: tuple[int, ...], matrix: Optional[Matrix2]) -> Gate:
     try:
         return Gate(kind, qubits, matrix)
     except ValueError as exc:
-        raise CircuitFileError(str(exc), line) from None
+        raise CircuitFileError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

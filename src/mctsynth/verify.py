@@ -15,29 +15,34 @@ target from ``Gate.action`` in ``ir``, the one map from gate kind to
 2x2 matrix.
 
 All inputs are simulated together, as arrays, by one of two batched
-engines, one per kind of state.  Bit planes carry basis states: inputs
-go in blocks of up to 2**16, each wire is one Python int whose bit b is
-its value under the block's input b, and each step XORs into one wire
-a sum of ANDs of wires.  An input bit below the block size is one fixed
-pattern, built once per process; a higher bit is all ones or all zeros
-over the block.  A circuit of X-like gates runs there, a step per gate.
-Sparse entries, flat (input, basis index, amplitude) arrays, run the
-rest, one step at a time.  Most steps are windows: runs of consecutive
-gates on at most three qubits whose product is monomial, one nonzero
-entry per column.  Every decomposed Toffoli is such a product (Barenco
-et al. 1995; the relative-phase form is a Toffoli times a diagonal,
-Maslov 2016), so a window moves each entry with one XOR and rescales it
-by one phase, both looked up by the entry's bits on the window's
-qubits, and never grows the support.  Each window is the longest
-monomial prefix of its run, not the whole run, so it ends where a
-decomposed Toffoli ends; a run's product is worked out once per shape
-and process, and kept in a bounded cache with its XOR table as bit-plane
-steps, the algebraic normal form of each bit it flips (the Moebius
-transform).  A gate that starts no window is applied alone: permutation
-and diagonal gates move or rescale entries in place, and mixing gates
-split entries and merge the duplicates.  An input whose support
-outgrows a cap is simulated again on a dense statevector, which is
-where the width cap matters.
+engines, one per kind of state, and the circuit alone picks which.  Bit
+planes carry basis states: inputs go in blocks of up to 2**16, each
+wire is one Python int whose bit b is its value under the block's input
+b, and each step XORs into one wire a sum of ANDs of wires.  An input
+bit below the block size is one fixed pattern, built once per process;
+a higher bit is all ones or all zeros over the block.  Sparse entries
+are flat (input, basis index, amplitude) arrays.
+
+A circuit of X-like gates runs on bit planes, a step per gate.  Any
+other circuit is planned as steps, most of them windows: runs of
+consecutive gates on at most three qubits whose product is monomial,
+one nonzero entry per column.  Every decomposed Toffoli is such a
+product (Barenco et al. 1995; the relative-phase form is a Toffoli
+times a diagonal, Maslov 2016), so a window moves each entry with one
+XOR and rescales it by one phase, both looked up by the entry's bits on
+the window's qubits, and never grows the support.  Each window is the
+longest monomial prefix of its run, not the whole run, so it ends where
+a decomposed Toffoli ends; a run's product is worked out once per shape
+and process, and kept in a bounded cache with its XOR table as
+bit-plane steps, the algebraic normal form of each bit it flips (the
+Moebius transform).  A plan of windows without phases (every C^nX build
+lowered to cv) runs on bit planes, each window's steps put on the
+qubits it carries.  Any other plan runs on sparse entries, one step at
+a time.  A gate that starts no window is applied alone: mixing gates
+split entries and merge the duplicates, and a gate on more than three
+qubits that does not mix moves or rescales them in place.  An input
+whose support outgrows a cap is simulated again on a dense statevector,
+which is where the width cap matters.
 
 The expected outputs are arrays too.  The built-in C^nX and C^nU oracles
 (``ControlledOracle``) are tabulated from n and the 2x2 alone; any other
@@ -46,14 +51,11 @@ flattened into the same layout.  Both engines' outputs are compared with
 that table by the same array operations, with two shortcuts that give
 the same verdict, bit for bit.
 
-Against a C^nX table (a ``ControlledOracle`` whose matrix is X) at a
-tolerance above 0, bit planes also run a circuit planned as windows
-without phases (every C^nX build lowered to cv), each window's steps
-put on the qubits it carries, and the verdict is read off their bits
-as a miter: one more step applies the table's inverse, C^nX itself,
-and the circuit is exact when every wire ends as it began.  The lowest
-input left changed is the witness, and one call of the oracle gives
-the output it should have had.
+Against a C^nX table (a ``ControlledOracle`` whose matrix is X), the
+verdict off the bit planes is read as a miter: one more step applies
+the table's inverse, C^nX itself, and the circuit is exact when every
+wire ends as it began.  The lowest input left changed is the witness,
+and one call of the oracle gives the output it should have had.
 
 Otherwise, when the table holds one entry per input and the circuit's
 outputs are one entry per input, as every all-window build's are, the
@@ -99,24 +101,21 @@ class WidthLimitError(ValueError):
     """Raised when a simulation would exceed the allowed qubit count."""
 
 
-def resolve_max_width(requested: Optional[int] = None) -> int:
-    """The simulation cap: ``requested``, else ``MCT_MAX_WIDTH``, else
-    the default; a cap below 1 is refused."""
-    if requested is not None:
-        cap, source = requested, "max_width"
-    else:
-        env = os.environ.get("MCT_MAX_WIDTH")
-        if not env:
-            return DEFAULT_MAX_WIDTH
-        try:
-            cap, source = int(env), "MCT_MAX_WIDTH"
-        except ValueError:
-            cap = None
-        # only as str() writes an integer: not '5_0', '+9', ' 9' or '٩'
-        if cap is None or str(cap) != env:
-            raise ValueError(f"MCT_MAX_WIDTH must be an integer, got {env!r}")
+def resolve_max_width() -> int:
+    """The simulation cap: ``MCT_MAX_WIDTH``, else the default; a cap
+    below 1 is refused."""
+    env = os.environ.get("MCT_MAX_WIDTH")
+    if not env:
+        return DEFAULT_MAX_WIDTH
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = None
+    # only as str() writes an integer: not '5_0', '+9', ' 9' or '٩'
+    if cap is None or str(cap) != env:
+        raise ValueError(f"MCT_MAX_WIDTH must be an integer, got {env!r}")
     if cap < 1:
-        raise ValueError(f"{source} must be at least 1, got {cap}")
+        raise ValueError(f"MCT_MAX_WIDTH must be at least 1, got {cap}")
     return cap
 
 
@@ -677,7 +676,6 @@ def check_equivalence(
     oracle: Oracle,
     computational_qubits: Optional[Sequence[int]] = None,
     tol: float = DEFAULT_TOL,
-    max_width: Optional[int] = None,
 ) -> EquivalenceVerdict:
     """Compare the circuit against the oracle on every computational
     basis input, ancillas held at |0> and required to return to |0>.
@@ -695,7 +693,7 @@ def check_equivalence(
     if not 0 <= tol < 1:
         raise ValueError(f"tol must be at least 0 and below 1, got {tol}")
     width = circuit.width
-    limit = resolve_max_width(max_width)
+    limit = resolve_max_width()
     comp = tuple(
         computational_qubits
         if computational_qubits is not None
@@ -709,8 +707,6 @@ def check_equivalence(
     k = len(comp)
     ancillas = tuple(q for q in range(width) if q not in comp)
     tabulated = isinstance(oracle, ControlledOracle) and oracle.n + 1 == k
-    # a matrix given as an array compares as rows of numbers
-    miter = tabulated and tol > 0 and tuple(map(tuple, oracle.matrix)) == MAT_X
     if is_classical(circuit):
         if 2 * k > 63:
             raise WidthLimitError(f"{k} computational qubits exceed the classical "
@@ -723,14 +719,17 @@ def check_equivalence(
             raise WidthLimitError(f"width {width} with {len(comp)} inputs "
                                   f"exceeds the sparse engine's 63-bit keys")
         plan, steps = _plan(circuit.gates), None
-        if miter and all(isinstance(s, _Window) and s.phases is None for s in plan):
+        if all(isinstance(s, _Window) and s.phases is None for s in plan):
             # each window's steps on its qubits; wires -1..-4 stay as they are
             steps = []
             for w in plan:
                 at = w.qubits + (-4, -3, -2, -1)
                 steps += [(at[t], tuple(tuple(at[q] for q in p) for p in ps)) for t, ps in w.xor]
+    # bit planes against a C^nX table are read as a miter; a matrix
+    # given as an array compares as rows of numbers
+    miter = (steps is not None and tabulated
+             and tuple(map(tuple, oracle.matrix)) == MAT_X)
     if steps is None:
-        miter = False
         failure, got = _run_sparse(circuit, plan, comp, ancillas, tol)
     else:
         if miter:
@@ -816,8 +815,7 @@ def _classify(
         # each input's one entry is its anchor, and the union of its
         # keys is that key where the circuit's agrees; where it differs,
         # the circuit puts nothing on the oracle's key, so the input
-        # fails as missing, or at tol 0 as a magnitude off by 1, and its
-        # deviation is nan, as in the grouped fit
+        # fails as missing, as in the grouped fit
         top = size
         g, e = got_amps, exp_amps
         want_keys, want = exp_keys, exp_amps
@@ -827,14 +825,8 @@ def _classify(
         top = np.maximum.reduceat(size, starts)
         at = np.where(size == np.repeat(top, counts), np.arange(len(size)), len(size))
         anchor = np.minimum.reduceat(at, starts)
-        # union of the circuit's and the oracle's outputs, grouped by
-        # input; when both hold the same strictly increasing keys, as an
-        # exact classical check does, that array is the union and needs
-        # no sort
-        if np.array_equal(got_keys, exp_keys) and (exp_keys[1:] > exp_keys[:-1]).all():
-            union, where = exp_keys, np.tile(np.arange(len(exp_keys)), 2)
-        else:
-            union, where = np.unique(np.concatenate((got_keys, exp_keys)), return_inverse=True)
+        # union of the circuit's and the oracle's outputs, grouped by input
+        union, where = np.unique(np.concatenate((got_keys, exp_keys)), return_inverse=True)
         g = np.zeros(len(union), dtype=complex)
         g[where[:len(got_keys)]] = got_amps
         e = np.zeros(len(union), dtype=complex)
@@ -858,7 +850,8 @@ def _classify(
             dev = deviation(phase)
         else:
             dev = np.maximum.reduceat(deviation(phase[owner]), groups)
-    missing = _abs(seen) < tol
+    # the engines drop every amplitude of magnitude at most tol
+    missing = _abs(seen) <= tol
     failed = missing | (off > tol) | (dev > tol)
     if failed.any():
         m = int(np.argmax(failed))

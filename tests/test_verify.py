@@ -31,6 +31,7 @@ from mctsynth.ir import (
     cv,
     inverse,
     local,
+    mcx,
     new_circuit,
     ry_matrix,
     toffoli,
@@ -226,19 +227,21 @@ class TestCheckEquivalence:
             v = check_equivalence(Circuit(base.qubits, gates, base.meta), oracle_cnx(3))
             assert v.klass is EquivalenceClass.EXACT, (probe, pos)
 
-    def test_classical_path_ignores_width_cap(self):
+    def test_classical_path_ignores_width_cap(self, monkeypatch):
         # the cap guards dense statevectors; bit propagation has no
         # such limit, so a cap far below the width must not trip
+        monkeypatch.setenv("MCT_MAX_WIDTH", "4")
         circ = build_cycle_cnx(7, 2)
         assert is_classical(circ)
-        v = check_equivalence(circ, oracle_cnx(7), max_width=4)
+        v = check_equivalence(circ, oracle_cnx(7))
         assert v.klass is EquivalenceClass.EXACT
 
-    def test_dense_path_respects_width_cap(self):
+    def test_dense_path_respects_width_cap(self, monkeypatch):
+        monkeypatch.setenv("MCT_MAX_WIDTH", "4")
         lowered = lower_circuit(build_cnx(4), GateBasis.CV_BASIS)
         assert not is_classical(lowered)
         with pytest.raises(WidthLimitError):
-            check_equivalence(lowered, oracle_cnx(4), max_width=4)
+            check_equivalence(lowered, oracle_cnx(4))
 
     @pytest.mark.parametrize("output", [{}, {(1, 0): 1.0}, {(1, 2, 0): 1.0}, {(0, 0, 0): 0j}])
     def test_malformed_oracle_output_rejected(self, output):
@@ -277,10 +280,6 @@ class TestMaxWidthResolution:
         monkeypatch.setenv("MCT_MAX_WIDTH", "12")
         assert resolve_max_width() == 12
 
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("MCT_MAX_WIDTH", "12")
-        assert resolve_max_width(20) == 20
-
     # only the spelling str() writes: int() would also read the others
     @pytest.mark.parametrize("cap", ["many", "5_0", "+9", " 9", "9 ", "\u0669", "09", "-0", "1e3"])
     def test_bad_env_rejected(self, monkeypatch, cap):
@@ -294,14 +293,8 @@ class TestMaxWidthResolution:
         monkeypatch.setenv("MCT_MAX_WIDTH", cap)
         with pytest.raises(ValueError, match=f"MCT_MAX_WIDTH must be at least 1, got {cap}$"):
             resolve_max_width()
-
-    @pytest.mark.parametrize("cap", [0, -3])
-    def test_explicit_below_one_rejected(self, monkeypatch, cap):
-        monkeypatch.delenv("MCT_MAX_WIDTH", raising=False)
-        with pytest.raises(ValueError, match=f"max_width must be at least 1, got {cap}$"):
-            resolve_max_width(cap)
         with pytest.raises(ValueError, match="at least 1"):
-            check_equivalence(build_cnx(2), oracle_cnx(2), max_width=cap)
+            check_equivalence(build_cnx(2), oracle_cnx(2))
 
     def test_cap_of_one_accepted(self, monkeypatch):
         monkeypatch.setenv("MCT_MAX_WIDTH", "1")
@@ -358,7 +351,7 @@ def _reference(circuit, oracle, unitary=True, tol=1e-9):
     for bits, expected, got in observed:
         anchor = max(expected, key=lambda key: abs(expected[key]))
         phase = got.get(anchor, 0j) / expected[anchor]
-        if abs(got.get(anchor, 0j)) < tol:
+        if abs(got.get(anchor, 0j)) <= tol:
             return (EquivalenceClass.MISMATCH, bits,
                     f"no amplitude on expected output {anchor}", abs(expected[anchor]))
         if abs(abs(phase) - 1.0) > tol:
@@ -482,6 +475,42 @@ class TestAgainstReference:
         assert [v.max_deviation for v in after] == pytest.approx(
             [v.max_deviation for v in before], abs=1e-12)
         assert {v.klass for v in before} >= {EquivalenceClass.EXACT, EquivalenceClass.MISMATCH}
+
+    @pytest.mark.parametrize("name", ["cnx", "h"])
+    def test_wide_gates_applied_alone(self, name, monkeypatch):
+        """A gate on more than three qubits starts no window: an MCX in
+        a circuit that is not Toffoli-level is a lone step that moves
+        entries in place, between windows and mixing gates."""
+        lone = Counter()
+        real = verify._sparse_step
+
+        def counting(gate, *args):
+            out = real(gate, *args)
+            if gate.kind is GateKind.MCX:
+                lone["mixed" if out[2] else "in place"] += 1
+            return out
+
+        monkeypatch.setattr(verify, "_sparse_step", counting)
+        oracle = oracle_cnx(3) if name == "cnx" else oracle_cnu(3, MAT_H)
+        c3x, c3x_anc = mcx((0, 1, 2), 3), mcx((0, 1, 2), 4)
+        h3, h4 = local(3, MAT_H), local(4, MAT_H)
+        payload = [c3x_anc, cu(4, 3, MAT_H), c3x_anc]
+        cases = [
+            [h3, h3, c3x],
+            [h3, c3x, h3],
+            payload,
+            payload + [local(0, MAT_T)],
+            [c3x, local(3, _diagonal(np.random.default_rng(9), True))],
+            [c3x_anc, h3, h3],
+            [h4, mcx((0, 1, 4), 3), h4],
+        ]
+        seen = set()
+        for gates in cases:
+            circ = _circ([C, C, C, T, P], gates)
+            assert not is_classical(circ)
+            seen.add(_assert_matches_reference(circ, oracle).klass)
+        assert lone == {"in place": 9}
+        assert {EquivalenceClass.EXACT, EquivalenceClass.MISMATCH} <= seen
 
 
 def _witness_is_wrong(circuit, oracle, bits, tol=1e-9):
@@ -1062,24 +1091,33 @@ def _same_verdict(a, b):
 
 def _general_verdict(circuit, oracle, tol, monkeypatch):
     """The verdict by the general path: the oracle called per input, so
-    that nothing is read off the keys alone, and the sparse entries
-    handed to _classify in reverse, so that it groups them by sorting
-    rather than reading one entry per input."""
+    that nothing is read off the keys alone; a circuit that is not
+    Toffoli-level run on sparse entries, also where its plan runs on bit
+    planes, so that those stay checked against sparse entries; and the
+    sparse entries handed to _classify in reverse, so that it groups them
+    by sorting rather than reading one entry per input."""
     real = verify._evolve_sparse
 
     def reversed_entries(*args):
         keys, amps, overflow = real(*args)
         return keys[::-1], amps[::-1], overflow
 
+    def sparse(steps, width, comp, ancillas, miter=False):
+        assert not miter
+        return verify._run_sparse(circuit, verify._plan(circuit.gates), comp, ancillas, tol)
+
     with monkeypatch.context() as m:
         m.setattr(verify, "_evolve_sparse", reversed_entries)
+        if not is_classical(circuit):
+            m.setattr(verify, "_run_classical", sparse)
         return check_equivalence(circuit, lambda bits: oracle(bits), tol=tol)
 
 
 def _count_paths(monkeypatch):
     """Count how checks reach their verdicts: the bit planes, which the
     circuits counted here (none classical) reach only as windows without
-    phases, or _classify's one-entry or general branch."""
+    phases, and _classify's one-entry or general branch, which follows
+    them unless they are read as a miter."""
     paths = Counter()
     real_planes, real_one = verify._run_classical, verify._one_entry_each
 
@@ -1135,8 +1173,8 @@ class TestTabulatedOracle:
     def test_same_verdict_as_per_input_calls(self, monkeypatch):
         self._assert_same_verdicts(verify.DEFAULT_TOL, monkeypatch)
 
-    # the bit planes give a C^nX verdict as a miter only for tol > 0;
-    # at tol 0 it goes through _classify
+    # a C^nX verdict off the bit planes is a miter at every tol, and a
+    # missing output reads as missing at tol 0 too
     @pytest.mark.parametrize("tol", [0.0, 1e-15, 0.5])
     def test_same_verdict_at_other_tolerances(self, tol, monkeypatch):
         self._assert_same_verdicts(tol, monkeypatch)
@@ -1179,11 +1217,10 @@ class TestTabulatedOracle:
         # the identity
         assert seen[EquivalenceClass.MISMATCH] > 1000 and seen[EquivalenceClass.EXACT] > 0, seen
 
-    def test_merge_without_sort_gives_the_same_verdict(self, monkeypatch):
-        # when the circuit's keys are the oracle's, _classify takes them
-        # as the union unsorted; the same entries reversed, plus one of
-        # amplitude 0 at a key the circuit does not reach, must be merged
-        # by sorting
+    def test_merge_ignores_entry_order(self, monkeypatch):
+        # the circuit's entries give the same verdict reversed and with
+        # one more, of amplitude 0, at a key the circuit does not reach,
+        # whether or not their keys are the oracle's
         real = verify._classify
         same_keys = []
 
@@ -1242,8 +1279,8 @@ class TestTabulatedOracle:
 
 class TestOneEntryVerdict:
     """A lowered build keeps one basis state per input, so its verdict is
-    read off bit planes (windows without phases, against a permutation
-    table) or fitted entry by entry; either way it is the verdict of the
+    read off bit planes (windows without phases, against a C^nX table)
+    or fitted entry by entry; either way it is the verdict of the
     general path, bit for bit."""
 
     @pytest.mark.parametrize("basis", [GateBasis.CV_BASIS, GateBasis.CNOT_LOCAL])
@@ -1317,12 +1354,14 @@ class TestOneEntryVerdict:
                                                  monkeypatch))
 
     def test_zero_amplitude_oracle_refused_on_the_one_entry_branch(self, monkeypatch):
+        # cv runs on bit planes, cnot on sparse entries; both outputs
+        # are one entry per input
         paths = _count_paths(monkeypatch)
         for basis in (GateBasis.CV_BASIS, GateBasis.CNOT_LOCAL):
             lowered = lower_circuit(build_cycle_cnx(4, 2), basis)
             with pytest.raises(ValueError, match="^oracle output has no nonzero amplitude$"):
                 check_equivalence(lowered, lambda bits: {bits: 0})
-        assert paths == {"one entry": 2}
+        assert paths == {"bit planes": 1, "one entry": 2}
 
 
 def _cnx_moves(k):
@@ -1367,7 +1406,7 @@ def _classical_answer(circuit, comp, evolved, moved):
     return None, int(differ[0]) if len(differ) else None
 
 
-def _bit_plane_steps(circuit, oracle, monkeypatch):
+def _bit_plane_steps(circuit, oracle, monkeypatch, tol=verify.DEFAULT_TOL):
     """The steps check_equivalence hands the bit planes, or None when it
     runs sparse entries; neither engine runs."""
     handed = []
@@ -1378,7 +1417,7 @@ def _bit_plane_steps(circuit, oracle, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(verify, "_run_classical", lambda steps, *args: handed.append(steps) or stop())
         m.setattr(verify, "_run_sparse", stop)
-        check_equivalence(circuit, oracle)
+        check_equivalence(circuit, oracle, tol=tol)
     return handed[0] if handed else None
 
 
@@ -1451,6 +1490,30 @@ class TestWordEngine:
         assert failures["appended x"] + witnesses["appended x"] == checked["appended x"] > 60, \
             (checked, failures, witnesses)
 
+    def test_engine_follows_the_plan(self, monkeypatch):
+        """Every sweep plan of windows without phases is handed to the
+        bit planes, whatever the oracle and tol: the same steps against a
+        C^nH table, an identity payload and a per-input callable, and
+        against a C^nX table those and the table's inverse.  No plan with
+        a phased window or a lone gate is."""
+        identity = ((1, 0), (0, 1))
+        plans = Counter()
+        for c, cnx in _parity_sweep():
+            if is_classical(c):
+                continue
+            plan = verify._plan(c.gates)
+            phase_free = all(isinstance(s, verify._Window) and s.phases is None for s in plan)
+            plans[phase_free] += 1
+            others = (oracle_cnu(cnx.n, MAT_H), ControlledOracle(cnx.n, identity),
+                      lambda bits: cnx(bits))
+            for tol in (0.0, verify.DEFAULT_TOL):
+                miter = _bit_plane_steps(c, cnx, monkeypatch, tol)
+                assert (miter is not None) == phase_free, (c.meta, len(c.gates))
+                for oracle in others:
+                    steps = _bit_plane_steps(c, oracle, monkeypatch, tol)
+                    assert steps == (miter and miter[:-1]), (c.meta, len(c.gates))
+        assert plans[True] > 50 and plans[False] > 500, plans
+
     def test_no_controls(self):
         # n = 0: the table's inverse is a bare X, the one step that
         # reads wire -1
@@ -1498,7 +1561,7 @@ class TestWordEngine:
         circ = build_cycle_cnx(9, 3)
         broken = Circuit(circ.qubits, circ.gates[1:], circ.meta)
         for oracle in (oracle_cnx(9), oracle_cnu(9, NAMED_UNITARIES["x"])):
-            for tol in (verify.DEFAULT_TOL, 0.5):
+            for tol in (0.0, verify.DEFAULT_TOL, 0.5):
                 assert check_equivalence(circ, oracle, tol=tol) == \
                     verify.EquivalenceVerdict(EquivalenceClass.EXACT, 0.0)
                 assert check_equivalence(broken, oracle, tol=tol).klass is \
