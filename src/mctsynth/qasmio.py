@@ -28,14 +28,18 @@ UTF-8.
 
 Lowered circuits repeat most of their gates, and ``lower_circuit``
 shares one ``Gate`` object per distinct gate, so the writers format
-each distinct gate object once, and the text reader parses each
-distinct line once and shares its ``Gate`` with every repeat.
+each distinct gate object once.  The text reader parses each distinct
+line once, and the JSON reader each distinct gate entry, and each
+shares its ``Gate`` with every repeat; entries equal in Python but
+spelled apart (a qubit true, 1 or 1.0, a matrix number -0.0 or 0.0)
+are never shared.  Nothing is kept from one call to the next.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import struct
 from collections import Counter
 from functools import partial
 from pathlib import Path
@@ -47,11 +51,11 @@ from .ir import (
     Gate,
     GateKind,
     Matrix2,
+    QubitId,
     QubitRole,
     ROLE_BY_LETTER,
     is_int,
     matrix_bits,
-    new_circuit,
 )
 
 TEXT_HEADER = "mctqasm v1"
@@ -243,17 +247,20 @@ def _parse_meta(tokens: list[str], line: int) -> CircuitMeta:
 
 def _parse_indices(tokens: list[str], width: int, indices: dict[str, int]) -> tuple[int, ...]:
     """The qubit indices; ``indices`` memoises each token already
-    found to be a good index."""
-    out = []
+    found to be a good index, so a line of known tokens costs one
+    lookup each.  It starts empty for each file, rather than holding
+    every index below the width, since most files use few of them."""
+    idx = tuple(map(indices.get, tokens))
+    if None not in idx:
+        return idx
+    # check the new tokens in line order, so the first bad one is named
     for tok in tokens:
-        idx = indices.get(tok)
-        if idx is None:
-            idx = decimal(tok)
-            if idx is None:
+        if tok not in indices:
+            q = decimal(tok)
+            if q is None:
                 raise CircuitFileError(f"bad qubit index {tok!r}")
-            indices[tok] = _index(idx, width)
-        out.append(idx)
-    return tuple(out)
+            indices[tok] = _index(q, width)
+    return tuple(map(indices.__getitem__, tokens))
 
 
 def loads_text(text: str) -> Circuit:
@@ -313,7 +320,7 @@ def loads_text(text: str) -> Circuit:
         parsed[raw] = gate
     gates = tuple(filter(None, map(parsed.__getitem__, body)))
 
-    return Circuit(new_circuit(roles).qubits, gates, meta)
+    return Circuit(tuple(map(QubitId, range(width), roles)), gates, meta)
 
 
 def _parse_gate(
@@ -321,25 +328,22 @@ def _parse_gate(
 ) -> Gate:
     tokens = line.split()
     mnemonic = tokens[0]
-    matrix = None
-    if mnemonic.startswith("u(") and mnemonic.endswith(")"):
-        kind = GateKind.LOCAL
-        matrix = matrices.get(mnemonic)
-        if matrix is None:
-            entries = mnemonic[2:-1].split(",")
-            if len(entries) != 4:
-                raise CircuitFileError(f"u() takes 4 matrix entries, got {len(entries)}")
-            zs = [_parse_complex(e) for e in entries]
-            matrix = matrices[mnemonic] = ((zs[0], zs[1]), (zs[2], zs[3]))
-        idx = _parse_indices(tokens[1:], width, indices)
-        if len(idx) != 1:
-            raise CircuitFileError("u gate takes exactly one qubit")
-    else:
-        kind = _KIND_BY_MNEMONIC.get(mnemonic)
-        if kind is None:
-            raise CircuitFileError(f"unknown mnemonic {mnemonic!r}")
-        idx = _parse_indices(tokens[1:], width, indices)
-    return _gate(kind, idx, matrix)
+    kind = _KIND_BY_MNEMONIC.get(mnemonic)
+    if kind is not None:
+        return _gate(kind, _parse_indices(tokens[1:], width, indices), None)
+    if not (mnemonic.startswith("u(") and mnemonic.endswith(")")):
+        raise CircuitFileError(f"unknown mnemonic {mnemonic!r}")
+    matrix = matrices.get(mnemonic)
+    if matrix is None:
+        entries = mnemonic[2:-1].split(",")
+        if len(entries) != 4:
+            raise CircuitFileError(f"u() takes 4 matrix entries, got {len(entries)}")
+        zs = [_parse_complex(e) for e in entries]
+        matrix = matrices[mnemonic] = ((zs[0], zs[1]), (zs[2], zs[3]))
+    idx = _parse_indices(tokens[1:], width, indices)
+    if len(idx) != 1:
+        raise CircuitFileError("u gate takes exactly one qubit")
+    return _gate(GateKind.LOCAL, idx, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +412,31 @@ def _gate_from_json(entry: Any, width: int) -> Gate:
     return _gate(kind, qubits, matrix)
 
 
+_EIGHT_DOUBLES = struct.Struct("8d")
+
+
+def _entry_key(entry: Any) -> Optional[tuple]:
+    """A key two gate entries share only if they are spelled alike in
+    what ``_gate_from_json`` reads: a string kind, qubits that are all
+    JSON integers (true and 1.0 equal 1 in Python, but are refused),
+    and a matrix of eight JSON floats, by their bits, which tell -0.0
+    from 0.0.  None for an entry of any other shape, which is then read
+    on its own."""
+    try:
+        kind, qubits = entry["kind"], tuple(entry["qubits"])
+        if type(kind) is not str or set(map(type, qubits)) != {int}:
+            return None
+        if "matrix" not in entry:
+            return (kind, qubits)
+        (a, b), (c, d) = entry["matrix"]
+        numbers = (a[0], a[1], b[0], b[1], c[0], c[1], d[0], d[1])
+    except (TypeError, KeyError, IndexError, ValueError):
+        return None
+    if set(map(type, numbers)) != {float}:
+        return None
+    return (kind, qubits, _EIGHT_DOUBLES.pack(*numbers))
+
+
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object, refusing a key given twice, which ``json`` would
     settle silently in favour of the last."""
@@ -418,9 +447,18 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+# One decoder for every call, as json.loads keeps one for its defaults:
+# building one costs about a fifth of decoding a small file, and it
+# keeps nothing from one document to the next.
+_JSON_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def loads_json(text: str) -> Circuit:
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        if text.startswith("\ufeff"):
+            # json.loads refuses a byte-order mark before decoding
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _JSON_DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise CircuitFileError(f"bad json: {exc}", exc.lineno) from None
     except ValueError as exc:
@@ -447,13 +485,23 @@ def loads_json(text: str) -> Circuit:
         raise CircuitFileError(f"meta must be an object, got {raw_meta!r}")
     meta = _meta(raw_meta or {})
 
+    # Each distinct entry is checked and built once, and its Gate shared
+    # by every repeat.  Only a built entry is stored, so the first bad
+    # entry still fails at its own position.
+    built: dict[tuple, Gate] = {}
     gates: list[Gate] = []
     for pos, entry in enumerate(raw_gates):
-        try:
-            gates.append(_gate_from_json(entry, width))
-        except CircuitFileError as exc:
-            raise CircuitFileError(f"bad gate entry {pos}: {exc}") from None
-    return Circuit(new_circuit(roles).qubits, tuple(gates), meta)
+        key = _entry_key(entry)
+        gate = built.get(key)
+        if gate is None:
+            try:
+                gate = _gate_from_json(entry, width)
+            except CircuitFileError as exc:
+                raise CircuitFileError(f"bad gate entry {pos}: {exc}") from None
+            if key is not None:
+                built[key] = gate
+        gates.append(gate)
+    return Circuit(tuple(map(QubitId, range(width), roles)), tuple(gates), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +528,21 @@ def format_for_path(path: Union[str, Path]) -> str:
 
 
 def save(circuit: Circuit, path: Union[str, Path], fmt: Optional[str] = None) -> None:
-    fmt = fmt or format_for_path(path)
-    Path(path).write_text(dumps(circuit, fmt), encoding="utf-8")
+    text = dumps(circuit, fmt or format_for_path(path))
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def load(path: Union[str, Path]) -> Circuit:
+    """Read a circuit file of either format.  The bytes are read in one
+    unbuffered call and decoded as ``Path.read_text(encoding="utf-8")``
+    decodes them: CRLF and lone CR line ends become LF, and bytes that
+    are not UTF-8 raise the same ``UnicodeDecodeError``."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb", buffering=0) as f:
+            text = f.read().decode("utf-8")
     except OSError as exc:
         raise CircuitFileError(f"cannot read {path}: {exc.strerror}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return loads(text)

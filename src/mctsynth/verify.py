@@ -253,7 +253,8 @@ def _run_classical(
     block = 1 << size_log
     valid = (1 << block) - 1
     low = _patterns(size_log)
-    out = np.zeros(0 if miter else n_inputs, dtype=np.int64)
+    # a miter keeps no outputs, so its check allocates no array
+    out = None if miter else np.zeros(n_inputs, dtype=np.int64)
     mismatch = None
     for lo in range(0, n_inputs, block):
         # comp[k-1-j] carries input bit j
@@ -826,7 +827,7 @@ def _classify(
         at = np.where(size == np.repeat(top, counts), np.arange(len(size)), len(size))
         anchor = np.minimum.reduceat(at, starts)
         # union of the circuit's and the oracle's outputs, grouped by input
-        union, where = np.unique(np.concatenate((got_keys, exp_keys)), return_inverse=True)
+        union, where = _union(np.concatenate((got_keys, exp_keys)))
         g = np.zeros(len(union), dtype=complex)
         g[where[:len(got_keys)]] = got_amps
         e = np.zeros(len(union), dtype=complex)
@@ -873,6 +874,20 @@ def _classify(
     if global_dev <= tol:
         return EquivalenceVerdict(EquivalenceClass.GLOBAL_PHASE, global_dev)
     return EquivalenceVerdict(EquivalenceClass.DIAGONAL_PHASE, float(dev.max()))
+
+
+def _union(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)``, by a stable sort: the
+    keys are two sorted runs, which timsort merges in one pass, where
+    ``np.unique`` sorts them afresh."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    where = np.empty(len(keys), dtype=np.intp)
+    where[order] = np.cumsum(first) - 1
+    return ranked[first], where
 
 
 def _one_entry_each(k: int, counts: np.ndarray, got_keys: np.ndarray) -> bool:

@@ -259,6 +259,31 @@ def test_json_text_json_round_trip_is_byte_identical(basis):
         assert dumps_json(loads_text(dumps_text(loads_json(first)))) == first
 
 
+@pytest.mark.parametrize("basis", list(GateBasis))
+def test_json_reader_builds_one_gate_per_distinct_entry(basis):
+    for circ in _every_builder(basis):
+        text = dumps_json(lower_circuit(circ, basis))
+        spelled = [json.dumps(entry) for entry in json.loads(text)["gates"]]
+        objects = list(map(id, loads_json(text).gates))
+        # entries spelled alike share one object, and no others do
+        assert len(set(zip(spelled, objects))) == len(set(spelled)) == len(set(objects))
+
+
+@pytest.mark.parametrize("good, bad, message", [
+    ([0, 1], [0, True], "qubit index True is not an integer"),
+    ([0, 1], [0, 1.0], "qubit index 1.0 is not an integer"),
+    ([1, 0], [True, 0], "qubit index True is not an integer"),
+    ([0, 1], [False, 1], "qubit index False is not an integer"),
+])
+def test_json_qubit_equal_to_a_good_one_is_still_refused(good, bad, message):
+    # true and 1.0 equal 1 in Python; the reader must not take them for
+    # the good entry it has already read
+    gates = [{"kind": "cx", "qubits": good}, {"kind": "cx", "qubits": bad}]
+    with pytest.raises(CircuitFileError) as info:
+        loads_json(_doc(gates=gates))
+    assert str(info.value) == f"bad gate entry 1: {message}"
+
+
 def _reference_dumps_json(circuit):
     """The document as one json.dumps call, which dumps_json must match."""
     gates = []
@@ -308,6 +333,11 @@ class TestJsonWriterMatchesJsonDumps:
         text = dumps_json(circ)
         assert text == _reference_dumps_json(circ)
         assert "-0.0" in text
+        # gates 0 and 2 are == but spelled apart, so the reader builds
+        # each its own gate, and each is written back as it was read
+        again = loads_json(text)
+        assert again.gates[0] is not again.gates[2] and again.gates[0] is again.gates[5]
+        assert dumps_json(again) == text
 
     def test_no_gates(self):
         for meta in (CircuitMeta(), CircuitMeta("cycle", 5, 2, "cv")):
@@ -357,6 +387,15 @@ def test_json_duplicate_key_refused(key, tmp_path, capsys):
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: bad json: duplicate key '{key}'\n")
     assert not (tmp_path / "o.mct").exists()
+
+
+def test_json_byte_order_mark_refused_as_json_loads_refuses_it():
+    doc = "\ufeff" + dumps_json(build_cnx(2))
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(doc)
+    with pytest.raises(CircuitFileError) as info:
+        loads_json(doc)
+    assert str(info.value) == f"line 1: bad json: {want.value}"
 
 
 class TestJsonIntegers:
@@ -824,6 +863,11 @@ class TestWritersKeepTheReadersRules:
         ("width 3", "n=2 c=- n=2", "ccx 0 1 2", "line 3: repeated meta field 'n'"),
         ("width 3", "n=2", "ccx 0 +1 2", "line 4: bad qubit index '+1'"),
         ("width 3", "n=2", "ccx 0 01 2", "line 4: bad qubit index '01'"),
+        # the canonical token read first, on a good line, changes nothing
+        ("width 3", "n=2", "ccx 0 1 2\nccx 0 01 2", "line 5: bad qubit index '01'"),
+        ("width 3", "n=2", "ccx 0 1 2\nccx 0 +1 2", "line 5: bad qubit index '+1'"),
+        ("width 3", "n=2", "ccx 0 1 2\ncx 1 2\nccx 0 1 3",
+         "line 6: qubit index 3 out of range for width 3"),
     ])
     def test_text_integers_spelled_one_way_only(self, header, meta, gate, message):
         text = f"mctqasm v1 {header}\nroles cct\nmeta {meta}\n{gate}\n"
@@ -895,3 +939,40 @@ class TestSniffAndFiles:
     def test_dumps_unknown_format(self):
         with pytest.raises(ValueError):
             dumps(build_cnx(2), "yaml")
+
+
+def _file_bytes():
+    """Files whose text depends on how the bytes are decoded: CRLF and
+    lone CR line ends, a byte-order mark, and bytes that are not UTF-8,
+    some past the first 8 KB."""
+    text = dumps_text(lower_circuit(build_cnx(3), GateBasis.CV_BASIS))
+    doc = dumps_json(build_cnx(3))
+    broken = doc[:-40] + "oops" + doc[-40:]
+    yield "crlf text", text.replace("\n", "\r\n").encode()
+    yield "cr text", text.replace("\n", "\r").encode()
+    yield "mixed ends", text.replace("\n", "\r\r\n", 2).encode()
+    yield "crlf json", doc.replace("\n", "\r\n").encode()
+    # the error's char offset counts the line ends as read
+    yield "crlf bad json", broken.replace("\n", "\r\n").encode()
+    yield "cr bad json", broken.replace("\n", "\r").encode()
+    yield "cr in a json string", doc.replace('"ladder"', '"lad\rder"').encode()
+    yield "bom", b"\xef\xbb\xbf" + text.encode()
+    yield "bad byte", b"\xff" + text.encode()
+    yield "bad byte past 8 KB", ("#" * 9000 + "\r\n").encode() + b"\xc3\x28" + text.encode()
+    yield "cut sequence at the end", text.encode() + "é".encode()[:1]
+
+
+@pytest.mark.parametrize("name, data", list(_file_bytes()))
+def test_load_reads_as_read_text(name, data, tmp_path):
+    path = tmp_path / "c.mct"
+    path.write_bytes(data)
+
+    def outcome(read):
+        try:
+            return dumps_json(read())
+        except ValueError as exc:  # CircuitFileError or UnicodeDecodeError
+            return type(exc), str(exc), getattr(exc, "line", None)
+
+    got = outcome(lambda: load(path))
+    assert got == outcome(lambda: loads(path.read_text(encoding="utf-8")))
+    assert got == outcome(lambda: load(str(path)))

@@ -1626,3 +1626,23 @@ class TestClassicalKeyWidth:
             check_equivalence(circ, oracle_cnx(31))
         with pytest.raises(WidthLimitError, match="63-bit keys"):
             check_equivalence(circ, lambda bits: {bits: 1.0})
+
+
+def test_union_matches_np_unique():
+    # _classify's keys are two sorted runs, the circuit's and the
+    # table's; any other order and any repeats must give np.unique's
+    # union and inverse as well, to the bit
+    rng = np.random.default_rng(22)
+    for trial in range(300):
+        size = int(rng.integers(1, 200))
+        top = int(rng.choice([4, 1 << 12, 1 << 62]))
+        runs = [np.sort(rng.integers(0, top, int(rng.integers(0, size)) + 1))
+                for _ in range(2)]
+        if trial % 3 == 0:
+            runs = [rng.integers(0, top, size)]
+        keys = np.concatenate(runs).astype(np.int64)
+        union, where = verify._union(keys)
+        want_union, want_where = np.unique(keys, return_inverse=True)
+        assert union.dtype == want_union.dtype and where.dtype == want_where.dtype
+        assert union.tobytes() == want_union.tobytes()
+        assert where.tobytes() == want_where.tobytes()
