@@ -1,4 +1,4 @@
-"""Brute-force functional verification.
+"""Brute-force functional verification, and a symbolic proof for C^nX.
 
 A circuit is checked against an oracle: a function from an input
 assignment of the computational qubits to the exact output superposition
@@ -61,6 +61,13 @@ Otherwise, when the table holds one entry per input and the circuit's
 outputs are one entry per input, as every all-window build's are, the
 phase of each input is fitted on that entry alone, with no merging of
 keys and no grouping by input.
+
+``check_symbolic`` enumerates no input: it runs the same steps, and the
+miter's last one, over GF(2) polynomials, each wire the algebraic normal
+form of its value in the inputs.  A window with phases also XORs the
+normal form of "its phase rounds to -1" into a sign wire.  It answers
+EXACT or nothing; ``mct synth`` then runs ``check_equivalence``, so
+every failure reads as the exhaustive check reports it.
 """
 
 from __future__ import annotations
@@ -237,8 +244,9 @@ def _run_classical(
     """Bit-sliced propagation, a block of inputs at a time: each wire is
     one Python int, bit b holding its value under input lo + b.  A step
     (target, products) XORs into the target the sum of its products,
-    each the AND of the wires it lists; wire -1 is the constant 1, and
-    wires -2..-4 are scratch, cleared by the steps that use them.
+    each the AND of the wires it lists; wire -1 is the constant 1,
+    wires -2..-4 are scratch, cleared by the steps that use them, and
+    wire -5 (``_SIGN``) is read by no step.
 
     Returns (failure, got) as the sparse engine does.  With ``miter``,
     the steps end with the inverse of the table checked against, and got
@@ -260,7 +268,7 @@ def _run_classical(
         # comp[k-1-j] carries input bit j
         pattern = [low[j] if j < size_log else valid * (lo >> j & 1)
                    for j in range(k - 1, -1, -1)]
-        wires = [0] * width + [0, 0, 0, valid]
+        wires = [0] * width + [0, 0, 0, 0, valid]
         for q, bits in zip(comp, pattern):
             wires[q] = bits
         for target, products in steps:
@@ -293,6 +301,55 @@ def _run_classical(
         return None, mismatch
     masks = np.arange(n_inputs, dtype=np.int64)
     return None, ((masks << k) | out, np.ones(n_inputs, dtype=complex))
+
+
+# monomials a wire of the symbolic engine may hold, and a product reach,
+# before it gives up; the lowered cycle builds at n=16..1024 need 66 at
+# most, all in the sign wire
+_MONOMIAL_BUDGET = 256
+
+
+def _run_symbolic(
+    steps: Sequence[tuple[int, tuple[tuple[int, ...], ...]]],
+    width: int,
+    comp: Sequence[int],
+) -> bool:
+    """``_run_classical``'s steps over GF(2) polynomials in the inputs:
+    each wire is a set of monomials, each an int bitmask of the inputs
+    it multiplies, so XOR is symmetric difference and AND the product.
+    Computational wire comp[i] starts as input i, every other wire as 0
+    but wire -1, the constant 1.  Whether every wire ends as it began
+    and the sign wire as 0; False, too, once a wire or product holds
+    more than ``_MONOMIAL_BUDGET`` monomials."""
+    wires: list = [frozenset()] * (width + 5)
+    wires[-1] = frozenset((0,))
+    for i, q in enumerate(comp):
+        wires[q] = frozenset((1 << i,))
+    start = list(wires)
+    for target, products in steps:
+        flip = None
+        for product in products:
+            term = wires[product[0]]
+            for q in product[1:]:
+                term = _times(term, wires[q])
+                if len(term) > _MONOMIAL_BUDGET:
+                    return False
+            flip = term if flip is None else flip ^ term
+        wires[target] = value = wires[target] ^ flip
+        if len(value) > _MONOMIAL_BUDGET:
+            return False
+    return wires == start
+
+
+def _times(a: frozenset, b: frozenset) -> set:
+    """The product of two GF(2) polynomials held as sets of monomials:
+    each pair of monomials multiplies to their union, and pairs that
+    meet on the same monomial cancel."""
+    out = set()
+    for x in a:
+        for y in b:
+            out ^= {x | y}
+    return out
 
 
 def _lowest(bits: int) -> int:
@@ -361,13 +418,18 @@ class _Window(NamedTuple):
     local index of an entry packs its bits on those qubits, the first
     most significant; at that index ``bits`` holds which of them flip
     and ``phases`` what the amplitude is multiplied by (None when a
-    table does nothing); ``xor`` is the flips as ``_xor_steps``.  The
-    tables are ``_fused``'s, shared and read only."""
+    table does nothing); ``xor`` is the flips as ``_xor_steps``.
+    ``sign`` is the algebraic normal form, as products of local
+    positions, of the phase rounding to -1 rather than +1, and ``drift``
+    the largest distance of any phase from the one of them it rounds to.
+    The tables are ``_fused``'s, shared and read only."""
 
     qubits: tuple[int, ...]
     bits: Optional[np.ndarray]
     phases: Optional[np.ndarray]
     xor: tuple
+    sign: tuple
+    drift: float
 
 
 def _window_step(
@@ -412,7 +474,8 @@ def _fused(shape: tuple) -> Optional[tuple]:
     operands numbered by first appearance) whose product is monomial, as
     its gate count, the number of qubits it touches (the first ones in
     order of appearance), its local XOR bits and phases, both read only,
-    and its XOR bits as bit-plane steps; None when no prefix is.  It
+    its XOR bits as bit-plane steps, and the sign and drift of its
+    phases as a ``_Window`` holds them; None when no prefix is.  It
     depends on the shape alone, so it is worked out once per process."""
     d = 1 + max(max(pos) for _, _, pos in shape)
     product = _IDENTITY[d]
@@ -447,32 +510,77 @@ def _fused(shape: tuple) -> Optional[tuple]:
     rows, phases = rows[::1 << drop] >> drop, phases[::1 << drop]
     diff = rows ^ np.arange(len(rows))
     bits = (diff[:, None] >> np.arange(used - 1, -1, -1)) & 1 if diff.any() else None
-    phases = None if (phases == 1).all() else phases
+    sign, drift = (), 0.0
+    if (phases == 1).all():
+        phases = None
+    else:
+        negative = phases.real < 0
+        sign = _anf(negative, used)
+        drift = float(np.abs(phases - np.where(negative, -1, 1)).max())
     for table in (bits, phases):
         if table is not None:
             # shared by every later plan in the process
             table.setflags(write=False)
-    return count, used, bits, phases, () if bits is None else _xor_steps(bits)
+    return count, used, bits, phases, () if bits is None else _xor_steps(bits), sign, drift
+
+
+def _anf(column: np.ndarray, used: int) -> tuple:
+    """The algebraic normal form of a 0/1 function of a window's local
+    bits, given by its value at each local index, by the Moebius
+    transform: the products of local positions whose XOR it is, (-1,)
+    for the constant 1."""
+    anf = column.astype(np.uint8)
+    for i in range(used):
+        view = anf.reshape(-1, 2, 1 << i)
+        view[:, 1] ^= view[:, 0]
+    return tuple(tuple(q for q in range(used) if j >> (used - 1 - q) & 1) or (-1,)
+                 for j in np.flatnonzero(anf))
 
 
 def _xor_steps(bits: np.ndarray) -> tuple:
     """A window's XOR bits as ``_run_classical`` steps on its local
     positions: each flipping position XORs in its flip's algebraic normal
-    form in the old bits (the Moebius transform), through scratch wires,
-    cleared last, when more than one flips, as each reads the others."""
-    anf, used = bits.copy(), bits.shape[1]
-    for i in range(used):
-        view = anf.reshape(-1, 2, 1 << i, used)
-        view[:, 1] ^= view[:, 0]
-    sums = [(p, tuple(tuple(q for q in range(used) if j >> (used - 1 - q) & 1) or (-1,)
-                      for j in np.flatnonzero(anf[:, p])))
-            for p in range(used) if anf[:, p].any()]
+    form in the old bits, through scratch wires, cleared last, when more
+    than one flips, as each reads the others."""
+    used = bits.shape[1]
+    sums = [(p, products) for p in range(used) if (products := _anf(bits[:, p], used))]
     if len(sums) > 1:
         scratch = range(-2, -2 - len(sums), -1)
         sums = ([(s, products) for s, (_, products) in zip(scratch, sums)]
                 + [(p, ((s,),)) for s, (p, _) in zip(scratch, sums)]
                 + [(s, ((s,),)) for s in scratch])
     return tuple(sums)
+
+
+# the wire a window's sign step XORs into, below the scratch wires
+_SIGN = -5
+
+
+def _steps(items: Sequence[Union[_Window, Gate]]) -> Optional[list]:
+    """Toffoli-level gates, or a plan, as ``_run_classical`` steps: an
+    X-like gate XORs the AND of its controls into its target, and a
+    window puts its steps on the qubits it carries, its sign step, when
+    it has one, before its XOR steps, as the sign reads the old bits.
+    None when some item is neither."""
+    steps = []
+    for s in items:
+        if isinstance(s, _Window):
+            at = s.qubits + (-4, -3, -2, -1)
+            if s.sign:
+                steps.append((_SIGN, tuple([tuple([at[q] for q in p]) for p in s.sign])))
+            for t, ps in s.xor:
+                steps.append((at[t], tuple([tuple([at[q] for q in p]) for p in ps])))
+        elif s.kind in X_LIKE_KINDS:
+            steps.append((s.target, (s.controls or (-1,),)))
+        else:
+            return None
+    return steps
+
+
+def _inverse_cnx(comp: Sequence[int]) -> tuple:
+    """The step that applies the inverse of a C^nX table on ``comp``,
+    which is C^nX again."""
+    return comp[-1], (tuple(comp[:-1]) or (-1,),)
 
 
 def _plan(gates: Sequence[Gate]) -> list[Union[_Window, Gate]]:
@@ -489,11 +597,15 @@ def _plan(gates: Sequence[Gate]) -> list[Union[_Window, Gate]]:
         # each qubit's local position, by first appearance
         place: dict[int, int] = {}
         shape = []
-        for g in islice(gates, i, i + _WINDOW_SCAN):
-            pos = tuple(place.setdefault(q, len(place)) for q in g.qubits)
+        for g in gates[i:i + _WINDOW_SCAN]:
+            pos = []
+            for q in g.qubits:
+                if q not in place:
+                    place[q] = len(place)
+                pos.append(place[q])
             if len(place) > _WINDOW_QUBITS:
                 break
-            shape.append((g.kind, g.matrix, pos))
+            shape.append((g.kind, g.matrix, tuple(pos)))
         plan = _fused(tuple(shape)) if shape else None
         if plan is None:
             steps.append(gates[i])
@@ -691,8 +803,7 @@ def check_equivalence(
     in input order, and not past an input that leaves an ancilla set.
     ``tol`` must be at least 0 and below 1 (``ValueError`` otherwise).
     """
-    if not 0 <= tol < 1:
-        raise ValueError(f"tol must be at least 0 and below 1, got {tol}")
+    _check_tol(tol)
     width = circuit.width
     limit = resolve_max_width()
     comp = tuple(
@@ -712,7 +823,7 @@ def check_equivalence(
         if 2 * k > 63:
             raise WidthLimitError(f"{k} computational qubits exceed the classical "
                                   f"engine's 63-bit keys")
-        steps = [(g.target, (g.controls or (-1,),)) for g in circuit.gates]
+        steps = _steps(circuit.gates)
     else:
         if width > limit:
             raise WidthLimitError(f"width {width} exceeds simulation cap {limit}")
@@ -721,21 +832,14 @@ def check_equivalence(
                                   f"exceeds the sparse engine's 63-bit keys")
         plan, steps = _plan(circuit.gates), None
         if all(isinstance(s, _Window) and s.phases is None for s in plan):
-            # each window's steps on its qubits; wires -1..-4 stay as they are
-            steps = []
-            for w in plan:
-                at = w.qubits + (-4, -3, -2, -1)
-                steps += [(at[t], tuple(tuple(at[q] for q in p) for p in ps)) for t, ps in w.xor]
-    # bit planes against a C^nX table are read as a miter; a matrix
-    # given as an array compares as rows of numbers
-    miter = (steps is not None and tabulated
-             and tuple(map(tuple, oracle.matrix)) == MAT_X)
+            steps = _steps(plan)
+    # bit planes against a C^nX table are read as a miter
+    miter = steps is not None and tabulated and _is_x(oracle.matrix)
     if steps is None:
         failure, got = _run_sparse(circuit, plan, comp, ancillas, tol)
     else:
         if miter:
-            # the table's inverse is C^nX again
-            steps.append((comp[-1], (comp[:-1] or (-1,),)))
+            steps.append(_inverse_cnx(comp))
         failure, got = _run_classical(steps, width, comp, ancillas, miter)
 
     if failure is not None:
@@ -766,6 +870,61 @@ def check_equivalence(
     assert got is not None
     expected = oracle.table() if tabulated else _call_each(oracle, k)
     return _classify(k, expected, got, tol)
+
+
+def _is_x(matrix: Matrix2) -> bool:
+    # a matrix given as an array compares as rows of numbers
+    return tuple(map(tuple, matrix)) == MAT_X
+
+
+def _check_tol(tol: float) -> None:
+    if not 0 <= tol < 1:
+        raise ValueError(f"tol must be at least 0 and below 1, got {tol}")
+
+
+def check_symbolic(
+    circuit: Circuit, oracle: Oracle, tol: float = DEFAULT_TOL
+) -> Optional[EquivalenceVerdict]:
+    """Prove the circuit exact against a C^nX table without enumerating
+    its inputs, or return None.
+
+    The steps ``check_equivalence`` runs on bit planes, with a sign step
+    per window with phases, are run by ``_run_symbolic`` over GF(2)
+    polynomials in the k inputs (in the order of
+    ``default_computational_qubits``), ending with the table's inverse
+    as the miter does.  The algebraic normal form is canonical, so the
+    circuit sends every input where the table does, ancillas restored,
+    exactly when every computational wire ends as its input and every
+    ancilla as 0.  Each window's phases are read as the +-1 they round
+    to, whose product is -1 where the sign wire ends as 1, and the
+    drifts of all windows sum to a bound on how far each amplitude is
+    from that product.
+
+    Returns ``EquivalenceVerdict(EXACT, 0.0)`` when, besides, the sign
+    wire ends as 0 and the drifts sum to at most ``tol``.  Returns None
+    for any other circuit, for a gate that starts no window and is not
+    X-like, for an oracle that is not a C^nX ``ControlledOracle`` of the
+    circuit's arity, and once a wire or product outgrows
+    ``_MONOMIAL_BUDGET``.  A circuit without one target role, and
+    ``tol``, are refused as ``check_equivalence`` refuses them.
+    """
+    _check_tol(tol)
+    comp = default_computational_qubits(circuit)
+    if not (isinstance(oracle, ControlledOracle) and oracle.n + 1 == len(comp)
+            and _is_x(oracle.matrix)):
+        return None
+    if is_classical(circuit):
+        steps, drift = _steps(circuit.gates), 0.0
+    else:
+        plan = _plan(circuit.gates)
+        steps = _steps(plan)
+        drift = sum(s.drift for s in plan if isinstance(s, _Window))
+    if steps is None or drift > tol:
+        return None
+    steps.append(_inverse_cnx(comp))
+    if not _run_symbolic(steps, circuit.width, comp):
+        return None
+    return EquivalenceVerdict(EquivalenceClass.EXACT, 0.0)
 
 
 def _bits(m: int, k: int) -> tuple[int, ...]:

@@ -103,8 +103,38 @@ class TestSynth:
             "--out", str(path),
         )
         assert code == 0
-        assert "verify  exact" in out
+        # proved from the steps, so no float dust from enumerating inputs
+        assert "verify  exact (max deviation 0)\n" in out
         assert load(path).width == 24
+
+    @pytest.mark.parametrize("basis", ["toffoli", "cv", "cnot"])
+    def test_failure_reads_as_the_exhaustive_check(self, capsys, monkeypatch, tmp_path, basis):
+        # a build missing its last gate: the symbolic check gives no
+        # answer, and the exhaustive check's verdict, message and exit
+        # code follow, as if there were no symbolic check
+        real_lower, real_symbolic = cli.lower_circuit, cli.check_symbolic
+        answers = []
+
+        def cut(circuit, gate_basis):
+            lowered = real_lower(circuit, gate_basis)
+            return Circuit(lowered.qubits, lowered.gates[:-1], lowered.meta)
+
+        def symbolic(*args):
+            answers.append(real_symbolic(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(cli, "lower_circuit", cut)
+        monkeypatch.setattr(cli, "check_symbolic", symbolic)
+        path = tmp_path / "c.mq"
+        argv = ("synth", "--scheme", "cycle", "--n", "5", "--c", "2", "--basis", basis,
+                "--out", str(path))
+        tried = run(capsys, *argv)
+        assert answers == [None]
+        monkeypatch.setattr(cli, "check_symbolic", lambda *args: None)
+        assert run(capsys, *argv) == tried
+        assert tried[0] == 3 and "\nverify  " in tried[1]
+        assert tried[2] == "error: refusing to write a circuit that does not verify\n"
+        assert not path.exists()
 
     def test_workspace_scheme(self, capsys, tmp_path):
         path = tmp_path / "w.mct"

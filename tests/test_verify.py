@@ -18,6 +18,7 @@ from mctsynth.ir import (
     GateKind,
     MAT_H,
     MAT_S,
+    MAT_SDG,
     MAT_T,
     MAT_V,
     MAT_X,
@@ -38,7 +39,7 @@ from mctsynth.ir import (
     x,
 )
 from mctsynth.ladder import build_cnu, build_cnx, build_workspace_c3x, build_workspace_toffoli
-from mctsynth.cycle import build_cycle_cnx, build_two_cycle_cnx
+from mctsynth.cycle import best_cycle_count, build_cycle_cnx, build_two_cycle_cnx
 from mctsynth.verify import (
     DEFAULT_MAX_WIDTH,
     ControlledOracle,
@@ -48,6 +49,7 @@ from mctsynth.verify import (
     apply,
     basis_state,
     check_equivalence,
+    check_symbolic,
     default_computational_qubits,
     full_unitary,
     is_classical,
@@ -595,6 +597,9 @@ class TestOneGateAltered:
                     gates = lowered.gates[:pos] + (altered,) + lowered.gates[pos + 1:]
                     mutant = Circuit(lowered.qubits, gates, lowered.meta)
                     v = check_equivalence(mutant, oracle)
+                    proved = check_symbolic(mutant, oracle)
+                    assert proved is None or (proved == _PROVED
+                                              and v.klass is EquivalenceClass.EXACT)
                     if v.klass is not EquivalenceClass.MISMATCH:
                         # skipped as a change that keeps the function, which
                         # one dense run per input must confirm
@@ -833,6 +838,13 @@ def _run_local(xor, used):
     return [[(wires[p] ^ start[p]) >> j & 1 for p in range(used)] for j in range(size)]
 
 
+def _local_sum(products, used, j):
+    """The sum of products of local positions at local input j, as
+    0 or 1; (-1,) is the constant 1."""
+    bit = [j >> (used - 1 - p) & 1 for p in range(used)] + [1]
+    return sum(all(bit[q] for q in p) for p in products) % 2
+
+
 class TestFusion:
     def test_builds_never_mix(self, monkeypatch):
         """Every lowered ladder, cycle and two-cycle build runs as
@@ -894,19 +906,23 @@ class TestFusion:
     def test_cached_tables_are_read_only(self):
         gates = lower_toffoli(1, 2, 0, ToffoliRule.RELATIVE_PHASE)
         (step,) = verify._plan(gates)
-        _, _, bits, phases, xor = verify._fused(_shape(gates))
+        _, _, bits, phases, xor, sign, drift = verify._fused(_shape(gates))
         assert step.bits is bits and step.phases is phases and step.xor is xor
+        assert step.sign is sign and step.drift == drift
         for table in (bits, phases):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = table[1]
-        # the bit-plane steps are tuples all the way down
+        # the bit-plane steps and the sign are tuples all the way down
         assert isinstance(xor, tuple) and all(
             isinstance(t, int) and all(isinstance(p, tuple) for p in products)
             for t, products in xor)
+        assert sign and isinstance(sign, tuple) and all(isinstance(p, tuple) for p in sign)
 
     def test_xor_steps_reproduce_the_bits(self, monkeypatch):
         """Every entry the sweep's plans fuse: its steps, run on bit
-        planes of every local input, flip exactly its XOR bits."""
+        planes of every local input, flip exactly its XOR bits, and its
+        sign is 1 exactly where its phase rounds to -1, at most its
+        drift away."""
         shapes = set()
         real = verify._fused
 
@@ -919,15 +935,19 @@ class TestFusion:
             if not is_classical(c):
                 verify._plan(c.gates)
         monkeypatch.undo()
-        flipping = 0
+        flipping = signed = 0
         for entry in filter(None, map(verify._fused, shapes)):
-            _, used, bits, _, xor = entry
+            _, used, bits, phases, xor, sign, drift = entry
+            rounded = np.ones(1 << used) if phases is None else np.where(phases.real < 0, -1.0, 1.0)
+            assert rounded.tolist() == [(-1) ** _local_sum(sign, used, j) for j in range(1 << used)]
+            assert drift == (0 if phases is None else np.abs(phases - rounded).max())
+            signed += bool(sign)
             if bits is None:
                 assert xor == ()
                 continue
             assert _run_local(xor, used) == bits.tolist()
             flipping += 1
-        assert flipping > 20, flipping
+        assert flipping > 20 and signed > 5, (flipping, signed)
 
     @pytest.mark.parametrize("gates, flips", [
         # an unconditional flip gives the constant term
@@ -938,7 +958,7 @@ class TestFusion:
         ([cnot(0, 1), cnot(1, 0), cnot(0, 1)], {0: ((1,), (0,)), 1: ((1,), (0,))}),
     ])
     def test_hand_made_windows(self, gates, flips):
-        _, used, bits, _, xor = verify._fused(_shape(gates))
+        _, used, bits, _, xor, *_ = verify._fused(_shape(gates))
         assert _run_local(xor, used) == bits.tolist()
         if len(flips) == 1:
             assert dict(xor) == flips
@@ -1183,14 +1203,15 @@ class TestTabulatedOracle:
     def test_tolerance_outside_zero_to_one_refused(self, tol, monkeypatch):
         # nan passed a wrong circuit, a negative tol failed a right one,
         # and at 1 or more the verdict hung on the engine
-        for engine in ("_run_classical", "_run_sparse"):
+        for engine in ("_run_classical", "_run_sparse", "_plan"):
             monkeypatch.setattr(verify, engine, lambda *args: pytest.fail("simulated"))
         for basis in (GateBasis.NATIVE_TOFFOLI, GateBasis.CV_BASIS):
             lowered = lower_circuit(build_cnx(3), basis)
             for oracle in (oracle_cnx(3), lambda bits: oracle_cnx(3)(bits)):
-                with pytest.raises(ValueError, match=f"^tol must be at least 0 and below 1, "
-                                                     f"got {tol}$"):
-                    check_equivalence(lowered, oracle, tol=tol)
+                for check in (check_equivalence, check_symbolic):
+                    with pytest.raises(ValueError, match=f"^tol must be at least 0 and below 1, "
+                                                         f"got {tol}$"):
+                        check(lowered, oracle, tol=tol)
 
     def test_identity_payload_goes_through_classify(self, monkeypatch):
         """A table that moves nothing is not C^nX, so no miter reads it:
@@ -1615,6 +1636,93 @@ class TestWordEngine:
             left = Circuit(good.qubits, good.gates + (x(spare[0]),), good.meta)
             assert self._both(left, oracle).witness == Mismatch(
                 (0,) * (n + 1), "ancilla not restored to |0>")
+
+
+_PROVED = verify.EquivalenceVerdict(EquivalenceClass.EXACT, 0.0)
+
+
+class TestSymbolic:
+    """check_symbolic proves a circuit exact against a C^nX table from
+    its steps alone, or gives no answer."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-15, verify.DEFAULT_TOL, 0.5])
+    def test_exact_only_where_every_input_is(self, tol):
+        # the sweep's builds and their one-gate-deleted mutants
+        proved = 0
+        for c, oracle in _parity_sweep():
+            symbolic = check_symbolic(c, oracle, tol)
+            if symbolic is not None:
+                assert symbolic == _PROVED, (c.meta, len(c.gates))
+                assert check_equivalence(c, oracle, tol=tol).klass is EquivalenceClass.EXACT, \
+                    (c.meta, len(c.gates))
+                proved += 1
+        assert proved >= 80, proved
+
+    @pytest.mark.parametrize("basis", list(GateBasis))
+    def test_proves_every_build(self, basis, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("inputs enumerated")
+
+        monkeypatch.setattr(verify, "_run_classical", refuse)
+        monkeypatch.setattr(verify, "_run_sparse", refuse)
+        builds = [(circ, oracle) for circ, oracle, _ in _parity_builds()]
+        # width 24 in cnot, the widest build mct synth checks by default
+        builds.append((build_cycle_cnx(16, best_cycle_count(16)), oracle_cnx(16)))
+        for circ, oracle in builds:
+            assert check_symbolic(lower_circuit(circ, basis), oracle) == _PROVED, circ.meta
+        assert len(builds) > 40
+
+    def test_lone_mixing_gate_gives_none(self):
+        # an H whose run reaches a fourth qubit before it is monomial
+        # starts no window, though the circuit is C^2X
+        h = local(2, MAT_H)
+        circ = _circ([C, C, T, P], [h, toffoli(0, 1, 3), toffoli(0, 1, 3), h, toffoli(0, 1, 2)])
+        assert any(isinstance(s, Gate) for s in verify._plan(circ.gates))
+        assert check_equivalence(circ, oracle_cnx(2)).klass is EquivalenceClass.EXACT
+        assert check_symbolic(circ, oracle_cnx(2)) is None
+
+    def test_phase_i_window_gives_none(self):
+        # S and S-dagger in windows of their own: each has a phase i or
+        # -i, sqrt(2) from the +-1 it rounds to, though they cancel
+        gates = [local(2, MAT_S), toffoli(0, 1, 3), toffoli(0, 1, 3), local(2, MAT_SDG),
+                 toffoli(0, 1, 2)]
+        circ = _circ([C, C, T, P], gates)
+        drifts = [s.drift for s in verify._plan(circ.gates)]
+        assert max(drifts) == pytest.approx(math.sqrt(2))
+        assert check_equivalence(circ, oracle_cnx(2), tol=0.5).klass is EquivalenceClass.EXACT
+        for tol in (verify.DEFAULT_TOL, 0.5):
+            assert check_symbolic(circ, oracle_cnx(2), tol) is None
+
+    def test_drift_past_tol_gives_none(self):
+        # a phase 1e-6 off +1: a proof within a tol above it, no answer
+        # below it, where the exhaustive check finds a phase
+        u = ((1, 0), (0, cmath.exp(1e-6j)))
+        circ = _circ([C, C, T], [toffoli(0, 1, 2), local(2, u)])
+        assert check_symbolic(circ, oracle_cnx(2)) is None
+        assert check_equivalence(circ, oracle_cnx(2)).klass is not EquivalenceClass.EXACT
+        assert check_symbolic(circ, oracle_cnx(2), 1e-5) == _PROVED
+        assert check_equivalence(circ, oracle_cnx(2), tol=1e-5).klass is EquivalenceClass.EXACT
+
+    def test_wire_past_the_budget_gives_none(self, monkeypatch):
+        # C^34X with a detour: the target picks up (x0+..+x16)(x17+..+x33),
+        # 289 monomials, then drops them again
+        m = 17
+        a, b, t = 2 * m + 1, 2 * m + 2, 2 * m
+        folds = [cnot(i, a) for i in range(m)] + [cnot(m + i, b) for i in range(m)]
+        gates = folds + [toffoli(a, b, t)] * 2 + folds + [mcx(range(2 * m), t)]
+        circ = _circ([C] * (2 * m) + [T, P, P], gates)
+        assert m * m > verify._MONOMIAL_BUDGET
+        assert check_symbolic(circ, oracle_cnx(2 * m)) is None
+        monkeypatch.setattr(verify, "_MONOMIAL_BUDGET", m * m + 1)
+        assert check_symbolic(circ, oracle_cnx(2 * m)) == _PROVED
+
+    def test_other_oracles_give_none(self):
+        circ = lower_circuit(build_cnx(3), GateBasis.CV_BASIS)
+        assert check_symbolic(circ, oracle_cnx(3)) == _PROVED
+        for oracle in (oracle_cnu(3, MAT_Z), oracle_cnx(2), lambda bits: oracle_cnx(3)(bits)):
+            assert check_symbolic(circ, oracle) is None
+        # X given as a numpy array is still a C^nX table
+        assert check_symbolic(circ, ControlledOracle(3, np.array(MAT_X))) == _PROVED
 
 
 class TestClassicalKeyWidth:
