@@ -307,9 +307,8 @@ def report_text(report: CostReport) -> str:
 def _ancilla_count(circuit: Circuit) -> int:
     return sum(
         1
-        for q in circuit.qubits
-        if q.role
-        in (QubitRole.CYCLE_ANCILLA, QubitRole.PROCESS_ANCILLA, QubitRole.WORKSPACE)
+        for r in circuit.roles
+        if r in (QubitRole.CYCLE_ANCILLA, QubitRole.PROCESS_ANCILLA, QubitRole.WORKSPACE)
     )
 
 

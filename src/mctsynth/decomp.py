@@ -383,23 +383,32 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
                 "mcx has no direct lowering; synthesize it into toffolis first"
             )
 
-    pairs: tuple[ToffoliPair, ...] = ()
+    # Each Toffoli's rule and operands, decided once: a paired one's by
+    # gate position, in cv the FOUR_CV member or its mirror on (x, y, t)
+    # and in cnot the relative-phase list on its own operands; any other
+    # Toffoli takes the basis's exact rule.
+    cv_basis = basis is GateBasis.CV_BASIS
+    lone = _RULES[ToffoliRule.FIVE_CV if cv_basis else ToffoliRule.SIX_CNOT]
+    paired: dict[int, tuple[tuple[_RuleGate, ...], tuple[int, ...]]] = {}
     if basis is not GateBasis.NATIVE_TOFFOLI:
         try:
             pairs = peres_pairing(circuit).pairs
         except NoMirrorStructureError:
-            pass
-    compute_of: dict[int, ToffoliPair] = {p.compute: p for p in pairs}
-    uncompute_of: dict[int, ToffoliPair] = {p.uncompute: p for p in pairs}
+            pairs = ()
+        for p in pairs:
+            if cv_basis:
+                at = (p.cnot_target, p.cnot_control, circuit.gates[p.compute].target)
+                paired[p.compute] = (_RULES[ToffoliRule.FOUR_CV], at)
+                paired[p.uncompute] = (_FOUR_CV_MIRROR, at)
+            else:
+                for i in (p.compute, p.uncompute):
+                    paired[i] = (_RULES[ToffoliRule.RELATIVE_PHASE], circuit.gates[i].qubits)
 
     # A gate the basis allows is kept, as the table's copy of it.  A
     # mirror circuit repeats its Toffolis, so each distinct lowering is
-    # made once and its gates shared.  The key holds exactly what
-    # _lower_gate reads: a Toffoli's qubits and, when paired, its cv
-    # member's CNOT orientation and side (both cnot-basis members take
-    # the same list); any other gate is lowered once per object.  Across
-    # lowerings, ``table`` shares each distinct gate.
-    cv_basis = basis is GateBasis.CV_BASIS
+    # made once and its gates shared: a Toffoli's is keyed by its rule
+    # and operands, and any other gate is lowered once per object.
+    # Across lowerings, ``table`` shares each distinct gate.
     allowed = ALLOWED_KINDS[basis]
     table: _GateTable = {}
     kept: dict[int, Gate] = {}
@@ -412,48 +421,29 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
                 shared = kept[id(g)] = _share(g, table)
             out_gates.append(shared)
             continue
-        if g.kind is GateKind.TOFFOLI:
-            pair = compute_of.get(i) or uncompute_of.get(i)
-            if pair is None:
-                key: object = g.qubits
-            elif cv_basis:
-                key = (g.qubits, pair.cnot_control, pair.cnot_target, i == pair.uncompute)
-            else:
-                key = (g.qubits, True)
+        toffoli = g.kind is GateKind.TOFFOLI
+        if toffoli:
+            rule, operands = paired.get(i) or (lone, g.qubits)
+            key: object = (id(rule), operands)
         else:
             key = id(g)
         lowered = memo.get(key)
         if lowered is None:
-            lowered = memo[key] = _lower_gate(g, i, basis, compute_of, uncompute_of, table)
+            lowered = memo[key] = _instantiate(rule, operands, table) if toffoli \
+                else _lower_gate(g, basis, table)
         out_gates.extend(lowered)
     return _with_basis(circuit, out_gates, basis)
 
 
 def _lower_gate(
-    g: Gate,
-    position: int,
-    basis: GateBasis,
-    compute_of: dict[int, ToffoliPair],
-    uncompute_of: dict[int, ToffoliPair],
-    table: Optional[_GateTable] = None,
+    g: Gate, basis: GateBasis, table: Optional[_GateTable] = None
 ) -> tuple[Gate, ...]:
-    """One gate whose kind ``basis`` does not allow, in that basis: a
-    Toffoli rule for a Toffoli, a local for X, and otherwise (CU, CV,
-    CVDG) the controlled ``Gate.action``, as a CU where the basis has
-    one and expanded where it does not.  The gates come from ``table``,
-    or are made for this gate alone when there is none."""
+    """One gate other than a Toffoli whose kind ``basis`` does not
+    allow, in that basis: a local for X, and otherwise (CU, CV, CVDG)
+    the controlled ``Gate.action``, as a CU where the basis has one and
+    expanded where it does not.  The gates come from ``table``, or are
+    made for this gate alone when there is none."""
     table = {} if table is None else table
-    if g.kind is GateKind.TOFFOLI:
-        pair = compute_of.get(position) or uncompute_of.get(position)
-        if pair is None:
-            rule = ToffoliRule.FIVE_CV if basis is GateBasis.CV_BASIS else ToffoliRule.SIX_CNOT
-            return _instantiate(_RULES[rule], g.qubits, table)
-        if basis is GateBasis.CV_BASIS:
-            member = _FOUR_CV_MIRROR if position == pair.uncompute \
-                else _RULES[ToffoliRule.FOUR_CV]
-            return _instantiate(member, (pair.cnot_target, pair.cnot_control, g.target), table)
-        # same relative-phase list for both members
-        return _instantiate(_RULES[ToffoliRule.RELATIVE_PHASE], g.qubits, table)
     if g.kind is GateKind.X:
         return (_share(local(g.target, g.action), table),)
     if GateKind.CU in ALLOWED_KINDS[basis]:

@@ -1,7 +1,8 @@
 """Circuit intermediate representation.
 
 Circuits are flat, immutable gate lists over an integer-indexed qubit
-register.  Every qubit carries a role tag so downstream passes (cost
+register.  The register is ``Circuit.roles``: qubit i's role is
+``roles[i]`` and the width is ``len(roles)``, so downstream passes (cost
 accounting, verification, serialization) can tell controls from the
 target from scratch space without re-deriving structure from the gate
 stream.
@@ -42,16 +43,6 @@ class QubitRole(Enum):
 
 
 ROLE_BY_LETTER = {r.value: r for r in QubitRole}
-
-
-@dataclass(frozen=True)
-class QubitId:
-    index: int
-    role: QubitRole
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"qubit index must be non-negative, got {self.index}")
 
 
 def is_int(value: object) -> bool:
@@ -230,15 +221,12 @@ class CircuitMeta:
 
 @dataclass(frozen=True)
 class Circuit:
-    qubits: tuple[QubitId, ...]
+    roles: tuple[QubitRole, ...]
     gates: tuple[Gate, ...] = ()
     meta: CircuitMeta = field(default_factory=CircuitMeta)
 
     def __post_init__(self) -> None:
-        indices = [q.index for q in self.qubits]
-        if indices != list(range(len(indices))):
-            raise ValueError("qubit indices must be 0..width-1 in order")
-        width = len(indices)
+        width = len(self.roles)
         # each distinct operand tuple is range-checked once, at C level
         # (Gate admits only int operands, so tuples that are equal hold
         # the same indices); the loop only names the first bad gate
@@ -254,18 +242,14 @@ class Circuit:
 
     @property
     def width(self) -> int:
-        return len(self.qubits)
-
-    def role_of(self, index: int) -> QubitRole:
-        return self.qubits[index].role
+        return len(self.roles)
 
     def indices_with_role(self, role: QubitRole) -> tuple[int, ...]:
-        return tuple(q.index for q in self.qubits if q.role is role)
+        return tuple(i for i, r in enumerate(self.roles) if r is role)
 
 
 def new_circuit(roles: Iterable[QubitRole], meta: CircuitMeta = CircuitMeta()) -> Circuit:
-    qubits = tuple(QubitId(i, r) for i, r in enumerate(roles))
-    return Circuit(qubits=qubits, meta=meta)
+    return Circuit(tuple(roles), meta=meta)
 
 
 def append(circuit: Circuit, *gates: Gate) -> Circuit:
@@ -273,7 +257,7 @@ def append(circuit: Circuit, *gates: Gate) -> Circuit:
 
 
 def concat(first: Circuit, second: Circuit) -> Circuit:
-    if first.qubits != second.qubits:
+    if first.roles != second.roles:
         raise ValueError("cannot concat circuits over different registers")
     return replace(first, gates=first.gates + second.gates)
 

@@ -51,7 +51,6 @@ from .ir import (
     Gate,
     GateKind,
     Matrix2,
-    QubitId,
     QubitRole,
     ROLE_BY_LETTER,
     is_int,
@@ -99,13 +98,13 @@ def _check_width(width: object, line: Optional[int] = None) -> int:
     return width
 
 
-def _roles(letters: str, width: int, line: Optional[int] = None) -> list[QubitRole]:
+def _roles(letters: str, width: int, line: Optional[int] = None) -> tuple[QubitRole, ...]:
     if len(letters) != width:
         raise CircuitFileError(
             f"roles string has {len(letters)} letters, width is {width}", line
         )
     try:
-        return [ROLE_BY_LETTER[ch] for ch in letters]
+        return tuple(map(ROLE_BY_LETTER.__getitem__, letters))
     except KeyError as exc:
         raise CircuitFileError(f"unknown role letter {exc.args[0]!r}", line) from None
 
@@ -136,10 +135,9 @@ def _meta(fields: dict, line: Optional[int] = None) -> CircuitMeta:
 def _roles_string(circuit: Circuit) -> str:
     """The roles string of a circuit whose header passes the reader's
     checks, so that no writer emits a file the readers refuse."""
-    letters = "".join(q.role.value for q in circuit.qubits)
-    _roles(letters, _check_width(circuit.width))
+    _check_width(circuit.width)
     _meta(vars(circuit.meta))
-    return letters
+    return "".join(r.value for r in circuit.roles)
 
 
 def _index(q: int, width: int) -> int:
@@ -320,7 +318,7 @@ def loads_text(text: str) -> Circuit:
         parsed[raw] = gate
     gates = tuple(filter(None, map(parsed.__getitem__, body)))
 
-    return Circuit(tuple(map(QubitId, range(width), roles)), gates, meta)
+    return Circuit(roles, gates, meta)
 
 
 def _parse_gate(
@@ -501,7 +499,7 @@ def loads_json(text: str) -> Circuit:
             if key is not None:
                 built[key] = gate
         gates.append(gate)
-    return Circuit(tuple(map(QubitId, range(width), roles)), tuple(gates), meta)
+    return Circuit(roles, tuple(gates), meta)
 
 
 # ---------------------------------------------------------------------------

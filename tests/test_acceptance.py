@@ -117,7 +117,7 @@ def test_criterion_06_decomposition_oracle():
 
     def unitary_of(rule):
         base = new_circuit(roles)
-        circ = Circuit(base.qubits, lower_toffoli(0, 1, 2, rule), base.meta)
+        circ = Circuit(base.roles, lower_toffoli(0, 1, 2, rule), base.meta)
         return full_unitary(circ)
 
     dim = 8

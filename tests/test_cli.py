@@ -117,7 +117,7 @@ class TestSynth:
 
         def cut(circuit, gate_basis):
             lowered = real_lower(circuit, gate_basis)
-            return Circuit(lowered.qubits, lowered.gates[:-1], lowered.meta)
+            return Circuit(lowered.roles, lowered.gates[:-1], lowered.meta)
 
         def symbolic(*args):
             answers.append(real_symbolic(*args))
@@ -266,7 +266,7 @@ class TestVerify:
             [QubitRole.CONTROL, QubitRole.CONTROL, QubitRole.TARGET]
         )
         member = Circuit(
-            base.qubits, lower_toffoli(0, 1, 2, ToffoliRule.RELATIVE_PHASE), base.meta
+            base.roles, lower_toffoli(0, 1, 2, ToffoliRule.RELATIVE_PHASE), base.meta
         )
         path = tmp_path / "member.mct"
         save(member, path)
@@ -280,7 +280,7 @@ class TestVerify:
         from mctsynth.ladder import build_cnx
 
         good = build_cnx(3)
-        broken = Circuit(good.qubits, good.gates[:-1], good.meta)
+        broken = Circuit(good.roles, good.gates[:-1], good.meta)
         path = tmp_path / "broken.mct"
         save(broken, path)
         code, out, _ = run(

@@ -48,8 +48,8 @@ def _ladder_and_two_cycle_plans():
 def _ancilla_count(circ):
     return sum(
         1
-        for q in circ.qubits
-        if q.role in (QubitRole.CYCLE_ANCILLA, QubitRole.PROCESS_ANCILLA)
+        for r in circ.roles
+        if r in (QubitRole.CYCLE_ANCILLA, QubitRole.PROCESS_ANCILLA)
     )
 
 

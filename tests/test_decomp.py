@@ -57,7 +57,7 @@ DECOMP_TOL = 1e-10
 
 def _circ(roles, gates):
     base = new_circuit(roles)
-    return Circuit(base.qubits, tuple(gates), base.meta)
+    return Circuit(base.roles, tuple(gates), base.meta)
 
 
 def _perm(width, f):
@@ -444,9 +444,10 @@ class TestLowerCircuit:
 
 
 def _unmemoised_lowering(circuit, basis):
-    """``lower_circuit`` written out gate by gate: every gate the basis
-    allows is kept, and ``_lower_gate`` is called for every other gate,
-    with no lowering shared between gates."""
+    """``lower_circuit`` written out gate by gate, with no lowering
+    shared between gates: every gate the basis allows is kept, each
+    Toffoli is lowered by ``lower_toffoli`` as the pairing plan says,
+    and ``_lower_gate`` lowers every other gate."""
     if basis is GateBasis.NATIVE_TOFFOLI:
         out = []
         for g in circuit.gates:
@@ -459,14 +460,28 @@ def _unmemoised_lowering(circuit, basis):
         plan = peres_pairing(circuit)
     except NoMirrorStructureError:
         plan = PairingPlan((), ())
-    compute_of = {p.compute: p for p in plan.pairs}
-    uncompute_of = {p.uncompute: p for p in plan.pairs}
-    return [
-        h
-        for i, g in enumerate(circuit.gates)
-        for h in ((g,) if g.kind in ALLOWED_KINDS[basis]
-                  else _lower_gate(g, i, basis, compute_of, uncompute_of))
-    ]
+    cv_basis = basis is GateBasis.CV_BASIS
+    members = {}
+    for p in plan.pairs:
+        if cv_basis:
+            # the mirror member is the compute member's inverse list
+            t = circuit.gates[p.compute].target
+            member = lower_toffoli(p.cnot_target, p.cnot_control, t, ToffoliRule.FOUR_CV)
+            members[p.compute] = member
+            members[p.uncompute] = tuple(g.inverse() for g in reversed(member))
+        else:
+            for i in (p.compute, p.uncompute):
+                members[i] = lower_toffoli(*circuit.gates[i].qubits, ToffoliRule.RELATIVE_PHASE)
+    lone = ToffoliRule.FIVE_CV if cv_basis else ToffoliRule.SIX_CNOT
+    out = []
+    for i, g in enumerate(circuit.gates):
+        if g.kind in ALLOWED_KINDS[basis]:
+            out.append(g)
+        elif g.kind is GateKind.TOFFOLI:
+            out.extend(members.get(i) or lower_toffoli(*g.qubits, lone))
+        else:
+            out.extend(_lower_gate(g, basis))
+    return out
 
 
 def _gate_rows(gates):
@@ -489,7 +504,7 @@ class TestLoweringMemo:
         rng = random.Random(12)
         circuits += [_random_mirror_circuit(rng) for _ in range(200)]
         for circ in circuits:
-            circ = _circ([q.role for q in circ.qubits],
+            circ = _circ(circ.roles,
                          [g for g in circ.gates if g.kind is not GateKind.MCX])
             lowered = lower_circuit(circ, basis)
             assert _gate_rows(lowered.gates) == _gate_rows(_unmemoised_lowering(circ, basis))

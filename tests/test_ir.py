@@ -127,7 +127,7 @@ class TestCircuit:
     def test_gate_indices_validated(self):
         base = new_circuit(_ct_roles(1))
         with pytest.raises(ValueError):
-            Circuit(base.qubits, (cnot(0, 5),), base.meta)
+            Circuit(base.roles, (cnot(0, 5),), base.meta)
 
     def test_repeated_bad_gate_names_first_bad_gate(self):
         # an out-of-range gate twice as one object and once as an equal
@@ -141,13 +141,13 @@ class TestCircuit:
             ((cnot(3, 6), x(1), bad, bad), "cx(3, 6) references qubit 6"),
         ]:
             with pytest.raises(ValueError) as info:
-                Circuit(base.qubits, gates, base.meta)
+                Circuit(base.roles, gates, base.meta)
             assert str(info.value) == f"gate {named} outside width 5"
 
     def test_roles_and_lookup(self):
         c = new_circuit(_ct_roles(2, [QubitRole.PROCESS_ANCILLA]))
         assert c.width == 4
-        assert c.role_of(0) is QubitRole.CONTROL
+        assert c.roles[0] is QubitRole.CONTROL
         assert c.indices_with_role(QubitRole.CONTROL) == (0, 1)
         assert c.indices_with_role(QubitRole.TARGET) == (2,)
         assert c.indices_with_role(QubitRole.PROCESS_ANCILLA) == (3,)

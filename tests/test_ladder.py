@@ -24,9 +24,9 @@ from mctsynth.verify import EquivalenceClass, check_equivalence, oracle_cnu, ora
 
 def _ancillas(circ):
     return [
-        q.index
-        for q in circ.qubits
-        if q.role in (QubitRole.PROCESS_ANCILLA, QubitRole.WORKSPACE)
+        i
+        for i, r in enumerate(circ.roles)
+        if r in (QubitRole.PROCESS_ANCILLA, QubitRole.WORKSPACE)
     ]
 
 

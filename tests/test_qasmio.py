@@ -52,7 +52,7 @@ C, T = QubitRole.CONTROL, QubitRole.TARGET
 
 
 def _assert_same(a: Circuit, b: Circuit):
-    assert [q.role for q in a.qubits] == [q.role for q in b.qubits]
+    assert a.roles == b.roles
     assert a.gates == b.gates
     assert a.meta == b.meta
 
@@ -297,7 +297,7 @@ def _reference_dumps_json(circuit):
         "format": "mct-circuit",
         "version": 1,
         "width": circuit.width,
-        "roles": "".join(q.role.value for q in circuit.qubits),
+        "roles": "".join(r.value for r in circuit.roles),
         "meta": {"scheme": m.scheme, "n": m.n, "c": m.c, "basis": m.basis},
         "gates": gates,
     }
@@ -630,7 +630,7 @@ def _reference_loads_text(text):
             gates.append(Gate(kind, qubits, matrix))
         except ValueError as exc:
             raise CircuitFileError(str(exc), lineno) from None
-    return Circuit(new_circuit(roles).qubits, tuple(gates), meta)
+    return Circuit(new_circuit(roles).roles, tuple(gates), meta)
 
 
 # u() entries, two of them equal to 1 or to 0 but for the signs of zeros

@@ -63,7 +63,7 @@ C, T, P = QubitRole.CONTROL, QubitRole.TARGET, QubitRole.PROCESS_ANCILLA
 
 def _circ(roles, gates):
     base = new_circuit(roles)
-    return Circuit(base.qubits, tuple(gates), base.meta)
+    return Circuit(base.roles, tuple(gates), base.meta)
 
 
 class TestApply:
@@ -192,7 +192,7 @@ class TestCheckEquivalence:
 
     def test_broken_ladder_mismatch_with_witness(self):
         good = build_cnx(3)
-        bad = Circuit(good.qubits, good.gates[:-1], good.meta)
+        bad = Circuit(good.roles, good.gates[:-1], good.meta)
         v = check_equivalence(bad, oracle_cnx(3))
         assert v.klass is EquivalenceClass.MISMATCH
         assert not v.equivalent
@@ -201,7 +201,7 @@ class TestCheckEquivalence:
 
     def test_unrestored_ancilla_is_mismatch(self):
         good = build_cnx(3)
-        bad = Circuit(good.qubits, good.gates + (x(3),), good.meta)
+        bad = Circuit(good.roles, good.gates + (x(3),), good.meta)
         v = check_equivalence(bad, oracle_cnx(3))
         assert v.klass is EquivalenceClass.MISMATCH
 
@@ -226,7 +226,7 @@ class TestCheckEquivalence:
         for probe in probes:
             pos = int(rng.integers(0, len(base.gates) + 1))
             gates = base.gates[:pos] + (probe, probe.inverse()) + base.gates[pos:]
-            v = check_equivalence(Circuit(base.qubits, gates, base.meta), oracle_cnx(3))
+            v = check_equivalence(Circuit(base.roles, gates, base.meta), oracle_cnx(3))
             assert v.klass is EquivalenceClass.EXACT, (probe, pos)
 
     def test_classical_path_ignores_width_cap(self, monkeypatch):
@@ -468,7 +468,7 @@ class TestAgainstReference:
         cases = [lower_circuit(build_cnx(4), GateBasis.CV_BASIS),
                  lower_circuit(build_cycle_cnx(5, 2), GateBasis.CNOT_LOCAL),
                  build_cycle_cnx(6, 2)]
-        cases += [Circuit(c.qubits, c.gates[:7] + c.gates[8:], c.meta) for c in cases]
+        cases += [Circuit(c.roles, c.gates[:7] + c.gates[8:], c.meta) for c in cases]
         oracles = [oracle_cnx(4), oracle_cnx(5), oracle_cnx(6)] * 2
         before = [check_equivalence(c, o) for c, o in zip(cases, oracles)]
         monkeypatch.setattr(verify, "_ENTRY_BUDGET", 4)
@@ -551,7 +551,7 @@ class TestOneGateDeleted:
     def test_every_builder_output(self):
         for circ, oracle in _builder_outputs():
             for pos in range(len(circ.gates)):
-                mutant = Circuit(circ.qubits, circ.gates[:pos] + circ.gates[pos + 1:], circ.meta)
+                mutant = Circuit(circ.roles, circ.gates[:pos] + circ.gates[pos + 1:], circ.meta)
                 v = check_equivalence(mutant, oracle)
                 assert v.klass is EquivalenceClass.MISMATCH, (circ.meta, pos)
                 assert _witness_is_wrong(mutant, oracle, v.witness.input_bits), (circ.meta, pos)
@@ -563,7 +563,7 @@ class TestOneGateDeleted:
             n = len(default_computational_qubits(circ)) - 1
             for pos in range(len(lowered.gates)):
                 gates = lowered.gates[:pos] + lowered.gates[pos + 1:]
-                mutant = Circuit(lowered.qubits, gates, lowered.meta)
+                mutant = Circuit(lowered.roles, gates, lowered.meta)
                 v = _assert_matches_reference(mutant, oracle_cnx(n), unitary=False)
                 if v.klass is EquivalenceClass.MISMATCH:
                     assert _witness_is_wrong(mutant, oracle_cnx(n), v.witness.input_bits)
@@ -595,7 +595,7 @@ class TestOneGateAltered:
             for pos, g in enumerate(lowered.gates):
                 for altered in _alterations(g):
                     gates = lowered.gates[:pos] + (altered,) + lowered.gates[pos + 1:]
-                    mutant = Circuit(lowered.qubits, gates, lowered.meta)
+                    mutant = Circuit(lowered.roles, gates, lowered.meta)
                     v = check_equivalence(mutant, oracle)
                     proved = check_symbolic(mutant, oracle)
                     assert proved is None or (proved == _PROVED
@@ -1043,7 +1043,7 @@ class TestOracleCallsOnAncillaFailure:
         # the ancilla is left set only when control 1 is on, so the
         # first such input is |0100>, input 4 of 16
         good = build_cnx(3)
-        bad = Circuit(good.qubits, good.gates + (cnot(1, 4),), good.meta)
+        bad = Circuit(good.roles, good.gates + (cnot(1, 4),), good.meta)
         if lowered:
             bad = lower_circuit(bad, GateBasis.CV_BASIS)
         calls = []
@@ -1061,7 +1061,7 @@ class TestOracleCallsOnAncillaFailure:
         # input 0 already disagrees with the oracle (the target is
         # flipped), but the ancilla failure at input 4 is what is shown
         good = build_cnx(3)
-        bad = Circuit(good.qubits, good.gates + (x(3), cnot(1, 4)), good.meta)
+        bad = Circuit(good.roles, good.gates + (x(3), cnot(1, 4)), good.meta)
         v = check_equivalence(bad, oracle_cnx(3))
         assert v.witness == Mismatch((0, 1, 0, 0), "ancilla not restored to |0>")
 
@@ -1102,7 +1102,7 @@ def _parity_sweep():
             if mutate:
                 for p in range(len(lowered.gates)):
                     gates = lowered.gates[:p] + lowered.gates[p + 1:]
-                    yield Circuit(lowered.qubits, gates, lowered.meta), oracle
+                    yield Circuit(lowered.roles, gates, lowered.meta), oracle
 
 
 def _same_verdict(a, b):
@@ -1278,11 +1278,11 @@ class TestTabulatedOracle:
             # an exact C^nX check asks the oracle nothing, nor does an
             # ancilla left set
             assert check_equivalence(good, oracle_cnx(10)).klass is EquivalenceClass.EXACT
-            left = Circuit(good.qubits, good.gates + (x(spare),), good.meta)
+            left = Circuit(good.roles, good.gates + (x(spare),), good.meta)
             assert check_equivalence(left, oracle_cnx(10)).witness.detail.startswith("ancilla")
             assert calls == []
             # a wrong output asks it once, for what the witness should give
-            wrong = Circuit(good.qubits, good.gates + (x(comp[-1]),), good.meta)
+            wrong = Circuit(good.roles, good.gates + (x(comp[-1]),), good.meta)
             v = check_equivalence(wrong, oracle_cnx(10))
             assert v.witness == Mismatch((0,) * 11, "no amplitude on expected output "
                                                     f"{(0,) * 11}")
@@ -1293,7 +1293,7 @@ class TestTabulatedOracle:
         # also when an ancilla is left set, as the oracle is still asked
         # about the inputs up to the witness
         good = build_cnx(3)
-        circ = Circuit(good.qubits, good.gates + tail, good.meta)
+        circ = Circuit(good.roles, good.gates + tail, good.meta)
         with pytest.raises(ValueError, match="expected 3 bits, got 4"):
             check_equivalence(circ, oracle_cnx(2))
 
@@ -1367,7 +1367,7 @@ class TestOneEntryVerdict:
         good = lower_circuit(build_cnx(3), basis)
         comp = default_computational_qubits(good)
         ancilla = next(q for q in range(good.width) if q not in comp)
-        bad = Circuit(good.qubits, good.gates + (x(comp[-1]), cnot(comp[0], ancilla)), good.meta)
+        bad = Circuit(good.roles, good.gates + (x(comp[-1]), cnot(comp[0], ancilla)), good.meta)
         v = check_equivalence(bad, oracle_cnx(3))
         assert v.witness == Mismatch((1, 0, 0, 0), "ancilla not restored to |0>")
         assert "general" not in paths
@@ -1451,7 +1451,7 @@ def _appended_x():
         comp = default_computational_qubits(lowered)
         spare = [q for q in range(lowered.width) if q not in comp]
         for q in [comp[-1]] + spare[:1]:
-            yield Circuit(lowered.qubits, lowered.gates + (x(q),), lowered.meta), oracle
+            yield Circuit(lowered.roles, lowered.gates + (x(q),), lowered.meta), oracle
 
 
 _DEFAULT_BUDGET = verify._ENTRY_BUDGET
@@ -1549,7 +1549,7 @@ class TestWordEngine:
         # X given as a numpy array is still a C^nX table, read as a miter
         paths = _count_paths(monkeypatch)
         good = lower_circuit(build_cnx(3), GateBasis.CV_BASIS)
-        wrong = Circuit(good.qubits, good.gates + (x(3),), good.meta)
+        wrong = Circuit(good.roles, good.gates + (x(3),), good.meta)
         for circ in (good, wrong):
             paths.clear()
             v = check_equivalence(circ, ControlledOracle(3, np.array(MAT_X)))
@@ -1580,7 +1580,7 @@ class TestWordEngine:
 
         monkeypatch.setattr(verify, "_classify", refuse)
         circ = build_cycle_cnx(9, 3)
-        broken = Circuit(circ.qubits, circ.gates[1:], circ.meta)
+        broken = Circuit(circ.roles, circ.gates[1:], circ.meta)
         for oracle in (oracle_cnx(9), oracle_cnu(9, NAMED_UNITARIES["x"])):
             for tol in (0.0, verify.DEFAULT_TOL, 0.5):
                 assert check_equivalence(circ, oracle, tol=tol) == \
@@ -1595,7 +1595,7 @@ class TestWordEngine:
         comp = default_computational_qubits(good)
         ancilla = next(q for q in range(good.width) if q not in comp)
         assert len(comp) == 17 and 1 << 17 > verify._ENTRY_BUDGET
-        bad = Circuit(good.qubits, good.gates + (x(comp[-1]), cnot(comp[0], ancilla)),
+        bad = Circuit(good.roles, good.gates + (x(comp[-1]), cnot(comp[0], ancilla)),
                       good.meta)
         v = self._both(bad, oracle_cnx(16))
         assert v.witness == Mismatch((1,) + (0,) * 16, "ancilla not restored to |0>")
@@ -1606,7 +1606,7 @@ class TestWordEngine:
         tails = {1 << 16: (cnot(comp[0], comp[-1]),),
                  3 << 15: (x(comp[-1]), toffoli(comp[0], comp[1], comp[-1]), x(comp[-1]))}
         for m, tail in tails.items():
-            bad = Circuit(good.qubits, good.gates + tail, good.meta)
+            bad = Circuit(good.roles, good.gates + tail, good.meta)
             v = self._both(bad, oracle_cnx(16))
             want = _input_tuple(m, 17)
             assert v.witness == Mismatch(
@@ -1625,15 +1625,15 @@ class TestWordEngine:
         t = x(comp[-1])
         oracle = oracle_cnx(n)
         for tol in (verify.DEFAULT_TOL, 0.5):
-            exact = Circuit(good.qubits, flips + (t,) + good.gates + (t,), good.meta)
+            exact = Circuit(good.roles, flips + (t,) + good.gates + (t,), good.meta)
             assert self._both(exact, oracle, tol).klass is EquivalenceClass.EXACT
             # the build twice is the identity, so the first input the
             # table moves is the first to fail
-            twice = Circuit(good.qubits, good.gates * 2, good.meta)
+            twice = Circuit(good.roles, good.gates * 2, good.meta)
             last = (1 << (n + 1)) - 2
             assert self._both(twice, oracle, tol).witness.input_bits == _input_tuple(last, n + 1)
         if spare:
-            left = Circuit(good.qubits, good.gates + (x(spare[0]),), good.meta)
+            left = Circuit(good.roles, good.gates + (x(spare[0]),), good.meta)
             assert self._both(left, oracle).witness == Mismatch(
                 (0,) * (n + 1), "ancilla not restored to |0>")
 
