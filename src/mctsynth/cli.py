@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import qasmio
 from .costs import (
@@ -132,42 +132,97 @@ def cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
+# each subcommand's handler, help and options, every option as the
+# keywords add_argument takes: build_parser gives them to argparse, and
+# _match reads well-formed argv against them directly
+_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, dict[str, dict]]] = {
+    "synth": (cmd_synth, "build a circuit and report its costs", {
+        "--scheme": dict(dest="scheme", required=True, choices=SCHEMES),
+        "--n": dict(dest="n", type=int, help="number of controls"),
+        "--c": dict(dest="c", type=int, help="cycle count (cycle scheme only)"),
+        "--basis": dict(dest="basis", choices=sorted(b.value for b in GateBasis),
+                        default="toffoli"),
+        "--out": dict(dest="out", help="write the lowered circuit to this path"),
+        "--format": dict(dest="format", choices=("text", "json"),
+                         help="file format (default: by extension)"),
+        "--no-verify": dict(dest="no_verify", action="store_true", default=False,
+                            help="skip the pre-write equivalence check"),
+    }),
+    "verify": (cmd_verify, "check a circuit file against an oracle", {
+        "--circuit": dict(dest="circuit", required=True, help="circuit file to check"),
+        "--oracle": dict(dest="oracle", required=True, help="cnx:N or cnu:N:NAME"),
+    }),
+    "table": (cmd_table, "print the cost comparison table", {
+        "--max": dict(dest="max", type=int, default=15, help="largest n (3..64)"),
+        "--format": dict(dest="format", choices=("text", "csv"), default="text"),
+    }),
+    "convert": (cmd_convert, "translate a circuit file between formats", {
+        "--infile": dict(dest="infile", required=True, help="input circuit file"),
+        "--out": dict(dest="out", required=True, help="output circuit file"),
+        "--format": dict(dest="format", choices=("text", "json"),
+                         help="output format (default: by extension)"),
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mct",
         description="synthesize, lower, and verify multi-controlled NOT circuits",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="build a circuit and report its costs")
-    p.add_argument("--scheme", required=True, choices=SCHEMES)
-    p.add_argument("--n", type=int, help="number of controls")
-    p.add_argument("--c", type=int, help="cycle count (cycle scheme only)")
-    p.add_argument("--basis", choices=sorted(b.value for b in GateBasis), default="toffoli")
-    p.add_argument("--out", help="write the lowered circuit to this path")
-    p.add_argument("--format", choices=("text", "json"),
-                   help="file format (default: by extension)")
-    p.add_argument("--no-verify", action="store_true",
-                   help="skip the pre-write equivalence check")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("verify", help="check a circuit file against an oracle")
-    p.add_argument("--circuit", required=True, help="circuit file to check")
-    p.add_argument("--oracle", required=True, help="cnx:N or cnu:N:NAME")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("table", help="print the cost comparison table")
-    p.add_argument("--max", type=int, default=15, help="largest n (3..64)")
-    p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("convert", help="translate a circuit file between formats")
-    p.add_argument("--infile", required=True, help="input circuit file")
-    p.add_argument("--out", required=True, help="output circuit file")
-    p.add_argument("--format", choices=("text", "json"),
-                   help="output format (default: by extension)")
-    p.set_defaults(func=cmd_convert)
+    for name, (func, summary, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for option, keywords in options.items():
+            p.add_argument(option, **keywords)
+        p.set_defaults(func=func)
     return parser
+
+
+def _match(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``build_parser().parse_args(argv)`` returns, for
+    argv of the form ``<command>`` then ``--flag`` and ``--option
+    value`` items: each option spelled in full and given at most once,
+    no value starting with ``-``, each value passing its option's type
+    and choices, every required option present.  None for any other
+    argv, which is left to argparse: help, usage errors, abbreviations
+    and ``--option=value``."""
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    func, _, options = entry
+    values = {}
+    items = iter(argv[1:])
+    for token in items:
+        option = options.get(token)
+        if option is None or option["dest"] in values:
+            return None
+        if option.get("action") == "store_true":
+            values[option["dest"]] = True
+            continue
+        text = next(items, None)
+        if text is None or text.startswith("-"):
+            return None
+        convert = option.get("type")
+        try:
+            value = text if convert is None else convert(text)
+        except (TypeError, ValueError):
+            return None
+        choices = option.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        values[option["dest"]] = value
+    args = argparse.Namespace(command=argv[0])
+    for option in options.values():
+        dest = option["dest"]
+        if dest in values:
+            setattr(args, dest, values[dest])
+        elif option.get("required"):
+            return None
+        else:
+            setattr(args, dest, option.get("default"))
+    args.func = func
+    return args
 
 
 @functools.cache
@@ -178,11 +233,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    args = _match(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else 2
     func: Callable[[argparse.Namespace], int] = args.func
     try:
         return func(args)

@@ -527,8 +527,11 @@ def format_for_path(path: Union[str, Path]) -> str:
 
 def save(circuit: Circuit, path: Union[str, Path], fmt: Optional[str] = None) -> None:
     text = dumps(circuit, fmt or format_for_path(path))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as exc:
+        raise CircuitFileError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def load(path: Union[str, Path]) -> Circuit:

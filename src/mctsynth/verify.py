@@ -348,7 +348,11 @@ def _times(a: frozenset, b: frozenset) -> set:
     out = set()
     for x in a:
         for y in b:
-            out ^= {x | y}
+            m = x | y
+            if m in out:
+                out.remove(m)
+            else:
+                out.add(m)
     return out
 
 
@@ -563,13 +567,21 @@ def _steps(items: Sequence[Union[_Window, Gate]]) -> Optional[list]:
     it has one, before its XOR steps, as the sign reads the old bits.
     None when some item is neither."""
     steps = []
+    # each distinct window is put on its qubits once: the windows of one
+    # fused entry share its xor and sign tuples, alive for the call
+    placed: dict[tuple, list] = {}
     for s in items:
         if isinstance(s, _Window):
-            at = s.qubits + (-4, -3, -2, -1)
-            if s.sign:
-                steps.append((_SIGN, tuple([tuple([at[q] for q in p]) for p in s.sign])))
-            for t, ps in s.xor:
-                steps.append((at[t], tuple([tuple([at[q] for q in p]) for p in ps])))
+            key = (id(s.xor), id(s.sign), s.qubits)
+            window = placed.get(key)
+            if window is None:
+                at = s.qubits + (-4, -3, -2, -1)
+                window = placed[key] = []
+                if s.sign:
+                    window.append((_SIGN, tuple([tuple([at[q] for q in p]) for p in s.sign])))
+                for t, ps in s.xor:
+                    window.append((at[t], tuple([tuple([at[q] for q in p]) for p in ps])))
+            steps.extend(window)
         elif s.kind in X_LIKE_KINDS:
             steps.append((s.target, (s.controls or (-1,),)))
         else:

@@ -1,6 +1,7 @@
 """End-to-end command line behavior and exit codes."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,14 @@ class TestSynth:
         assert tried[0] == 3 and "\nverify  " in tried[1]
         assert tried[2] == "error: refusing to write a circuit that does not verify\n"
         assert not path.exists()
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "c.mq"
+        code, stdout, err = run(capsys, "synth", "--scheme", "ladder", "--n", "3",
+                                "--out", str(out))
+        assert code == 2
+        assert "verify  exact" in stdout and "wrote" not in stdout
+        assert err == f"error: cannot write {out}: No such file or directory\n"
 
     def test_workspace_scheme(self, capsys, tmp_path):
         path = tmp_path / "w.mct"
@@ -398,22 +407,22 @@ class TestTable:
 
 class TestParser:
     def test_built_once_and_shared(self, capsys, monkeypatch):
-        built, parsed = [], []
+        built, seen = [], []
         real = cli.build_parser
 
         def recording():
-            parser = real()
-            parse = parser.parse_args
+            built.append(real())
+            return built[-1]
 
-            def parse_args(*args, **kwargs):
-                namespace = parse(*args, **kwargs)
-                parsed.append(set(vars(namespace)))
-                return namespace
+        def recorded(func):
+            def handler(args):
+                seen.append(dict(vars(args)))
+                return func(args)
+            return handler
 
-            parser.parse_args = parse_args
-            built.append(parser)
-            return parser
-
+        # the handlers are recorded in the table, so both paths reach them
+        for name, (func, summary, options) in cli._COMMANDS.items():
+            monkeypatch.setitem(cli._COMMANDS, name, (recorded(func), summary, options))
         cli._parser.cache_clear()
         monkeypatch.setattr(cli, "build_parser", recording)
         try:
@@ -422,17 +431,103 @@ class TestParser:
             assert "toffoli  form 3  built 3" in out
             code, out, _ = run(capsys, "table", "--max", "3", "--format", "csv")
             assert (code, out.split(",")[0]) == (0, "n")
-            # neither synth's arguments nor csv carry over
+            assert built == []
+            # taken by argparse, which builds the parser
+            code, out, _ = run(capsys, "table", "--max=3")
+            assert (code, out.split()[:2]) == (0, ["n", "ancilla"])
+            # neither synth's arguments nor csv carry over, on either path
             code, out, _ = run(capsys, "table", "--max", "3")
             assert (code, out.split()[:2]) == (0, ["n", "ancilla"])
+            code, out, _ = run(capsys, "table", "--max=3", "--format=csv")
+            assert (code, out.split(",")[0]) == (0, "n")
         finally:
             cli._parser.cache_clear()
         assert len(built) == 1
-        assert parsed == [
-            {"command", "func", "scheme", "n", "c", "basis", "out", "format", "no_verify"},
-            {"command", "func", "max", "format"},
-            {"command", "func", "max", "format"},
+        synth, table = cli._COMMANDS["synth"][0], cli._COMMANDS["table"][0]
+        assert seen == [
+            {"command": "synth", "func": synth, "scheme": "ladder", "n": 3, "c": None,
+             "basis": "toffoli", "out": None, "format": None, "no_verify": False},
+            {"command": "table", "func": table, "max": 3, "format": "csv"},
+            {"command": "table", "func": table, "max": 3, "format": "text"},
+            {"command": "table", "func": table, "max": 3, "format": "text"},
+            {"command": "table", "func": table, "max": 3, "format": "csv"},
         ]
+
+    # the well-formed argv of the tests above, with plain paths
+    CANONICAL = [
+        ["synth", "--scheme", "ladder", "--n", "3"],
+        ["synth", "--scheme", "ladder"],
+        ["synth", "--scheme", "cycle", "--n", "5", "--c", "2", "--basis", "cv",
+         "--out", "c52.mct"],
+        ["synth", "--scheme", "ladder", "--n", "3", "--out", "c.mct", "--no-verify"],
+        ["synth", "--scheme", "cycle", "--n", "16", "--basis", "cnot", "--out", "c16.mq"],
+        ["synth", "--scheme", "workspace-c3x", "--basis", "cv", "--out", "w.mct"],
+        ["synth", "--scheme", "workspace-ccx", "--c", "7"],
+        ["synth", "--scheme", "two-cycle", "--n", "6", "--format", "json", "--out", "t"],
+        ["verify", "--circuit", "l4.mct", "--oracle", "cnx:4"],
+        ["verify", "--oracle", "cnu:3:h", "--circuit", "p.mct"],
+        ["table"],
+        ["table", "--max", "3"],
+        ["table", "--max", "64", "--format", "csv"],
+        ["convert", "--infile", "a.mct", "--out", "a.json"],
+        ["convert", "--infile", "a.json", "--out", "b", "--format", "text"],
+    ]
+    VALUES = ["-5", " 7", "\u0663", "3.0", "", "-", "x", "0", "pyramid", "TEXT", "csv",
+              "json", "cv", "--", "a=b", "synth"]
+
+    @staticmethod
+    def _mutate(rng, argv):
+        argv = list(argv)
+        i = rng.randrange(len(argv) + 1)
+        kind = rng.randrange(9)
+        options = [j for j, a in enumerate(argv) if a.startswith("--") and len(a) > 2]
+        if kind == 0 and len(argv) > 1:
+            del argv[rng.randrange(1, len(argv))]
+        elif kind == 1 and options:
+            j = rng.choice(options)
+            argv += argv[j:j + 2]
+        elif kind == 2 and options:
+            j = rng.choice(options)
+            argv[j] = argv[j][:rng.randrange(3, len(argv[j]) + 1)]
+        elif kind == 3 and options:
+            j = rng.choice(options)
+            argv[j:j + 2] = ["=".join(argv[j:j + 2])]
+        elif kind == 4:
+            argv.insert(i, rng.choice(["-h", "--help", "--"]))
+        elif kind == 5 and len(argv) > 1:
+            argv[rng.randrange(1, len(argv))] = rng.choice(TestParser.VALUES)
+        elif kind == 6 and options:
+            j = rng.choice(options)
+            pair = argv[j:j + 2]
+            del argv[j:j + 2]
+            argv[1:1] = pair
+        elif kind == 7:
+            argv[0] = rng.choice(["synth", "verify", "table", "convert", "synt", "-h", ""])
+        else:
+            argv.insert(i, rng.choice(TestParser.VALUES))
+        return argv
+
+    def test_match_gives_what_argparse_gives(self, capsys):
+        parser = cli.build_parser()
+        for argv in self.CANONICAL:
+            matched = cli._match(argv)
+            assert matched is not None, argv
+            assert vars(matched) == vars(parser.parse_args(argv))
+        rng = random.Random(25)
+        taken = left = 0
+        for _ in range(6000):
+            argv = rng.choice(self.CANONICAL)
+            for _ in range(rng.randrange(1, 3)):
+                argv = self._mutate(rng, argv)
+            matched = cli._match(argv)
+            if matched is None:
+                left += 1
+                continue
+            taken += 1
+            assert vars(matched) == vars(parser.parse_args(argv)), argv
+        capsys.readouterr()
+        # both paths are exercised by the corpus
+        assert taken > 500 and left > 4000
 
 
 class TestConvert:
@@ -459,6 +554,14 @@ class TestConvert:
         )
         assert code == 2
         assert "cannot read" in err
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        infile = tmp_path / "a.mq"
+        save(new_circuit([QubitRole.CONTROL, QubitRole.TARGET]), infile)
+        out = tmp_path / "missing" / "x.json"
+        code, stdout, err = run(capsys, "convert", "--infile", str(infile), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: cannot write {out}: No such file or directory\n"
 
     @pytest.mark.parametrize("name, body, out, message", [
         ("a.mct", "mctqasm v1 width 2\nroles ct\nmeta scheme=a=b n=1 c=- basis=-\ncx 0 1\n",

@@ -936,6 +936,13 @@ class TestSniffAndFiles:
         with pytest.raises(CircuitFileError, match="cannot read"):
             load(tmp_path / "nope.mct")
 
+    def test_unwritable_path(self, tmp_path):
+        path = tmp_path / "missing" / "c.json"
+        with pytest.raises(CircuitFileError) as caught:
+            save(build_cnx(2), path)
+        assert str(caught.value) == f"cannot write {path}: No such file or directory"
+        assert caught.value.line is None
+
     def test_dumps_unknown_format(self):
         with pytest.raises(ValueError):
             dumps(build_cnx(2), "yaml")

@@ -25,6 +25,7 @@ from mctsynth.ir import (
     MAT_Z,
     NAMED_UNITARIES,
     QubitRole,
+    X_LIKE_KINDS,
     append,
     as_array,
     cnot,
@@ -1723,6 +1724,38 @@ class TestSymbolic:
             assert check_symbolic(circ, oracle) is None
         # X given as a numpy array is still a C^nX table
         assert check_symbolic(circ, ControlledOracle(3, np.array(MAT_X))) == _PROVED
+
+
+def _unmemoised_steps(items):
+    """verify._steps with every window put on its qubits anew."""
+    steps = []
+    for s in items:
+        if isinstance(s, verify._Window):
+            at = s.qubits + (-4, -3, -2, -1)
+            if s.sign:
+                steps.append((verify._SIGN, tuple(tuple(at[q] for q in p) for p in s.sign)))
+            for t, ps in s.xor:
+                steps.append((at[t], tuple(tuple(at[q] for q in p) for p in ps)))
+        elif s.kind in X_LIKE_KINDS:
+            steps.append((s.target, (s.controls or (-1,),)))
+        else:
+            return None
+    return steps
+
+
+def test_steps_match_the_unmemoised_reference():
+    plans = [c.gates if is_classical(c) else verify._plan(c.gates) for c, _ in _parity_sweep()]
+    # two windows on one qubit that flip nothing and differ in sign only
+    plans.append(verify._plan([local(0, MAT_Z), toffoli(1, 2, 3),
+                               local(0, ((-1, 0), (0, 1))), toffoli(1, 2, 3)]))
+    windows = placed = 0
+    for items in plans:
+        assert verify._steps(items) == _unmemoised_steps(items)
+        shown = [s for s in items if isinstance(s, verify._Window)]
+        windows += len(shown)
+        placed += len({(id(s.xor), id(s.sign), s.qubits) for s in shown})
+    # some windows repeat one already placed
+    assert windows > placed > 0
 
 
 class TestClassicalKeyWidth:
