@@ -35,10 +35,13 @@ longest monomial prefix of its run, not the whole run, so it ends where
 a decomposed Toffoli ends; a run's product is worked out once per shape
 and process, and kept in a bounded cache with its XOR table as
 bit-plane steps, the algebraic normal form of each bit it flips (the
-Moebius transform).  A plan of windows without phases (every C^nX build
-lowered to cv) runs on bit planes, each window's steps put on the
-qubits it carries.  Any other plan runs on sparse entries, one step at
-a time.  A gate that starts no window is applied alone: mixing gates
+Moebius transform), and the normal form of "its phase rounds to -1" as
+a step into a sign wire.  A plan of windows alone whose drifts from +-1
+sum to at most the tolerance (every C^nX build lowered to cv, and to
+cnot at any tolerance above float dust) runs on bit planes, each
+window's steps put on the qubits it carries.  Any other plan runs on
+sparse entries, one step at a time.  A gate that starts no window is
+applied alone: mixing gates
 split entries and merge the duplicates, and a gate on more than three
 qubits that does not mix moves or rescales them in place.  An input
 whose support outgrows a cap is simulated again on a dense statevector,
@@ -51,21 +54,25 @@ flattened into the same layout.  Both engines' outputs are compared with
 that table by the same array operations, with two shortcuts that give
 the same verdict, bit for bit.
 
-Against a C^nX table (a ``ControlledOracle`` whose matrix is X), the
-verdict off the bit planes is read as a miter: one more step applies
-the table's inverse, C^nX itself, and the circuit is exact when every
-wire ends as it began.  The lowest input left changed is the witness,
-and one call of the oracle gives the output it should have had.
+Against a C^nX or C^nZ table (a ``ControlledOracle`` whose matrix is X
+or Z), the verdict off the bit planes is read as a miter: one more step
+applies the table's inverse, the table itself (C^nX flips the target,
+C^nZ XORs the AND of every computational wire into the sign).  An
+ancilla left set fails with deviation 1.  Otherwise the lowest input
+left changed is the witness, and one call of the oracle gives the
+output it should have had.  With every wire restored, the sign decides:
+0 on every input is exact, 1 on every input a global phase, and a mix
+a diagonal phase, each with deviation 0.  Off a miter, each bit-plane
+output has amplitude -1 where the sign ends as 1, and 1 elsewhere.
 
 Otherwise, when the table holds one entry per input and the circuit's
 outputs are one entry per input, as every all-window build's are, the
 phase of each input is fitted on that entry alone, with no merging of
 keys and no grouping by input.
 
-``check_symbolic`` enumerates no input: it runs the same steps, and the
-miter's last one, over GF(2) polynomials, each wire the algebraic normal
-form of its value in the inputs.  A window with phases also XORs the
-normal form of "its phase rounds to -1" into a sign wire.  It answers
+``check_symbolic`` enumerates no input: it runs the same steps, chosen
+by the same rule, and the miter's last one, over GF(2) polynomials, each
+wire the algebraic normal form of its value in the inputs.  It answers
 EXACT or nothing; ``mct synth`` then runs ``check_equivalence``, so
 every failure reads as the exhaustive check reports it.
 """
@@ -91,6 +98,7 @@ from .ir import (
     as_matrix2,
     kind_action,
     MAT_X,
+    MAT_Z,
 )
 
 DEFAULT_MAX_WIDTH = 24
@@ -246,12 +254,14 @@ def _run_classical(
     (target, products) XORs into the target the sum of its products,
     each the AND of the wires it lists; wire -1 is the constant 1,
     wires -2..-4 are scratch, cleared by the steps that use them, and
-    wire -5 (``_SIGN``) is read by no step.
+    wire -5 (``_SIGN``) is the sign, read once per block.
 
-    Returns (failure, got) as the sparse engine does.  With ``miter``,
-    the steps end with the inverse of the table checked against, and got
-    is instead the lowest input whose computational wires did not end as
-    they began, or None."""
+    Returns (failure, got) as the sparse engine does, each output's
+    amplitude -1 where the sign wire ends as 1 and 1 elsewhere.  With
+    ``miter``, the steps end with the inverse of the table checked
+    against, and got is instead (the lowest input whose computational
+    wires did not end as they began, or None; the signs seen, bit 0 set
+    when some input ends with sign 0 and bit 1 when some ends with 1)."""
     k = len(comp)
     n_inputs = 1 << k
     # a block is the budget rounded down to a power of two, so input
@@ -261,9 +271,11 @@ def _run_classical(
     block = 1 << size_log
     valid = (1 << block) - 1
     low = _patterns(size_log)
-    # a miter keeps no outputs, so its check allocates no array
+    # a miter keeps no outputs, so its check allocates no array, and the
+    # signs are an array only once some input ends with sign 1
     out = None if miter else np.zeros(n_inputs, dtype=np.int64)
-    mismatch = None
+    minus = None
+    mismatch, signs = None, 0
     for lo in range(0, n_inputs, block):
         # comp[k-1-j] carries input bit j
         pattern = [low[j] if j < size_log else valid * (lo >> j & 1)
@@ -284,23 +296,37 @@ def _run_classical(
             dirty |= wires[q]
         if dirty:
             return (lo + _lowest(dirty), 1.0), None
+        sign = wires[_SIGN]
         if not miter:
             outputs = out[lo:lo + block]
-            n_bytes = max(block >> 3, 1)
             for q in comp:
-                as_bytes = np.frombuffer(wires[q].to_bytes(n_bytes, "little"), dtype=np.uint8)
                 outputs <<= 1
-                outputs |= np.unpackbits(as_bytes, bitorder="little")[:block]
-        elif mismatch is None:
+                outputs |= _unpack(wires[q], block)
+            if sign:
+                if minus is None:
+                    minus = np.zeros(n_inputs, dtype=bool)
+                minus[lo:lo + block] = _unpack(sign, block)
+            continue
+        signs |= (sign != valid) | (sign != 0) << 1
+        if mismatch is None:
             diff = 0
             for q, bits in zip(comp, pattern):
                 diff |= wires[q] ^ bits
             if diff:
                 mismatch = lo + _lowest(diff)
     if miter:
-        return None, mismatch
+        return None, (mismatch, signs)
     masks = np.arange(n_inputs, dtype=np.int64)
-    return None, ((masks << k) | out, np.ones(n_inputs, dtype=complex))
+    amps = np.ones(n_inputs, dtype=complex)
+    if minus is not None:
+        amps[minus] = -1
+    return None, ((masks << k) | out, amps)
+
+
+def _unpack(bits: int, block: int) -> np.ndarray:
+    """A wire's value under each input of a block, as 0/1 bytes."""
+    as_bytes = np.frombuffer(bits.to_bytes(max(block >> 3, 1), "little"), dtype=np.uint8)
+    return np.unpackbits(as_bytes, bitorder="little")[:block]
 
 
 # monomials a wire of the symbolic engine may hold, and a product reach,
@@ -589,10 +615,35 @@ def _steps(items: Sequence[Union[_Window, Gate]]) -> Optional[list]:
     return steps
 
 
-def _inverse_cnx(comp: Sequence[int]) -> tuple:
-    """The step that applies the inverse of a C^nX table on ``comp``,
-    which is C^nX again."""
-    return comp[-1], (tuple(comp[:-1]) or (-1,),)
+def _signed_steps(circuit: Circuit, tol: float) -> tuple[Optional[list], Optional[list]]:
+    """The circuit's plan, None for a Toffoli-level circuit, and the
+    steps the bit planes run for it, or None.  A Toffoli-level circuit
+    runs a step per gate.  A plan of windows alone whose drifts sum to
+    at most ``tol`` runs their steps, each window's sign step included,
+    so that every phase reads as the +-1 it rounds to; a plan with a
+    lone gate, or with more drift, runs on no bit planes."""
+    if is_classical(circuit):
+        return None, _steps(circuit.gates)
+    plan = _plan(circuit.gates)
+    if all(isinstance(s, _Window) for s in plan) and sum(s.drift for s in plan) <= tol:
+        return plan, _steps(plan)
+    return plan, None
+
+
+def _miter_step(oracle: Oracle, comp: Sequence[int]) -> Optional[tuple]:
+    """The step that applies the inverse of a C^nX or C^nZ table on
+    ``comp``, which is the table again: C^nX flips the target under the
+    controls, C^nZ XORs the AND of every wire into the sign.  None for
+    any other oracle."""
+    if not (isinstance(oracle, ControlledOracle) and oracle.n + 1 == len(comp)):
+        return None
+    # a matrix given as an array compares as rows of numbers
+    rows = tuple(map(tuple, oracle.matrix))
+    if rows == MAT_X:
+        return comp[-1], (tuple(comp[:-1]) or (-1,),)
+    if rows == MAT_Z:
+        return _SIGN, (tuple(comp),)
+    return None
 
 
 def _plan(gates: Sequence[Gate]) -> list[Union[_Window, Gate]]:
@@ -835,23 +886,21 @@ def check_equivalence(
         if 2 * k > 63:
             raise WidthLimitError(f"{k} computational qubits exceed the classical "
                                   f"engine's 63-bit keys")
-        steps = _steps(circuit.gates)
     else:
         if width > limit:
             raise WidthLimitError(f"width {width} exceeds simulation cap {limit}")
         if width + len(comp) > 63:
             raise WidthLimitError(f"width {width} with {len(comp)} inputs "
                                   f"exceeds the sparse engine's 63-bit keys")
-        plan, steps = _plan(circuit.gates), None
-        if all(isinstance(s, _Window) and s.phases is None for s in plan):
-            steps = _steps(plan)
-    # bit planes against a C^nX table are read as a miter
-    miter = steps is not None and tabulated and _is_x(oracle.matrix)
+    plan, steps = _signed_steps(circuit, tol)
+    # bit planes against a C^nX or C^nZ table are read as a miter
+    inverse = None if steps is None else _miter_step(oracle, comp)
+    miter = inverse is not None
     if steps is None:
         failure, got = _run_sparse(circuit, plan, comp, ancillas, tol)
     else:
         if miter:
-            steps.append(_inverse_cnx(comp))
+            steps.append(inverse)
         failure, got = _run_classical(steps, width, comp, ancillas, miter)
 
     if failure is not None:
@@ -866,13 +915,14 @@ def check_equivalence(
             Mismatch(_bits(first, k), "ancilla not restored to |0>"),
         )
     if miter:
-        # what _classify finds for a C^nX table and outputs of one basis
-        # state of amplitude 1 each: either every output is the table's,
-        # or the first input that differs has no amplitude where the
-        # table puts its 1
-        if got is None:
-            return EquivalenceVerdict(EquivalenceClass.EXACT, 0.0)
-        bits = _bits(got, k)
+        # what _classify finds for a table and outputs of one basis
+        # state each, of amplitude +-1: either every output is the
+        # table's, and the signs give the class, or the first input that
+        # differs has no amplitude where the table puts its +-1
+        mismatch, signs = got
+        if mismatch is None:
+            return EquivalenceVerdict(_BY_SIGNS[signs], 0.0)
+        bits = _bits(mismatch, k)
         (want,) = oracle(bits)
         return EquivalenceVerdict(
             EquivalenceClass.MISMATCH,
@@ -884,9 +934,9 @@ def check_equivalence(
     return _classify(k, expected, got, tol)
 
 
-def _is_x(matrix: Matrix2) -> bool:
-    # a matrix given as an array compares as rows of numbers
-    return tuple(map(tuple, matrix)) == MAT_X
+# a miter's class by the signs its inputs end with: only 0, only 1, both
+_BY_SIGNS = {1: EquivalenceClass.EXACT, 2: EquivalenceClass.GLOBAL_PHASE,
+             3: EquivalenceClass.DIAGONAL_PHASE}
 
 
 def _check_tol(tol: float) -> None:
@@ -897,12 +947,12 @@ def _check_tol(tol: float) -> None:
 def check_symbolic(
     circuit: Circuit, oracle: Oracle, tol: float = DEFAULT_TOL
 ) -> Optional[EquivalenceVerdict]:
-    """Prove the circuit exact against a C^nX table without enumerating
-    its inputs, or return None.
+    """Prove the circuit exact against a C^nX or C^nZ table without
+    enumerating its inputs, or return None.
 
-    The steps ``check_equivalence`` runs on bit planes, with a sign step
-    per window with phases, are run by ``_run_symbolic`` over GF(2)
-    polynomials in the k inputs (in the order of
+    The steps ``check_equivalence`` runs on bit planes (``_signed_steps``),
+    with a sign step per window with phases, are run by ``_run_symbolic``
+    over GF(2) polynomials in the k inputs (in the order of
     ``default_computational_qubits``), ending with the table's inverse
     as the miter does.  The algebraic normal form is canonical, so the
     circuit sends every input where the table does, ancillas restored,
@@ -914,26 +964,22 @@ def check_symbolic(
 
     Returns ``EquivalenceVerdict(EXACT, 0.0)`` when, besides, the sign
     wire ends as 0 and the drifts sum to at most ``tol``.  Returns None
-    for any other circuit, for a gate that starts no window and is not
-    X-like, for an oracle that is not a C^nX ``ControlledOracle`` of the
-    circuit's arity, and once a wire or product outgrows
-    ``_MONOMIAL_BUDGET``.  A circuit without one target role, and
-    ``tol``, are refused as ``check_equivalence`` refuses them.
+    for any other circuit, for a plan with a gate that starts no window
+    (a circuit of X-like gates alone is no plan), for an oracle that is
+    not a C^nX or C^nZ ``ControlledOracle`` of the circuit's arity, and
+    once a wire or product outgrows ``_MONOMIAL_BUDGET``.  A circuit
+    without one target role, and ``tol``, are refused as
+    ``check_equivalence`` refuses them.
     """
     _check_tol(tol)
     comp = default_computational_qubits(circuit)
-    if not (isinstance(oracle, ControlledOracle) and oracle.n + 1 == len(comp)
-            and _is_x(oracle.matrix)):
+    inverse = _miter_step(oracle, comp)
+    if inverse is None:
         return None
-    if is_classical(circuit):
-        steps, drift = _steps(circuit.gates), 0.0
-    else:
-        plan = _plan(circuit.gates)
-        steps = _steps(plan)
-        drift = sum(s.drift for s in plan if isinstance(s, _Window))
-    if steps is None or drift > tol:
+    steps = _signed_steps(circuit, tol)[1]
+    if steps is None:
         return None
-    steps.append(_inverse_cnx(comp))
+    steps.append(inverse)
     if not _run_symbolic(steps, circuit.width, comp):
         return None
     return EquivalenceVerdict(EquivalenceClass.EXACT, 0.0)

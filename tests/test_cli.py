@@ -269,6 +269,18 @@ class TestVerify:
         assert code == 0
         assert "verdict exact" in out
 
+    def test_cnot_build_prints_no_float_dust(self, capsys, tmp_path):
+        # each input's sign is read off the bit planes, where multiplying
+        # the phases out gave 2.22045e-15
+        path = tmp_path / "c9.mq"
+        run(capsys, "synth", "--scheme", "cycle", "--n", "9", "--basis", "cnot",
+            "--out", str(path))
+        code, out, _ = run(
+            capsys, "verify", "--circuit", str(path), "--oracle", "cnx:9"
+        )
+        assert code == 0
+        assert out == "verdict exact\nmax deviation 0\n"
+
     def test_diagonal_phase_exits_three(self, capsys, tmp_path):
         # a lone relative-phase member is only diagonally equivalent
         base = new_circuit(

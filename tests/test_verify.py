@@ -1110,6 +1110,10 @@ def _same_verdict(a, b):
     return (a.klass, a.witness, a.max_deviation.hex()) == (b.klass, b.witness, b.max_deviation.hex())
 
 
+# what an exact check and a symbolic proof both return
+_PROVED = verify.EquivalenceVerdict(EquivalenceClass.EXACT, 0.0)
+
+
 def _general_verdict(circuit, oracle, tol, monkeypatch):
     """The verdict by the general path: the oracle called per input, so
     that nothing is read off the keys alone; a circuit that is not
@@ -1134,11 +1138,41 @@ def _general_verdict(circuit, oracle, tol, monkeypatch):
         return check_equivalence(circuit, lambda bits: oracle(bits), tol=tol)
 
 
+def _signed_drift(circuit, tol):
+    """The summed drift of the windows the bit planes run for the circuit
+    at tol, 0 for a Toffoli-level circuit, or None when it runs on
+    sparse entries."""
+    plan, steps = verify._signed_steps(circuit, tol)
+    if steps is None:
+        return None
+    return 0.0 if plan is None else sum(s.drift for s in plan)
+
+
+def _assert_general_verdict(fast, circuit, oracle, tol, monkeypatch):
+    """The verdict has the class and witness of the general path, which
+    runs sparse entries.  Where the circuit runs on sparse entries its
+    deviation is the general path's too, to the bit.  Where the bit
+    planes decide, it is exactly 0.0 for an equivalent circuit and 1.0
+    for a failure (an ancilla left set, or the table's amplitude 1 where
+    the circuit puts none), and the general path's is within the plan's
+    summed drift of it."""
+    general = _general_verdict(circuit, oracle, tol, monkeypatch)
+    where = (circuit.meta, len(circuit.gates), tol)
+    assert (fast.klass, fast.witness) == (general.klass, general.witness), where
+    drift = _signed_drift(circuit, tol)
+    if drift is None:
+        assert fast.max_deviation.hex() == general.max_deviation.hex(), where
+    else:
+        want = 0.0 if fast.equivalent else 1.0
+        assert fast.max_deviation == want, where
+        assert abs(general.max_deviation - want) <= drift, (where, general, drift)
+
+
 def _count_paths(monkeypatch):
     """Count how checks reach their verdicts: the bit planes, which the
-    circuits counted here (none classical) reach only as windows without
-    phases, and _classify's one-entry or general branch, which follows
-    them unless they are read as a miter."""
+    circuits counted here (none classical) reach as plans of windows
+    alone within tol, and _classify's one-entry or general branch, which
+    follows them unless they are read as a miter."""
     paths = Counter()
     real_planes, real_one = verify._run_classical, verify._one_entry_each
 
@@ -1178,16 +1212,15 @@ class TestTabulatedOracle:
 
     @staticmethod
     def _assert_same_verdicts(tol, monkeypatch):
-        """Every sweep case gives the same verdict, bit for bit, three
-        ways: against the table, by per-input calls, and by the general
-        path of _classify."""
+        """Every sweep case gives the same verdict, bit for bit, against
+        the table and by per-input calls, and the general path's verdict
+        as _assert_general_verdict reads it."""
         checked = 0
         for c, oracle in _parity_sweep():
             fast = check_equivalence(c, oracle, tol=tol)
             slow = check_equivalence(c, lambda bits: oracle(bits), tol=tol)
             assert _same_verdict(fast, slow), (c.meta, len(c.gates))
-            assert _same_verdict(fast, _general_verdict(c, oracle, tol, monkeypatch)), \
-                (c.meta, len(c.gates))
+            _assert_general_verdict(fast, c, oracle, tol, monkeypatch)
             checked += 1
         assert checked > 1000
 
@@ -1232,8 +1265,7 @@ class TestTabulatedOracle:
                                        or not fast.witness.detail.startswith("ancilla"))
             slow = check_equivalence(c, lambda bits: oracle(bits))
             assert _same_verdict(fast, slow), (c.meta, len(c.gates))
-            assert _same_verdict(fast, _general_verdict(c, oracle, verify.DEFAULT_TOL,
-                                                        monkeypatch)), (c.meta, len(c.gates))
+            _assert_general_verdict(fast, c, oracle, verify.DEFAULT_TOL, monkeypatch)
             seen[fast.klass] += 1
         # the builds are C^nX, and a mutant without its firing gate is
         # the identity
@@ -1242,7 +1274,9 @@ class TestTabulatedOracle:
     def test_merge_ignores_entry_order(self, monkeypatch):
         # the circuit's entries give the same verdict reversed and with
         # one more, of amplitude 0, at a key the circuit does not reach,
-        # whether or not their keys are the oracle's
+        # whether or not their keys are the oracle's; a C^nX table read
+        # as a miter reaches no _classify, so the sweep also goes
+        # through per-input calls, which do
         real = verify._classify
         same_keys = []
 
@@ -1259,6 +1293,7 @@ class TestTabulatedOracle:
         monkeypatch.setattr(verify, "_classify", both)
         for c, oracle in _parity_sweep():
             check_equivalence(c, oracle)
+            check_equivalence(c, lambda bits: oracle(bits))
         assert sum(same_keys) > 100
         assert len(same_keys) - sum(same_keys) > 100
 
@@ -1301,14 +1336,15 @@ class TestTabulatedOracle:
 
 class TestOneEntryVerdict:
     """A lowered build keeps one basis state per input, so its verdict is
-    read off bit planes (windows without phases, against a C^nX table)
-    or fitted entry by entry; either way it is the verdict of the
-    general path, bit for bit."""
+    read off bit planes as a miter (windows within tol, against a C^nX
+    table) or fitted entry by entry; either way it is the verdict of the
+    general path, as _assert_general_verdict reads it."""
 
     @pytest.mark.parametrize("basis", [GateBasis.CV_BASIS, GateBasis.CNOT_LOCAL])
     def test_lowered_builds_never_take_the_general_path(self, basis, monkeypatch):
+        # against the table a miter; called per input, the bit planes'
+        # outputs fitted entry by entry
         paths = _count_paths(monkeypatch)
-        want = {"bit planes": 1} if basis is GateBasis.CV_BASIS else {"one entry": 1}
         builds = []
         for n in range(2, 10):
             builds += [build_cnx(n)] + [build_cycle_cnx(n, c) for c in range(1, n)]
@@ -1317,10 +1353,13 @@ class TestOneEntryVerdict:
         # width 24, the cap, as mct synth checks it: two blocks of inputs
         builds.append(build_scheme("cycle", 16))
         for circ in builds:
+            lowered, oracle = lower_circuit(circ, basis), oracle_cnx(circ.meta.n)
             paths.clear()
-            v = check_equivalence(lower_circuit(circ, basis), oracle_cnx(circ.meta.n))
-            assert v.klass is EquivalenceClass.EXACT
-            assert paths == want, (circ.meta, paths)
+            assert check_equivalence(lowered, oracle) == _PROVED
+            assert paths == {"bit planes": 1}, (circ.meta, paths)
+            paths.clear()
+            assert check_equivalence(lowered, lambda bits: oracle(bits)) == _PROVED
+            assert paths == {"bit planes": 1, "one entry": 1}, (circ.meta, paths)
         assert len(builds) > 50
 
     @pytest.mark.parametrize("name", ["x", "z", "s", "sdg", "t", "tdg"])
@@ -1337,8 +1376,9 @@ class TestOneEntryVerdict:
 
     def test_blocks_of_four_inputs(self, monkeypatch):
         """Inputs split over blocks of four: both fast paths are still
-        taken, and the witness is the lowest failing input over all
-        blocks, as the general path finds it."""
+        taken, against the table and by per-input calls, and the witness
+        is the lowest failing input over all blocks, as the general path
+        finds it."""
         paths = _count_paths(monkeypatch)
         monkeypatch.setattr(verify, "_ENTRY_BUDGET", 4)
         taken, witnesses = Counter(), set()
@@ -1347,9 +1387,10 @@ class TestOneEntryVerdict:
                 continue
             paths.clear()
             fast = check_equivalence(c, oracle)
+            assert _same_verdict(fast, check_equivalence(c, lambda bits: oracle(bits))), \
+                (c.meta, len(c.gates))
             taken.update(paths)
-            assert _same_verdict(fast, _general_verdict(c, oracle, verify.DEFAULT_TOL,
-                                                        monkeypatch)), (c.meta, len(c.gates))
+            _assert_general_verdict(fast, c, oracle, verify.DEFAULT_TOL, monkeypatch)
             if fast.witness is not None:
                 witnesses.add((fast.witness.detail.split()[0], fast.witness.input_bits[0]))
         # a deleted gate of a decomposed Toffoli may leave a step that
@@ -1371,19 +1412,18 @@ class TestOneEntryVerdict:
         bad = Circuit(good.roles, good.gates + (x(comp[-1]), cnot(comp[0], ancilla)), good.meta)
         v = check_equivalence(bad, oracle_cnx(3))
         assert v.witness == Mismatch((1, 0, 0, 0), "ancilla not restored to |0>")
-        assert "general" not in paths
-        assert _same_verdict(v, _general_verdict(bad, oracle_cnx(3), verify.DEFAULT_TOL,
-                                                 monkeypatch))
+        assert paths == {"bit planes": 1}
+        _assert_general_verdict(v, bad, oracle_cnx(3), verify.DEFAULT_TOL, monkeypatch)
 
     def test_zero_amplitude_oracle_refused_on_the_one_entry_branch(self, monkeypatch):
-        # cv runs on bit planes, cnot on sparse entries; both outputs
-        # are one entry per input
+        # cv and cnot both run on bit planes, whose outputs are one
+        # entry per input
         paths = _count_paths(monkeypatch)
         for basis in (GateBasis.CV_BASIS, GateBasis.CNOT_LOCAL):
             lowered = lower_circuit(build_cycle_cnx(4, 2), basis)
             with pytest.raises(ValueError, match="^oracle output has no nonzero amplitude$"):
                 check_equivalence(lowered, lambda bits: {bits: 0})
-        assert paths == {"bit planes": 1, "one entry": 2}
+        assert paths == {"bit planes": 2, "one entry": 2}
 
 
 def _cnx_moves(k):
@@ -1396,8 +1436,9 @@ def _cnx_moves(k):
 def _classical_reference(circuit, comp, moved):
     """What _run_classical must return, worked out from the per-gate
     sparse loop's final entries: the lowest input with an ancilla left
-    set, else the outputs keyed (m << k) | output, or with ``moved`` the
-    lowest input whose output differs from the table's.  Both answers,
+    set, else the outputs keyed (m << k) | output with their amplitudes,
+    or with ``moved`` the lowest input whose output differs from the
+    table's and the signs the amplitudes round to.  Both answers,
     without and with ``moved``, from one run of the loop, in blocks of
     the default budget."""
     with pytest.MonkeyPatch.context() as m:
@@ -1425,7 +1466,8 @@ def _classical_answer(circuit, comp, evolved, moved):
     for m, out in moved.items():
         want[m] = out
     differ = np.flatnonzero(outputs != want)
-    return None, int(differ[0]) if len(differ) else None
+    signs = int((amps.real > 0).any()) | int((amps.real < 0).any()) << 1
+    return None, (int(differ[0]) if len(differ) else None, signs)
 
 
 def _bit_plane_steps(circuit, oracle, monkeypatch, tol=verify.DEFAULT_TOL):
@@ -1466,13 +1508,13 @@ class TestWordEngine:
 
     @pytest.mark.parametrize("budget", [4, verify._ENTRY_BUDGET])
     def test_matches_the_per_gate_engine(self, budget, monkeypatch):
-        """Toffoli-level sweep cases, the sweep's window plans without
-        phases, and cv builds with an x appended, each run on bit planes
+        """Toffoli-level sweep cases, the sweep's window plans within
+        tol, and cv builds with an x appended, each run on bit planes
         against the per-gate loop's answers: the handed steps without
-        their last, the table's inverse, give the outputs, and with it
-        the miter's witness."""
+        their last, the table's inverse, give the outputs and their
+        signs, and with it the miter's witness and the signs seen."""
         monkeypatch.setattr(verify, "_ENTRY_BUDGET", budget)
-        checked, failures, witnesses = Counter(), Counter(), Counter()
+        checked, failures, witnesses, minus = Counter(), Counter(), Counter(), Counter()
         cases = chain((("sweep", c, oracle) for c, oracle in _parity_sweep()),
                       (("appended x", c, oracle) for c, oracle in _appended_x()))
         for source, c, oracle in cases:
@@ -1491,50 +1533,69 @@ class TestWordEngine:
                 if kind == "toffoli":
                     assert got[1].tobytes() == want_got[1].tobytes()
                 else:
-                    # fused windows without phases: the per-gate loop
-                    # reaches amplitude 1 up to rounding
-                    assert got[1].tolist() == [1] * len(got[1])
-                    assert np.abs(want_got[1] - 1).max() < 1e-12
+                    # each output is -1 where the sign wire is set and 1
+                    # elsewhere, which the per-gate loop reaches up to
+                    # rounding
+                    assert set(got[1].tolist()) <= {1, -1}
+                    assert np.abs(want_got[1] - got[1]).max() < 1e-12
+                    minus[kind] += bool((got[1] == -1).any())
             else:
                 assert got is None
                 failures[kind] += 1
             assert verify._run_classical(steps, c.width, comp, spare, True) == want, \
                 (c.meta, len(c.gates))
-            witnesses[kind] += want[1] is not None
+            witnesses[kind] += want[1] is not None and want[1][0] is not None
             checked[kind] += 1
         # builds and their mutants: ancillas left set, and outputs wrong
         assert checked["toffoli"] > 120 and failures["toffoli"] > 50 \
             and witnesses["toffoli"] > 10, (checked, failures, witnesses)
         assert checked["sweep"] >= 70 and failures["sweep"] + witnesses["sweep"] > 0, \
             (checked, failures, witnesses)
+        # cnot plans whose signs do not all cancel: a mutant of a
+        # relative-phase Toffoli
+        assert minus["sweep"] > 10, minus
         # every appended x fails: on the target at input 0, on an
         # ancilla as an ancilla left set
         assert failures["appended x"] + witnesses["appended x"] == checked["appended x"] > 60, \
             (checked, failures, witnesses)
 
     def test_engine_follows_the_plan(self, monkeypatch):
-        """Every sweep plan of windows without phases is handed to the
-        bit planes, whatever the oracle and tol: the same steps against a
-        C^nH table, an identity payload and a per-input callable, and
-        against a C^nX table those and the table's inverse.  No plan with
-        a phased window or a lone gate is."""
+        """Every sweep plan of windows alone whose drifts sum to at most
+        tol is handed to the bit planes, whatever the oracle: the same
+        steps against a C^nH table, an identity payload and a per-input
+        callable; against a C^nX table those and the table's inverse,
+        and against a C^nZ table those and one sign step, the AND of
+        every computational wire.  No plan with a lone gate or more
+        drift is, which at tol 0 is every plan with a phase that is +-1
+        only up to rounding."""
         identity = ((1, 0), (0, 1))
         plans = Counter()
         for c, cnx in _parity_sweep():
             if is_classical(c):
                 continue
             plan = verify._plan(c.gates)
-            phase_free = all(isinstance(s, verify._Window) and s.phases is None for s in plan)
-            plans[phase_free] += 1
+            windows = all(isinstance(s, verify._Window) for s in plan)
+            drift = sum(s.drift for s in plan if isinstance(s, verify._Window))
+            comp = default_computational_qubits(c)
             others = (oracle_cnu(cnx.n, MAT_H), ControlledOracle(cnx.n, identity),
                       lambda bits: cnx(bits))
             for tol in (0.0, verify.DEFAULT_TOL):
+                decided = windows and drift <= tol
+                plans[tol, decided] += 1
                 miter = _bit_plane_steps(c, cnx, monkeypatch, tol)
-                assert (miter is not None) == phase_free, (c.meta, len(c.gates))
+                assert (miter is not None) == decided, (c.meta, len(c.gates))
+                cnz = _bit_plane_steps(c, oracle_cnu(cnx.n, MAT_Z), monkeypatch, tol)
+                if decided:
+                    assert miter[-1] == (comp[-1], (comp[:-1] or (-1,),))
+                    assert cnz == miter[:-1] + [(verify._SIGN, (comp,))]
+                else:
+                    assert cnz is None
                 for oracle in others:
                     steps = _bit_plane_steps(c, oracle, monkeypatch, tol)
                     assert steps == (miter and miter[:-1]), (c.meta, len(c.gates))
-        assert plans[True] > 50 and plans[False] > 500, plans
+        # cv plans at both tolerances, and cnot plans at 1e-9 only
+        assert plans[0.0, True] > 50 and plans[0.0, False] > 500, plans
+        assert plans[verify.DEFAULT_TOL, True] > plans[0.0, True] + 50, plans
 
     def test_no_controls(self):
         # n = 0: the table's inverse is a bare X, the one step that
@@ -1639,7 +1700,68 @@ class TestWordEngine:
                 (0,) * (n + 1), "ancilla not restored to |0>")
 
 
-_PROVED = verify.EquivalenceVerdict(EquivalenceClass.EXACT, 0.0)
+class TestSignedPlanes:
+    """A plan of windows whose phases are +-1 within tol runs on bit
+    planes, each window's sign step included; a miter's class is read
+    off the sign wire, where the sparse engine fits each phase."""
+
+    @staticmethod
+    def _cnot_build(*tail):
+        good = lower_circuit(build_cycle_cnx(5, 2), GateBasis.CNOT_LOCAL)
+        return Circuit(good.roles, good.gates + tail, good.meta), oracle_cnx(5)
+
+    def test_phase_classes_off_the_sign_wire(self, monkeypatch):
+        # the sweep reaches no global phase: x z x z is -I on the
+        # target, and a z on a control is -1 on half the inputs
+        comp = default_computational_qubits(self._cnot_build()[0])
+        z = [local(q, MAT_Z) for q in comp]
+        minus_one = (x(comp[-1]), z[-1], x(comp[-1]), z[-1])
+        for tail, klass in ((minus_one, EquivalenceClass.GLOBAL_PHASE),
+                            ((z[0],), EquivalenceClass.DIAGONAL_PHASE)):
+            circ, oracle = self._cnot_build(*tail)
+            assert _bit_plane_steps(circ, oracle, monkeypatch) is not None
+            v = check_equivalence(circ, oracle)
+            assert v == verify.EquivalenceVerdict(klass, 0.0)
+            assert _same_verdict(v, check_equivalence(circ, lambda bits: oracle(bits)))
+            _assert_general_verdict(v, circ, oracle, verify.DEFAULT_TOL, monkeypatch)
+
+    def test_phase_off_the_signs_stays_on_sparse_entries(self, monkeypatch):
+        # a t on the target has a phase sqrt(2 - sqrt(2)) from +1
+        target = default_computational_qubits(self._cnot_build()[0])[-1]
+        circ, oracle = self._cnot_build(local(target, MAT_T))
+        assert _bit_plane_steps(circ, oracle, monkeypatch) is None
+        v = check_equivalence(circ, oracle)
+        assert v.klass is EquivalenceClass.DIAGONAL_PHASE and v.max_deviation > 0
+        _assert_general_verdict(v, circ, oracle, verify.DEFAULT_TOL, monkeypatch)
+
+    def test_cnz_tables_end_with_one_sign_step(self, monkeypatch):
+        """build_cnu(n, Z) at n <= 6 in every basis, and its
+        one-gate-deleted mutants at n <= 4: against a C^nZ table the bit
+        planes end with the table's inverse, the AND of every
+        computational wire into the sign, and the verdict has the sparse
+        engine's class and witness."""
+        taken, classes = Counter(), Counter()
+        for n in range(1, 7):
+            oracle = oracle_cnu(n, MAT_Z)
+            for basis in GateBasis:
+                lowered = lower_circuit(build_cnu(n, MAT_Z), basis)
+                assert check_symbolic(lowered, oracle) == _PROVED
+                cases = [lowered]
+                if n <= 4:
+                    cases += [Circuit(lowered.roles, lowered.gates[:p] + lowered.gates[p + 1:],
+                                      lowered.meta) for p in range(len(lowered.gates))]
+                comp = default_computational_qubits(lowered)
+                for c in cases:
+                    steps = _bit_plane_steps(c, oracle, monkeypatch)
+                    taken[steps is not None] += 1
+                    if steps is not None:
+                        assert steps[-1] == (verify._SIGN, (comp,))
+                    v = check_equivalence(c, oracle)
+                    _assert_general_verdict(v, c, oracle, verify.DEFAULT_TOL, monkeypatch)
+                    classes[v.klass] += 1
+        assert taken[True] > 50 and taken[False] > 100, taken
+        assert classes[EquivalenceClass.EXACT] >= 18 and classes[EquivalenceClass.MISMATCH] > 100 \
+            and classes[EquivalenceClass.DIAGONAL_PHASE] > 0, classes
 
 
 class TestSymbolic:
