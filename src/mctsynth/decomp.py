@@ -47,8 +47,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
-from operator import itemgetter
-from typing import Callable, Optional
+from operator import attrgetter, itemgetter
+from typing import Callable, Optional, Sequence
 
 from .ir import (
     Circuit,
@@ -137,9 +137,10 @@ def _instantiate(
     out = []
     for kind, pick, matrix, bits in rule:
         qubits = pick(operands)
-        gate = table.get((kind, qubits, bits))
+        key = (kind, qubits, bits)
+        gate = table.get(key)
         if gate is None:
-            gate = table[kind, qubits, bits] = Gate(kind, qubits, matrix)
+            gate = table[key] = Gate(kind, qubits, matrix)
         out.append(gate)
     return tuple(out)
 
@@ -371,67 +372,75 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
     lowered with every Toffoli standalone.  The toffoli basis keeps
     every Toffoli, so it is not paired.
 
-    The lowered circuit holds one ``Gate`` object per distinct (kind,
-    qubits, matrix bits), shared by all its repeats, so the writers
-    format each distinct gate once.
+    A circuit whose every gate the basis allows comes back with its own
+    gate objects.  Otherwise the lowered circuit holds one ``Gate``
+    object per distinct (kind, qubits, matrix bits), shared by all its
+    repeats, so the writers format each distinct gate once.
 
     MCX gates are not accepted: synthesize them into Toffolis first.
     """
-    for g in circuit.gates:
-        if g.kind is GateKind.MCX:
-            raise LoweringError(
-                "mcx has no direct lowering; synthesize it into toffolis first"
-            )
+    gates = circuit.gates
+    kinds = set(map(attrgetter("kind"), gates))
+    if GateKind.MCX in kinds:
+        raise LoweringError(
+            "mcx has no direct lowering; synthesize it into toffolis first"
+        )
+    allowed = ALLOWED_KINDS[basis]
+    if kinds <= allowed:
+        return _with_basis(circuit, gates, basis)
 
-    # Each Toffoli's rule and operands, decided once: a paired one's by
-    # gate position, in cv the FOUR_CV member or its mirror on (x, y, t)
-    # and in cnot the relative-phase list on its own operands; any other
-    # Toffoli takes the basis's exact rule.
-    cv_basis = basis is GateBasis.CV_BASIS
-    lone = _RULES[ToffoliRule.FIVE_CV if cv_basis else ToffoliRule.SIX_CNOT]
-    paired: dict[int, tuple[tuple[_RuleGate, ...], tuple[int, ...]]] = {}
+    # Each distinct output gate is made once, in ``table``, and shared
+    # by every lowering that makes it.
+    table: _GateTable = {}
+
+    # A paired Toffoli's gates, by gate position: in cv the FOUR_CV
+    # member or its mirror on (x, y, t), and in cnot the relative-phase
+    # list on the pair's operands, which both members share.  A mirror
+    # circuit repeats its pairs, so each distinct (rule, operands) is
+    # lowered once.
+    at: dict[int, tuple[Gate, ...]] = {}
     if basis is not GateBasis.NATIVE_TOFFOLI:
         try:
             pairs = peres_pairing(circuit).pairs
         except NoMirrorStructureError:
             pairs = ()
-        for p in pairs:
-            if cv_basis:
-                at = (p.cnot_target, p.cnot_control, circuit.gates[p.compute].target)
-                paired[p.compute] = (_RULES[ToffoliRule.FOUR_CV], at)
-                paired[p.uncompute] = (_FOUR_CV_MIRROR, at)
-            else:
-                for i in (p.compute, p.uncompute):
-                    paired[i] = (_RULES[ToffoliRule.RELATIVE_PHASE], circuit.gates[i].qubits)
+        memo: dict[tuple[int, tuple[int, ...]], tuple[Gate, ...]] = {}
 
-    # A gate the basis allows is kept, as the table's copy of it.  A
-    # mirror circuit repeats its Toffolis, so each distinct lowering is
-    # made once and its gates shared: a Toffoli's is keyed by its rule
-    # and operands, and any other gate is lowered once per object.
-    # Across lowerings, ``table`` shares each distinct gate.
-    allowed = ALLOWED_KINDS[basis]
-    table: _GateTable = {}
-    kept: dict[int, Gate] = {}
-    memo: dict[object, tuple[Gate, ...]] = {}
-    out_gates: list[Gate] = []
-    for i, g in enumerate(circuit.gates):
-        if g.kind in allowed:
-            shared = kept.get(id(g))
-            if shared is None:
-                shared = kept[id(g)] = _share(g, table)
-            out_gates.append(shared)
-            continue
-        toffoli = g.kind is GateKind.TOFFOLI
-        if toffoli:
-            rule, operands = paired.get(i) or (lone, g.qubits)
-            key: object = (id(rule), operands)
+        def lowered(rule: tuple[_RuleGate, ...], operands: tuple[int, ...]) -> tuple[Gate, ...]:
+            key = (id(rule), operands)
+            gates_of = memo.get(key)
+            if gates_of is None:
+                gates_of = memo[key] = _instantiate(rule, operands, table)
+            return gates_of
+
+        if basis is GateBasis.CV_BASIS:
+            member, mirror = _RULES[ToffoliRule.FOUR_CV], _FOUR_CV_MIRROR
+            for p in pairs:
+                operands = (p.cnot_target, p.cnot_control, gates[p.compute].target)
+                at[p.compute] = lowered(member, operands)
+                at[p.uncompute] = lowered(mirror, operands)
         else:
-            key = id(g)
-        lowered = memo.get(key)
-        if lowered is None:
-            lowered = memo[key] = _instantiate(rule, operands, table) if toffoli \
-                else _lower_gate(g, basis, table)
-        out_gates.extend(lowered)
+            member = _RULES[ToffoliRule.RELATIVE_PHASE]
+            for p in pairs:
+                at[p.compute] = at[p.uncompute] = lowered(member, gates[p.compute].qubits)
+
+    # Every other gate is lowered once per object: a kind the basis
+    # allows is kept, as the table's copy of it; a Toffoli takes the
+    # basis's exact rule; any other gate goes through ``_lower_gate``.
+    lone = _RULES[ToffoliRule.FIVE_CV if basis is GateBasis.CV_BASIS else ToffoliRule.SIX_CNOT]
+    by_object: dict[int, tuple[Gate, ...]] = {}
+    out_gates: list[Gate] = []
+    for i, g in enumerate(gates):
+        gates_of = at.get(i) or by_object.get(id(g))
+        if gates_of is None:
+            if g.kind in allowed:
+                gates_of = (_share(g, table),)
+            elif g.kind is GateKind.TOFFOLI:
+                gates_of = _instantiate(lone, g.qubits, table)
+            else:
+                gates_of = _lower_gate(g, basis, table)
+            by_object[id(g)] = gates_of
+        out_gates.extend(gates_of)
     return _with_basis(circuit, out_gates, basis)
 
 
@@ -451,6 +460,6 @@ def _lower_gate(
     return _instantiate(_controlled_rule(g.action), g.qubits, table)
 
 
-def _with_basis(circuit: Circuit, gates: list[Gate], basis: GateBasis) -> Circuit:
+def _with_basis(circuit: Circuit, gates: Sequence[Gate], basis: GateBasis) -> Circuit:
     meta = replace(circuit.meta, basis=basis.value)
     return replace(circuit, gates=tuple(gates), meta=meta)

@@ -41,8 +41,12 @@ class QubitRole(Enum):
     PROCESS_ANCILLA = "p"
     WORKSPACE = "w"
 
+    # identity hashing, as for GateKind below
+    __hash__ = object.__hash__
+
 
 ROLE_BY_LETTER = {r.value: r for r in QubitRole}
+LETTER_BY_ROLE = {r: r.value for r in QubitRole}
 
 
 def is_int(value: object) -> bool:
@@ -78,8 +82,8 @@ class GateKind(Enum):
     __hash__ = object.__hash__
 
 
-# How many qubits each kind takes; None means "2 or more" (MCX).
-_ARITY: dict[GateKind, Optional[int]] = {
+# How many qubits each kind takes; None means 4 or more (MCX).
+ARITY: dict[GateKind, Optional[int]] = {
     GateKind.X: 1,
     GateKind.CNOT: 2,
     GateKind.CV: 2,
@@ -90,7 +94,13 @@ _ARITY: dict[GateKind, Optional[int]] = {
     GateKind.CU: 2,
 }
 
-_MATRIX_KINDS = {GateKind.LOCAL, GateKind.CU}
+# the kinds that carry a matrix
+MATRIX_KINDS = {GateKind.LOCAL, GateKind.CU}
+
+# The arity of each kind of fixed arity, for the kinds without a matrix
+# and for those with one: the shapes ``Gate`` checks in one pass.
+_PLAIN_ARITY = {k: a for k, a in ARITY.items() if a is not None and k not in MATRIX_KINDS}
+_MATRIX_ARITY = {k: ARITY[k] for k in MATRIX_KINDS}
 
 # Kinds whose action on their last operand is a plain bit flip when the
 # controls are satisfied.  Used by Gate.action and verify.is_classical.
@@ -103,6 +113,13 @@ class Gate:
 
     ``qubits`` lists controls first, acted-on qubit last.  ``matrix``
     is present exactly for LOCAL and CU.
+
+    The shapes the library builds and reads are checked in one pass: a
+    kind of fixed arity (1 to 3) on a tuple of that many distinct
+    ``int`` operands, with a unitary matrix exactly where the kind
+    carries one.  Anything else takes the full checks, in their order,
+    so the same inputs are accepted and each refused one gets the
+    message of the first rule it breaks.
     """
 
     kind: GateKind
@@ -110,7 +127,21 @@ class Gate:
     matrix: Optional[Matrix2] = None
 
     def __post_init__(self) -> None:
-        arity = _ARITY[self.kind]
+        qubits, matrix = self.qubits, self.matrix
+        arity = (_PLAIN_ARITY if matrix is None else _MATRIX_ARITY).get(self.kind)
+        if arity is not None and type(qubits) is tuple and len(qubits) == arity:
+            if arity == 1:
+                ok = type(qubits[0]) is int
+            elif arity == 2:
+                a, b = qubits
+                ok = type(a) is int and type(b) is int and a != b
+            else:
+                a, b, c = qubits
+                ok = (type(a) is int and type(b) is int and type(c) is int
+                      and a != b and a != c and b != c)
+            if ok and (matrix is None or _is_unitary(matrix)):
+                return
+        arity = ARITY[self.kind]
         if arity is None:
             if len(self.qubits) < 4:
                 raise ValueError(
@@ -127,7 +158,7 @@ class Gate:
             )
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"duplicate operand in {self.kind.value}{self.qubits}")
-        if self.kind in _MATRIX_KINDS:
+        if self.kind in MATRIX_KINDS:
             if self.matrix is None:
                 raise ValueError(f"{self.kind.value} requires a matrix")
             if not _is_unitary(self.matrix):
@@ -153,7 +184,7 @@ class Gate:
             return Gate(GateKind.CVDG, self.qubits)
         if self.kind is GateKind.CVDG:
             return Gate(GateKind.CV, self.qubits)
-        if self.kind in _MATRIX_KINDS:
+        if self.kind in MATRIX_KINDS:
             return Gate(self.kind, self.qubits, dagger(self.matrix))
         # the classical-reversible kinds are involutions
         return self

@@ -28,11 +28,17 @@ UTF-8.
 
 Lowered circuits repeat most of their gates, and ``lower_circuit``
 shares one ``Gate`` object per distinct gate, so the writers format
-each distinct gate object once.  The text reader parses each distinct
-line once, and the JSON reader each distinct gate entry, and each
-shares its ``Gate`` with every repeat; entries equal in Python but
-spelled apart (a qubit true, 1 or 1.0, a matrix number -0.0 or 0.0)
-are never shared.  Nothing is kept from one call to the next.
+each distinct gate object once, from a template per gate kind.  The
+JSON writer's bytes are ``json.dumps(doc, indent=2)`` plus a newline,
+but it fills templates for the header and for each distinct matrix
+too, with ``json.dumps`` of each scalar and ``float.__repr__`` of each
+matrix number, which is what the encoder writes: ``indent=2`` sends
+``json.dumps`` to its pure-Python encoder, which costs more than all
+the gates do.  The text reader parses each distinct line once, and the
+JSON reader each distinct gate entry, and each shares its ``Gate``
+with every repeat; entries equal in Python but spelled apart (a qubit
+true, 1 or 1.0, a matrix number -0.0 or 0.0) are never shared.
+Nothing is kept from one call to the next.
 """
 
 from __future__ import annotations
@@ -46,10 +52,13 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
 from .ir import (
+    ARITY,
     Circuit,
     CircuitMeta,
     Gate,
     GateKind,
+    LETTER_BY_ROLE,
+    MATRIX_KINDS,
     Matrix2,
     QubitRole,
     ROLE_BY_LETTER,
@@ -59,10 +68,14 @@ from .ir import (
 
 TEXT_HEADER = "mctqasm v1"
 
-# kinds with a text mnemonic; mcx and cu must go through JSON
-_TEXT_KINDS = set(GateKind) - {GateKind.MCX, GateKind.CU}
-# mnemonic -> kind for the reader; u(...) lines are told apart by shape
-_KIND_BY_MNEMONIC = {k.value: k for k in _TEXT_KINDS if k is not GateKind.LOCAL}
+# mnemonic -> (kind, matrix) for the reader: mcx and cu have no mnemonic
+# and must go through JSON, and a u(...) line's are read from its text
+_TEXT_HEADS: dict[str, tuple[GateKind, Optional[Matrix2]]] = {
+    k.value: (k, None) for k in GateKind
+    if k not in (GateKind.MCX, GateKind.CU, GateKind.LOCAL)
+}
+# and kind -> its line for the writer, with %s for each operand
+_TEXT_LINE = {k: m + " %s" * ARITY[k] for m, (k, _) in _TEXT_HEADS.items()}
 _KIND_BY_NAME = {k.value: k for k in GateKind}
 _META_KEYS = ("scheme", "n", "c", "basis")
 
@@ -137,7 +150,7 @@ def _roles_string(circuit: Circuit) -> str:
     checks, so that no writer emits a file the readers refuse."""
     _check_width(circuit.width)
     _meta(vars(circuit.meta))
-    return "".join(r.value for r in circuit.roles)
+    return "".join(map(LETTER_BY_ROLE.__getitem__, circuit.roles))
 
 
 def _index(q: int, width: int) -> int:
@@ -191,7 +204,8 @@ def dumps_text(circuit: Circuit) -> str:
         f"{key}={'-' if fields[key] is None else fields[key]}" for key in _META_KEYS
     ))
     lines += _format_each_once(circuit.gates, partial(_gate_line, matrices={}))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, with no second copy of the text
+    return "\n".join(lines)
 
 
 def _format_each_once(gates: tuple[Gate, ...], fmt: Callable[[Gate], str]) -> list[str]:
@@ -199,27 +213,27 @@ def _format_each_once(gates: tuple[Gate, ...], fmt: Callable[[Gate], str]) -> li
     object, in order of first appearance.  Keying on id() is safe since
     the tuple keeps every gate alive; Gate equality is not, because
     0.0 == -0.0 would merge matrices that print differently."""
-    distinct = {id(g): g for g in gates}
-    text = {key: fmt(g) for key, g in distinct.items()}
-    return list(map(text.__getitem__, map(id, gates)))
+    ids = list(map(id, gates))
+    distinct = dict(zip(ids, gates))
+    text = dict(zip(distinct, map(fmt, distinct.values())))
+    return list(map(text.__getitem__, ids))
 
 
 def _gate_line(g: Gate, matrices: dict[bytes, str]) -> str:
-    if g.kind not in _TEXT_KINDS:
+    line = _TEXT_LINE.get(g.kind)
+    if line is not None:
+        return line % tuple(g.qubits)
+    if g.kind is not GateKind.LOCAL:
         raise CircuitFileError(
             f"gate kind {g.kind.value!r} has no text mnemonic; use the json format"
         )
-    idx = " ".join(map(str, g.qubits))
-    if g.kind is not GateKind.LOCAL:
-        return f"{g.kind.value} {idx}"
-    assert g.matrix is not None
     key = matrix_bits(g.matrix)
     entries = matrices.get(key)
     if entries is None:
         entries = matrices[key] = ",".join(
             _fmt_complex(z) for row in g.matrix for z in row
         )
-    return f"u({entries}) {idx}"
+    return "u(%s) %s" % (entries, *g.qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +258,10 @@ def _parse_meta(tokens: list[str], line: int) -> CircuitMeta:
 
 
 def _parse_indices(tokens: list[str], width: int, indices: dict[str, int]) -> tuple[int, ...]:
-    """The qubit indices; ``indices`` memoises each token already
-    found to be a good index, so a line of known tokens costs one
-    lookup each.  It starts empty for each file, rather than holding
-    every index below the width, since most files use few of them."""
-    idx = tuple(map(indices.get, tokens))
-    if None not in idx:
-        return idx
-    # check the new tokens in line order, so the first bad one is named
+    """The qubit indices of a line with a token that ``indices``, the
+    memo of tokens found to be good indices, does not hold: the new
+    tokens are checked in line order, so the first bad one is named,
+    and each good one is memoised."""
     for tok in tokens:
         if tok not in indices:
             q = decimal(tok)
@@ -303,17 +313,36 @@ def loads_text(text: str) -> Circuit:
     body = lines[lineno:]
     parsed: dict[str, Optional[Gate]] = dict.fromkeys(body)
     by_text: dict[str, Gate] = {}
-    matrices: dict[str, Matrix2] = {}  # each distinct u() is parsed once
-    indices: dict[str, int] = {}  # and each distinct qubit index
+    # Each distinct mnemonic is read once (a u() with its matrix), and
+    # each distinct index token.  The index memo starts with every index
+    # below the width, as the writers spell it, unless the width is more
+    # than the distinct lines could name (a gate has at most three
+    # operands), so that a wide file of few lines builds no large table.
+    heads = dict(_TEXT_HEADS)
+    indices: dict[str, int] = (
+        dict(zip(map(str, range(width)), range(width))) if width <= 3 * len(parsed) else {}
+    )
     for raw in parsed:
         line = raw.strip()
         if not line or line[0] == "#":
             continue
         gate = by_text.get(line)
         if gate is None:
+            mnemonic, *tokens = line.split()
             try:
-                gate = by_text[line] = _parse_gate(line, width, matrices, indices)
-            except CircuitFileError as exc:
+                head = heads.get(mnemonic)
+                if head is None:
+                    head = heads[mnemonic] = _parse_u(mnemonic)
+                kind, matrix = head
+                qubits = tuple(map(indices.get, tokens))
+                if None in qubits:
+                    qubits = _parse_indices(tokens, width, indices)
+                if matrix is not None and len(qubits) != 1:
+                    raise CircuitFileError("u gate takes exactly one qubit")
+                gate = by_text[line] = Gate(kind, qubits, matrix)
+            except ValueError as exc:
+                # a CircuitFileError here has no line yet, and the
+                # message of one that Gate raises is the gate's own
                 raise CircuitFileError(str(exc), lineno + body.index(raw) + 1) from None
         parsed[raw] = gate
     gates = tuple(filter(None, map(parsed.__getitem__, body)))
@@ -321,79 +350,87 @@ def loads_text(text: str) -> Circuit:
     return Circuit(roles, gates, meta)
 
 
-def _parse_gate(
-    line: str, width: int, matrices: dict[str, Matrix2], indices: dict[str, int]
-) -> Gate:
-    tokens = line.split()
-    mnemonic = tokens[0]
-    kind = _KIND_BY_MNEMONIC.get(mnemonic)
-    if kind is not None:
-        return _gate(kind, _parse_indices(tokens[1:], width, indices), None)
+def _parse_u(mnemonic: str) -> tuple[GateKind, Matrix2]:
+    """The kind and matrix of a mnemonic that is not a known one, which
+    must be u(...) with four complex entries."""
     if not (mnemonic.startswith("u(") and mnemonic.endswith(")")):
         raise CircuitFileError(f"unknown mnemonic {mnemonic!r}")
-    matrix = matrices.get(mnemonic)
-    if matrix is None:
-        entries = mnemonic[2:-1].split(",")
-        if len(entries) != 4:
-            raise CircuitFileError(f"u() takes 4 matrix entries, got {len(entries)}")
-        zs = [_parse_complex(e) for e in entries]
-        matrix = matrices[mnemonic] = ((zs[0], zs[1]), (zs[2], zs[3]))
-    idx = _parse_indices(tokens[1:], width, indices)
-    if len(idx) != 1:
-        raise CircuitFileError("u gate takes exactly one qubit")
-    return _gate(GateKind.LOCAL, idx, matrix)
+    entries = mnemonic[2:-1].split(",")
+    if len(entries) != 4:
+        raise CircuitFileError(f"u() takes 4 matrix entries, got {len(entries)}")
+    zs = [_parse_complex(e) for e in entries]
+    return GateKind.LOCAL, ((zs[0], zs[1]), (zs[2], zs[3]))
 
 
 # ---------------------------------------------------------------------------
 # json writer / reader
 
-# One gate of json.dumps(doc, indent=2), split around its qubit list;
-# json.dumps writes an int with repr, as str does.
-_JSON_GATE_HEAD = {
-    k: '    {\n      "kind": %s,\n      "qubits": [\n        ' % json.dumps(k.value)
-    for k in GateKind
-}
-_JSON_QUBIT_SEP = ",\n        "
-_JSON_GATE_TAIL = "\n      ]\n    }"
-_JSON_MATRIX_HEAD = '\n      ],\n      "matrix": '
+# json.dumps(doc, indent=2) of a circuit document as templates, made by
+# json.dumps itself with "%s" where each value goes: the header, which
+# ends in an empty gate list; one gate entry per kind, with a %s for
+# each qubit and one for the matrix; and a matrix, indented to its place
+# in an entry, with a %s for each of its eight floats.
+_JSON_HEAD = json.dumps({
+    "format": "mct-circuit",
+    "version": 1,
+    "width": "%s",
+    "roles": "%s",
+    "meta": {"scheme": "%s", "n": "%s", "c": "%s", "basis": "%s"},
+    "gates": [],
+}, indent=2).replace('"%s"', "%s")
 _JSON_EMPTY_GATES = "[]\n}"
+_JSON_MATRIX = json.dumps([[["%s"] * 2] * 2] * 2, indent=2).replace('"%s"', "%s").replace(
+    "\n", "\n      "
+)
+_EIGHT_DOUBLES = struct.Struct("8d")
+
+
+def _json_gate_template(kind: GateKind, arity: int) -> str:
+    entry: dict[str, object] = {"kind": kind.value, "qubits": ["%s"] * arity}
+    if kind in MATRIX_KINDS:
+        entry["matrix"] = "%s"
+    text = json.dumps({"gates": [entry]}, indent=2)
+    return text[text.index("    {"): text.rindex("\n  ]")].replace('"%s"', "%s")
+
+
+# the gate templates of the kinds of fixed arity; an mcx's is made for it
+_JSON_GATE = {k: _json_gate_template(k, a) for k, a in ARITY.items() if a is not None}
 
 
 def dumps_json(circuit: Circuit) -> str:
     """The bytes of ``json.dumps(doc, indent=2) + "\\n"`` for the circuit
-    document.  Everything but the gate list goes through json.dumps; the
-    gates are written from templates, and each distinct matrix is
-    formatted once by json.dumps, because indent=2 makes json.dumps
-    fall back to its pure-Python encoder."""
+    document, filled into templates: the header with json.dumps of each
+    scalar, each distinct gate object once, and each distinct matrix
+    once, with float.__repr__ of each number, as json writes a finite
+    float.  json.dumps itself, with indent=2, would run its pure-Python
+    encoder over the header and every matrix."""
     m = circuit.meta
-    doc = {
-        "format": "mct-circuit",
-        "version": 1,
-        "width": circuit.width,
-        "roles": _roles_string(circuit),
-        "meta": {"scheme": m.scheme, "n": m.n, "c": m.c, "basis": m.basis},
-        "gates": [],
-    }
-    head = json.dumps(doc, indent=2)
+    head = _JSON_HEAD % tuple(map(json.dumps, (
+        circuit.width, _roles_string(circuit), m.scheme, m.n, m.c, m.basis
+    )))
     if not circuit.gates:
         return head + "\n"
+    # one join writes the whole text: the header goes on the first gate,
+    # and the end of the document on the last
     entries = _format_each_once(circuit.gates, partial(_json_gate, matrices={}))
-    return "".join(
-        (head[: -len(_JSON_EMPTY_GATES)], "[\n", ",\n".join(entries), "\n  ]\n}\n")
-    )
+    entries[0] = head[: -len(_JSON_EMPTY_GATES)] + "[\n" + entries[0]
+    entries[-1] += "\n  ]\n}\n"
+    return ",\n".join(entries)
 
 
 def _json_gate(g: Gate, matrices: dict[bytes, str]) -> str:
-    qubits = _JSON_QUBIT_SEP.join(map(str, g.qubits))
+    qubits = tuple(g.qubits)
+    template = _JSON_GATE.get(g.kind) or _json_gate_template(g.kind, len(qubits))
     if g.matrix is None:
-        return _JSON_GATE_HEAD[g.kind] + qubits + _JSON_GATE_TAIL
+        return template % qubits
     key = matrix_bits(g.matrix)
     matrix = matrices.get(key)
     if matrix is None:
-        floats = [[[float(z.real), float(z.imag)] for z in row] for row in g.matrix]
-        text = json.dumps(floats, indent=2)
-        matrix = matrices[key] = text.replace("\n", "\n      ")
-    return _JSON_GATE_HEAD[g.kind] + qubits + _JSON_MATRIX_HEAD + matrix + "\n    }"
+        # the floats a unitary holds are finite, so repr is what json writes
+        matrix = matrices[key] = _JSON_MATRIX % tuple(
+            map(float.__repr__, _EIGHT_DOUBLES.unpack(key))
+        )
+    return template % (*qubits, matrix)
 
 
 def _gate_from_json(entry: Any, width: int) -> Gate:
@@ -408,9 +445,6 @@ def _gate_from_json(entry: Any, width: int) -> Gate:
         _index(q, width)
     matrix = _matrix_from_json(entry["matrix"]) if "matrix" in entry else None
     return _gate(kind, qubits, matrix)
-
-
-_EIGHT_DOUBLES = struct.Struct("8d")
 
 
 def _entry_key(entry: Any) -> Optional[tuple]:

@@ -92,6 +92,83 @@ class TestGateValidation:
         assert g.controls == (0, 1, 2) and g.target == 3
 
 
+class _Int(int):
+    """An int subclass: an integer operand whose type is not int."""
+
+
+# Gate's checks as they were before the one-pass check of the common
+# shapes: the reference that Gate must agree with on every input.
+_REF_ARITY = {GateKind.X: 1, GateKind.CNOT: 2, GateKind.CV: 2, GateKind.CVDG: 2,
+              GateKind.TOFFOLI: 3, GateKind.MCX: None, GateKind.LOCAL: 1, GateKind.CU: 2}
+
+
+def _reference_check(kind, qubits, matrix):
+    def is_int(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    arity = _REF_ARITY[kind]
+    if arity is None:
+        if len(qubits) < 4:
+            raise ValueError(f"mcx needs at least 3 controls, got {len(qubits) - 1}")
+    elif len(qubits) != arity:
+        raise ValueError(f"{kind.value} takes {arity} qubit(s), got {len(qubits)}")
+    if set(map(type, qubits)) != {int} and not all(map(is_int, qubits)):
+        bad = next(q for q in qubits if not is_int(q))
+        raise ValueError(f"operand {bad!r} of {kind.value}{qubits} is not an integer")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"duplicate operand in {kind.value}{qubits}")
+    if kind in (GateKind.LOCAL, GateKind.CU):
+        if matrix is None:
+            raise ValueError(f"{kind.value} requires a matrix")
+        a = np.array(matrix, dtype=complex)
+        if not np.allclose(a @ a.conj().T, np.eye(2), atol=1e-10):
+            raise ValueError("matrix is not unitary")
+    elif matrix is not None:
+        raise ValueError(f"{kind.value} does not carry a matrix")
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_gate_checks_match_the_reference():
+    """Every kind on 0-5 operands of each type, with and without a
+    duplicate, as a tuple and as a list, with each kind of matrix:
+    Gate accepts what the reference accepts and refuses the rest with
+    the reference's message."""
+    matrices = [
+        None,
+        MAT_H,
+        ((1 + 0j, 1 + 0j), (0j, 1 + 0j)),  # not unitary
+        ((1 + 0j, complex(-0.0, 0.0)), (complex(0.0, -0.0), 1 + 0j)),
+    ]
+    odd_types = [bool, float, _Int, np.int64]
+    cases = 0
+    for kind in GateKind:
+        for n in range(6):
+            for duplicate in (False, True):
+                base = list(range(n))
+                if duplicate and n >= 2:
+                    base[-1] = base[0]
+                operand_lists = [base]
+                for t in odd_types:
+                    if n:
+                        operand_lists.append(base[:-1] + [t(base[-1])])
+                        operand_lists.append([t(q) for q in base])
+                for operands in operand_lists:
+                    for qubits in (tuple(operands), list(operands)):
+                        for matrix in matrices:
+                            want = _outcome(_reference_check, kind, qubits, matrix)
+                            got = _outcome(Gate, kind, qubits, matrix)
+                            assert got == want, (kind, qubits, matrix)
+                            cases += 1
+    assert cases > 3000
+
+
 class TestGateAccessors:
     def test_controls_and_target(self):
         g = toffoli(4, 2, 7)

@@ -22,6 +22,7 @@ from mctsynth.ir import (
     NAMED_UNITARIES,
     QubitRole,
     append,
+    cnot,
     cu,
     local,
     matrix_bits,
@@ -349,6 +350,22 @@ class TestJsonWriterMatchesJsonDumps:
         meta = CircuitMeta(scheme='a"b\\c\u00e9', basis="\u2603")
         circ = append(new_circuit([C, C, T], meta), toffoli(0, 1, 2))
         assert dumps_json(circ) == _reference_dumps_json(circ)
+
+    def test_templates_fill_like_json_dumps(self):
+        # meta strings holding the templates' own % and %s, quotes,
+        # backslashes and non-ASCII letters; matrix floats at the
+        # subnormal and tiny ends, a signed zero, and one whose repr
+        # needs all 17 digits
+        z = complex(0.30000000000000004, math.sqrt(1 - 0.30000000000000004 ** 2))
+        tiny = ((1 + 0j, complex(5e-324, -0.0)), (complex(1e-300, 0.0), 1 + 0j))
+        phase = ((z, complex(-0.0, -0.0)), (complex(0.0, -0.0), 1 + 0j))
+        meta = CircuitMeta(scheme='%s%"\\\u00e9\u00df', n=2, c=0, basis="%d%%\u2603\\%s")
+        circ = append(new_circuit([C, T], meta), local(0, tiny), cu(0, 1, phase),
+                      local(1, phase), cnot(0, 1), local(0, tiny))
+        text = dumps_json(circ)
+        assert text == _reference_dumps_json(circ)
+        for number in ("5e-324", "1e-300", "-0.0", "0.30000000000000004"):
+            assert number in text
 
 
 def _doc(width=2, roles="ct", gates=(), meta=None):
