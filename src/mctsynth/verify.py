@@ -16,12 +16,8 @@ target from ``Gate.action`` in ``ir``, the one map from gate kind to
 
 All inputs are simulated together, as arrays, by one of two batched
 engines, one per kind of state, and the circuit alone picks which.  Bit
-planes carry basis states: inputs go in blocks of up to 2**16, each
-wire is one Python int whose bit b is its value under the block's input
-b, and each step XORs into one wire a sum of ANDs of wires.  An input
-bit below the block size is one fixed pattern, built once per process;
-a higher bit is all ones or all zeros over the block.  Sparse entries
-are flat (input, basis index, amplitude) arrays.
+planes carry basis states, and run the step language of ``anf``.
+Sparse entries are flat (input, basis index, amplitude) arrays.
 
 A circuit of X-like gates runs on bit planes, a step per gate.  Any
 other circuit is planned as steps, most of them windows: runs of
@@ -34,16 +30,16 @@ the window's qubits, and never grows the support.  Each window is the
 longest monomial prefix of its run, not the whole run, so it ends where
 a decomposed Toffoli ends; a run's product is worked out once per shape
 and process, and kept in a bounded cache with its XOR table as
-bit-plane steps, the algebraic normal form of each bit it flips (the
-Moebius transform), and the normal form of "its phase rounds to -1" as
-a step into a sign wire.  A plan of windows alone whose drifts from +-1
+bit-plane steps, the algebraic normal form of each bit it flips, and
+the normal form of "its phase rounds to -1" as a step into a sign wire.
+A plan whose lone gates are X-like and whose windows' drifts from +-1
 sum to at most the tolerance (every C^nX build lowered to cv, and to
 cnot at any tolerance above float dust) runs on bit planes, each
 window's steps put on the qubits it carries.  Any other plan runs on
-sparse entries, one step at a time.  A gate that starts no window is
-applied alone: mixing gates
-split entries and merge the duplicates, and a gate on more than three
-qubits that does not mix moves or rescales them in place.  An input
+sparse entries, one step at a time.  There a gate that starts no window
+is applied alone: mixing gates split entries and merge the duplicates,
+and a gate on more than three qubits that does not mix moves or
+rescales them in place.  An input
 whose support outgrows a cap is simulated again on a dense statevector,
 which is where the width cap matters.
 
@@ -71,10 +67,10 @@ phase of each input is fitted on that entry alone, with no merging of
 keys and no grouping by input.
 
 ``check_symbolic`` enumerates no input: it runs the same steps, chosen
-by the same rule, and the miter's last one, over GF(2) polynomials, each
-wire the algebraic normal form of its value in the inputs.  It answers
-EXACT or nothing; ``mct synth`` then runs ``check_equivalence``, so
-every failure reads as the exhaustive check reports it.
+by the same rule, and the miter's last one, over ``anf``'s GF(2)
+polynomials.  It answers EXACT or nothing; ``mct synth`` then runs
+``check_equivalence``, so every failure reads as the exhaustive check
+reports it.
 """
 
 from __future__ import annotations
@@ -88,6 +84,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from . import anf
 from .ir import (
     Circuit,
     Gate,
@@ -224,24 +221,6 @@ def is_classical(circuit: Circuit) -> bool:
     return all(g.kind in X_LIKE_KINDS for g in circuit.gates)
 
 
-@functools.lru_cache(maxsize=None)
-def _patterns(size_log: int) -> tuple[int, ...]:
-    """Input bit j over the 2**size_log inputs of a block, for every j
-    below size_log: bit i of pattern j is bit j of i.  Built once per
-    process and block size, by repeating bytes."""
-    n_bytes = max(1 << size_log >> 3, 1)
-    mask = (1 << (1 << size_log)) - 1
-    out = []
-    for j in range(size_log):
-        if j < 3:
-            unit = bytes([sum(1 << b for b in range(8) if b >> j & 1)])
-        else:
-            half = 1 << (j - 3)
-            unit = b"\x00" * half + b"\xff" * half
-        out.append(int.from_bytes(unit * (n_bytes // len(unit)), "little") & mask)
-    return tuple(out)
-
-
 def _run_classical(
     steps: Sequence[tuple[int, tuple[tuple[int, ...], ...]]],
     width: int,
@@ -249,12 +228,9 @@ def _run_classical(
     ancillas: Sequence[int],
     miter: bool = False,
 ) -> tuple:
-    """Bit-sliced propagation, a block of inputs at a time: each wire is
-    one Python int, bit b holding its value under input lo + b.  A step
-    (target, products) XORs into the target the sum of its products,
-    each the AND of the wires it lists; wire -1 is the constant 1,
-    wires -2..-4 are scratch, cleared by the steps that use them, and
-    wire -5 (``_SIGN``) is the sign, read once per block.
+    """``anf``'s steps on bit planes, a block of inputs at a time: each
+    wire is one Python int, bit b holding its value under input lo + b.
+    The sign wire is read once per block.
 
     Returns (failure, got) as the sparse engine does, each output's
     amplitude -1 where the sign wire ends as 1 and 1 elsewhere.  With
@@ -270,7 +246,7 @@ def _run_classical(
     size_log = min(k, _ENTRY_BUDGET.bit_length() - 1)
     block = 1 << size_log
     valid = (1 << block) - 1
-    low = _patterns(size_log)
+    low = anf.patterns(size_log)
     # a miter keeps no outputs, so its check allocates no array, and the
     # signs are an array only once some input ends with sign 1
     out = None if miter else np.zeros(n_inputs, dtype=np.int64)
@@ -280,23 +256,14 @@ def _run_classical(
         # comp[k-1-j] carries input bit j
         pattern = [low[j] if j < size_log else valid * (lo >> j & 1)
                    for j in range(k - 1, -1, -1)]
-        wires = [0] * width + [0, 0, 0, 0, valid]
-        for q, bits in zip(comp, pattern):
-            wires[q] = bits
-        for target, products in steps:
-            flip = 0
-            for product in products:
-                term = wires[product[0]]
-                for q in product[1:]:
-                    term &= wires[q]
-                flip = flip ^ term if flip else term
-            wires[target] ^= flip
+        wires = anf.register(width, comp, pattern, 0, valid)
+        anf.run(steps, wires)
         dirty = 0
         for q in ancillas:
             dirty |= wires[q]
         if dirty:
-            return (lo + _lowest(dirty), 1.0), None
-        sign = wires[_SIGN]
+            return (lo + anf.lowest(dirty), 1.0), None
+        sign = wires[anf.SIGN]
         if not miter:
             outputs = out[lo:lo + block]
             for q in comp:
@@ -313,7 +280,7 @@ def _run_classical(
             for q, bits in zip(comp, pattern):
                 diff |= wires[q] ^ bits
             if diff:
-                mismatch = lo + _lowest(diff)
+                mismatch = lo + anf.lowest(diff)
     if miter:
         return None, (mismatch, signs)
     masks = np.arange(n_inputs, dtype=np.int64)
@@ -327,64 +294,6 @@ def _unpack(bits: int, block: int) -> np.ndarray:
     """A wire's value under each input of a block, as 0/1 bytes."""
     as_bytes = np.frombuffer(bits.to_bytes(max(block >> 3, 1), "little"), dtype=np.uint8)
     return np.unpackbits(as_bytes, bitorder="little")[:block]
-
-
-# monomials a wire of the symbolic engine may hold, and a product reach,
-# before it gives up; the lowered cycle builds at n=16..1024 need 66 at
-# most, all in the sign wire
-_MONOMIAL_BUDGET = 256
-
-
-def _run_symbolic(
-    steps: Sequence[tuple[int, tuple[tuple[int, ...], ...]]],
-    width: int,
-    comp: Sequence[int],
-) -> bool:
-    """``_run_classical``'s steps over GF(2) polynomials in the inputs:
-    each wire is a set of monomials, each an int bitmask of the inputs
-    it multiplies, so XOR is symmetric difference and AND the product.
-    Computational wire comp[i] starts as input i, every other wire as 0
-    but wire -1, the constant 1.  Whether every wire ends as it began
-    and the sign wire as 0; False, too, once a wire or product holds
-    more than ``_MONOMIAL_BUDGET`` monomials."""
-    wires: list = [frozenset()] * (width + 5)
-    wires[-1] = frozenset((0,))
-    for i, q in enumerate(comp):
-        wires[q] = frozenset((1 << i,))
-    start = list(wires)
-    for target, products in steps:
-        flip = None
-        for product in products:
-            term = wires[product[0]]
-            for q in product[1:]:
-                term = _times(term, wires[q])
-                if len(term) > _MONOMIAL_BUDGET:
-                    return False
-            flip = term if flip is None else flip ^ term
-        wires[target] = value = wires[target] ^ flip
-        if len(value) > _MONOMIAL_BUDGET:
-            return False
-    return wires == start
-
-
-def _times(a: frozenset, b: frozenset) -> set:
-    """The product of two GF(2) polynomials held as sets of monomials:
-    each pair of monomials multiplies to their union, and pairs that
-    meet on the same monomial cancel."""
-    out = set()
-    for x in a:
-        for y in b:
-            m = x | y
-            if m in out:
-                out.remove(m)
-            else:
-                out.add(m)
-    return out
-
-
-def _lowest(bits: int) -> int:
-    """Number of the lowest set bit of a nonzero int."""
-    return (bits & -bits).bit_length() - 1
 
 
 # give up on an input's sparse entries once this many basis states
@@ -448,7 +357,7 @@ class _Window(NamedTuple):
     local index of an entry packs its bits on those qubits, the first
     most significant; at that index ``bits`` holds which of them flip
     and ``phases`` what the amplitude is multiplied by (None when a
-    table does nothing); ``xor`` is the flips as ``_xor_steps``.
+    table does nothing); ``xor`` is the flips as ``anf.xor_steps``.
     ``sign`` is the algebraic normal form, as products of local
     positions, of the phase rounding to -1 rather than +1, and ``drift``
     the largest distance of any phase from the one of them it rounds to.
@@ -545,89 +454,28 @@ def _fused(shape: tuple) -> Optional[tuple]:
         phases = None
     else:
         negative = phases.real < 0
-        sign = _anf(negative, used)
+        sign = anf.normal_form(negative.tolist(), used)
         drift = float(np.abs(phases - np.where(negative, -1, 1)).max())
     for table in (bits, phases):
         if table is not None:
             # shared by every later plan in the process
             table.setflags(write=False)
-    return count, used, bits, phases, () if bits is None else _xor_steps(bits), sign, drift
-
-
-def _anf(column: np.ndarray, used: int) -> tuple:
-    """The algebraic normal form of a 0/1 function of a window's local
-    bits, given by its value at each local index, by the Moebius
-    transform: the products of local positions whose XOR it is, (-1,)
-    for the constant 1."""
-    anf = column.astype(np.uint8)
-    for i in range(used):
-        view = anf.reshape(-1, 2, 1 << i)
-        view[:, 1] ^= view[:, 0]
-    return tuple(tuple(q for q in range(used) if j >> (used - 1 - q) & 1) or (-1,)
-                 for j in np.flatnonzero(anf))
-
-
-def _xor_steps(bits: np.ndarray) -> tuple:
-    """A window's XOR bits as ``_run_classical`` steps on its local
-    positions: each flipping position XORs in its flip's algebraic normal
-    form in the old bits, through scratch wires, cleared last, when more
-    than one flips, as each reads the others."""
-    used = bits.shape[1]
-    sums = [(p, products) for p in range(used) if (products := _anf(bits[:, p], used))]
-    if len(sums) > 1:
-        scratch = range(-2, -2 - len(sums), -1)
-        sums = ([(s, products) for s, (_, products) in zip(scratch, sums)]
-                + [(p, ((s,),)) for s, (p, _) in zip(scratch, sums)]
-                + [(s, ((s,),)) for s in scratch])
-    return tuple(sums)
-
-
-# the wire a window's sign step XORs into, below the scratch wires
-_SIGN = -5
-
-
-def _steps(items: Sequence[Union[_Window, Gate]]) -> Optional[list]:
-    """Toffoli-level gates, or a plan, as ``_run_classical`` steps: an
-    X-like gate XORs the AND of its controls into its target, and a
-    window puts its steps on the qubits it carries, its sign step, when
-    it has one, before its XOR steps, as the sign reads the old bits.
-    None when some item is neither."""
-    steps = []
-    # each distinct window is put on its qubits once: the windows of one
-    # fused entry share its xor and sign tuples, alive for the call
-    placed: dict[tuple, list] = {}
-    for s in items:
-        if isinstance(s, _Window):
-            key = (id(s.xor), id(s.sign), s.qubits)
-            window = placed.get(key)
-            if window is None:
-                at = s.qubits + (-4, -3, -2, -1)
-                window = placed[key] = []
-                if s.sign:
-                    window.append((_SIGN, tuple([tuple([at[q] for q in p]) for p in s.sign])))
-                for t, ps in s.xor:
-                    window.append((at[t], tuple([tuple([at[q] for q in p]) for p in ps])))
-            steps.extend(window)
-        elif s.kind in X_LIKE_KINDS:
-            steps.append((s.target, (s.controls or (-1,),)))
-        else:
-            return None
-    return steps
+    return count, used, bits, phases, anf.xor_steps(diff.tolist(), used), sign, drift
 
 
 def _signed_steps(circuit: Circuit, tol: float) -> tuple[Optional[list], Optional[list]]:
     """The circuit's plan, None for a Toffoli-level circuit, and the
     steps the bit planes run for it, or None.  A Toffoli-level circuit
-    runs a step per gate.  A plan of windows alone whose drifts sum to
-    at most ``tol`` runs their steps, each window's sign step included,
-    so that every phase reads as the +-1 it rounds to; a plan with a
-    lone gate, or with more drift, runs on no bit planes."""
+    runs a step per gate.  A plan whose windows' drifts sum to at most
+    ``tol`` runs its steps, each window's sign step included, so that
+    every phase reads as the +-1 it rounds to, when ``anf.steps`` writes
+    its lone gates, X-like ones; any other plan runs on no bit planes."""
     if is_classical(circuit):
-        return None, _steps(circuit.gates)
+        return None, anf.steps(circuit.gates)
     plan = _plan(circuit.gates)
-    if all(isinstance(s, _Window) for s in plan) and sum(s.drift for s in plan) <= tol:
-        return plan, _steps(plan)
-    return plan, None
+    if sum(s.drift for s in plan if isinstance(s, _Window)) > tol:
+        return plan, None
+    return plan, anf.steps(plan)
 
 
 def _miter_step(oracle: Oracle, comp: Sequence[int]) -> Optional[tuple]:
@@ -642,7 +490,7 @@ def _miter_step(oracle: Oracle, comp: Sequence[int]) -> Optional[tuple]:
     if rows == MAT_X:
         return comp[-1], (tuple(comp[:-1]) or (-1,),)
     if rows == MAT_Z:
-        return _SIGN, (tuple(comp),)
+        return anf.SIGN, (tuple(comp),)
     return None
 
 
@@ -951,8 +799,8 @@ def check_symbolic(
     enumerating its inputs, or return None.
 
     The steps ``check_equivalence`` runs on bit planes (``_signed_steps``),
-    with a sign step per window with phases, are run by ``_run_symbolic``
-    over GF(2) polynomials in the k inputs (in the order of
+    with a sign step per window with phases, are run by ``anf.run`` over
+    GF(2) polynomials in the k inputs (in the order of
     ``default_computational_qubits``), ending with the table's inverse
     as the miter does.  The algebraic normal form is canonical, so the
     circuit sends every input where the table does, ancillas restored,
@@ -964,25 +812,29 @@ def check_symbolic(
 
     Returns ``EquivalenceVerdict(EXACT, 0.0)`` when, besides, the sign
     wire ends as 0 and the drifts sum to at most ``tol``.  Returns None
-    for any other circuit, for a plan with a gate that starts no window
-    (a circuit of X-like gates alone is no plan), for an oracle that is
-    not a C^nX or C^nZ ``ControlledOracle`` of the circuit's arity, and
-    once a wire or product outgrows ``_MONOMIAL_BUDGET``.  A circuit
+    for any other circuit, for a plan with a lone gate that is not
+    X-like, for an oracle that is not a C^nX or C^nZ
+    ``ControlledOracle`` of the circuit's arity, and once a product
+    outgrows ``anf.MONOMIAL_BUDGET``.  A circuit
     without one target role, and ``tol``, are refused as
     ``check_equivalence`` refuses them.
     """
     _check_tol(tol)
     comp = default_computational_qubits(circuit)
     inverse = _miter_step(oracle, comp)
-    if inverse is None:
-        return None
-    steps = _signed_steps(circuit, tol)[1]
+    steps = None if inverse is None else _signed_steps(circuit, tol)[1]
     if steps is None:
         return None
     steps.append(inverse)
-    if not _run_symbolic(steps, circuit.width, comp):
+    # computational wire comp[i] starts as input i
+    inputs = [frozenset((1 << i,)) for i in range(len(comp))]
+    wires = anf.register(circuit.width, comp, inputs, frozenset(), frozenset((0,)))
+    start = list(wires)
+    try:
+        anf.run(steps, wires, anf.times)
+    except anf.OverBudget:
         return None
-    return EquivalenceVerdict(EquivalenceClass.EXACT, 0.0)
+    return EquivalenceVerdict(EquivalenceClass.EXACT, 0.0) if wires == start else None
 
 
 def _bits(m: int, k: int) -> tuple[int, ...]:
