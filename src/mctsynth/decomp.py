@@ -8,12 +8,15 @@ Three target bases are supported:
 * CV_BASIS allows CNOT, the controlled square root of X and its
   inverse, plus single-qubit gates.
 
-One loop lowers every basis, a gate at a time: a kind the basis allows
-is kept, and any other gate is rewritten from what it applies to its
-target, ``Gate.action`` in ``ir``, the one map from gate kind to 2x2.
-The Toffoli rules are data (kind, operand slots, matrix per gate), and
-one lowering builds each distinct output gate once and shares it with
-every repeat.
+``BASES`` is the one table of bases, as ``costs.SCHEMES`` is of
+schemes: each entry holds the kinds the basis keeps and its lone,
+member and mirror Toffoli rules, and both ``lower_circuit`` and the
+plans' op counts read it.  One loop lowers every basis, a gate at a
+time: a kind the basis keeps is kept, and any other gate is rewritten
+from what it applies to its target, ``Gate.action`` in ``ir``, the one
+map from gate kind to 2x2.  The Toffoli rules are data (kind, operand
+slots, matrix per gate), and one lowering builds each distinct output
+gate once and shares it with every repeat.
 
 The interesting part is what happens to Toffolis.  A lone Toffoli costs
 6 CNOTs (with locals, 15 gates total) or 5 two-qubit gates in the CV
@@ -47,6 +50,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -79,17 +83,6 @@ class ToffoliRule(Enum):
     RELATIVE_PHASE = "relative-phase"  # 7 gates, exact up to a diagonal
     FIVE_CV = "five-cv"            # 5 gates, exact
     FOUR_CV = "four-cv"            # 4 gates, Toffoli then CNOT between controls
-
-
-ALLOWED_KINDS: dict[GateBasis, frozenset[GateKind]] = {
-    GateBasis.NATIVE_TOFFOLI: frozenset(
-        {GateKind.TOFFOLI, GateKind.CNOT, GateKind.X, GateKind.LOCAL, GateKind.CU}
-    ),
-    GateBasis.CNOT_LOCAL: frozenset({GateKind.CNOT, GateKind.LOCAL}),
-    GateBasis.CV_BASIS: frozenset(
-        {GateKind.CNOT, GateKind.CV, GateKind.CVDG, GateKind.LOCAL}
-    ),
-}
 
 
 class LoweringError(Exception):
@@ -186,12 +179,44 @@ _FOUR_CV_MIRROR = _rule(
     (_CVDG, (1, 2)), (_CV, (0, 2)), (_CX, (1, 0)), (_CVDG, (0, 2)),
 )
 
-# gates one Toffoli lowers to in each basis: as a mirror-pair member, and alone
-TOFFOLI_LENGTHS: dict[GateBasis, tuple[int, int]] = {
-    GateBasis.NATIVE_TOFFOLI: (1, 1),
-    GateBasis.CNOT_LOCAL: (len(_RULES[ToffoliRule.RELATIVE_PHASE]),
-                           len(_RULES[ToffoliRule.SIX_CNOT])),
-    GateBasis.CV_BASIS: (len(_RULES[ToffoliRule.FOUR_CV]), len(_RULES[ToffoliRule.FIVE_CV])),
+
+@dataclass(frozen=True)
+class Basis:
+    """What one gate basis keeps, and how it lowers a Toffoli.
+
+    ``allowed`` are the kinds the basis keeps.  Where it does not keep
+    Toffolis, ``lone`` is the exact rule for a Toffoli outside every
+    mirror pair, and ``member`` and ``mirror`` lower a pair's compute
+    and uncompute members: on (x, y, t) when ``on_xyt``, else on the
+    Toffoli's own qubits.
+    """
+
+    allowed: frozenset[GateKind]
+    lone: Optional[tuple[_RuleGate, ...]] = None
+    member: Optional[tuple[_RuleGate, ...]] = None
+    mirror: Optional[tuple[_RuleGate, ...]] = None
+    on_xyt: bool = False
+
+    @cached_property
+    def lengths(self) -> tuple[int, int, int]:
+        """Gates that one pair member, one other Toffoli and one
+        controlled unitary lower to."""
+        member, lone = (len(self.member), len(self.lone)) if self.lone else (1, 1)
+        return member, lone, 1 if GateKind.CU in self.allowed else _CU_LENGTH
+
+
+# The one table of bases.  In cv a pair takes the FOUR_CV member and its
+# inverse list, and in cnot both members take the relative-phase list.
+BASES: dict[GateBasis, Basis] = {
+    GateBasis.NATIVE_TOFFOLI: Basis(frozenset(
+        {GateKind.TOFFOLI, GateKind.CNOT, GateKind.X, GateKind.LOCAL, GateKind.CU})),
+    GateBasis.CNOT_LOCAL: Basis(
+        frozenset({GateKind.CNOT, GateKind.LOCAL}), lone=_RULES[ToffoliRule.SIX_CNOT],
+        member=_RULES[ToffoliRule.RELATIVE_PHASE], mirror=_RULES[ToffoliRule.RELATIVE_PHASE]),
+    GateBasis.CV_BASIS: Basis(
+        frozenset({GateKind.CNOT, GateKind.CV, GateKind.CVDG, GateKind.LOCAL}),
+        lone=_RULES[ToffoliRule.FIVE_CV], member=_RULES[ToffoliRule.FOUR_CV],
+        mirror=_FOUR_CV_MIRROR, on_xyt=True),
 }
 
 
@@ -257,9 +282,8 @@ def _mat_mul(m1: Matrix2, m2: Matrix2) -> Matrix2:
     return as_matrix2(as_array(m1) @ as_array(m2))
 
 
-# gates one controlled unitary (CU) lowers to in each basis, for any matrix
-CU_LENGTHS = {basis: 1 if GateKind.CU in ALLOWED_KINDS[basis] else len(_controlled_rule(MAT_H))
-              for basis in GateBasis}
+# gates one controlled unitary (CU) expands to, for any matrix
+_CU_LENGTH = len(_controlled_rule(MAT_H))
 
 
 # ---------------------------------------------------------------------------
@@ -385,77 +409,59 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
         raise LoweringError(
             "mcx has no direct lowering; synthesize it into toffolis first"
         )
-    allowed = ALLOWED_KINDS[basis]
-    if kinds <= allowed:
+    entry = BASES[basis]
+    if kinds <= entry.allowed:
         return _with_basis(circuit, gates, basis)
 
     # Each distinct output gate is made once, in ``table``, and shared
-    # by every lowering that makes it.
+    # by every lowering that makes it.  ``memo`` lowers each distinct
+    # pair's members once, by their operands, and each other gate
+    # object once, by its id.
     table: _GateTable = {}
+    memo: dict[object, tuple] = {}
 
-    # A paired Toffoli's gates, by gate position: in cv the FOUR_CV
-    # member or its mirror on (x, y, t), and in cnot the relative-phase
-    # list on the pair's operands, which both members share.  A mirror
-    # circuit repeats its pairs, so each distinct (rule, operands) is
-    # lowered once.
+    # A paired Toffoli's gates, by gate position.  A mirror circuit
+    # repeats its pairs, so most members are found in ``memo``.
     at: dict[int, tuple[Gate, ...]] = {}
-    if basis is not GateBasis.NATIVE_TOFFOLI:
+    if entry.lone is not None:
         try:
             pairs = peres_pairing(circuit).pairs
         except NoMirrorStructureError:
             pairs = ()
-        memo: dict[tuple[int, tuple[int, ...]], tuple[Gate, ...]] = {}
+        for p in pairs:
+            g = gates[p.compute]
+            operands = (p.cnot_target, p.cnot_control, g.target) if entry.on_xyt else g.qubits
+            members = memo.get(operands)
+            if members is None:
+                member = _instantiate(entry.member, operands, table)
+                # where both members take one rule, they share its list
+                mirror = member if entry.mirror is entry.member \
+                    else _instantiate(entry.mirror, operands, table)
+                members = memo[operands] = (member, mirror)
+            at[p.compute], at[p.uncompute] = members
 
-        def lowered(rule: tuple[_RuleGate, ...], operands: tuple[int, ...]) -> tuple[Gate, ...]:
-            key = (id(rule), operands)
-            gates_of = memo.get(key)
-            if gates_of is None:
-                gates_of = memo[key] = _instantiate(rule, operands, table)
-            return gates_of
-
-        if basis is GateBasis.CV_BASIS:
-            member, mirror = _RULES[ToffoliRule.FOUR_CV], _FOUR_CV_MIRROR
-            for p in pairs:
-                operands = (p.cnot_target, p.cnot_control, gates[p.compute].target)
-                at[p.compute] = lowered(member, operands)
-                at[p.uncompute] = lowered(mirror, operands)
-        else:
-            member = _RULES[ToffoliRule.RELATIVE_PHASE]
-            for p in pairs:
-                at[p.compute] = at[p.uncompute] = lowered(member, gates[p.compute].qubits)
-
-    # Every other gate is lowered once per object: a kind the basis
-    # allows is kept, as the table's copy of it; a Toffoli takes the
-    # basis's exact rule; any other gate goes through ``_lower_gate``.
-    lone = _RULES[ToffoliRule.FIVE_CV if basis is GateBasis.CV_BASIS else ToffoliRule.SIX_CNOT]
-    by_object: dict[int, tuple[Gate, ...]] = {}
     out_gates: list[Gate] = []
     for i, g in enumerate(gates):
-        gates_of = at.get(i) or by_object.get(id(g))
-        if gates_of is None:
-            if g.kind in allowed:
-                gates_of = (_share(g, table),)
-            elif g.kind is GateKind.TOFFOLI:
-                gates_of = _instantiate(lone, g.qubits, table)
-            else:
-                gates_of = _lower_gate(g, basis, table)
-            by_object[id(g)] = gates_of
-        out_gates.extend(gates_of)
+        lowered = at.get(i) or memo.get(id(g))
+        if lowered is None:
+            lowered = memo[id(g)] = _lower_gate(g, entry, table)
+        out_gates.extend(lowered)
     return _with_basis(circuit, out_gates, basis)
 
 
-def _lower_gate(
-    g: Gate, basis: GateBasis, table: Optional[_GateTable] = None
-) -> tuple[Gate, ...]:
-    """One gate other than a Toffoli whose kind ``basis`` does not
-    allow, in that basis: a local for X, and otherwise (CU, CV, CVDG)
-    the controlled ``Gate.action``, as a CU where the basis has one and
-    expanded where it does not.  The gates come from ``table``, or are
-    made for this gate alone when there is none."""
-    table = {} if table is None else table
+def _lower_gate(g: Gate, entry: Basis, table: _GateTable) -> tuple[Gate, ...]:
+    """One gate alone, in the basis of ``entry``, from ``table``: a kind
+    the basis keeps is the table's copy of it, a Toffoli takes the lone
+    rule, X is a local, and otherwise (CU, CV, CVDG) the controlled
+    ``Gate.action`` is a CU where the basis keeps one and expanded
+    where it does not."""
+    if g.kind in entry.allowed:
+        return (_share(g, table),)
+    if g.kind is GateKind.TOFFOLI:
+        return _instantiate(entry.lone, g.qubits, table)
     if g.kind is GateKind.X:
         return (_share(local(g.target, g.action), table),)
-    if GateKind.CU in ALLOWED_KINDS[basis]:
+    if GateKind.CU in entry.allowed:
         return (_share(Gate(GateKind.CU, g.qubits, matrix=g.action), table),)
     return _instantiate(_controlled_rule(g.action), g.qubits, table)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
-from .decomp import CU_LENGTHS, TOFFOLI_LENGTHS, GateBasis
+from .decomp import BASES, GateBasis
 from .ir import (
     Circuit,
     CircuitMeta,
@@ -102,10 +102,9 @@ class CyclePlan:
 
     def ops(self, basis: GateBasis) -> int:
         """Gate count of the build lowered to ``basis``."""
-        paired_length, unpaired_length = TOFFOLI_LENGTHS[basis]
-        payload = 0 if self.payload is None else CU_LENGTHS[basis]
-        return (paired_length * self.paired + unpaired_length * self.unpaired
-                + self.copies + payload)
+        member, lone, cu = BASES[basis].lengths
+        payload = 0 if self.payload is None else cu
+        return member * self.paired + lone * self.unpaired + self.copies + payload
 
 
 def plan_blocks(

@@ -78,6 +78,8 @@ class TestCycleForms:
         expected = {3: 1, 5: 2, 10: 3, 11: 3, 17: 4, 26: 5, 37: 6, 50: 7}
         for n, c in expected.items():
             assert best_cycle_count(n) == c
+        with pytest.raises(ValueError, match="^need at least two controls$"):
+            best_cycle_count(1)
 
     def test_best_cycle_count_minimizes_ancilla_form(self):
         # exhaustive check that the square root really is the argmin
@@ -111,11 +113,15 @@ class TestTwoCycleForms:
         assert two_cycle_toffoli_form(7) == 15 == 3 * (7 - 2)
         assert two_cycle_toffoli_form(4) == 5
         assert two_cycle_toffoli_form(6) == 11
+        with pytest.raises(ValueError, match="^two-cycle split needs n >= 3$"):
+            two_cycle_toffoli_form(2)
 
 
 class TestBaseline:
     def test_formula_value(self):
         assert baseline_cv_ops_form(13) == 164
+        with pytest.raises(ValueError, match="^baseline form needs n >= 3$"):
+            baseline_cv_ops_form(2)
 
     def test_reference_values_differ_from_formula(self):
         # the comparison construction's own closed form consistently

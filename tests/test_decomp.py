@@ -7,7 +7,7 @@ import pytest
 
 from mctsynth.cycle import build_cycle_cnx, build_two_cycle_cnx
 from mctsynth.decomp import (
-    ALLOWED_KINDS,
+    BASES,
     GateBasis,
     LoweringError,
     NoMirrorStructureError,
@@ -116,6 +116,8 @@ class TestLowerToffoli:
             assert len(gates) == total, rule
             for kind, count in wanted.items():
                 assert sum(g.kind is kind for g in gates) == count, rule
+        with pytest.raises(LoweringError, match="^unknown rule six-cnot$"):
+            lower_toffoli(0, 1, 2, "six-cnot")
 
     def test_operands_respected(self):
         for rule in ToffoliRule:
@@ -382,7 +384,7 @@ class TestLowerCircuit:
         ]:
             lowered = lower_circuit(circ, basis)
             kinds = {g.kind for g in lowered.gates}
-            assert kinds <= ALLOWED_KINDS[basis], (circ.meta.scheme, basis)
+            assert kinds <= BASES[basis].allowed, (circ.meta.scheme, basis)
 
     def test_native_keeps_toffolis_converts_cv(self):
         circ = append(new_circuit([C, C, T]), toffoli(0, 1, 2), cv(0, 2))
@@ -475,12 +477,12 @@ def _unmemoised_lowering(circuit, basis):
     lone = ToffoliRule.FIVE_CV if cv_basis else ToffoliRule.SIX_CNOT
     out = []
     for i, g in enumerate(circuit.gates):
-        if g.kind in ALLOWED_KINDS[basis]:
+        if g.kind in BASES[basis].allowed:
             out.append(g)
         elif g.kind is GateKind.TOFFOLI:
             out.extend(members.get(i) or lower_toffoli(*g.qubits, lone))
         else:
-            out.extend(_lower_gate(g, basis))
+            out.extend(_lower_gate(g, BASES[basis], {}))
     return out
 
 
@@ -516,7 +518,7 @@ class TestLoweringMemo:
         for circ in circuits:
             for basis in GateBasis:
                 gates = lower_circuit(circ, basis).gates
-                if {g.kind for g in circ.gates} <= ALLOWED_KINDS[basis]:
+                if {g.kind for g in circ.gates} <= BASES[basis].allowed:
                     assert list(map(id, gates)) == list(map(id, circ.gates)), \
                         (circ.meta, basis)
                     continue

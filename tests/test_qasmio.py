@@ -113,6 +113,9 @@ class TestTextParseErrors:
         with pytest.raises(CircuitFileError) as info:
             loads_text("qasm 2.0\n")
         assert info.value.line == 1
+        with pytest.raises(CircuitFileError, match="missing roles line") as info:
+            loads_text("mctqasm v1 width 3\n")
+        assert info.value.line == 1
 
     def test_empty_file(self):
         with pytest.raises(CircuitFileError):

@@ -76,6 +76,8 @@ class TestApply:
         state = basis_state(2, (0, 0))
         out = apply(_circ([C, T], [x(0)]), state)
         assert abs(out[0b10] - 1) < 1e-12
+        with pytest.raises(ValueError, match="^bit count does not match width$"):
+            basis_state(2, (0,))
 
     def test_cnot_action(self):
         out = apply(_circ([C, T], [cnot(0, 1)]), basis_state(2, (1, 0)))
@@ -260,16 +262,20 @@ class TestCheckEquivalence:
         assert v.klass is EquivalenceClass.EXACT
 
     @pytest.mark.parametrize("basis", [GateBasis.NATIVE_TOFFOLI, GateBasis.CV_BASIS])
-    @pytest.mark.parametrize("comp, message", [
-        ((0, 1, 2, 9), "computational qubit 9 outside width 5"),
-        ((0, 1, 2, 5), "computational qubit 5 outside width 5"),
-        ((0, 1, 2, -1), "computational qubit -1 outside width 5"),
-        ((0, 0, 1, 3), "computational qubit 0 listed twice"),
+    @pytest.mark.parametrize("comp, message, tail", [
+        ((0, 1, 2, 9), "computational qubit 9 outside width 5", (T, P)),
+        ((0, 1, 2, 5), "computational qubit 5 outside width 5", (T, P)),
+        ((0, 1, 2, -1), "computational qubit -1 outside width 5", (T, P)),
+        ((0, 0, 1, 3), "computational qubit 0 listed twice", (T, P)),
+        (None, "expected exactly one target qubit, found 0", (P, P)),
+        (None, "expected exactly one target qubit, found 2", (T, T)),
     ])
-    def test_bad_computational_qubits_refused(self, monkeypatch, basis, comp, message):
-        # the toffoli basis runs the classical engine, cv the sparse one;
-        # neither may start on a bad register
+    def test_bad_computational_qubits_refused(self, monkeypatch, basis, comp, message, tail):
+        # the toffoli build is Toffoli-level and the cv one is not; on
+        # neither may an engine start on a bad register.  ``tail`` is the
+        # roles of qubits 3 and 4, for the register found from the roles
         lowered = lower_circuit(build_cnx(3), basis)
+        lowered = Circuit(lowered.roles[:3] + tail, lowered.gates, lowered.meta)
         assert lowered.width == 5 and is_classical(lowered) == (basis is GateBasis.NATIVE_TOFFOLI)
         for engine in ("_run_classical", "_run_sparse"):
             monkeypatch.setattr(verify, engine, lambda *args: pytest.fail("simulated"))
