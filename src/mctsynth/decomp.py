@@ -289,12 +289,22 @@ _CU_LENGTH = len(_controlled_rule(MAT_H))
 # ---------------------------------------------------------------------------
 # pairing
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ToffoliPair:
     compute: int        # gate position of the earlier member
     uncompute: int      # gate position of the mirror member
     cnot_control: int   # y: stays a control between the members
     cnot_target: int    # x: absorbs the member CNOT
+
+    def __init__(self, compute: int, uncompute: int, cnot_control: int, cnot_target: int) -> None:
+        # one write per field into the instance dict, past the frozen
+        # __setattr__: a pairing makes thousands of pairs, and lowering
+        # reads each field once
+        fields = self.__dict__
+        fields["compute"] = compute
+        fields["uncompute"] = uncompute
+        fields["cnot_control"] = cnot_control
+        fields["cnot_target"] = cnot_target
 
 
 @dataclass(frozen=True)
@@ -370,9 +380,7 @@ def peres_pairing(circuit: Circuit) -> PairingPlan:
                 candidate[operands] = pos
             else:
                 y, x = orientation
-                pairs.append(
-                    ToffoliPair(compute=cand, uncompute=pos, cnot_control=y, cnot_target=x)
-                )
+                pairs.append(ToffoliPair(cand, pos, y, x))
                 k = bisect_left(unmatched, cand)
                 for inside in unmatched[k + 1 :]:
                     candidate.pop(gates[inside].qubits, None)

@@ -21,8 +21,9 @@ import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain
+from numbers import Number
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -107,28 +108,34 @@ _MATRIX_ARITY = {k: ARITY[k] for k in MATRIX_KINDS}
 X_LIKE_KINDS = {GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.MCX}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Gate:
     """One gate application.
 
     ``qubits`` lists controls first, acted-on qubit last.  ``matrix``
     is present exactly for LOCAL and CU.
 
-    The shapes the library builds and reads are checked in one pass: a
-    kind of fixed arity (1 to 3) on a tuple of that many distinct
-    ``int`` operands, with a unitary matrix exactly where the kind
-    carries one.  Anything else takes the full checks, in their order,
-    so the same inputs are accepted and each refused one gets the
-    message of the first rule it breaks.
+    ``__init__`` checks the shapes the library builds and reads in one
+    pass: a kind of fixed arity (1 to 3) on a tuple of that many
+    distinct ``int`` operands, with a unitary matrix exactly where the
+    kind carries one.  Anything else takes the full checks, in their
+    order, so the same inputs are accepted and each refused one gets
+    the message of the first rule it breaks.  Each field is stored
+    once, from the checked values: operands given in another sequence
+    are kept as a tuple, and a matrix given in another 2x2 form (an
+    array, nested lists) as a tuple of two 2-tuples of complex
+    numbers, so every gate is hashable.
     """
 
     kind: GateKind
     qubits: tuple[int, ...]
     matrix: Optional[Matrix2] = None
 
-    def __post_init__(self) -> None:
-        qubits, matrix = self.qubits, self.matrix
-        arity = (_PLAIN_ARITY if matrix is None else _MATRIX_ARITY).get(self.kind)
+    def __init__(
+        self, kind: GateKind, qubits: tuple[int, ...], matrix: Optional[Matrix2] = None
+    ) -> None:
+        arity = (_PLAIN_ARITY if matrix is None else _MATRIX_ARITY).get(kind)
+        ok = False
         if arity is not None and type(qubits) is tuple and len(qubits) == arity:
             if arity == 1:
                 ok = type(qubits[0]) is int
@@ -139,32 +146,12 @@ class Gate:
                 a, b, c = qubits
                 ok = (type(a) is int and type(b) is int and type(c) is int
                       and a != b and a != c and b != c)
-            if ok and (matrix is None or _is_unitary(matrix)):
-                return
-        arity = ARITY[self.kind]
-        if arity is None:
-            if len(self.qubits) < 4:
-                raise ValueError(
-                    f"mcx needs at least 3 controls, got {len(self.qubits) - 1}"
-                )
-        elif len(self.qubits) != arity:
-            raise ValueError(
-                f"{self.kind.value} takes {arity} qubit(s), got {len(self.qubits)}"
-            )
-        if set(map(type, self.qubits)) != _INT_TYPES and not all(map(is_int, self.qubits)):
-            bad = next(q for q in self.qubits if not is_int(q))
-            raise ValueError(
-                f"operand {bad!r} of {self.kind.value}{self.qubits} is not an integer"
-            )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"duplicate operand in {self.kind.value}{self.qubits}")
-        if self.kind in MATRIX_KINDS:
-            if self.matrix is None:
-                raise ValueError(f"{self.kind.value} requires a matrix")
-            if not _is_unitary(self.matrix):
-                raise ValueError("matrix is not unitary")
-        elif self.matrix is not None:
-            raise ValueError(f"{self.kind.value} does not carry a matrix")
+        # where the operands pass, a matrix rule is the first one broken
+        if not (ok and (matrix is None or _is_unitary(matrix := _matrix2(matrix)))):
+            qubits, matrix = _checked(kind, qubits, matrix)
+        _set_kind(self, kind)
+        _set_qubits(self, qubits)
+        _set_matrix(self, matrix)
 
     @property
     def target(self) -> int:
@@ -188,6 +175,55 @@ class Gate:
             return Gate(self.kind, self.qubits, dagger(self.matrix))
         # the classical-reversible kinds are involutions
         return self
+
+
+# Gate's slots, written once each by its __init__ past the frozen
+# __setattr__
+_set_kind, _set_qubits, _set_matrix = (
+    Gate.__dict__[name].__set__ for name in ("kind", "qubits", "matrix")
+)
+
+
+def _checked(
+    kind: GateKind, qubits: Sequence[int], matrix: object
+) -> tuple[tuple[int, ...], Optional[Matrix2]]:
+    """Gate's full checks, in order, naming the operands as given; the
+    operands as a tuple and the matrix in tuple form if they pass."""
+    arity = ARITY[kind]
+    if arity is None:
+        if len(qubits) < 4:
+            raise ValueError(f"mcx needs at least 3 controls, got {len(qubits) - 1}")
+    elif len(qubits) != arity:
+        raise ValueError(f"{kind.value} takes {arity} qubit(s), got {len(qubits)}")
+    if set(map(type, qubits)) != _INT_TYPES and not all(map(is_int, qubits)):
+        bad = next(q for q in qubits if not is_int(q))
+        raise ValueError(f"operand {bad!r} of {kind.value}{qubits} is not an integer")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"duplicate operand in {kind.value}{qubits}")
+    if kind in MATRIX_KINDS:
+        if matrix is None:
+            raise ValueError(f"{kind.value} requires a matrix")
+        matrix = _matrix2(matrix)
+        if not _is_unitary(matrix):
+            raise ValueError("matrix is not unitary")
+    elif matrix is not None:
+        raise ValueError(f"{kind.value} does not carry a matrix")
+    return tuple(qubits), matrix
+
+
+def _matrix2(m: object) -> Matrix2:
+    """A 2x2 of numbers as a tuple of two 2-tuples: ``m`` itself if it
+    is one, else its entries as complex numbers.  ValueError for
+    anything that is not a 2x2 of numbers."""
+    try:
+        (a, b), (c, d) = m
+    except (TypeError, ValueError):
+        raise ValueError("matrix is not a 2x2 of numbers") from None
+    if not all(isinstance(z, Number) for z in (a, b, c, d)):
+        raise ValueError("matrix is not a 2x2 of numbers")
+    if type(m) is tuple and type(m[0]) is tuple and type(m[1]) is tuple:
+        return m
+    return ((complex(a), complex(b)), (complex(c), complex(d)))
 
 
 def kind_action(kind: GateKind, matrix: Optional[Matrix2]) -> Matrix2:

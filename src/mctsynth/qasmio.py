@@ -47,7 +47,6 @@ import json
 import math
 import struct
 from collections import Counter
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
@@ -203,26 +202,35 @@ def dumps_text(circuit: Circuit) -> str:
     lines.append("meta " + " ".join(
         f"{key}={'-' if fields[key] is None else fields[key]}" for key in _META_KEYS
     ))
-    lines += _format_each_once(circuit.gates, partial(_gate_line, matrices={}))
+    lines += _format_each_once(circuit.gates, _gate_lines)
     lines.append("")  # the final newline, with no second copy of the text
     return "\n".join(lines)
 
 
-def _format_each_once(gates: tuple[Gate, ...], fmt: Callable[[Gate], str]) -> list[str]:
-    """``[fmt(g) for g in gates]``, calling fmt once per distinct gate
-    object, in order of first appearance.  Keying on id() is safe since
-    the tuple keeps every gate alive; Gate equality is not, because
-    0.0 == -0.0 would merge matrices that print differently."""
+def _format_each_once(
+    gates: tuple[Gate, ...], fmt: Callable[[list[Gate]], list[str]]
+) -> list[str]:
+    """The text of each gate, from one call of fmt, which returns the
+    text of each distinct gate object given to it in order of first
+    appearance.  Keying on id() is safe since the tuple keeps every
+    gate alive; Gate equality is not, because 0.0 == -0.0 would merge
+    matrices that print differently."""
     ids = list(map(id, gates))
     distinct = dict(zip(ids, gates))
-    text = dict(zip(distinct, map(fmt, distinct.values())))
+    text = dict(zip(distinct, fmt(list(distinct.values()))))
     return list(map(text.__getitem__, ids))
 
 
+def _gate_lines(gates: list[Gate]) -> list[str]:
+    """The text line of each gate: its kind's line filled in for a kind
+    that has one, ``_gate_line`` for a u() or a kind with no
+    mnemonic."""
+    matrices: dict[bytes, str] = {}
+    return [line % g.qubits if (line := _TEXT_LINE.get(g.kind)) else _gate_line(g, matrices)
+            for g in gates]
+
+
 def _gate_line(g: Gate, matrices: dict[bytes, str]) -> str:
-    line = _TEXT_LINE.get(g.kind)
-    if line is not None:
-        return line % tuple(g.qubits)
     if g.kind is not GateKind.LOCAL:
         raise CircuitFileError(
             f"gate kind {g.kind.value!r} has no text mnemonic; use the json format"
@@ -393,8 +401,10 @@ def _json_gate_template(kind: GateKind, arity: int) -> str:
     return text[text.index("    {"): text.rindex("\n  ]")].replace('"%s"', "%s")
 
 
-# the gate templates of the kinds of fixed arity; an mcx's is made for it
+# the gate templates of the kinds of fixed arity, and of those of them
+# without a matrix; an mcx's is made for it
 _JSON_GATE = {k: _json_gate_template(k, a) for k, a in ARITY.items() if a is not None}
+_JSON_PLAIN = {k: t for k, t in _JSON_GATE.items() if k not in MATRIX_KINDS}
 
 
 def dumps_json(circuit: Circuit) -> str:
@@ -412,14 +422,22 @@ def dumps_json(circuit: Circuit) -> str:
         return head + "\n"
     # one join writes the whole text: the header goes on the first gate,
     # and the end of the document on the last
-    entries = _format_each_once(circuit.gates, partial(_json_gate, matrices={}))
+    entries = _format_each_once(circuit.gates, _json_gates)
     entries[0] = head[: -len(_JSON_EMPTY_GATES)] + "[\n" + entries[0]
     entries[-1] += "\n  ]\n}\n"
     return ",\n".join(entries)
 
 
+def _json_gates(gates: list[Gate]) -> list[str]:
+    """The entry of each gate: its kind's template filled in for a kind
+    of fixed arity without a matrix, ``_json_gate`` for the others."""
+    matrices: dict[bytes, str] = {}
+    return [entry % g.qubits if (entry := _JSON_PLAIN.get(g.kind)) else _json_gate(g, matrices)
+            for g in gates]
+
+
 def _json_gate(g: Gate, matrices: dict[bytes, str]) -> str:
-    qubits = tuple(g.qubits)
+    qubits = g.qubits
     template = _JSON_GATE.get(g.kind) or _json_gate_template(g.kind, len(qubits))
     if g.matrix is None:
         return template % qubits

@@ -1,11 +1,15 @@
 """Gate and circuit representation invariants."""
 
 import cmath
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from mctsynth.decomp import ToffoliPair
 from mctsynth.ir import (
     Circuit,
     CircuitMeta,
@@ -91,6 +95,50 @@ class TestGateValidation:
         g = mcx([0, 1, 2], 3)
         assert g.controls == (0, 1, 2) and g.target == 3
 
+    def test_operands_kept_as_a_tuple(self):
+        # a list of operands passes the checks, and the gate keeps a
+        # tuple, so it hashes and goes into a circuit
+        for g, want in [(Gate(GateKind.CNOT, [0, 1]), cnot(0, 1)),
+                        (Gate(GateKind.TOFFOLI, range(3)), toffoli(0, 1, 2)),
+                        (mcx([0, 1, 2], 3), Gate(GateKind.MCX, [0, 1, 2, 3])),
+                        (Gate(GateKind.LOCAL, [0], MAT_H), local(0, MAT_H))]:
+            assert type(g.qubits) is tuple
+            assert g == want and hash(g) == hash(want)
+            assert Circuit(tuple(_ct_roles(3)), (g,)).gates == (want,)
+        # a refused list is still named as the caller spelled it
+        with pytest.raises(ValueError, match=r"^duplicate operand in cx\[1, 1\]$"):
+            Gate(GateKind.CNOT, [1, 1])
+
+    def test_matrix_kept_as_tuples(self):
+        # an array or nested lists are kept as a tuple of two 2-tuples
+        # of complex numbers, the form the constants take
+        for given, want in [(np.eye(2), ((1 + 0j, 0j), (0j, 1 + 0j))),
+                            ([[0, 1], [1, 0]], MAT_X),
+                            (np.array(MAT_H), MAT_H),
+                            ([(1, 0), [0, 1j]], MAT_S)]:
+            for g in (local(0, given), cu(0, 1, given)):
+                assert g.matrix == want
+                assert all(type(row) is tuple for row in g.matrix)
+                assert all(type(z) is complex for row in g.matrix for z in row)
+                assert hash(g) == hash(Gate(g.kind, g.qubits, want))
+        # the constants themselves are kept as they are given
+        assert local(0, MAT_H).matrix is MAT_H
+        with pytest.raises(ValueError, match="not unitary"):
+            local(0, np.array([[1, 0], [0, 2]]))
+
+    def test_matrix_not_2x2_numbers_refused(self):
+        for bad in (np.eye(3), np.ones((2, 3)), [[1, 0]], [1, 0, 0, 1], "ab",
+                    [[1, "0"], [0, 1]], ((1, 0), (0, None)), 1 + 0j):
+            for make in (lambda m: local(0, m), lambda m: cu(0, 1, m)):
+                with pytest.raises(ValueError, match="^matrix is not a 2x2 of numbers$"):
+                    make(bad)
+        # the operand rules still come first
+        with pytest.raises(ValueError, match="duplicate operand"):
+            cu(1, 1, np.eye(3))
+        # and a kind without a matrix refuses any
+        with pytest.raises(ValueError, match="x does not carry a matrix"):
+            Gate(GateKind.X, (0,), np.eye(2))
+
 
 class _Int(int):
     """An int subclass: an integer operand whose type is not int."""
@@ -167,6 +215,38 @@ def test_gate_checks_match_the_reference():
                             assert got == want, (kind, qubits, matrix)
                             cases += 1
     assert cases > 3000
+
+
+def test_dataclass_contract():
+    """Gate and ToffoliPair are frozen dataclasses, with their fields,
+    whose replace runs the checks again, and whose pickle and deep copy
+    give back an equal object with an equal hash.  An MCX takes the
+    full checks and the others the one-pass check."""
+    objects = [
+        (toffoli(0, 1, 2), {"qubits": (0, 1, 0)}, "duplicate operand in ccx(0, 1, 0)"),
+        (local(3, MAT_T), {"kind": GateKind.CU, "qubits": (2, 2)},
+         "duplicate operand in cu(2, 2)"),
+        (mcx([0, 1, 2], 3), {"qubits": (0, 1, 2, 1)}, "duplicate operand in mcx(0, 1, 2, 1)"),
+        (ToffoliPair(2, 9, 0, 1), None, None),
+    ]
+    names = {Gate: ["kind", "qubits", "matrix"],
+             ToffoliPair: ["compute", "uncompute", "cnot_control", "cnot_target"]}
+    for obj, bad, message in objects:
+        fields = [f.name for f in dataclasses.fields(obj)]
+        assert fields == names[type(obj)]
+        for name in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+        for other in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj),
+                      dataclasses.replace(obj)):
+            assert other == obj and hash(other) == hash(obj)
+            assert [getattr(other, n) for n in fields] == [getattr(obj, n) for n in fields]
+        if bad is not None:
+            with pytest.raises(ValueError) as exc:
+                dataclasses.replace(obj, **bad)
+            assert str(exc.value) == message
 
 
 class TestGateAccessors:
