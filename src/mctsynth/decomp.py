@@ -20,9 +20,9 @@ gate once and shares it with every repeat.
 
 The interesting part is what happens to Toffolis.  A lone Toffoli costs
 6 CNOTs (with locals, 15 gates total) or 5 two-qubit gates in the CV
-basis.  But the circuits built here are compute/uncompute mirrors, and
-a mirrored pair of Toffolis can be replaced by two cheaper gates that
-are individually wrong in compensating ways:
+basis.  But a compute/uncompute pair of Toffolis, two on the same
+operands, can be replaced by two cheaper gates that are individually
+wrong in compensating ways:
 
 * a 7-gate RY/CNOT network equal to Toffoli times a diagonal D
   (-1 on exactly one basis state of its three qubits), used for both
@@ -34,13 +34,15 @@ are individually wrong in compensating ways:
   guarantees.
 
 A pair is accepted only when both replacements are sound, so one
-pairing plan serves every basis.  The conditions are conservative,
-gate-structural, and checked per pair: between the members, the pair's
-three qubits may be touched only as controls, and one of the two
-controls (x) must not be touched at all.  The CV member's CNOT then
-runs y -> x from the other control y, and commutes with everything in
-between because x is untouched and y is only ever read.  x is the
-first control when it is untouched, else the second.
+pairing plan serves every basis and every circuit, mirror-symmetric or
+not.  The conditions are conservative, gate-structural, and checked
+per pair: between the members, the pair's three qubits may be touched
+only as controls, and one of the two controls (x) must not be touched
+at all.  The CV member's CNOT then runs y -> x from the other control
+y, and commutes with everything in between because x is untouched and
+y is only ever read.  x is the first control when it is untouched,
+else the second.  Pair spans nest, so each pair's argument holds with
+the pairs inside it already replaced.
 """
 
 from __future__ import annotations
@@ -87,11 +89,6 @@ class ToffoliRule(Enum):
 
 class LoweringError(Exception):
     pass
-
-
-class NoMirrorStructureError(LoweringError):
-    """The Toffoli operand sequence is not a palindrome, so the
-    mirrored-pair analysis does not apply."""
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +183,7 @@ class Basis:
 
     ``allowed`` are the kinds the basis keeps.  Where it does not keep
     Toffolis, ``lone`` is the exact rule for a Toffoli outside every
-    mirror pair, and ``member`` and ``mirror`` lower a pair's compute
+    pair, and ``member`` and ``mirror`` lower a pair's compute
     and uncompute members: on (x, y, t) when ``on_xyt``, else on the
     Toffoli's own qubits.
     """
@@ -224,8 +221,9 @@ def lower_toffoli(c1: int, c2: int, t: int, rule: ToffoliRule) -> tuple[Gate, ..
     """Replacement gate list for a Toffoli on (c1, c2, t).
 
     FOUR_CV does not implement the Toffoli alone: it appends a CNOT
-    c2 -> c1.  It is meant for mirrored pairs, where the second member
-    is the inverse list and the stray CNOTs cancel through the middle.
+    c2 -> c1.  It is meant for compute/uncompute pairs, where the
+    second member is the inverse list and the stray CNOTs cancel
+    through the middle.
     RELATIVE_PHASE implements the Toffoli times a diagonal; standalone
     it is only correct up to that diagonal.
     """
@@ -338,11 +336,10 @@ def _pair_valid(
 
 
 def peres_pairing(circuit: Circuit) -> PairingPlan:
-    """Match mirrored Toffoli pairs greedily, in one pass over the gates.
+    """Match compute/uncompute Toffoli pairs greedily, in one pass over
+    the gates of any circuit.
 
-    Requires the Toffoli operand sequence to read the same forwards and
-    backwards; the compute/uncompute builders all guarantee that.  Each
-    new Toffoli pairs with the nearest earlier unmatched one that has
+    Each new Toffoli pairs with the nearest earlier unmatched one that has
     the same operand triple and whose in-between gates pass the
     validity conditions.  Only the previous Toffoli on that triple can
     pass: any earlier one has it in between, writing their target.
@@ -354,11 +351,6 @@ def peres_pairing(circuit: Circuit) -> PairingPlan:
     """
     gates = circuit.gates
     toffoli = GateKind.TOFFOLI
-    operand_seq = [g.qubits for g in gates if g.kind is toffoli]
-    if operand_seq != operand_seq[::-1]:
-        raise NoMirrorStructureError(
-            "toffoli operand sequence is not mirror-symmetric"
-        )
     # per qubit, the position of the last gate so far that targets it,
     # and of the last that touches it at all
     last_target = [-1] * circuit.width
@@ -398,10 +390,9 @@ def peres_pairing(circuit: Circuit) -> PairingPlan:
 def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
     """Rewrite a circuit into the given basis.
 
-    Mirrored Toffoli pairs take the cheap replacements; everything else
-    takes the exact single-gate rules, so the lowered circuit equals
-    the original as a unitary.  Circuits without mirror structure are
-    lowered with every Toffoli standalone.  The toffoli basis keeps
+    The Toffoli pairs of ``peres_pairing`` take the cheap replacements;
+    everything else takes the exact single-gate rules, so the lowered
+    circuit equals the original as a unitary.  The toffoli basis keeps
     every Toffoli, so it is not paired.
 
     A circuit whose every gate the basis allows comes back with its own
@@ -428,15 +419,11 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
     table: _GateTable = {}
     memo: dict[object, tuple] = {}
 
-    # A paired Toffoli's gates, by gate position.  A mirror circuit
+    # A paired Toffoli's gates, by gate position.  A built circuit
     # repeats its pairs, so most members are found in ``memo``.
     at: dict[int, tuple[Gate, ...]] = {}
     if entry.lone is not None:
-        try:
-            pairs = peres_pairing(circuit).pairs
-        except NoMirrorStructureError:
-            pairs = ()
-        for p in pairs:
+        for p in peres_pairing(circuit).pairs:
             g = gates[p.compute]
             operands = (p.cnot_target, p.cnot_control, g.target) if entry.on_xyt else g.qubits
             members = memo.get(operands)

@@ -219,7 +219,9 @@ def _matrix2(m: object) -> Matrix2:
         (a, b), (c, d) = m
     except (TypeError, ValueError):
         raise ValueError("matrix is not a 2x2 of numbers") from None
-    if not all(isinstance(z, Number) for z in (a, b, c, d)):
+    # complex entries, which every built matrix has, skip the ABC check
+    if not (type(a) is complex and type(b) is complex and type(c) is complex
+            and type(d) is complex) and not all(isinstance(z, Number) for z in (a, b, c, d)):
         raise ValueError("matrix is not a 2x2 of numbers")
     if type(m) is tuple and type(m[0]) is tuple and type(m[1]) is tuple:
         return m
@@ -242,11 +244,15 @@ def kind_action(kind: GateKind, matrix: Optional[Matrix2]) -> Matrix2:
 # Lowering and loading produce a handful of distinct matrices many times
 # over, so the check is memoised on the matrix tuple.  Equal tuples have
 # equal products, and a non-unitary one is rejected on every construction
-# since its cached answer is False.
+# since its cached answer is False.  A non-finite entry is not unitary,
+# and neither is one whose product overflows: numpy's warnings are
+# silenced, so a bad matrix reads only as "not unitary".
 @functools.lru_cache(maxsize=4096)
 def _is_unitary(m: Matrix2) -> bool:
     a = as_array(m)
-    return bool(np.allclose(a @ a.conj().T, np.eye(2), atol=TOL_UNITARY))
+    with np.errstate(all="ignore"):
+        return bool(np.isfinite(a).all()
+                    and np.allclose(a @ a.conj().T, np.eye(2), atol=TOL_UNITARY))
 
 
 def matrix_bits(m: Matrix2) -> bytes:

@@ -402,7 +402,7 @@ def _json_gate_template(kind: GateKind, arity: int) -> str:
 
 
 # the gate templates of the kinds of fixed arity, and of those of them
-# without a matrix; an mcx's is made for it
+# without a matrix; an mcx's is made once per arity in a call
 _JSON_GATE = {k: _json_gate_template(k, a) for k, a in ARITY.items() if a is not None}
 _JSON_PLAIN = {k: t for k, t in _JSON_GATE.items() if k not in MATRIX_KINDS}
 
@@ -432,15 +432,21 @@ def _json_gates(gates: list[Gate]) -> list[str]:
     """The entry of each gate: its kind's template filled in for a kind
     of fixed arity without a matrix, ``_json_gate`` for the others."""
     matrices: dict[bytes, str] = {}
-    return [entry % g.qubits if (entry := _JSON_PLAIN.get(g.kind)) else _json_gate(g, matrices)
-            for g in gates]
+    mcx: dict[int, str] = {}
+    return [entry % g.qubits if (entry := _JSON_PLAIN.get(g.kind))
+            else _json_gate(g, matrices, mcx) for g in gates]
 
 
-def _json_gate(g: Gate, matrices: dict[bytes, str]) -> str:
+def _json_gate(g: Gate, matrices: dict[bytes, str], mcx: dict[int, str]) -> str:
+    """The entry of a gate with a matrix, or of an mcx, whose template
+    ``mcx`` holds by arity."""
     qubits = g.qubits
-    template = _JSON_GATE.get(g.kind) or _json_gate_template(g.kind, len(qubits))
     if g.matrix is None:
+        template = mcx.get(len(qubits))
+        if template is None:
+            template = mcx[len(qubits)] = _json_gate_template(g.kind, len(qubits))
         return template % qubits
+    template = _JSON_GATE[g.kind]
     key = matrix_bits(g.matrix)
     matrix = matrices.get(key)
     if matrix is None:

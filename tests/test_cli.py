@@ -12,7 +12,7 @@ import mctsynth
 from mctsynth import cli, costs, decomp
 from mctsynth.cli import main
 from mctsynth.decomp import GateBasis, ToffoliRule, lower_toffoli
-from mctsynth.ir import Circuit, CircuitMeta, QubitRole, append, cnot, new_circuit
+from mctsynth.ir import Circuit, CircuitMeta, QubitRole, append, cnot, local, new_circuit
 from mctsynth.qasmio import dumps_json, dumps_text, load, save
 
 
@@ -655,6 +655,35 @@ class TestMalformedJson:
         assert code == 2
         assert "bad width" in err
         assert not (tmp_path / "o.mct").exists()
+
+
+class TestNonFiniteMatrix:
+    """A matrix entry that is not finite, or that overflows the
+    unitarity check, is refused with one line on stderr and no numpy
+    warning, in a process of its own, where warnings print."""
+
+    TEXT = "mctqasm v1 width 2\nroles ct\nmeta scheme=- n=- c=- basis=-\n{} 0\n"
+
+    @pytest.mark.parametrize("name, body, message", [
+        ("inf.mq", TEXT.format("u(inf,0,0,1)"), "line 4: matrix is not unitary"),
+        ("big.json", "1e308", "bad gate entry 0: matrix is not unitary"),
+        ("inf.json", "Infinity", "bad gate entry 0: matrix is not unitary"),
+    ], ids=["text-inf", "json-1e308", "json-Infinity"])
+    def test_verify_prints_one_error_line(self, tmp_path, name, body, message):
+        if name.endswith(".json"):
+            u = append(new_circuit([QubitRole.CONTROL, QubitRole.TARGET]),
+                       local(0, ((1 + 0j, 0j), (0j, 1 + 0j))))
+            body = dumps_json(u).replace("1.0", body, 1)
+        path = tmp_path / name
+        path.write_text(body)
+        env = dict(os.environ, PYTHONPATH=str(Path(mctsynth.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mctsynth.cli", "verify", "--circuit", str(path),
+             "--oracle", "cnx:1"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {message}\n"
 
 
 class TestTopLevel:

@@ -10,7 +10,6 @@ from mctsynth.decomp import (
     BASES,
     GateBasis,
     LoweringError,
-    NoMirrorStructureError,
     PairingPlan,
     ToffoliPair,
     ToffoliRule,
@@ -212,24 +211,8 @@ class TestPairing:
             assert covered == tof_positions
 
     def test_no_crossing_pairs(self):
-        # nested or disjoint spans only; a crossing pair would break the
-        # sandwich argument that makes the cheap members sound
         for circ in [build_cnx(8), build_cycle_cnx(11, 3), build_two_cycle_cnx(8)]:
-            plan = peres_pairing(circ)
-            spans = [(p.compute, p.uncompute) for p in plan.pairs]
-            for a, b in spans:
-                for c_, d in spans:
-                    if (a, b) == (c_, d):
-                        continue
-                    crossing = a < c_ < b < d or c_ < a < d < b
-                    assert not crossing, (a, b, c_, d)
-
-    def test_non_palindrome_rejected(self):
-        circ = append(
-            new_circuit([C, C, T, P]), toffoli(0, 1, 2), toffoli(0, 1, 3)
-        )
-        with pytest.raises(NoMirrorStructureError):
-            peres_pairing(circ)
+            _assert_spans_nest(peres_pairing(circ))
 
     def test_write_between_members_blocks_pair(self):
         # X on an operand between the two members violates the
@@ -256,6 +239,16 @@ class TestPairing:
         assert pair.cnot_control != pair.cnot_target
 
 
+def _assert_spans_nest(plan):
+    """Pair spans are nested or disjoint; a crossing pair would break
+    the sandwich argument that makes the cheap members sound."""
+    spans = [(p.compute, p.uncompute) for p in plan.pairs]
+    for a, b in spans:
+        for c_, d in spans:
+            crossing = a < c_ < b < d or c_ < a < d < b
+            assert not crossing, (a, b, c_, d)
+
+
 def _reference_pairing(circuit, stats=None):
     """The quadratic greedy pairing that peres_pairing must reproduce:
     every earlier unmatched Toffoli is scanned nearest first, one inside
@@ -264,9 +257,6 @@ def _reference_pairing(circuit, stats=None):
     ``stats`` counts the crossing skips and the rejected candidates."""
     gates = circuit.gates
     positions = [i for i, g in enumerate(gates) if g.kind is GateKind.TOFFOLI]
-    seq = [gates[i].qubits for i in positions]
-    if seq != seq[::-1]:
-        raise NoMirrorStructureError("not mirror-symmetric")
 
     def only_control(g, q):
         return q not in g.qubits or q in g.controls
@@ -367,6 +357,149 @@ class TestPairingMatchesReference:
         assert stats["crossing"] > 100 and stats["rejected"] > 100, stats
 
 
+def _lemma_7_2(m):
+    """C^mX with m-2 borrowed wires and 4(m-2) Toffolis (Barenco et al.
+    1995, Lemma 7.2): controls 0..m-1, borrowed wires m..2m-3, each of
+    any value and restored, and the target 2m-2.  Its Toffoli sequence
+    is not a palindrome: the chain down the borrowed wires runs once
+    more after the two Toffolis on the target."""
+    a, t = list(range(m, 2 * m - 2)), 2 * m - 2
+    chain = [toffoli(i + 2, a[i], a[i + 1]) for i in range(m - 4, -1, -1)]
+    down_up = chain + [toffoli(0, 1, a[0])] + chain[::-1]
+    fire = toffoli(m - 1, a[-1], t)
+    return _circ([C] * m + [P] * (m - 2) + [T], [fire, *down_up, fire, *down_up])
+
+
+def _classical_oracle(circuit):
+    """The oracle over every wire of a circuit of X-like gates: each
+    input's one output, by running the gates on its bits."""
+    def oracle(bits):
+        out = list(bits)
+        for g in circuit.gates:
+            if all(out[c] for c in g.controls):
+                out[g.target] ^= 1
+        return {tuple(out): 1}
+    return oracle
+
+
+def _assert_lowers_exact(circuit):
+    """Each basis's lowering equals the Toffoli-level circuit on every
+    input of every wire, ancillas and borrowed wires included."""
+    oracle = _classical_oracle(circuit)
+    for basis in (GateBasis.CV_BASIS, GateBasis.CNOT_LOCAL):
+        v = check_equivalence(lower_circuit(circuit, basis), oracle, range(circuit.width))
+        assert v.klass is EquivalenceClass.EXACT, (circuit.meta, basis, v)
+
+
+def _unitary(circuit):
+    """The circuit's dense unitary, every column evolved at once."""
+    w = circuit.width
+    u = np.eye(2 ** w, dtype=complex).reshape((2,) * w + (2 ** w,))
+    for g in circuit.gates:
+        index = [1 if q in g.controls else slice(None) for q in range(w)]
+        index[g.target] = 0
+        zero = tuple(index)
+        index[g.target] = 1
+        one = tuple(index)
+        a, b = u[zero], u[one].copy()
+        (m00, m01), (m10, m11) = g.action
+        u[one] = m10 * a + m11 * b
+        u[zero] = m00 * a + m01 * b
+    return u.reshape(2 ** w, 2 ** w)
+
+
+def _random_circuit(rng):
+    """Toffolis drawn from a few operand triples, in any order, with
+    X, CNOT, cv, cvdg, local and CU gates between them."""
+    width = rng.randint(4, 6)
+    qubits = list(range(width))
+    triples = [tuple(rng.sample(qubits, 3)) for _ in range(rng.randint(1, 3))]
+    fillers = [
+        lambda: x(rng.choice(qubits)),
+        lambda: cnot(*rng.sample(qubits, 2)),
+        lambda: cv(*rng.sample(qubits, 2)),
+        lambda: cvdg(*rng.sample(qubits, 2)),
+        lambda: local(rng.choice(qubits), rng.choice((MAT_H, MAT_S, MAT_T))),
+        lambda: cu(*rng.sample(qubits, 2), rng.choice((MAT_H, MAT_S, MAT_Z))),
+    ]
+    gates = []
+    for _ in range(rng.randint(2, 12)):
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            gates.append(rng.choice(fillers)())
+        gates.append(toffoli(*rng.choice(triples)))
+    return _circ([C] * (width - 1) + [T], gates)
+
+
+def _is_palindrome(circuit):
+    seq = [g.qubits for g in circuit.gates if g.kind is GateKind.TOFFOLI]
+    return seq == seq[::-1]
+
+
+class TestPairingWithoutMirror:
+    """Circuits whose Toffoli sequence is not a palindrome pair by the
+    per-pair rule alone, and still lower exactly."""
+
+    def test_lemma_7_2_pairs_all_but_the_target_pair(self):
+        for m in range(4, 10):
+            circ = _lemma_7_2(m)
+            assert not _is_palindrome(circ)
+            plan = peres_pairing(circ)
+            assert plan == _reference_pairing(circ)
+            _assert_spans_nest(plan)
+            assert (len(plan.pairs), len(plan.unpaired)) == (m - 2, 2 * m - 4), m
+        ops = [len(lower_circuit(_lemma_7_2(9), b).gates)
+               for b in (GateBasis.CV_BASIS, GateBasis.CNOT_LOCAL)]
+        assert ops == [126, 308]
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_lemma_7_2_exact_for_every_borrowed_value(self, m):
+        circ = _lemma_7_2(m)
+
+        def cmx_times_identity(bits):
+            out = list(bits)
+            out[-1] ^= all(bits[:m])
+            return {tuple(out): 1}
+
+        v = check_equivalence(circ, cmx_times_identity, range(circ.width))
+        assert v.klass is EquivalenceClass.EXACT
+        _assert_lowers_exact(circ)
+
+    def test_one_toffoli_deleted_mutants(self):
+        mirrorless = pairs = 0
+        for n in range(3, 7):
+            for build in (build_cnx(n), build_cycle_cnx(n, 2), build_two_cycle_cnx(n)):
+                for k, g in enumerate(build.gates):
+                    if g.kind is not GateKind.TOFFOLI:
+                        continue
+                    mutant = _circ(build.roles, build.gates[:k] + build.gates[k + 1:])
+                    plan = peres_pairing(mutant)
+                    assert plan == _reference_pairing(mutant)
+                    _assert_spans_nest(plan)
+                    _assert_lowers_exact(mutant)
+                    mirrorless += not _is_palindrome(mutant)
+                    pairs += len(plan.pairs)
+        # of 76 mutants, those that drop a middle Toffoli stay palindromes
+        assert (mirrorless, pairs) == (64, 164)
+
+    def test_random_circuits(self):
+        rng = random.Random(31)
+        circuits = [_random_circuit(rng) for _ in range(600)]
+        mirrorless = [c for c in circuits if not _is_palindrome(c)]
+        assert len(mirrorless) >= 300
+        paired = 0
+        for circ in mirrorless:
+            plan = peres_pairing(circ)
+            assert plan == _reference_pairing(circ)
+            _assert_spans_nest(plan)
+            paired += bool(plan.pairs)
+            want = _unitary(circ)
+            for basis in (GateBasis.CV_BASIS, GateBasis.CNOT_LOCAL):
+                got = _unitary(lower_circuit(circ, basis))
+                assert np.abs(got - want).max() < 1e-9, (circ.gates, basis)
+        # most of the set pairs something
+        assert paired > len(mirrorless) // 2, paired
+
+
 class TestLowerCircuit:
     @pytest.mark.parametrize("basis", list(GateBasis))
     def test_mcx_rejected(self, basis):
@@ -406,12 +539,10 @@ class TestLowerCircuit:
         assert lowered.meta.basis == GateBasis.CV_BASIS.value
 
     def test_no_mirror_falls_back_to_exact_rules(self):
-        # two different Toffolis have no mirror structure; both must be
-        # lowered with the exact rule and stay correct
+        # two different Toffolis cannot pair; both must be lowered with
+        # the exact rule and stay correct
         base = new_circuit([C, C, C, T])
         circ = append(base, toffoli(0, 1, 3), toffoli(0, 2, 3))
-        with pytest.raises(NoMirrorStructureError):
-            peres_pairing(circ)
         cl = lower_circuit(circ, GateBasis.CNOT_LOCAL)
         assert len(cl.gates) == 2 * 15
         cvb = lower_circuit(circ, GateBasis.CV_BASIS)
@@ -458,10 +589,7 @@ def _unmemoised_lowering(circuit, basis):
             else:
                 out.append(g)
         return out
-    try:
-        plan = peres_pairing(circuit)
-    except NoMirrorStructureError:
-        plan = PairingPlan((), ())
+    plan = peres_pairing(circuit)
     cv_basis = basis is GateBasis.CV_BASIS
     members = {}
     for p in plan.pairs:

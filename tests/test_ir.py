@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,18 @@ class TestGateValidation:
                 local(0, ((1 + 0j, 0j), (0j, 2 + 0j)))
             with pytest.raises(ValueError, match="not unitary"):
                 cu(0, 1, ((1 + 0j, 0j), (0j, 2 + 0j)))
+
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan, 1e308])
+    def test_non_finite_or_overflowing_matrix_rejected_quietly(self, entry):
+        # not unitary, and no numpy warning on the way: an infinite or
+        # nan entry is refused as it is, and 1e308 overflows the product
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in (complex(entry, 0), complex(0, entry)):
+                with pytest.raises(ValueError, match="not unitary"):
+                    local(0, ((z, 0j), (0j, 1 + 0j)))
+                with pytest.raises(ValueError, match="not unitary"):
+                    cu(0, 1, ((1 + 0j, z), (0j, 1 + 0j)))
 
     def test_mcx_needs_three_controls(self):
         # two controls is spelled TOFFOLI, one is CNOT

@@ -332,6 +332,21 @@ class TestJsonWriterMatchesJsonDumps:
                 lowered = lower_circuit(circ, basis)
                 assert dumps_json(lowered) == _reference_dumps_json(lowered)
 
+    def test_mcx_of_every_arity(self):
+        # one template per arity in a call, each filled by distinct and
+        # repeated gates, among gates of fixed arity
+        rng = random.Random(7)
+        width = 12
+        gates = []
+        for arity in (4, 5, 6, 7, 7, 4, 6, 5):
+            for _ in range(3):
+                *controls, target = rng.sample(range(width), arity)
+                gates.append(mcx(controls, target))
+        gates += [gates[0], toffoli(0, 1, 2), gates[5], cnot(3, 4), gates[-1]]
+        circ = append(new_circuit([C] * (width - 1) + [T]), *gates)
+        assert dumps_json(circ) == _reference_dumps_json(circ)
+        assert loads_json(dumps_json(circ)).gates == circ.gates
+
     def test_signed_zeros_kept_apart(self):
         circ = append(new_circuit([C, T]), *_SIGNED_ZEROS, *_SIGNED_ZEROS[::-1])
         text = dumps_json(circ)
