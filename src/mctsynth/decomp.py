@@ -71,6 +71,7 @@ from .ir import (
     MAT_H,
     MAT_T,
     MAT_TDG,
+    _prechecked_circuit,
 )
 
 
@@ -462,5 +463,7 @@ def _lower_gate(g: Gate, entry: Basis, table: _GateTable) -> tuple[Gate, ...]:
 
 
 def _with_basis(circuit: Circuit, gates: Sequence[Gate], basis: GateBasis) -> Circuit:
+    """The lowered circuit, not range-checked again: each lowered
+    operand is an operand of an input gate, which ``circuit`` checked."""
     meta = replace(circuit.meta, basis=basis.value)
-    return replace(circuit, gates=tuple(gates), meta=meta)
+    return _prechecked_circuit(circuit.roles, tuple(gates), meta)

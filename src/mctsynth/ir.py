@@ -294,6 +294,19 @@ class CircuitMeta:
 
 @dataclass(frozen=True)
 class Circuit:
+    """A gate list over the register ``roles``.
+
+    Invariant: every operand of every gate is a qubit of the register,
+    from 0 to ``width - 1``.  ``Circuit(...)`` checks it over the gates
+    it is given, and so do ``append``, ``concat`` and ``inverse``, which
+    build through it.  Only three callers build a circuit past that
+    check, with ``_prechecked_circuit``, because each has already
+    checked every operand it holds: ``decomp`` lowering, whose operands
+    are all operands of its checked input, and the text and JSON
+    readers of ``qasmio``, which refuse each operand token or entry
+    where they read it.
+    """
+
     roles: tuple[QubitRole, ...]
     gates: tuple[Gate, ...] = ()
     meta: CircuitMeta = field(default_factory=CircuitMeta)
@@ -319,6 +332,18 @@ class Circuit:
 
     def indices_with_role(self, role: QubitRole) -> tuple[int, ...]:
         return tuple(i for i, r in enumerate(self.roles) if r is role)
+
+
+def _prechecked_circuit(
+    roles: tuple[QubitRole, ...], gates: tuple[Gate, ...], meta: CircuitMeta
+) -> Circuit:
+    """A ``Circuit`` of these fields without ``__post_init__``'s range
+    check, for a caller that has checked every operand against
+    ``len(roles)`` already.  Private to the three callers the
+    ``Circuit`` docstring names."""
+    circuit = object.__new__(Circuit)
+    vars(circuit).update(roles=roles, gates=gates, meta=meta)
+    return circuit
 
 
 def new_circuit(roles: Iterable[QubitRole], meta: CircuitMeta = CircuitMeta()) -> Circuit:

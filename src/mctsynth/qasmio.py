@@ -45,9 +45,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from collections import Counter
-from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
 from .ir import (
@@ -61,6 +61,7 @@ from .ir import (
     Matrix2,
     QubitRole,
     ROLE_BY_LETTER,
+    _prechecked_circuit,
     is_int,
     matrix_bits,
 )
@@ -354,8 +355,9 @@ def loads_text(text: str) -> Circuit:
                 raise CircuitFileError(str(exc), lineno + body.index(raw) + 1) from None
         parsed[raw] = gate
     gates = tuple(filter(None, map(parsed.__getitem__, body)))
-
-    return Circuit(roles, gates, meta)
+    # every operand came from ``indices``, which holds only indices
+    # below the width, so the circuit is not range-checked again
+    return _prechecked_circuit(roles, gates, meta)
 
 
 def _parse_u(mnemonic: str) -> tuple[GateKind, Matrix2]:
@@ -557,7 +559,8 @@ def loads_json(text: str) -> Circuit:
             if key is not None:
                 built[key] = gate
         gates.append(gate)
-    return Circuit(roles, tuple(gates), meta)
+    # ``_gate_from_json`` refused every operand outside the width
+    return _prechecked_circuit(roles, tuple(gates), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +582,20 @@ def loads(text: str) -> Circuit:
     return loads_text(text)
 
 
-def format_for_path(path: Union[str, Path]) -> str:
-    return "json" if Path(path).suffix.lower() == ".json" else "text"
+def format_for_path(path: Union[str, os.PathLike]) -> str:
+    """The format a path names: "json" where ``Path(path).suffix.lower()``
+    is ".json", else "text".  It is read off the string as ``PurePath``
+    reads it: the name is the last component that is neither empty nor
+    ".", and its suffix starts at its last dot, which must not be its
+    first character.  A cold ``Path`` costs more than writing a small
+    file does."""
+    name = next((part for part in reversed(os.fspath(path).split("/"))
+                 if part not in ("", ".")), "")
+    dot = name.rfind(".")
+    return "json" if dot > 0 and name[dot:].lower() == ".json" else "text"
 
 
-def save(circuit: Circuit, path: Union[str, Path], fmt: Optional[str] = None) -> None:
+def save(circuit: Circuit, path: Union[str, os.PathLike], fmt: Optional[str] = None) -> None:
     text = dumps(circuit, fmt or format_for_path(path))
     try:
         with open(path, "w", encoding="utf-8") as f:
@@ -592,7 +604,7 @@ def save(circuit: Circuit, path: Union[str, Path], fmt: Optional[str] = None) ->
         raise CircuitFileError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def load(path: Union[str, Path]) -> Circuit:
+def load(path: Union[str, os.PathLike]) -> Circuit:
     """Read a circuit file of either format.  The bytes are read in one
     unbuffered call and decoded as ``Path.read_text(encoding="utf-8")``
     decodes them: CRLF and lone CR line ends become LF, and bytes that

@@ -170,18 +170,28 @@ def _bits_to_index(bits: Sequence[int]) -> int:
 
 
 def full_unitary(circuit: Circuit, max_width: int = 10) -> np.ndarray:
-    """Dense unitary of the circuit, column by column.  Only sensible
-    for small widths; the cap is deliberate."""
+    """Dense unitary of the circuit, every column evolved at once in one
+    pass over the gates: column j is ``apply`` of basis state j.  Only
+    sensible for small widths; the cap is deliberate."""
     width = circuit.width
     if width > max_width:
         raise WidthLimitError(f"width {width} exceeds unitary cap {max_width}")
     dim = 2**width
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[col] = 1.0
-        out[:, col] = apply(circuit, e)
-    return out
+    # one axis per qubit, as in ``apply``, and a last one for the column
+    u = np.eye(dim, dtype=complex).reshape((2,) * width + (dim,))
+    for gate in circuit.gates:
+        index: list = [slice(None)] * width
+        for c in gate.controls:
+            index[c] = 1
+        index[gate.target] = 0
+        zero = tuple(index)
+        index[gate.target] = 1
+        one = tuple(index)
+        a, b = u[zero], u[one].copy()
+        (m00, m01), (m10, m11) = gate.action
+        u[one] = m10 * a + m11 * b
+        u[zero] = m00 * a + m01 * b
+    return u.reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from mctsynth.ir import (
     x,
 )
 from mctsynth.ladder import build_cnu, build_cnx, build_workspace_c3x, build_workspace_toffoli
+from mctsynth.qasmio import dumps, loads
 from mctsynth.verify import EquivalenceClass, check_equivalence, full_unitary, oracle_cnx
 
 C, T, P = QubitRole.CONTROL, QubitRole.TARGET, QubitRole.PROCESS_ANCILLA
@@ -391,23 +392,6 @@ def _assert_lowers_exact(circuit):
         assert v.klass is EquivalenceClass.EXACT, (circuit.meta, basis, v)
 
 
-def _unitary(circuit):
-    """The circuit's dense unitary, every column evolved at once."""
-    w = circuit.width
-    u = np.eye(2 ** w, dtype=complex).reshape((2,) * w + (2 ** w,))
-    for g in circuit.gates:
-        index = [1 if q in g.controls else slice(None) for q in range(w)]
-        index[g.target] = 0
-        zero = tuple(index)
-        index[g.target] = 1
-        one = tuple(index)
-        a, b = u[zero], u[one].copy()
-        (m00, m01), (m10, m11) = g.action
-        u[one] = m10 * a + m11 * b
-        u[zero] = m00 * a + m01 * b
-    return u.reshape(2 ** w, 2 ** w)
-
-
 def _random_circuit(rng):
     """Toffolis drawn from a few operand triples, in any order, with
     X, CNOT, cv, cvdg, local and CU gates between them."""
@@ -492,9 +476,9 @@ class TestPairingWithoutMirror:
             assert plan == _reference_pairing(circ)
             _assert_spans_nest(plan)
             paired += bool(plan.pairs)
-            want = _unitary(circ)
+            want = full_unitary(circ)
             for basis in (GateBasis.CV_BASIS, GateBasis.CNOT_LOCAL):
-                got = _unitary(lower_circuit(circ, basis))
+                got = full_unitary(lower_circuit(circ, basis))
                 assert np.abs(got - want).max() < 1e-9, (circ.gates, basis)
         # most of the set pairs something
         assert paired > len(mirrorless) // 2, paired
@@ -641,11 +625,20 @@ class TestLoweringMemo:
 
     def test_repeated_toffolis_share_their_gates(self):
         # exactly one object per distinct gate row, kept gates included;
-        # a circuit the basis allows whole keeps its own gate objects
+        # a circuit the basis allows whole keeps its own gate objects.
+        # Lowering and both readers skip the range check, so each of
+        # their circuits must equal the checked Circuit of its fields.
         circuits = [build_cnx(1), build_cnx(2), *_builds(16)]
         for circ in circuits:
             for basis in GateBasis:
-                gates = lower_circuit(circ, basis).gates
+                lowered = lower_circuit(circ, basis)
+                assert lowered == Circuit(lowered.roles, lowered.gates, lowered.meta)
+                kinds = {g.kind for g in lowered.gates}
+                # the text format has no mcx or cu mnemonic
+                for fmt in ("json",) if kinds & {GateKind.MCX, GateKind.CU} else ("text", "json"):
+                    read = loads(dumps(lowered, fmt))
+                    assert read == lowered == Circuit(read.roles, read.gates, read.meta)
+                gates = lowered.gates
                 if {g.kind for g in circ.gates} <= BASES[basis].allowed:
                     assert list(map(id, gates)) == list(map(id, circ.gates)), \
                         (circ.meta, basis)

@@ -298,6 +298,9 @@ class TestCircuit:
         base = new_circuit(_ct_roles(1))
         with pytest.raises(ValueError):
             Circuit(base.roles, (cnot(0, 5),), base.meta)
+        # the helpers build through Circuit, so they check too
+        with pytest.raises(ValueError, match="^gate cx\\(0, 2\\) references qubit 2 outside width 2$"):
+            append(base, cnot(0, 2))
 
     def test_repeated_bad_gate_names_first_bad_gate(self):
         # an out-of-range gate twice as one object and once as an equal
@@ -309,6 +312,8 @@ class TestCircuit:
             ((x(0), bad, bad, cnot(3, 6), toffoli(0, 1, 8)), "cx(3, 6) references qubit 6"),
             ((toffoli(0, 1, 8), bad, x(0), bad, cnot(3, 6)), "ccx(0, 1, 8) references qubit 8"),
             ((cnot(3, 6), x(1), bad, bad), "cx(3, 6) references qubit 6"),
+            # one gate past the width, by one
+            ((toffoli(0, 1, 5),), "ccx(0, 1, 5) references qubit 5"),
         ]:
             with pytest.raises(ValueError) as info:
                 Circuit(base.roles, gates, base.meta)

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +166,32 @@ class TestTextParseErrors:
         text = "mctqasm v1 width 1\nroles t\nu(one,0j,0j,1.0+0.0j) 0\n"
         with pytest.raises(CircuitFileError, match="complex"):
             loads_text(text)
+
+
+def _json_doc(roles, gates):
+    return json.dumps({"format": "mct-circuit", "version": 1, "width": len(roles),
+                       "roles": roles, "gates": gates})
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # the index memo holds every index below the width: 3 <= 3 * 1 line
+    ("mctqasm v1 width 3\nroles cct\nccx 0 1 3\n", 3,
+     "qubit index 3 out of range for width 3"),
+    # a wide header over few lines starts with an empty memo
+    ("mctqasm v1 width 10\nroles ccccccccct\nccx 0 1 10\n", 3,
+     "qubit index 10 out of range for width 10"),
+    (_json_doc("ct", [{"kind": "cx", "qubits": [0, 2]}]), None,
+     "bad gate entry 0: qubit index 2 out of range for width 2"),
+    (_json_doc("cccct", [{"kind": "x", "qubits": [0]}, {"kind": "mcx", "qubits": [0, 1, 2, 5]}]),
+     None, "bad gate entry 1: qubit index 5 out of range for width 5"),
+])
+def test_operand_equal_to_the_width_refused_where_it_is_read(text, line, message):
+    # the readers build their circuit without a second range check, so
+    # each refuses the operand itself, with its own message and place
+    with pytest.raises(CircuitFileError) as info:
+        loads(text)
+    assert info.value.line == line
+    assert str(info.value) == (message if line is None else f"line {line}: {message}")
 
 
 JSON_CIRCUITS = TEXT_SAFE_CIRCUITS + [
@@ -952,6 +979,17 @@ class TestSniffAndFiles:
         assert format_for_path("a/b/c.JSON") == "json"
         assert format_for_path("a/b/c.mct") == "text"
         assert format_for_path("circuit") == "text"
+
+    @pytest.mark.parametrize("name", [
+        "c.json", "A.JSON", "x.Json", "...json", "..json", ".json", "a/.json", "a..json",
+        ".json.json", "x.json/", "x.json//", "x.json/.", "./x.json", "//x.json", "a.json.",
+        "x.json/..", "dir.json/x", "x.jsonl", "json", "", ".", "..", "/", "c.mq",
+    ])
+    @pytest.mark.parametrize("as_path", [False, True])
+    def test_format_for_path_reads_the_suffix_as_pathlib_does(self, name, as_path):
+        path = Path(name) if as_path else name
+        want = "json" if Path(name).suffix.lower() == ".json" else "text"
+        assert format_for_path(path) == want
 
     def test_save_and_load(self, tmp_path):
         circ = lower_circuit(build_cnx(3), GateBasis.CV_BASIS)

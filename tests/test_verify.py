@@ -156,6 +156,21 @@ class TestFullUnitary:
         with pytest.raises(WidthLimitError):
             full_unitary(wide)
 
+    def test_matches_apply_column_by_column(self):
+        # the circuits above and the reference cases; column j is the
+        # statevector run of basis state j
+        circuits = [
+            _circ([T], [x(0)]),
+            _circ([T], [local(0, MAT_H)]),
+            _circ([C, T], [cv(0, 1), cv(0, 1)]),
+            _circ([C, T], [cnot(0, 1)]),
+            *_random_cases(),
+        ]
+        for circ in circuits:
+            dim = 2 ** circ.width
+            want = np.stack([apply(circ, np.eye(dim, dtype=complex)[j]) for j in range(dim)], 1)
+            assert np.abs(full_unitary(circ) - want).max() <= 1e-12, circ.gates
+
 
 class TestOracles:
     def test_cnx_flips_only_on_all_ones(self):
