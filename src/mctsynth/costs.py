@@ -37,6 +37,7 @@ from .cycle import (
     build_cycle_cnx,
     build_cycle_cnx_auto,
     build_two_cycle_cnx,
+    cycle_ops,
     plan_cycles,
     plan_two_cycle,
 )
@@ -395,7 +396,7 @@ def make_table(lo: int = 3, hi: int = 64) -> list[TableRow]:
                 ancilla=ancilla_min_form(n, s),
                 ours=cv_ops_form(n, s),
                 baseline=baseline,
-                ours_built=plan_cycles(n, s).ops(GateBasis.CV_BASIS),
+                ours_built=cycle_ops(n, s, GateBasis.CV_BASIS),
                 baseline_form=form,
                 baseline_delta=baseline - form,
             )

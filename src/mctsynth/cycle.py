@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 
+from .decomp import GateBasis
 from .ir import Circuit, CircuitMeta
-from .ladder import CyclePlan, build_plan, plan_blocks
+from .ladder import CyclePlan, block_counts, build_plan, lowered_ops, plan_blocks
 
 
 def group_sizes(n: int, c: int) -> list[int]:
@@ -58,6 +59,15 @@ def plan_cycles(n: int, c: int) -> CyclePlan:
         start += size
     blocks[-1] += (0,)
     return plan_blocks(CircuitMeta(scheme="cycle", n=n, c=c), blocks)
+
+
+def cycle_ops(n: int, c: int, basis: GateBasis) -> int:
+    """``plan_cycles(n, c).ops(basis)`` from the block widths alone,
+    with no plan: each block is its group, plus the running product for
+    all but the first block and the first control for the final one."""
+    widths = [size + (k > 0) for k, size in enumerate(group_sizes(n, c))]
+    widths[-1] += 1
+    return lowered_ops(basis, *block_counts(widths))
 
 
 def plan_two_cycle(n: int) -> CyclePlan:

@@ -72,6 +72,7 @@ from .ir import (
     MAT_T,
     MAT_TDG,
     _prechecked_circuit,
+    _prechecked_gate,
 )
 
 
@@ -100,13 +101,21 @@ class LoweringError(Exception):
 _RuleGate = tuple[GateKind, Callable[[tuple[int, ...]], tuple[int, ...]],
                   Optional[Matrix2], Optional[bytes]]
 
+# How a rule's gates are made: through ``Gate`` on operands a caller
+# gave, or with ``_prechecked_gate`` on distinct operands of a checked
+# gate, since ``_rule`` checked each rule gate on its slots.
+_MakeGate = Callable[[GateKind, tuple[int, ...], Optional[Matrix2]], Gate]
+
 
 def _rule(*gates: tuple) -> tuple[_RuleGate, ...]:
     """A rule from (kind, operand slots[, matrix]) per gate, the slots
-    indexing the operands the rule is instantiated on."""
+    indexing the operands the rule is instantiated on.  Each gate is
+    built once through ``Gate`` on its slots, so its arity, its
+    distinct operands and its matrix are checked here, and hold on any
+    distinct operands the rule is instantiated on."""
     out = []
     for kind, slots, *matrix in gates:
-        m = matrix[0] if matrix else None
+        m = Gate(kind, slots, matrix[0] if matrix else None).matrix
         # a one-slot slice keeps a lone qubit in a tuple
         first = slots[0]
         pick = itemgetter(*slots) if len(slots) > 1 else itemgetter(slice(first, first + 1))
@@ -122,16 +131,18 @@ _GateTable = dict[tuple[GateKind, tuple[int, ...], Optional[bytes]], Gate]
 
 
 def _instantiate(
-    rule: tuple[_RuleGate, ...], operands: tuple[int, ...], table: _GateTable
+    rule: tuple[_RuleGate, ...], operands: tuple[int, ...], table: _GateTable,
+    make: _MakeGate,
 ) -> tuple[Gate, ...]:
-    """The rule's gates on ``operands``, from ``table``."""
+    """The rule's gates on ``operands``, from ``table``, each new one
+    made by ``make``."""
     out = []
     for kind, pick, matrix, bits in rule:
         qubits = pick(operands)
         key = (kind, qubits, bits)
         gate = table.get(key)
         if gate is None:
-            gate = table[key] = Gate(kind, qubits, matrix)
+            gate = table[key] = make(kind, qubits, matrix)
         out.append(gate)
     return tuple(out)
 
@@ -231,7 +242,7 @@ def lower_toffoli(c1: int, c2: int, t: int, rule: ToffoliRule) -> tuple[Gate, ..
     gates = _RULES.get(rule)
     if gates is None:
         raise LoweringError(f"unknown rule {rule}")
-    return _instantiate(gates, (c1, c2, t), {})
+    return _instantiate(gates, (c1, c2, t), {}, Gate)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +268,7 @@ def expand_controlled_unitary(
 ) -> tuple[Gate, ...]:
     """Controlled-U as two CNOTs, three locals on the target, and a
     phase shift on the control."""
-    return _instantiate(_controlled_rule(matrix), (ctrl, tgt), {})
+    return _instantiate(_controlled_rule(matrix), (ctrl, tgt), {}, Gate)
 
 
 def _controlled_rule(matrix: Matrix2) -> tuple[_RuleGate, ...]:
@@ -416,9 +427,13 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
     # Each distinct output gate is made once, in ``table``, and shared
     # by every lowering that makes it.  ``memo`` lowers each distinct
     # pair's members once, by their operands, and each other gate
-    # object once, by its id.
+    # object once, by its id; ``rules`` holds the controlled rule of
+    # each distinct action object.  Every operand a rule is
+    # instantiated on is a distinct operand of a checked input gate,
+    # so its gates are made with ``_prechecked_gate``.
     table: _GateTable = {}
     memo: dict[object, tuple] = {}
+    rules: dict[int, tuple[_RuleGate, ...]] = {}
 
     # A paired Toffoli's gates, by gate position.  A built circuit
     # repeats its pairs, so most members are found in ``memo``.
@@ -429,10 +444,10 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
             operands = (p.cnot_target, p.cnot_control, g.target) if entry.on_xyt else g.qubits
             members = memo.get(operands)
             if members is None:
-                member = _instantiate(entry.member, operands, table)
+                member = _instantiate(entry.member, operands, table, _prechecked_gate)
                 # where both members take one rule, they share its list
                 mirror = member if entry.mirror is entry.member \
-                    else _instantiate(entry.mirror, operands, table)
+                    else _instantiate(entry.mirror, operands, table, _prechecked_gate)
                 members = memo[operands] = (member, mirror)
             at[p.compute], at[p.uncompute] = members
 
@@ -440,26 +455,33 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
     for i, g in enumerate(gates):
         lowered = at.get(i) or memo.get(id(g))
         if lowered is None:
-            lowered = memo[id(g)] = _lower_gate(g, entry, table)
+            lowered = memo[id(g)] = _lower_gate(g, entry, table, rules)
         out_gates.extend(lowered)
     return _with_basis(circuit, out_gates, basis)
 
 
-def _lower_gate(g: Gate, entry: Basis, table: _GateTable) -> tuple[Gate, ...]:
-    """One gate alone, in the basis of ``entry``, from ``table``: a kind
-    the basis keeps is the table's copy of it, a Toffoli takes the lone
-    rule, X is a local, and otherwise (CU, CV, CVDG) the controlled
-    ``Gate.action`` is a CU where the basis keeps one and expanded
-    where it does not."""
+def _lower_gate(
+    g: Gate, entry: Basis, table: _GateTable, rules: dict[int, tuple[_RuleGate, ...]]
+) -> tuple[Gate, ...]:
+    """One checked gate alone, in the basis of ``entry``, from
+    ``table``: a kind the basis keeps is the table's copy of it, a
+    Toffoli takes the lone rule, X is a local, and otherwise (CU, CV,
+    CVDG) the controlled ``Gate.action`` is a CU where the basis keeps
+    one and expanded where it does not, by its rule in ``rules``, keyed
+    by the id of the action, which the input circuit keeps alive."""
     if g.kind in entry.allowed:
         return (_share(g, table),)
     if g.kind is GateKind.TOFFOLI:
-        return _instantiate(entry.lone, g.qubits, table)
+        return _instantiate(entry.lone, g.qubits, table, _prechecked_gate)
+    action = g.action
     if g.kind is GateKind.X:
-        return (_share(local(g.target, g.action), table),)
+        return (_share(local(g.target, action), table),)
     if GateKind.CU in entry.allowed:
-        return (_share(Gate(GateKind.CU, g.qubits, matrix=g.action), table),)
-    return _instantiate(_controlled_rule(g.action), g.qubits, table)
+        return (_share(Gate(GateKind.CU, g.qubits, matrix=action), table),)
+    rule = rules.get(id(action))
+    if rule is None:
+        rule = rules[id(action)] = _controlled_rule(action)
+    return _instantiate(rule, g.qubits, table, _prechecked_gate)
 
 
 def _with_basis(circuit: Circuit, gates: Sequence[Gate], basis: GateBasis) -> Circuit:

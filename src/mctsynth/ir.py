@@ -125,6 +125,15 @@ class Gate:
     are kept as a tuple, and a matrix given in another 2x2 form (an
     array, nested lists) as a tuple of two 2-tuples of complex
     numbers, so every gate is hashable.
+
+    Only two callers make a gate past these checks, with
+    ``_prechecked_gate``, because each has established them already:
+    ``decomp`` lowering, which instantiates a rule whose gates passed
+    ``Gate`` on their operand slots on distinct operands of a checked
+    input gate, and the text reader of ``qasmio``, for a line whose
+    operands are distinct and as many as its kind takes and whose
+    ``u(...)`` matrix passed ``Gate`` on an earlier line of the same
+    call.
     """
 
     kind: GateKind
@@ -182,6 +191,21 @@ class Gate:
 _set_kind, _set_qubits, _set_matrix = (
     Gate.__dict__[name].__set__ for name in ("kind", "qubits", "matrix")
 )
+
+
+def _prechecked_gate(
+    kind: GateKind, qubits: tuple[int, ...], matrix: Optional[Matrix2] = None
+) -> Gate:
+    """A ``Gate`` of these fields without ``__init__``'s checks, for a
+    caller that has established them already: ``qubits`` a tuple of as
+    many distinct ``int`` operands as ``kind`` takes, and ``matrix`` a
+    unitary in tuple form exactly where the kind carries one.  Private
+    to the two callers the ``Gate`` docstring names."""
+    gate = object.__new__(Gate)
+    _set_kind(gate, kind)
+    _set_qubits(gate, qubits)
+    _set_matrix(gate, matrix)
+    return gate
 
 
 def _checked(

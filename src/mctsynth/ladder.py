@@ -102,25 +102,24 @@ class CyclePlan:
 
     def ops(self, basis: GateBasis) -> int:
         """Gate count of the build lowered to ``basis``."""
-        member, lone, cu = BASES[basis].lengths
-        payload = 0 if self.payload is None else cu
-        return member * self.paired + lone * self.unpaired + self.copies + payload
+        return lowered_ops(basis, self.paired, self.unpaired, self.copies,
+                           self.payload is not None)
 
 
-def plan_blocks(
-    meta: CircuitMeta, blocks: Sequence[tuple[int, ...]], payload: Optional[Matrix2] = None
-) -> CyclePlan:
-    """The plan that runs ``blocks`` (the last one firing, with
-    ``payload`` if given), with the exact counts of its build."""
-    widths = tuple(len(block) for block in blocks)
+def block_counts(widths: Sequence[int], payload: bool = False) -> tuple[int, int, int]:
+    """(paired, unpaired, copies) of the build that runs AND blocks of
+    these input counts, the last one firing, with a payload if
+    ``payload``: its Toffolis that are members of the mirror pairs
+    peres_pairing finds, its other Toffolis, and the CNOTs of its
+    single-input blocks.
+
+    A block over m >= 2 inputs is a ladder whose m-2 chain Toffolis
+    pair with their mirrors around the one Toffoli that writes its
+    output; a repeated block runs twice, and a lone Toffoli (m = 2)
+    then pairs with its rerun.  A single input is a copy.  A payload
+    chain runs over all m inputs, so its m-1 Toffolis pair around the
+    payload."""
     *repeated, final = widths
-    # a block over m >= 2 inputs is a ladder whose m-2 chain Toffolis
-    # pair with their mirrors around the one Toffoli that writes its
-    # output; a repeated block runs twice, and a lone Toffoli (m = 2)
-    # then pairs with its rerun.  A single input is a copy.  A payload
-    # chain runs over all m inputs, so its m-1 Toffolis pair around the
-    # payload and take one more pool qubit.
-    pool = max(max(widths) - 2, final - 1 if payload is not None else 0, 0)
     paired = unpaired = copies = 0
     for m in repeated:
         if m == 1:
@@ -130,18 +129,39 @@ def plan_blocks(
         else:
             paired += 4 * (m - 2)
             unpaired += 2
-    if payload is not None:
+    if payload:
         paired += 2 * (final - 1)
     elif final == 1:
         copies += 1
     else:
         paired += 2 * (final - 2)
         unpaired += 1
+    return paired, unpaired, copies
+
+
+def lowered_ops(basis: GateBasis, paired: int, unpaired: int, copies: int,
+                payload: bool = False) -> int:
+    """Gate count, lowered to ``basis``, of a build with these counts
+    from ``block_counts``, and a controlled payload if ``payload``."""
+    member, lone, cu = BASES[basis].lengths
+    return member * paired + lone * unpaired + copies + (cu if payload else 0)
+
+
+def plan_blocks(
+    meta: CircuitMeta, blocks: Sequence[tuple[int, ...]], payload: Optional[Matrix2] = None
+) -> CyclePlan:
+    """The plan that runs ``blocks`` (the last one firing, with
+    ``payload`` if given), with the exact counts of its build."""
+    widths = tuple(len(block) for block in blocks)
+    final = widths[-1]
+    # a payload chain takes one more pool qubit than a flip's
+    pool = max(max(widths) - 2, final - 1 if payload is not None else 0, 0)
+    paired, unpaired, copies = block_counts(widths, payload is not None)
     return CyclePlan(
         meta=meta,
         blocks=tuple(blocks),
         block_widths=widths,
-        cycle_ancillas=len(repeated),
+        cycle_ancillas=len(widths) - 1,
         process_ancillas=pool,
         toffoli_total=paired + unpaired,
         paired=paired,

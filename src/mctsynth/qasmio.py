@@ -28,16 +28,26 @@ UTF-8.
 
 Lowered circuits repeat most of their gates, and ``lower_circuit``
 shares one ``Gate`` object per distinct gate, so the writers format
-each distinct gate object once, from a template per gate kind.  The
-JSON writer's bytes are ``json.dumps(doc, indent=2)`` plus a newline,
-but it fills templates for the header and for each distinct matrix
-too, with ``json.dumps`` of each scalar and ``float.__repr__`` of each
-matrix number, which is what the encoder writes: ``indent=2`` sends
+each distinct gate object once, from a template per gate kind, and the
+text of each matrix once per matrix object in the call.  The JSON
+writer's bytes are ``json.dumps(doc, indent=2)`` plus a newline, but
+it fills templates for the header and for each matrix too, with
+``json.dumps`` of each scalar and ``float.__repr__`` of each matrix
+number, which is what the encoder writes: ``indent=2`` sends
 ``json.dumps`` to its pure-Python encoder, which costs more than all
-the gates do.  The text reader parses each distinct line once, and the
-JSON reader each distinct gate entry, and each shares its ``Gate``
-with every repeat; entries equal in Python but spelled apart (a qubit
-true, 1 or 1.0, a matrix number -0.0 or 0.0) are never shared.
+the gates do.
+
+The text reader parses each distinct line once, and the JSON reader
+each distinct gate entry, and each shares its ``Gate`` with every
+repeat; lines that differ only in surrounding whitespace are parsed
+apart, and entries equal in Python but spelled apart (a qubit true, 1
+or 1.0, a matrix number -0.0 or 0.0) are never shared.  On each
+distinct line the text reader checks the mnemonic (a ``u(...)`` one
+read once, with its four entries), each operand token against the
+width, then that the operands are as many as the kind takes and
+distinct.  A ``u(...)`` matrix goes through ``Gate``'s unitarity check
+on the first line that holds it, and so does any line that breaks a
+rule, so each refusal names the first rule broken and its line.
 Nothing is kept from one call to the next.
 """
 
@@ -62,20 +72,22 @@ from .ir import (
     QubitRole,
     ROLE_BY_LETTER,
     _prechecked_circuit,
+    _prechecked_gate,
     is_int,
     matrix_bits,
 )
 
 TEXT_HEADER = "mctqasm v1"
 
-# mnemonic -> (kind, matrix) for the reader: mcx and cu have no mnemonic
-# and must go through JSON, and a u(...) line's are read from its text
-_TEXT_HEADS: dict[str, tuple[GateKind, Optional[Matrix2]]] = {
-    k.value: (k, None) for k in GateKind
+# mnemonic -> (kind, matrix, arity) for the reader: mcx and cu have no
+# mnemonic and must go through JSON, and a u(...) line's are read from
+# its text, with arity None until its matrix has passed ``Gate``
+_TEXT_HEADS: dict[str, tuple[GateKind, Optional[Matrix2], Optional[int]]] = {
+    k.value: (k, None, ARITY[k]) for k in GateKind
     if k not in (GateKind.MCX, GateKind.CU, GateKind.LOCAL)
 }
 # and kind -> its line for the writer, with %s for each operand
-_TEXT_LINE = {k: m + " %s" * ARITY[k] for m, (k, _) in _TEXT_HEADS.items()}
+_TEXT_LINE = {k: m + " %s" * a for m, (k, _, a) in _TEXT_HEADS.items()}
 _KIND_BY_NAME = {k.value: k for k in GateKind}
 _META_KEYS = ("scheme", "n", "c", "basis")
 
@@ -226,17 +238,21 @@ def _gate_lines(gates: list[Gate]) -> list[str]:
     """The text line of each gate: its kind's line filled in for a kind
     that has one, ``_gate_line`` for a u() or a kind with no
     mnemonic."""
-    matrices: dict[bytes, str] = {}
+    matrices: dict[int, str] = {}
     return [line % g.qubits if (line := _TEXT_LINE.get(g.kind)) else _gate_line(g, matrices)
             for g in gates]
 
 
-def _gate_line(g: Gate, matrices: dict[bytes, str]) -> str:
+def _gate_line(g: Gate, matrices: dict[int, str]) -> str:
+    """The line of a u() gate, with the entries of its matrix from
+    ``matrices``, which holds them by the id of the matrix object: the
+    circuit keeps every matrix alive for the call, and one object has
+    one set of bits."""
     if g.kind is not GateKind.LOCAL:
         raise CircuitFileError(
             f"gate kind {g.kind.value!r} has no text mnemonic; use the json format"
         )
-    key = matrix_bits(g.matrix)
+    key = id(g.matrix)
     entries = matrices.get(key)
     if entries is None:
         entries = matrices[key] = ",".join(
@@ -314,14 +330,13 @@ def loads_text(text: str) -> Circuit:
         meta = _parse_meta(meta_line.split()[1:], lineno)
 
     # The body's raw lines, each distinct one once, in order of first
-    # appearance.  A gate line's Gate depends only on its stripped text
-    # and the width, so it is parsed, checked and built once and shared
-    # by every repeat; blank and comment lines map to None.  The first
-    # bad line in this order is the first in the file, and its number
-    # is looked up only to raise.
+    # appearance.  A gate line's Gate depends only on its text and the
+    # width, so it is parsed, checked and built once and shared by every
+    # repeat; blank and comment lines map to None.  The first bad line
+    # in this order is the first in the file, and its number is looked
+    # up only to raise.
     body = lines[lineno:]
     parsed: dict[str, Optional[Gate]] = dict.fromkeys(body)
-    by_text: dict[str, Gate] = {}
     # Each distinct mnemonic is read once (a u() with its matrix), and
     # each distinct index token.  The index memo starts with every index
     # below the width, as the writers spell it, unless the width is more
@@ -335,24 +350,31 @@ def loads_text(text: str) -> Circuit:
         line = raw.strip()
         if not line or line[0] == "#":
             continue
-        gate = by_text.get(line)
-        if gate is None:
-            mnemonic, *tokens = line.split()
-            try:
-                head = heads.get(mnemonic)
-                if head is None:
-                    head = heads[mnemonic] = _parse_u(mnemonic)
-                kind, matrix = head
-                qubits = tuple(map(indices.get, tokens))
-                if None in qubits:
-                    qubits = _parse_indices(tokens, width, indices)
-                if matrix is not None and len(qubits) != 1:
-                    raise CircuitFileError("u gate takes exactly one qubit")
-                gate = by_text[line] = Gate(kind, qubits, matrix)
-            except ValueError as exc:
-                # a CircuitFileError here has no line yet, and the
-                # message of one that Gate raises is the gate's own
-                raise CircuitFileError(str(exc), lineno + body.index(raw) + 1) from None
+        mnemonic, *tokens = line.split()
+        try:
+            head = heads.get(mnemonic)
+            if head is None:
+                head = heads[mnemonic] = _parse_u(mnemonic)
+            kind, matrix, arity = head
+            qubits = tuple(map(indices.get, tokens))
+            if None in qubits:
+                qubits = _parse_indices(tokens, width, indices)
+            if matrix is not None and len(qubits) != 1:
+                raise CircuitFileError("u gate takes exactly one qubit")
+            # int operands below the width, as many as the kind takes
+            # and distinct, and a matrix that passed Gate already, are
+            # all that Gate checks; any other line goes through Gate,
+            # which refuses it with the message of its first broken rule
+            if len(qubits) == arity and len(set(qubits)) == arity:
+                gate = _prechecked_gate(kind, qubits, matrix)
+            else:
+                gate = Gate(kind, qubits, matrix)
+                if arity is None:
+                    heads[mnemonic] = (kind, gate.matrix, 1)
+        except ValueError as exc:
+            # a CircuitFileError here has no line yet, and the message
+            # of one that Gate raises is the gate's own
+            raise CircuitFileError(str(exc), lineno + body.index(raw) + 1) from None
         parsed[raw] = gate
     gates = tuple(filter(None, map(parsed.__getitem__, body)))
     # every operand came from ``indices``, which holds only indices
@@ -360,16 +382,17 @@ def loads_text(text: str) -> Circuit:
     return _prechecked_circuit(roles, gates, meta)
 
 
-def _parse_u(mnemonic: str) -> tuple[GateKind, Matrix2]:
+def _parse_u(mnemonic: str) -> tuple[GateKind, Matrix2, None]:
     """The kind and matrix of a mnemonic that is not a known one, which
-    must be u(...) with four complex entries."""
+    must be u(...) with four complex entries, and None for the arity
+    of a matrix that has not passed ``Gate`` yet."""
     if not (mnemonic.startswith("u(") and mnemonic.endswith(")")):
         raise CircuitFileError(f"unknown mnemonic {mnemonic!r}")
     entries = mnemonic[2:-1].split(",")
     if len(entries) != 4:
         raise CircuitFileError(f"u() takes 4 matrix entries, got {len(entries)}")
     zs = [_parse_complex(e) for e in entries]
-    return GateKind.LOCAL, ((zs[0], zs[1]), (zs[2], zs[3]))
+    return GateKind.LOCAL, ((zs[0], zs[1]), (zs[2], zs[3])), None
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +456,16 @@ def dumps_json(circuit: Circuit) -> str:
 def _json_gates(gates: list[Gate]) -> list[str]:
     """The entry of each gate: its kind's template filled in for a kind
     of fixed arity without a matrix, ``_json_gate`` for the others."""
-    matrices: dict[bytes, str] = {}
+    matrices: dict[int, str] = {}
     mcx: dict[int, str] = {}
     return [entry % g.qubits if (entry := _JSON_PLAIN.get(g.kind))
             else _json_gate(g, matrices, mcx) for g in gates]
 
 
-def _json_gate(g: Gate, matrices: dict[bytes, str], mcx: dict[int, str]) -> str:
-    """The entry of a gate with a matrix, or of an mcx, whose template
-    ``mcx`` holds by arity."""
+def _json_gate(g: Gate, matrices: dict[int, str], mcx: dict[int, str]) -> str:
+    """The entry of a gate with a matrix, whose text ``matrices`` holds
+    by the id of the matrix object, as ``_gate_line``'s does, or of an
+    mcx, whose template ``mcx`` holds by arity."""
     qubits = g.qubits
     if g.matrix is None:
         template = mcx.get(len(qubits))
@@ -449,12 +473,12 @@ def _json_gate(g: Gate, matrices: dict[bytes, str], mcx: dict[int, str]) -> str:
             template = mcx[len(qubits)] = _json_gate_template(g.kind, len(qubits))
         return template % qubits
     template = _JSON_GATE[g.kind]
-    key = matrix_bits(g.matrix)
+    key = id(g.matrix)
     matrix = matrices.get(key)
     if matrix is None:
         # the floats a unitary holds are finite, so repr is what json writes
         matrix = matrices[key] = _JSON_MATRIX % tuple(
-            map(float.__repr__, _EIGHT_DOUBLES.unpack(key))
+            map(float.__repr__, _EIGHT_DOUBLES.unpack(matrix_bits(g.matrix)))
         )
     return template % (*qubits, matrix)
 

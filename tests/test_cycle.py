@@ -10,6 +10,7 @@ from mctsynth.cycle import (
     build_cycle_cnx,
     build_cycle_cnx_auto,
     build_two_cycle_cnx,
+    cycle_ops,
     group_sizes,
     plan_cycles,
     plan_two_cycle,
@@ -208,6 +209,9 @@ class TestPlanCycles:
             for basis in GateBasis:
                 assert plan.ops(basis) == len(lower_circuit(circ, basis).gates), (
                     plan.meta, basis)
+                if plan.meta.scheme == "cycle":
+                    # the table's count, from the widths with no plan
+                    assert cycle_ops(plan.meta.n, plan.meta.c, basis) == plan.ops(basis)
         for n in range(2, 80):
             for basis in GateBasis:
                 assert plan_ladder(n).ops(basis) == ladder_ops_form(n, basis), (n, basis)

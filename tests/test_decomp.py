@@ -22,6 +22,7 @@ from mctsynth.decomp import (
 )
 from mctsynth.ir import (
     Circuit,
+    Gate,
     GateKind,
     MAT_H,
     MAT_S,
@@ -594,8 +595,18 @@ def _unmemoised_lowering(circuit, basis):
         elif g.kind is GateKind.TOFFOLI:
             out.extend(members.get(i) or lower_toffoli(*g.qubits, lone))
         else:
-            out.extend(_lower_gate(g, BASES[basis], {}))
+            out.extend(_lower_gate(g, BASES[basis], {}, {}))
     return out
+
+
+def _assert_checked_gates(gates):
+    """Each gate equals ``Gate`` of its fields, on a tuple of ints and
+    with a matrix, where it has one, in tuple form."""
+    for g in gates:
+        assert type(g.qubits) is tuple and {type(q) for q in g.qubits} == {int}, g
+        if g.matrix is not None:
+            assert type(g.matrix) is tuple and {type(row) for row in g.matrix} == {tuple}, g
+        assert g == Gate(g.kind, g.qubits, g.matrix)
 
 
 def _gate_rows(gates):
@@ -627,17 +638,21 @@ class TestLoweringMemo:
         # exactly one object per distinct gate row, kept gates included;
         # a circuit the basis allows whole keeps its own gate objects.
         # Lowering and both readers skip the range check, so each of
-        # their circuits must equal the checked Circuit of its fields.
-        circuits = [build_cnx(1), build_cnx(2), *_builds(16)]
+        # their circuits must equal the checked Circuit of its fields;
+        # lowering and the text reader make gates past Gate's checks, so
+        # each of their gates must equal the checked Gate of its fields.
+        circuits = [build_cnx(1), build_cnx(2), build_cycle_cnx(2, 1), *_builds(16)]
         for circ in circuits:
             for basis in GateBasis:
                 lowered = lower_circuit(circ, basis)
                 assert lowered == Circuit(lowered.roles, lowered.gates, lowered.meta)
+                _assert_checked_gates(lowered.gates)
                 kinds = {g.kind for g in lowered.gates}
                 # the text format has no mcx or cu mnemonic
                 for fmt in ("json",) if kinds & {GateKind.MCX, GateKind.CU} else ("text", "json"):
                     read = loads(dumps(lowered, fmt))
                     assert read == lowered == Circuit(read.roles, read.gates, read.meta)
+                    _assert_checked_gates(read.gates)
                 gates = lowered.gates
                 if {g.kind for g in circ.gates} <= BASES[basis].allowed:
                     assert list(map(id, gates)) == list(map(id, circ.gates)), \
@@ -646,6 +661,13 @@ class TestLoweringMemo:
                 rows = _gate_rows(gates)
                 assert len(set(zip(rows, map(id, gates)))) == len(set(rows)), \
                     (circ.meta, basis)
+
+        # the public rules take their operands from the caller, and
+        # still refuse them as Gate does
+        with pytest.raises(ValueError, match=r"^duplicate operand in cx\(1, 1\)$"):
+            lower_toffoli(1, 1, 2, ToffoliRule.SIX_CNOT)
+        with pytest.raises(ValueError, match=r"^duplicate operand in cx\(0, 0\)$"):
+            expand_controlled_unitary(0, 0, MAT_H)
 
     @pytest.mark.parametrize("basis", list(GateBasis))
     def test_signed_zeros_are_not_shared(self, basis):

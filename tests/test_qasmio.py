@@ -39,6 +39,7 @@ from mctsynth.ladder import (
 )
 from mctsynth.qasmio import (
     CircuitFileError,
+    _fmt_complex,
     dumps,
     dumps_json,
     dumps_text,
@@ -166,6 +167,84 @@ class TestTextParseErrors:
         text = "mctqasm v1 width 1\nroles t\nu(one,0j,0j,1.0+0.0j) 0\n"
         with pytest.raises(CircuitFileError, match="complex"):
             loads_text(text)
+
+
+# a file whose gate lines start at line 4, the third a u(...) that
+# passes, so a later line can repeat its mnemonic
+_GOOD_HEAD = ("mctqasm v1 width 4\nroles ccct\nccx 0 1 3\ncx 0 1\n"
+              "u(0j,1+0j,1+0j,0j) 2\n")
+_NOT_UNITARY = "u(2+0j,0j,0j,2+0j)"
+
+
+@pytest.mark.parametrize("line, message", [
+    # a wrong operand count for each mnemonic
+    ("x", "x takes 1 qubit(s), got 0"),
+    ("x 0 1", "x takes 1 qubit(s), got 2"),
+    ("cx 0", "cx takes 2 qubit(s), got 1"),
+    ("cx 0 1 2", "cx takes 2 qubit(s), got 3"),
+    ("cv 1", "cv takes 2 qubit(s), got 1"),
+    ("cvdg 0 1 2", "cvdg takes 2 qubit(s), got 3"),
+    ("ccx 0 1", "ccx takes 3 qubit(s), got 2"),
+    ("ccx 0 1 2 3", "ccx takes 3 qubit(s), got 4"),
+    ("u(0j,1+0j,1+0j,0j)", "u gate takes exactly one qubit"),
+    ("u(0j,1+0j,1+0j,0j) 1 2", "u gate takes exactly one qubit"),
+    ("u(1+0j,0j,0j,1+0j)", "u gate takes exactly one qubit"),
+    ("u(1+0j,0j,0j,1+0j) 1 2", "u gate takes exactly one qubit"),
+    # a duplicate operand in each position
+    ("cx 1 1", "duplicate operand in cx(1, 1)"),
+    ("cv 2 2", "duplicate operand in cv(2, 2)"),
+    ("cvdg 3 3", "duplicate operand in cvdg(3, 3)"),
+    ("ccx 1 1 3", "duplicate operand in ccx(1, 1, 3)"),
+    ("ccx 1 3 1", "duplicate operand in ccx(1, 3, 1)"),
+    ("ccx 3 1 1", "duplicate operand in ccx(3, 1, 1)"),
+    # a matrix that is not unitary, on its first line
+    (_NOT_UNITARY + " 0", "matrix is not unitary"),
+    (_NOT_UNITARY, "u gate takes exactly one qubit"),
+])
+@pytest.mark.parametrize("repeats", [
+    # the bad line alone, and then repeated, with a gate between and
+    # the same mnemonic on another line after
+    lambda bad: [bad],
+    lambda bad: [bad, "cx 0 1", bad, "  " + bad, bad.split()[0] + " 3"],
+])
+def test_text_refusal_keeps_its_message_and_line(line, message, repeats):
+    text = _GOOD_HEAD + "\n".join(repeats(line)) + "\n"
+    with pytest.raises(CircuitFileError) as info:
+        loads_text(text)
+    assert (str(info.value), info.value.line) == (f"line 6: {message}", 6)
+
+
+def test_text_lines_apart_in_whitespace_read_as_equal_gates():
+    # each distinct raw line is parsed on its own; lines of one gate
+    # spaced apart give equal gates, each equal to Gate of its fields
+    lines = ["cx 0 1", "  cx 0 1", "cx 0 1\t", "cx  0 1", "u(0j,1+0j,1+0j,0j) 2",
+             " u(0j,1+0j,1+0j,0j) 2 ", "u(0j,1+0j,1+0j,0j)  3", "ccx 0 1 3", "\tccx 0 1 3"]
+    gates = loads_text(_GOOD_HEAD + "\n".join(lines) + "\n").gates[3:]
+    assert gates[0] == gates[1] == gates[2] == gates[3] == cnot(0, 1)
+    assert gates[4] == gates[5] == local(2, ((0j, 1 + 0j), (1 + 0j, 0j)))
+    assert gates[6] == local(3, ((0j, 1 + 0j), (1 + 0j, 0j)))
+    assert gates[7] == gates[8] == toffoli(0, 1, 3)
+    for g in gates:
+        assert g == Gate(g.kind, g.qubits, g.matrix) and type(g.qubits) is tuple
+
+
+def test_writers_on_shared_and_signed_zero_matrix_objects():
+    # one matrix object under many gates, and two matrices apart only in
+    # the sign of a zero, each its own object, under gates that alternate
+    shared = ((complex(0.6, 0.0), complex(0.0, 0.8)), (complex(0.0, 0.8), complex(0.6, -0.0)))
+    plus = ((1 + 0j, complex(0.0, 0.0)), (complex(0.0, 0.0), 1 + 0j))
+    minus = ((1 + 0j, complex(-0.0, 0.0)), (complex(0.0, -0.0), 1 + 0j))
+    gates = [local(q % 3, shared) for q in range(9)]
+    gates += [local(0, plus), local(0, minus), local(1, minus), local(1, plus), local(0, plus)]
+    assert all(g.matrix is shared for g in gates[:9])
+    circ = append(new_circuit([C, C, T]), *gates)
+    assert dumps_json(circ) == _reference_dumps_json(circ)
+    with_cu = append(circ, cu(0, 1, shared), cu(1, 2, minus), cu(0, 2, plus))
+    assert dumps_json(with_cu) == _reference_dumps_json(with_cu)
+    lines = dumps_text(circ).splitlines()[3:]
+    assert lines == ["u(%s) %d" % (",".join(_fmt_complex(z) for row in g.matrix for z in row),
+                                   g.target) for g in gates]
+    assert lines[9] != lines[10] and lines[9] == lines[13]
 
 
 def _json_doc(roles, gates):
