@@ -11,6 +11,8 @@ states up to signs, and on sparse entries otherwise.
 polynomials over GF(2), past the input cap too.
 """
 
+from types import ModuleType as _ModuleType
+
 from .ir import (
     Circuit,
     CircuitMeta,
@@ -93,76 +95,7 @@ from .qasmio import CircuitFileError, dumps, load, loads, save
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Circuit",
-    "CircuitMeta",
-    "Gate",
-    "GateKind",
-    "QubitRole",
-    "NAMED_UNITARIES",
-    "append",
-    "concat",
-    "count_gates",
-    "gate_histogram",
-    "inverse",
-    "new_circuit",
-    "CyclePlan",
-    "build_cnu",
-    "build_cnx",
-    "build_workspace_c3x",
-    "build_workspace_toffoli",
-    "plan_ladder",
-    "build_cycle_cnx",
-    "build_cycle_cnx_auto",
-    "build_two_cycle_cnx",
-    "group_sizes",
-    "plan_cycles",
-    "plan_two_cycle",
-    "GateBasis",
-    "LoweringError",
-    "PairingPlan",
-    "ToffoliPair",
-    "ToffoliRule",
-    "expand_controlled_unitary",
-    "lower_circuit",
-    "lower_toffoli",
-    "peres_pairing",
-    "zyz_angles",
-    "CostReport",
-    "TableRow",
-    "ancilla_min_form",
-    "ancilla_split_form",
-    "baseline_cv_ops",
-    "baseline_cv_ops_form",
-    "best_ancilla_form",
-    "best_cycle_count",
-    "cost_report",
-    "cv_ops_form",
-    "ladder_ancilla_form",
-    "ladder_ops_form",
-    "ladder_toffoli_form",
-    "make_table",
-    "render_table_csv",
-    "render_table_text",
-    "report_json",
-    "report_text",
-    "toffoli_count_form",
-    "two_cycle_toffoli_form",
-    "ControlledOracle",
-    "EquivalenceClass",
-    "EquivalenceVerdict",
-    "Mismatch",
-    "WidthLimitError",
-    "apply",
-    "basis_state",
-    "check_equivalence",
-    "check_symbolic",
-    "full_unitary",
-    "oracle_cnu",
-    "oracle_cnx",
-    "CircuitFileError",
-    "dumps",
-    "load",
-    "loads",
-    "save",
-]
+# every public name imported above, in order; the submodules the imports
+# bind are not part of it
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

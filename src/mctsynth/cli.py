@@ -68,8 +68,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 3
 
-    fmt = args.format or qasmio.format_for_path(args.out)
-    qasmio.save(lowered, args.out, fmt)
+    fmt = qasmio.save(lowered, args.out, args.format)
     print(f"wrote   {args.out} ({len(lowered.gates)} gates, {fmt})")
     return 0
 
@@ -126,8 +125,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_convert(args: argparse.Namespace) -> int:
     circuit = qasmio.load(args.infile)
-    fmt = args.format or qasmio.format_for_path(args.out)
-    qasmio.save(circuit, args.out, fmt)
+    fmt = qasmio.save(circuit, args.out, args.format)
     print(f"wrote   {args.out} ({len(circuit.gates)} gates, {fmt})")
     return 0
 

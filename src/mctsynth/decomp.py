@@ -267,7 +267,9 @@ def expand_controlled_unitary(
     ctrl: int, tgt: int, matrix: Matrix2
 ) -> tuple[Gate, ...]:
     """Controlled-U as two CNOTs, three locals on the target, and a
-    phase shift on the control."""
+    phase shift on the control.  The matrix is checked first, through
+    ``Gate`` on a slot as ``_rule`` checks a rule's."""
+    matrix = Gate(_L, (0,), matrix).matrix
     return _instantiate(_controlled_rule(matrix), (ctrl, tgt), {}, Gate)
 
 

@@ -619,13 +619,17 @@ def format_for_path(path: Union[str, os.PathLike]) -> str:
     return "json" if dot > 0 and name[dot:].lower() == ".json" else "text"
 
 
-def save(circuit: Circuit, path: Union[str, os.PathLike], fmt: Optional[str] = None) -> None:
-    text = dumps(circuit, fmt or format_for_path(path))
+def save(circuit: Circuit, path: Union[str, os.PathLike], fmt: Optional[str] = None) -> str:
+    """Write the circuit in ``fmt``, else in the format the path names,
+    and return the format written."""
+    fmt = fmt or format_for_path(path)
+    text = dumps(circuit, fmt)
     try:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
     except OSError as exc:
         raise CircuitFileError(f"cannot write {path}: {exc.strerror}") from None
+    return fmt
 
 
 def load(path: Union[str, os.PathLike]) -> Circuit:

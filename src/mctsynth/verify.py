@@ -47,8 +47,8 @@ The expected outputs are arrays too.  The built-in C^nX and C^nU oracles
 (``ControlledOracle``) are tabulated from n and the 2x2 alone; any other
 oracle is called once per input, in input order, and its dicts are
 flattened into the same layout.  Both engines' outputs are compared with
-that table by the same array operations, with two shortcuts that give
-the same verdict, bit for bit.
+that table by the same array operations, with one shortcut that gives
+the same verdict, bit for bit: the miter.
 
 Against a C^nX or C^nZ table (a ``ControlledOracle`` whose matrix is X
 or Z), the verdict off the bit planes is read as a miter: one more step
@@ -60,11 +60,6 @@ output it should have had.  With every wire restored, the sign decides:
 0 on every input is exact, 1 on every input a global phase, and a mix
 a diagonal phase, each with deviation 0.  Off a miter, each bit-plane
 output has amplitude -1 where the sign ends as 1, and 1 elsewhere.
-
-Otherwise, when the table holds one entry per input and the circuit's
-outputs are one entry per input, as every all-window build's are, the
-phase of each input is fitted on that entry alone, with no merging of
-keys and no grouping by input.
 
 ``check_symbolic`` enumerates no input: it runs the same steps, chosen
 by the same rule, and the miter's last one, over ``anf``'s GF(2)
@@ -544,7 +539,9 @@ def _evolve_sparse(
     """Final sparse entries of every input after the planned steps,
     keyed (m << width) | basis index, and the inputs whose support
     outgrew the cap (their entries are dropped).  Work items are done
-    in input order, so the entries are grouped by input in that order."""
+    in input order, so the entries come grouped by input in that order.
+    No verdict depends on it: it only hands ``_union`` keys that are
+    already nearly one sorted run."""
     n_inputs = 1 << len(comp)
     # work items: first input, end input, next step, entries; the last
     # is taken first, and a split pushes its upper half first
@@ -878,6 +875,12 @@ def _classify(
 ) -> EquivalenceVerdict:
     """Fit one phase per input, then classify by how the phases behave.
 
+    Every check that ends neither at an ancilla left set nor at a miter
+    is read here: sparse outputs, and bit-plane outputs against any
+    oracle but a C^nX or C^nZ table.  The circuit's and the oracle's
+    keys are merged into one sorted union, so each input's outputs are
+    grouped whatever their order.
+
     For each input in order: the anchor is the oracle's largest
     amplitude (the first such key in the oracle's order); the input
     fails if the circuit puts no amplitude on it, if the fitted phase is
@@ -890,31 +893,20 @@ def _classify(
     n = len(counts)
     got_keys, got_amps = got
     size = _abs(exp_amps)
-    one_each = _one_entry_each(k, counts, got_keys)
-    if one_each:
-        # each input's one entry is its anchor, and the union of its
-        # keys is that key where the circuit's agrees; where it differs,
-        # the circuit puts nothing on the oracle's key, so the input
-        # fails as missing, as in the grouped fit
-        top = size
-        g, e = got_amps, exp_amps
-        want_keys, want = exp_keys, exp_amps
-        seen = np.where(got_keys == exp_keys, got_amps, 0)
-    else:
-        starts = np.cumsum(counts) - counts
-        top = np.maximum.reduceat(size, starts)
-        at = np.where(size == np.repeat(top, counts), np.arange(len(size)), len(size))
-        anchor = np.minimum.reduceat(at, starts)
-        # union of the circuit's and the oracle's outputs, grouped by input
-        union, where = _union(np.concatenate((got_keys, exp_keys)))
-        g = np.zeros(len(union), dtype=complex)
-        g[where[:len(got_keys)]] = got_amps
-        e = np.zeros(len(union), dtype=complex)
-        e[where[len(got_keys):]] = exp_amps
-        owner = union >> k
-        groups = np.searchsorted(owner, np.arange(n))
-        want_keys, want = exp_keys[anchor], exp_amps[anchor]
-        seen = g[np.searchsorted(union, want_keys)]
+    starts = np.cumsum(counts) - counts
+    top = np.maximum.reduceat(size, starts)
+    at = np.where(size == np.repeat(top, counts), np.arange(len(size)), len(size))
+    anchor = np.minimum.reduceat(at, starts)
+    # union of the circuit's and the oracle's outputs, grouped by input
+    union, where = _union(np.concatenate((got_keys, exp_keys)))
+    g = np.zeros(len(union), dtype=complex)
+    g[where[:len(got_keys)]] = got_amps
+    e = np.zeros(len(union), dtype=complex)
+    e[where[len(got_keys):]] = exp_amps
+    owner = union >> k
+    groups = np.searchsorted(owner, np.arange(n))
+    want_keys, want = exp_keys[anchor], exp_amps[anchor]
+    seen = g[np.searchsorted(union, want_keys)]
     if not top.all():
         raise ValueError("oracle output has no nonzero amplitude")
 
@@ -926,10 +918,7 @@ def _classify(
         scale = _abs(phase)
         off = np.abs(scale - 1.0)
         phase = _div(phase, _complex(scale, np.zeros_like(scale)))
-        if one_each:
-            dev = deviation(phase)
-        else:
-            dev = np.maximum.reduceat(deviation(phase[owner]), groups)
+        dev = np.maximum.reduceat(deviation(phase[owner]), groups)
     # the engines drop every amplitude of magnitude at most tol
     missing = _abs(seen) <= tol
     failed = missing | (off > tol) | (dev > tol)
@@ -967,14 +956,6 @@ def _union(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     where = np.empty(len(keys), dtype=np.intp)
     where[order] = np.cumsum(first) - 1
     return ranked[first], where
-
-
-def _one_entry_each(k: int, counts: np.ndarray, got_keys: np.ndarray) -> bool:
-    """Whether the oracle gives each input one entry and the circuit's
-    outputs are one entry per input, in input order."""
-    n = len(counts)
-    return (len(got_keys) == n and bool((counts == 1).all())
-            and np.array_equal(got_keys >> k, np.arange(n)))
 
 
 # Complex arithmetic on arrays written out over real and imaginary parts,

@@ -165,6 +165,19 @@ class TestExpandControlledUnitary:
     def test_expansion_is_six_gates(self):
         assert len(expand_controlled_unitary(0, 1, MAT_V)) == 6
 
+    @pytest.mark.parametrize("m, message", [
+        (((2, 0), (0, 2)), "matrix is not unitary"),
+        (((1, 1), (0, 1)), "matrix is not unitary"),
+        (((1, 0),), "matrix is not a 2x2 of numbers"),
+    ])
+    def test_matrix_refused_as_gate_refuses_it(self, m, message):
+        # the expansion of a non-unitary matrix is unitary, so it cannot
+        # be the controlled matrix; Gate(CU) refuses the same matrices
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Gate(GateKind.CU, (0, 1), m)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            expand_controlled_unitary(0, 1, m)
+
 
 class TestPairing:
     def test_ladder_pairs_all_but_middle(self):

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import types
 import warnings
 
 import numpy as np
@@ -390,3 +391,21 @@ class TestMatrices:
     def test_dagger(self):
         m = dagger(MAT_S)
         assert np.allclose(as_array(m), as_array(MAT_S).conj().T)
+
+
+class TestPackageNames:
+    def test_star_import_binds_exactly_the_public_names(self):
+        import mctsynth
+
+        namespace: dict = {}
+        exec("from mctsynth import *", namespace)
+        del namespace["__builtins__"]
+        assert list(namespace) == mctsynth.__all__
+        assert len(set(mctsynth.__all__)) == 71
+        for name in mctsynth.__all__:
+            assert not name.startswith("_"), name
+            assert not isinstance(namespace[name], types.ModuleType), name
+        # the imports bind the submodules too, and none is exported
+        submodules = {"ir", "ladder", "cycle", "decomp", "costs", "verify", "qasmio"}
+        assert submodules <= set(vars(mctsynth))
+        assert "__version__" in vars(mctsynth)

@@ -1145,8 +1145,8 @@ def _general_verdict(circuit, oracle, tol, monkeypatch):
     that nothing is read off the keys alone; a circuit that is not
     Toffoli-level run on sparse entries, also where its plan runs on bit
     planes, so that those stay checked against sparse entries; and the
-    sparse entries handed to _classify in reverse, so that it groups them
-    by sorting rather than reading one entry per input."""
+    sparse entries handed to _classify in reverse, so that no verdict
+    hangs on their order."""
     real = verify._evolve_sparse
 
     def reversed_entries(*args):
@@ -1197,22 +1197,21 @@ def _assert_general_verdict(fast, circuit, oracle, tol, monkeypatch):
 def _count_paths(monkeypatch):
     """Count how checks reach their verdicts: the bit planes, which the
     circuits counted here (none classical) reach as plans of windows
-    alone within tol, and _classify's one-entry or general branch, which
-    follows them unless they are read as a miter."""
+    alone within tol, and _classify's phase fit, which reads every check
+    not decided by an ancilla left set or a miter."""
     paths = Counter()
-    real_planes, real_one = verify._run_classical, verify._one_entry_each
+    real_planes, real_fit = verify._run_classical, verify._classify
 
     def bit_planes(*args):
         paths["bit planes"] += 1
         return real_planes(*args)
 
-    def one_entry(*args):
-        taken = real_one(*args)
-        paths["one entry" if taken else "general"] += 1
-        return taken
+    def phase_fit(*args):
+        paths["phase fit"] += 1
+        return real_fit(*args)
 
     monkeypatch.setattr(verify, "_run_classical", bit_planes)
-    monkeypatch.setattr(verify, "_one_entry_each", one_entry)
+    monkeypatch.setattr(verify, "_classify", phase_fit)
     return paths
 
 
@@ -1360,16 +1359,16 @@ class TestTabulatedOracle:
             check_equivalence(circ, oracle_cnx(2))
 
 
-class TestOneEntryVerdict:
+class TestOneStatePerInput:
     """A lowered build keeps one basis state per input, so its verdict is
     read off bit planes as a miter (windows within tol, against a C^nX
-    table) or fitted entry by entry; either way it is the verdict of the
-    general path, as _assert_general_verdict reads it."""
+    table) or by _classify's phase fit; either way it is the verdict of
+    the general path, as _assert_general_verdict reads it."""
 
     @pytest.mark.parametrize("basis", [GateBasis.CV_BASIS, GateBasis.CNOT_LOCAL])
-    def test_lowered_builds_never_take_the_general_path(self, basis, monkeypatch):
+    def test_lowered_builds_run_on_bit_planes(self, basis, monkeypatch):
         # against the table a miter; called per input, the bit planes'
-        # outputs fitted entry by entry
+        # outputs go through the phase fit
         paths = _count_paths(monkeypatch)
         builds = []
         for n in range(2, 10):
@@ -1385,26 +1384,40 @@ class TestOneEntryVerdict:
             assert paths == {"bit planes": 1}, (circ.meta, paths)
             paths.clear()
             assert check_equivalence(lowered, lambda bits: oracle(bits)) == _PROVED
-            assert paths == {"bit planes": 1, "one entry": 1}, (circ.meta, paths)
+            assert paths == {"bit planes": 1, "phase fit": 1}, (circ.meta, paths)
         assert len(builds) > 50
 
     @pytest.mark.parametrize("name", ["x", "z", "s", "sdg", "t", "tdg"])
-    def test_monomial_payloads_never_take_the_general_path(self, name, monkeypatch):
+    def test_monomial_payloads_match_the_general_path(self, name, monkeypatch):
+        """Each build is read once, as a miter off the bit planes or by
+        the phase fit, never both, with the general path's verdict; so
+        is each one-gate-deleted mutant at n=2."""
         paths = _count_paths(monkeypatch)
         matrix = NAMED_UNITARIES[name]
-        for n in range(1, 7):
-            for basis in GateBasis:
+        mutants = Counter()
+        for basis in GateBasis:
+            for n in range(1, 7):
+                circ, oracle = lower_circuit(build_cnu(n, matrix), basis), oracle_cnu(n, matrix)
                 paths.clear()
-                v = check_equivalence(lower_circuit(build_cnu(n, matrix), basis),
-                                      oracle_cnu(n, matrix))
+                v = check_equivalence(circ, oracle)
                 assert v.klass is EquivalenceClass.EXACT
-                assert paths["general"] == 0 and sum(paths.values()) == 1, (n, basis, paths)
+                assert sum(paths.values()) == 1, (n, basis, paths)
+                _assert_general_verdict(v, circ, oracle, verify.DEFAULT_TOL, monkeypatch)
+                if n != 2:
+                    continue
+                for p in range(len(circ.gates)):
+                    bad = Circuit(circ.roles, circ.gates[:p] + circ.gates[p + 1:], circ.meta)
+                    v = check_equivalence(bad, oracle)
+                    assert _same_verdict(v, check_equivalence(bad, lambda bits: oracle(bits)))
+                    _assert_general_verdict(v, bad, oracle, verify.DEFAULT_TOL, monkeypatch)
+                    mutants[v.klass] += 1
+        assert mutants[EquivalenceClass.MISMATCH] > 20, mutants
 
     def test_blocks_of_four_inputs(self, monkeypatch):
-        """Inputs split over blocks of four: both fast paths are still
-        taken, against the table and by per-input calls, and the witness
-        is the lowest failing input over all blocks, as the general path
-        finds it."""
+        """Inputs split over blocks of four: the bit planes and the phase
+        fit are still taken, against the table and by per-input calls,
+        and the witness is the lowest failing input over all blocks, as
+        the general path finds it."""
         paths = _count_paths(monkeypatch)
         monkeypatch.setattr(verify, "_ENTRY_BUDGET", 4)
         taken, witnesses = Counter(), set()
@@ -1420,8 +1433,8 @@ class TestOneEntryVerdict:
             if fast.witness is not None:
                 witnesses.add((fast.witness.detail.split()[0], fast.witness.input_bits[0]))
         # a deleted gate of a decomposed Toffoli may leave a step that
-        # mixes, and such a mutant takes the general path
-        assert taken["bit planes"] > 20 and taken["one entry"] > 50, taken
+        # mixes, and such a mutant runs on sparse entries
+        assert taken["bit planes"] > 20 and taken["phase fit"] > 50, taken
         # ancillas and outputs both found wrong in the upper half of the
         # inputs too, past the first blocks
         assert {("ancilla", 1), ("no", 1), ("ancilla", 0), ("no", 0)} <= witnesses
@@ -1441,7 +1454,7 @@ class TestOneEntryVerdict:
         assert paths == {"bit planes": 1}
         _assert_general_verdict(v, bad, oracle_cnx(3), verify.DEFAULT_TOL, monkeypatch)
 
-    def test_zero_amplitude_oracle_refused_on_the_one_entry_branch(self, monkeypatch):
+    def test_zero_amplitude_oracle_refused_off_the_bit_planes(self, monkeypatch):
         # cv and cnot both run on bit planes, whose outputs are one
         # entry per input
         paths = _count_paths(monkeypatch)
@@ -1449,7 +1462,7 @@ class TestOneEntryVerdict:
             lowered = lower_circuit(build_cycle_cnx(4, 2), basis)
             with pytest.raises(ValueError, match="^oracle output has no nonzero amplitude$"):
                 check_equivalence(lowered, lambda bits: {bits: 0})
-        assert paths == {"bit planes": 2, "one entry": 2}
+        assert paths == {"bit planes": 2, "phase fit": 2}
 
 
 def _cnx_moves(k):
