@@ -114,30 +114,22 @@ def steps(items) -> Optional[list]:
     An X-like gate XORs the AND of its controls into its target.  A
     window is any item that is no ``Gate``: it has ``qubits``, and
     ``xor`` and ``sign`` on its local positions, as ``xor_steps`` and
-    ``normal_form`` give them.  It puts its steps on the qubits it
-    carries, its sign step, when it has one, before its XOR steps, as
-    the sign reads the old bits."""
+    ``normal_form`` give them.  Each window's steps are put on the
+    qubits it carries anew, its sign step, when it has one, before its
+    XOR steps, as the sign reads the old bits."""
     out = []
-    # each distinct window is put on its qubits once: the windows of one
-    # fused entry share their xor and sign tuples, alive for the call
-    placed: dict[tuple, list] = {}
     for s in items:
         if isinstance(s, Gate):
             if s.kind not in X_LIKE_KINDS:
                 return None
             out.append((s.target, (s.controls or (-1,),)))
             continue
-        key = (id(s.xor), id(s.sign), s.qubits)
-        window = placed.get(key)
-        if window is None:
-            # local positions -1..-4 name the wires of those numbers
-            at = s.qubits + (-4, -3, -2, -1)
-            window = placed[key] = []
-            if s.sign:
-                window.append((SIGN, tuple([tuple([at[q] for q in p]) for p in s.sign])))
-            for t, ps in s.xor:
-                window.append((at[t], tuple([tuple([at[q] for q in p]) for p in ps])))
-        out.extend(window)
+        # local positions -1..-4 name the wires of those numbers
+        at = s.qubits + (-4, -3, -2, -1)
+        if s.sign:
+            out.append((SIGN, tuple([tuple([at[q] for q in p]) for p in s.sign])))
+        for t, ps in s.xor:
+            out.append((at[t], tuple([tuple([at[q] for q in p]) for p in ps])))
     return out
 
 

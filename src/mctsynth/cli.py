@@ -17,7 +17,6 @@ parameters or unreadable input, 3 a circuit that fails verification.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from typing import Callable, Optional, Sequence
 
@@ -177,6 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# fast path: verify-toffoli jobs_per_s is 65% lower without it (CHANGES.md, fast paths priced)
 def _match(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     """The namespace ``build_parser().parse_args(argv)`` returns, for
     argv of the form ``<command>`` then ``--flag`` and ``--option
@@ -223,18 +223,11 @@ def _match(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     return args
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on the first call, not at import, and reused: parsing makes
-    # a fresh namespace each time, so no argument carries over
-    return build_parser()
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = _match(sys.argv[1:] if argv is None else argv)
     if args is None:
         try:
-            args = _parser().parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             code = exc.code
             return code if isinstance(code, int) else 2

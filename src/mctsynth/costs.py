@@ -30,6 +30,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .cycle import (
@@ -404,25 +405,27 @@ def make_table(lo: int = 3, hi: int = 64) -> list[TableRow]:
     return rows
 
 
+# the table's columns: the ``TableRow`` field, which the CSV header
+# names, and the text header and width
+_COLUMNS = (
+    ("n", "n", 4),
+    ("ancilla", "ancilla", 7),
+    ("ours", "ours", 6),
+    ("baseline", "baseline", 8),
+    ("ours_built", "ours_built", 10),
+    ("baseline_form", "baseline_form", 13),
+    ("baseline_delta", "delta", 6),
+)
+_FIELDS, _HEADS, _WIDTHS = zip(*_COLUMNS)
+# a row's cells in column order, and each format's line
+_cells = attrgetter(*_FIELDS)
+_TEXT_LINE = " ".join(f"{{:>{width}}}" for width in _WIDTHS)
+_CSV_LINE = ",".join("{}" for _ in _FIELDS)
+
+
 def render_table_text(rows: list[TableRow]) -> str:
-    header = (
-        f"{'n':>4} {'ancilla':>7} {'ours':>6} {'baseline':>8} "
-        f"{'ours_built':>10} {'baseline_form':>13} {'delta':>6}"
-    )
-    lines = [header]
-    for r in rows:
-        lines.append(
-            f"{r.n:>4} {r.ancilla:>7} {r.ours:>6} {r.baseline:>8} "
-            f"{r.ours_built:>10} {r.baseline_form:>13} {r.baseline_delta:>6}"
-        )
-    return "\n".join(lines)
+    return "\n".join(_TEXT_LINE.format(*cells) for cells in [_HEADS, *map(_cells, rows)])
 
 
 def render_table_csv(rows: list[TableRow]) -> str:
-    lines = ["n,ancilla,ours,baseline,ours_built,baseline_form,baseline_delta"]
-    for r in rows:
-        lines.append(
-            f"{r.n},{r.ancilla},{r.ours},{r.baseline},"
-            f"{r.ours_built},{r.baseline_form},{r.baseline_delta}"
-        )
-    return "\n".join(lines)
+    return "\n".join(_CSV_LINE.format(*cells) for cells in [_FIELDS, *map(_cells, rows)])

@@ -301,22 +301,12 @@ _CU_LENGTH = len(_controlled_rule(MAT_H))
 # ---------------------------------------------------------------------------
 # pairing
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ToffoliPair:
     compute: int        # gate position of the earlier member
     uncompute: int      # gate position of the mirror member
     cnot_control: int   # y: stays a control between the members
     cnot_target: int    # x: absorbs the member CNOT
-
-    def __init__(self, compute: int, uncompute: int, cnot_control: int, cnot_target: int) -> None:
-        # one write per field into the instance dict, past the frozen
-        # __setattr__: a pairing makes thousands of pairs, and lowering
-        # reads each field once
-        fields = self.__dict__
-        fields["compute"] = compute
-        fields["uncompute"] = uncompute
-        fields["cnot_control"] = cnot_control
-        fields["cnot_target"] = cnot_target
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,7 @@ from . import anf
 from .ir import (
     Circuit,
     Gate,
+    GateKind,
     Matrix2,
     QubitRole,
     X_LIKE_KINDS,
@@ -130,23 +131,12 @@ def resolve_max_width() -> int:
 # statevector engine
 
 def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    """Apply the whole circuit to a statevector of length 2**width."""
+    """Apply the whole circuit to a statevector of length 2**width: the
+    one column ``_evolve_dense`` runs, as ``full_unitary`` runs all."""
     width = circuit.width
     if state.shape != (2**width,):
         raise ValueError(f"state length {state.shape} does not match width {width}")
-    psi = state.astype(complex).reshape((2,) * width)
-    for gate in circuit.gates:
-        controls, target = gate.controls, gate.target
-        sel: list = [slice(None)] * width
-        for c in controls:
-            sel[c] = 1
-        sub = psi[tuple(sel)]
-        # position of the target axis after the control axes are fixed
-        tpos = target - sum(1 for c in controls if c < target)
-        view = np.moveaxis(sub, tpos, 0)
-        updated = np.tensordot(as_array(gate.action), view, axes=([1], [0]))
-        view[...] = updated
-    return psi.reshape(-1)
+    return _evolve_dense(circuit, state.astype(complex).reshape((2,) * width + (1,))).reshape(-1)
 
 
 def basis_state(width: int, bits: Sequence[int]) -> np.ndarray:
@@ -165,15 +155,22 @@ def _bits_to_index(bits: Sequence[int]) -> int:
 
 
 def full_unitary(circuit: Circuit, max_width: int = 10) -> np.ndarray:
-    """Dense unitary of the circuit, every column evolved at once in one
-    pass over the gates: column j is ``apply`` of basis state j.  Only
-    sensible for small widths; the cap is deliberate."""
+    """Dense unitary of the circuit: ``_evolve_dense`` of the identity,
+    so column j is ``apply`` of basis state j.  Only sensible for small
+    widths; the cap is deliberate."""
     width = circuit.width
     if width > max_width:
         raise WidthLimitError(f"width {width} exceeds unitary cap {max_width}")
     dim = 2**width
-    # one axis per qubit, as in ``apply``, and a last one for the column
     u = np.eye(dim, dtype=complex).reshape((2,) * width + (dim,))
+    return _evolve_dense(circuit, u).reshape(dim, dim)
+
+
+def _evolve_dense(circuit: Circuit, u: np.ndarray) -> np.ndarray:
+    """Run the circuit's gates in place on columns of statevectors, ``u``
+    of shape (2,) * width + (columns,), one axis per qubit and a last
+    one for the column, and return it."""
+    width = circuit.width
     for gate in circuit.gates:
         index: list = [slice(None)] * width
         for c in gate.controls:
@@ -186,7 +183,7 @@ def full_unitary(circuit: Circuit, max_width: int = 10) -> np.ndarray:
         (m00, m01), (m10, m11) = gate.action
         u[one] = m10 * a + m11 * b
         u[zero] = m00 * a + m01 * b
-    return u.reshape(dim, dim)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -424,22 +421,18 @@ def _fused(shape: tuple) -> Optional[tuple]:
     d = 1 + max(max(pos) for _, _, pos in shape)
     product = _IDENTITY[d]
     best, used = None, 0
-    # each gate as a 2**d x 2**d matrix, its operands at local positions
-    # pos (position 0 is the most significant bit); a run repeats gates
-    embedded: dict[tuple, np.ndarray] = {}
-    for count, part in enumerate(shape, 1):
-        kind, matrix, pos = part
-        u = embedded.get(part)
-        if u is None:
-            mat = kind_action(kind, matrix)
-            cmask = sum(1 << (d - 1 - p) for p in pos[:-1])
-            tbit = 1 << (d - 1 - pos[-1])
-            u = embedded[part] = _IDENTITY[d].copy()
-            for j in range(1 << d):
-                if j & cmask == cmask:
-                    t = int(j & tbit != 0)
-                    u[j & ~tbit, j] = mat[0][t]
-                    u[j | tbit, j] = mat[1][t]
+    for count, (kind, matrix, pos) in enumerate(shape, 1):
+        # the gate as a 2**d x 2**d matrix, its operands at local
+        # positions pos (position 0 is the most significant bit)
+        mat = kind_action(kind, matrix)
+        cmask = sum(1 << (d - 1 - p) for p in pos[:-1])
+        tbit = 1 << (d - 1 - pos[-1])
+        u = _IDENTITY[d].copy()
+        for j in range(1 << d):
+            if j & cmask == cmask:
+                t = int(j & tbit != 0)
+                u[j & ~tbit, j] = mat[0][t]
+                u[j | tbit, j] = mat[1][t]
         product = u @ product
         used = max(used, max(pos) + 1)
         mono = _monomial(product)
@@ -539,9 +532,10 @@ def _evolve_sparse(
     """Final sparse entries of every input after the planned steps,
     keyed (m << width) | basis index, and the inputs whose support
     outgrew the cap (their entries are dropped).  Work items are done
-    in input order, so the entries come grouped by input in that order.
-    No verdict depends on it: it only hands ``_union`` keys that are
-    already nearly one sorted run."""
+    in input order, so the entries come grouped by input in that order,
+    and the inputs past the cap are listed in ascending order, the
+    order the dense engine re-runs them in.  No verdict depends on
+    either: ``_classify`` sorts the keys it merges."""
     n_inputs = 1 << len(comp)
     # work items: first input, end input, next step, entries; the last
     # is taken first, and a split pushes its upper half first
@@ -624,6 +618,12 @@ class ControlledOracle:
 
     n: int
     matrix: Matrix2
+
+    def __post_init__(self) -> None:
+        # refused as a gate's matrix is, since a matrix with a zero
+        # column would give an input no output; kept as given, array or
+        # tuples, as ``_miter_step`` reads either
+        Gate(GateKind.LOCAL, (0,), self.matrix)
 
     def __call__(self, bits: tuple[int, ...]) -> Superposition:
         if len(bits) != self.n + 1:
@@ -898,7 +898,7 @@ def _classify(
     at = np.where(size == np.repeat(top, counts), np.arange(len(size)), len(size))
     anchor = np.minimum.reduceat(at, starts)
     # union of the circuit's and the oracle's outputs, grouped by input
-    union, where = _union(np.concatenate((got_keys, exp_keys)))
+    union, where = np.unique(np.concatenate((got_keys, exp_keys)), return_inverse=True)
     g = np.zeros(len(union), dtype=complex)
     g[where[:len(got_keys)]] = got_amps
     e = np.zeros(len(union), dtype=complex)
@@ -942,20 +942,6 @@ def _classify(
     if global_dev <= tol:
         return EquivalenceVerdict(EquivalenceClass.GLOBAL_PHASE, global_dev)
     return EquivalenceVerdict(EquivalenceClass.DIAGONAL_PHASE, float(dev.max()))
-
-
-def _union(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_inverse=True)``, by a stable sort: the
-    keys are two sorted runs, which timsort merges in one pass, where
-    ``np.unique`` sorts them afresh."""
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-    where = np.empty(len(keys), dtype=np.intp)
-    where[order] = np.cumsum(first) - 1
-    return ranked[first], where
 
 
 # Complex arithmetic on arrays written out over real and imaginary parts,

@@ -418,7 +418,7 @@ class TestTable:
 
 
 class TestParser:
-    def test_built_once_and_shared(self, capsys, monkeypatch):
+    def test_matched_argv_builds_no_parser(self, capsys, monkeypatch):
         built, seen = [], []
         real = cli.build_parser
 
@@ -435,26 +435,21 @@ class TestParser:
         # the handlers are recorded in the table, so both paths reach them
         for name, (func, summary, options) in cli._COMMANDS.items():
             monkeypatch.setitem(cli._COMMANDS, name, (recorded(func), summary, options))
-        cli._parser.cache_clear()
         monkeypatch.setattr(cli, "build_parser", recording)
-        try:
-            code, out, _ = run(capsys, "synth", "--scheme", "ladder", "--n", "3")
-            assert code == 0
-            assert "toffoli  form 3  built 3" in out
-            code, out, _ = run(capsys, "table", "--max", "3", "--format", "csv")
-            assert (code, out.split(",")[0]) == (0, "n")
-            assert built == []
-            # taken by argparse, which builds the parser
-            code, out, _ = run(capsys, "table", "--max=3")
-            assert (code, out.split()[:2]) == (0, ["n", "ancilla"])
-            # neither synth's arguments nor csv carry over, on either path
-            code, out, _ = run(capsys, "table", "--max", "3")
-            assert (code, out.split()[:2]) == (0, ["n", "ancilla"])
-            code, out, _ = run(capsys, "table", "--max=3", "--format=csv")
-            assert (code, out.split(",")[0]) == (0, "n")
-        finally:
-            cli._parser.cache_clear()
-        assert len(built) == 1
+        code, out, _ = run(capsys, "synth", "--scheme", "ladder", "--n", "3")
+        assert code == 0
+        assert "toffoli  form 3  built 3" in out
+        code, out, _ = run(capsys, "table", "--max", "3", "--format", "csv")
+        assert (code, out.split(",")[0]) == (0, "n")
+        assert built == []
+        # taken by argparse, which builds the parser
+        code, out, _ = run(capsys, "table", "--max=3")
+        assert (code, out.split()[:2]) == (0, ["n", "ancilla"])
+        # neither synth's arguments nor csv carry over, on either path
+        code, out, _ = run(capsys, "table", "--max", "3")
+        assert (code, out.split()[:2]) == (0, ["n", "ancilla"])
+        code, out, _ = run(capsys, "table", "--max=3", "--format=csv")
+        assert (code, out.split(",")[0]) == (0, "n")
         synth, table = cli._COMMANDS["synth"][0], cli._COMMANDS["table"][0]
         assert seen == [
             {"command": "synth", "func": synth, "scheme": "ladder", "n": 3, "c": None,

@@ -28,7 +28,6 @@ from mctsynth.ir import (
     MAT_Z,
     NAMED_UNITARIES,
     QubitRole,
-    X_LIKE_KINDS,
     append,
     as_array,
     cnot,
@@ -171,6 +170,33 @@ class TestFullUnitary:
             want = np.stack([apply(circ, np.eye(dim, dtype=complex)[j]) for j in range(dim)], 1)
             assert np.abs(full_unitary(circ) - want).max() <= 1e-12, circ.gates
 
+    def test_matches_the_product_of_kron_gate_matrices(self):
+        # apply and full_unitary share one dense loop, so this is their
+        # reference: each gate's 2**w matrix spelt with np.kron, qubit 0
+        # the most significant bit, I - P + P (x) action where P projects
+        # every control onto |1>
+        def kron(factors):
+            out = np.ones((1, 1), dtype=complex)
+            for f in factors:
+                out = np.kron(out, f)
+            return out
+
+        one = np.diag([0, 1]).astype(complex)
+        circuits = [
+            _circ([C, C, T], [toffoli(0, 1, 2), cnot(2, 0), cv(1, 0), local(1, MAT_H)]),
+            _circ([T, C, C], [toffoli(2, 1, 0), cu(1, 0, MAT_T), x(2)]),
+            *_random_cases(),
+        ]
+        for circ in circuits:
+            width = circ.width
+            want = np.eye(2**width, dtype=complex)
+            for gate in circ.gates:
+                held = [one if q in gate.controls else np.eye(2) for q in range(width)]
+                acted = list(held)
+                acted[gate.target] = np.array(gate.action, dtype=complex)
+                want = (np.eye(2**width) - kron(held) + kron(acted)) @ want
+            assert np.abs(full_unitary(circ) - want).max() <= 1e-12, circ.gates
+
 
 class TestOracles:
     def test_cnx_flips_only_on_all_ones(self):
@@ -190,6 +216,14 @@ class TestOracles:
         assert abs(out[(1, 0)] - v[0, 0]) < 1e-12
         assert abs(out[(1, 1)] - v[1, 0]) < 1e-12
         assert o((0, 1)) == {(0, 1): 1.0 + 0j}
+
+    @pytest.mark.parametrize("matrix", [((1, 0), (0, 0)), ((0, 0), (0, 1)), ((2, 0), (0, 2))])
+    def test_matrix_not_unitary_refused(self, matrix):
+        # a zero column would give the input with every control set no
+        # output, which the table and the phase fit cannot read
+        for make in (ControlledOracle, oracle_cnu):
+            with pytest.raises(ValueError, match="^matrix is not unitary$"):
+                make(2, matrix)
 
 
 class TestCheckEquivalence:
@@ -1897,38 +1931,6 @@ class TestSymbolic:
         assert check_symbolic(circ, ControlledOracle(3, np.array(MAT_X))) == _PROVED
 
 
-def _unmemoised_steps(items):
-    """anf.steps with every window put on its qubits anew."""
-    steps = []
-    for s in items:
-        if isinstance(s, verify._Window):
-            at = s.qubits + (-4, -3, -2, -1)
-            if s.sign:
-                steps.append((anf.SIGN, tuple(tuple(at[q] for q in p) for p in s.sign)))
-            for t, ps in s.xor:
-                steps.append((at[t], tuple(tuple(at[q] for q in p) for p in ps)))
-        elif s.kind in X_LIKE_KINDS:
-            steps.append((s.target, (s.controls or (-1,),)))
-        else:
-            return None
-    return steps
-
-
-def test_steps_match_the_unmemoised_reference():
-    plans = [c.gates if is_classical(c) else verify._plan(c.gates) for c, _ in _parity_sweep()]
-    # two windows on one qubit that flip nothing and differ in sign only
-    plans.append(verify._plan([local(0, MAT_Z), toffoli(1, 2, 3),
-                               local(0, ((-1, 0), (0, 1))), toffoli(1, 2, 3)]))
-    windows = placed = 0
-    for items in plans:
-        assert anf.steps(items) == _unmemoised_steps(items)
-        shown = [s for s in items if isinstance(s, verify._Window)]
-        windows += len(shown)
-        placed += len({(id(s.xor), id(s.sign), s.qubits) for s in shown})
-    # some windows repeat one already placed
-    assert windows > placed > 0
-
-
 class TestClassicalKeyWidth:
     def test_too_many_inputs_refused_at_once(self):
         # 32 computational qubits: keys (m << 32) | out overflow int64
@@ -1938,26 +1940,6 @@ class TestClassicalKeyWidth:
             check_equivalence(circ, oracle_cnx(31))
         with pytest.raises(WidthLimitError, match="63-bit keys"):
             check_equivalence(circ, lambda bits: {bits: 1.0})
-
-
-def test_union_matches_np_unique():
-    # _classify's keys are two sorted runs, the circuit's and the
-    # table's; any other order and any repeats must give np.unique's
-    # union and inverse as well, to the bit
-    rng = np.random.default_rng(22)
-    for trial in range(300):
-        size = int(rng.integers(1, 200))
-        top = int(rng.choice([4, 1 << 12, 1 << 62]))
-        runs = [np.sort(rng.integers(0, top, int(rng.integers(0, size)) + 1))
-                for _ in range(2)]
-        if trial % 3 == 0:
-            runs = [rng.integers(0, top, size)]
-        keys = np.concatenate(runs).astype(np.int64)
-        union, where = verify._union(keys)
-        want_union, want_where = np.unique(keys, return_inverse=True)
-        assert union.dtype == want_union.dtype and where.dtype == want_where.dtype
-        assert union.tobytes() == want_union.tobytes()
-        assert where.tobytes() == want_where.tobytes()
 
 
 def test_bit_planes_and_polynomials_agree():
