@@ -16,7 +16,8 @@ time: a kind the basis keeps is kept, and any other gate is rewritten
 from what it applies to its target, ``Gate.action`` in ``ir``, the one
 map from gate kind to 2x2.  The Toffoli rules are data (kind, operand
 slots, matrix per gate), and one lowering builds each distinct output
-gate once and shares it with every repeat.
+gate once, shares it with every repeat, and hands its table of them to
+the lowered circuit, so the writers format each distinct gate once.
 
 The interesting part is what happens to Toffolis.  A lone Toffoli costs
 6 CNOTs (with locals, 15 gates total) or 5 two-qubit gates in the CV
@@ -54,7 +55,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter, itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .ir import (
     Circuit,
@@ -72,7 +73,7 @@ from .ir import (
     MAT_T,
     MAT_TDG,
     _prechecked_circuit,
-    _prechecked_gate,
+    _prechecked_gates,
 )
 
 
@@ -101,11 +102,6 @@ class LoweringError(Exception):
 _RuleGate = tuple[GateKind, Callable[[tuple[int, ...]], tuple[int, ...]],
                   Optional[Matrix2], Optional[bytes]]
 
-# How a rule's gates are made: through ``Gate`` on operands a caller
-# gave, or with ``_prechecked_gate`` on distinct operands of a checked
-# gate, since ``_rule`` checked each rule gate on its slots.
-_MakeGate = Callable[[GateKind, tuple[int, ...], Optional[Matrix2]], Gate]
-
 
 def _rule(*gates: tuple) -> tuple[_RuleGate, ...]:
     """A rule from (kind, operand slots[, matrix]) per gate, the slots
@@ -123,35 +119,45 @@ def _rule(*gates: tuple) -> tuple[_RuleGate, ...]:
     return tuple(out)
 
 
-# A table of the gates of one lowering holds one ``Gate`` per distinct
-# (kind, qubits, matrix bits), made on its first request and returned
-# for every repeat.  Matrices are keyed by their bits, since 0.0 == -0.0
-# would merge matrices that print differently.
-_GateTable = dict[tuple[GateKind, tuple[int, ...], Optional[bytes]], Gate]
+# A table of the gates of one lowering gives each distinct (kind,
+# qubits, matrix bits) its position in ``fields``, three lists of the
+# kinds, qubits and matrices, in the order the table met them; the gates
+# are made from ``fields`` once the lowering is done.  Matrices are
+# keyed by their bits, since 0.0 == -0.0 would merge matrices that
+# print differently.
+_GateTable = dict[tuple[GateKind, tuple[int, ...], Optional[bytes]], int]
+_Fields = tuple[list[GateKind], list[tuple[int, ...]], list[Optional[Matrix2]]]
 
 
-def _instantiate(
-    rule: tuple[_RuleGate, ...], operands: tuple[int, ...], table: _GateTable,
-    make: _MakeGate,
-) -> tuple[Gate, ...]:
-    """The rule's gates on ``operands``, from ``table``, each new one
-    made by ``make``."""
+def _instantiate(rule: tuple[_RuleGate, ...], operands: tuple[int, ...], table: _GateTable,
+                 fields: _Fields) -> tuple[int, ...]:
+    """The positions of the rule's gates on ``operands``, from
+    ``table``, each new one added to it and to ``fields``."""
+    kinds, qubits_of, matrices = fields
     out = []
     for kind, pick, matrix, bits in rule:
         qubits = pick(operands)
         key = (kind, qubits, bits)
-        gate = table.get(key)
-        if gate is None:
-            gate = table[key] = make(kind, qubits, matrix)
-        out.append(gate)
+        pos = table.get(key)
+        if pos is None:
+            pos = table[key] = len(kinds)
+            kinds.append(kind)
+            qubits_of.append(qubits)
+            matrices.append(matrix)
+        out.append(pos)
     return tuple(out)
 
 
-def _share(gate: Gate, table: _GateTable) -> Gate:
-    """The gate of ``table`` equal to ``gate`` in bits; ``gate`` itself
-    when it is the first."""
+def _rule_gates(rule: tuple[_RuleGate, ...], operands: tuple[int, ...]) -> tuple[Gate, ...]:
+    """The rule's gates on ``operands``, each made through ``Gate``."""
+    return tuple(Gate(kind, pick(operands), m) for kind, pick, m, _ in rule)
+
+
+def _share(gate: Gate, table: _GateTable, fields: _Fields) -> int:
+    """The position in ``table`` of the gate equal to ``gate`` in bits,
+    added to it and to ``fields`` when it is the first."""
     bits = None if gate.matrix is None else matrix_bits(gate.matrix)
-    return table.setdefault((gate.kind, gate.qubits, bits), gate)
+    return _instantiate(((gate.kind, tuple, gate.matrix, bits),), gate.qubits, table, fields)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +248,7 @@ def lower_toffoli(c1: int, c2: int, t: int, rule: ToffoliRule) -> tuple[Gate, ..
     gates = _RULES.get(rule)
     if gates is None:
         raise LoweringError(f"unknown rule {rule}")
-    return _instantiate(gates, (c1, c2, t), {}, Gate)
+    return _rule_gates(gates, (c1, c2, t))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +276,7 @@ def expand_controlled_unitary(
     phase shift on the control.  The matrix is checked first, through
     ``Gate`` on a slot as ``_rule`` checks a rule's."""
     matrix = Gate(_L, (0,), matrix).matrix
-    return _instantiate(_controlled_rule(matrix), (ctrl, tgt), {}, Gate)
+    return _rule_gates(_controlled_rule(matrix), (ctrl, tgt))
 
 
 def _controlled_rule(matrix: Matrix2) -> tuple[_RuleGate, ...]:
@@ -400,9 +406,15 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
     every Toffoli, so it is not paired.
 
     A circuit whose every gate the basis allows comes back with its own
-    gate objects.  Otherwise the lowered circuit holds one ``Gate``
-    object per distinct (kind, qubits, matrix bits), shared by all its
-    repeats, so the writers format each distinct gate once.
+    gate objects and its ``_gate_view``.  Otherwise the lowered circuit
+    holds one ``Gate`` object per distinct (kind, qubits, matrix bits),
+    shared by all its repeats, and lowering hands its table of them to
+    the circuit as its ``_gate_view``, so the writers format each
+    distinct gate once.  The table lists the gates in the order it made
+    them, which is not the order they first appear in; the one written
+    output that could depend on it is the kind a text writer's refusal
+    names, and a lowered circuit holds one kind without a text mnemonic
+    at most (cu: lowering refuses mcx).
 
     MCX gates are not accepted: synthesize them into Toffolis first.
     """
@@ -413,71 +425,69 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
             "mcx has no direct lowering; synthesize it into toffolis first"
         )
     entry = BASES[basis]
+    meta = replace(circuit.meta, basis=basis.value)
+    # each lowered operand is an operand of an input gate, which
+    # ``circuit`` checked, so no lowered circuit is range-checked again
     if kinds <= entry.allowed:
-        return _with_basis(circuit, gates, basis)
+        return _prechecked_circuit(circuit.roles, *circuit._gate_view, meta)
 
-    # Each distinct output gate is made once, in ``table``, and shared
+    # Each distinct output gate has one position in ``table``, shared
     # by every lowering that makes it.  ``memo`` lowers each distinct
     # pair's members once, by their operands, and each other gate
-    # object once, by its id; ``rules`` holds the controlled rule of
-    # each distinct action object.  Every operand a rule is
-    # instantiated on is a distinct operand of a checked input gate,
-    # so its gates are made with ``_prechecked_gate``.
+    # object once, by its id, to their positions; ``rules`` holds the
+    # controlled rule of each distinct action object.  Every operand a
+    # rule is instantiated on is a distinct operand of a checked input
+    # gate, and every other gate of ``fields`` passed ``Gate``, so the
+    # gates are made with ``_prechecked_gates``.
     table: _GateTable = {}
-    memo: dict[object, tuple] = {}
+    fields: _Fields = ([], [], [])
+    memo: dict[object, tuple[int, ...]] = {}
     rules: dict[int, tuple[_RuleGate, ...]] = {}
 
-    # A paired Toffoli's gates, by gate position.  A built circuit
-    # repeats its pairs, so most members are found in ``memo``.
-    at: dict[int, tuple[Gate, ...]] = {}
+    # A paired Toffoli's gate positions, by gate position.  A built
+    # circuit repeats its pairs, so most members are found in ``memo``.
+    at: dict[int, tuple[int, ...]] = {}
     if entry.lone is not None:
         for p in peres_pairing(circuit).pairs:
             g = gates[p.compute]
             operands = (p.cnot_target, p.cnot_control, g.target) if entry.on_xyt else g.qubits
             members = memo.get(operands)
             if members is None:
-                member = _instantiate(entry.member, operands, table, _prechecked_gate)
+                member = _instantiate(entry.member, operands, table, fields)
                 # where both members take one rule, they share its list
                 mirror = member if entry.mirror is entry.member \
-                    else _instantiate(entry.mirror, operands, table, _prechecked_gate)
+                    else _instantiate(entry.mirror, operands, table, fields)
                 members = memo[operands] = (member, mirror)
             at[p.compute], at[p.uncompute] = members
 
-    out_gates: list[Gate] = []
+    index: list[int] = []
     for i, g in enumerate(gates):
         lowered = at.get(i) or memo.get(id(g))
         if lowered is None:
-            lowered = memo[id(g)] = _lower_gate(g, entry, table, rules)
-        out_gates.extend(lowered)
-    return _with_basis(circuit, out_gates, basis)
+            lowered = memo[id(g)] = _lower_gate(g, entry, table, fields, rules)
+        index.extend(lowered)
+    return _prechecked_circuit(circuit.roles, _prechecked_gates(*fields), index, meta)
 
 
-def _lower_gate(
-    g: Gate, entry: Basis, table: _GateTable, rules: dict[int, tuple[_RuleGate, ...]]
-) -> tuple[Gate, ...]:
-    """One checked gate alone, in the basis of ``entry``, from
-    ``table``: a kind the basis keeps is the table's copy of it, a
-    Toffoli takes the lone rule, X is a local, and otherwise (CU, CV,
-    CVDG) the controlled ``Gate.action`` is a CU where the basis keeps
-    one and expanded where it does not, by its rule in ``rules``, keyed
-    by the id of the action, which the input circuit keeps alive."""
+def _lower_gate(g: Gate, entry: Basis, table: _GateTable, fields: _Fields,
+                rules: dict[int, tuple[_RuleGate, ...]]) -> tuple[int, ...]:
+    """The positions in ``table`` of one checked gate alone, in the
+    basis of ``entry``: a kind the basis keeps is the table's copy of
+    it, a Toffoli takes the lone rule, X is a local, and otherwise (CU,
+    CV, CVDG) the controlled ``Gate.action`` is a CU where the basis
+    keeps one and expanded where it does not, by its rule in ``rules``,
+    keyed by the id of the action, which the input circuit keeps
+    alive."""
     if g.kind in entry.allowed:
-        return (_share(g, table),)
+        return (_share(g, table, fields),)
     if g.kind is GateKind.TOFFOLI:
-        return _instantiate(entry.lone, g.qubits, table, _prechecked_gate)
+        return _instantiate(entry.lone, g.qubits, table, fields)
     action = g.action
     if g.kind is GateKind.X:
-        return (_share(local(g.target, action), table),)
+        return (_share(local(g.target, action), table, fields),)
     if GateKind.CU in entry.allowed:
-        return (_share(Gate(GateKind.CU, g.qubits, matrix=action), table),)
+        return (_share(Gate(GateKind.CU, g.qubits, matrix=action), table, fields),)
     rule = rules.get(id(action))
     if rule is None:
         rule = rules[id(action)] = _controlled_rule(action)
-    return _instantiate(rule, g.qubits, table, _prechecked_gate)
-
-
-def _with_basis(circuit: Circuit, gates: Sequence[Gate], basis: GateBasis) -> Circuit:
-    """The lowered circuit, not range-checked again: each lowered
-    operand is an operand of an input gate, which ``circuit`` checked."""
-    meta = replace(circuit.meta, basis=basis.value)
-    return _prechecked_circuit(circuit.roles, tuple(gates), meta)
+    return _instantiate(rule, g.qubits, table, fields)

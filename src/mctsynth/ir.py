@@ -18,9 +18,10 @@ import cmath
 import functools
 import math
 import struct
+from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import chain
+from itertools import chain, repeat
 from numbers import Number
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
@@ -126,14 +127,14 @@ class Gate:
     array, nested lists) as a tuple of two 2-tuples of complex
     numbers, so every gate is hashable.
 
-    Only two callers make a gate past these checks, with
-    ``_prechecked_gate``, because each has established them already:
+    Only two callers make gates past these checks, with
+    ``_prechecked_gates``, because each has established them already:
     ``decomp`` lowering, which instantiates a rule whose gates passed
     ``Gate`` on their operand slots on distinct operands of a checked
-    input gate, and the text reader of ``qasmio``, for a line whose
-    operands are distinct and as many as its kind takes and whose
-    ``u(...)`` matrix passed ``Gate`` on an earlier line of the same
-    call.
+    input gate, or keeps a gate that passed them, and the text reader
+    of ``qasmio``, for a line whose operands are distinct and as many
+    as its kind takes and whose ``u(...)`` matrix passed ``Gate`` on an
+    earlier line of the same call.
     """
 
     kind: GateKind
@@ -194,20 +195,21 @@ _set_kind, _set_qubits, _set_matrix = (
 )
 
 
-# fast path: synth-large jobs_per_s is 5.7% lower without it (CHANGES.md, fast paths priced)
-def _prechecked_gate(
-    kind: GateKind, qubits: tuple[int, ...], matrix: Optional[Matrix2] = None
-) -> Gate:
-    """A ``Gate`` of these fields without ``__init__``'s checks, for a
-    caller that has established them already: ``qubits`` a tuple of as
-    many distinct ``int`` operands as ``kind`` takes, and ``matrix`` a
-    unitary in tuple form exactly where the kind carries one.  Private
-    to the two callers the ``Gate`` docstring names."""
-    gate = object.__new__(Gate)
-    _set_kind(gate, kind)
-    _set_qubits(gate, qubits)
-    _set_matrix(gate, matrix)
-    return gate
+# fast path: synth-large jobs_per_s is 9.5% lower with `Gate` per gate (CHANGES.md, gate view)
+def _prechecked_gates(
+    kinds: list[GateKind], qubits: list[tuple[int, ...]], matrices: list[Optional[Matrix2]]
+) -> list[Gate]:
+    """A ``Gate`` of each kind, qubits and matrix, without ``__init__``'s
+    checks, for a caller that has established them already: ``qubits``
+    a tuple of as many distinct ``int`` operands as ``kind`` takes, and
+    ``matrix`` a unitary in tuple form exactly where the kind carries
+    one.  Each slot is written by one C-level pass over the gates, with
+    no Python call per gate.  Private to the two callers the ``Gate``
+    docstring names."""
+    gates = list(map(object.__new__, repeat(Gate, len(kinds))))
+    for setter, values in ((_set_kind, kinds), (_set_qubits, qubits), (_set_matrix, matrices)):
+        deque(map(setter, gates, values), maxlen=0)
+    return gates
 
 
 def _checked(
@@ -331,6 +333,19 @@ class Circuit:
     are all operands of its checked input, and the text and JSON
     readers of ``qasmio``, which refuse each operand token or entry
     where they read it.
+
+    ``_gate_view`` holds each distinct gate object once, and for each
+    gate the position of its object among them, so that the writers
+    format each distinct gate once.  It is not a field: equality,
+    hashing, ``repr`` and ``replace`` see only the three fields.  The
+    three callers of ``_prechecked_circuit`` hand over the view from the
+    table of distinct gates they build anyway (lowering, for a circuit
+    it keeps whole, hands over that circuit's view); any other circuit
+    works it out by ``id`` on first use.  Either way it is a memo of
+    the object, kept as long as the circuit is and carried by a pickle
+    or a copy.  Its two lists may be shared with another circuit (a
+    circuit lowering keeps whole shares them with its input), so they
+    are never mutated.
     """
 
     roles: tuple[QubitRole, ...]
@@ -356,20 +371,34 @@ class Circuit:
     def width(self) -> int:
         return len(self.roles)
 
+    @functools.cached_property
+    def _gate_view(self) -> tuple[list[Gate], list[int]]:
+        """Each distinct gate object, in order of first appearance, and
+        the position of each gate's object among them.  Keyed on id(),
+        which is safe since ``gates`` keeps every gate alive; Gate
+        equality is not, because 0.0 == -0.0 would merge matrices that
+        print differently."""
+        ids = list(map(id, self.gates))
+        distinct = dict(zip(ids, self.gates))
+        position = dict(zip(distinct, range(len(distinct))))
+        return list(distinct.values()), list(map(position.__getitem__, ids))
+
     def indices_with_role(self, role: QubitRole) -> tuple[int, ...]:
         return tuple(i for i, r in enumerate(self.roles) if r is role)
 
 
-# fast path: synth-large jobs_per_s is 6.1-6.9% lower without it (CHANGES.md, fast paths priced)
+# fast path: synth-large jobs_per_s is 19.3% lower with `Circuit` and the id view (CHANGES.md, gate view)
 def _prechecked_circuit(
-    roles: tuple[QubitRole, ...], gates: tuple[Gate, ...], meta: CircuitMeta
+    roles: tuple[QubitRole, ...], distinct: list[Gate], index: list[int], meta: CircuitMeta
 ) -> Circuit:
-    """A ``Circuit`` of these fields without ``__post_init__``'s range
-    check, for a caller that has checked every operand against
-    ``len(roles)`` already.  Private to the three callers the
-    ``Circuit`` docstring names."""
+    """The ``Circuit`` whose gates are ``distinct[i]`` for each ``i`` of
+    ``index``, with the two as its ``_gate_view``, made without
+    ``__post_init__``'s range check, for a caller that has checked
+    every operand against ``len(roles)`` already.  Private to the three
+    callers the ``Circuit`` docstring names."""
     circuit = object.__new__(Circuit)
-    vars(circuit).update(roles=roles, gates=gates, meta=meta)
+    gates = tuple(map(distinct.__getitem__, index))
+    vars(circuit).update(roles=roles, gates=gates, meta=meta, _gate_view=(distinct, index))
     return circuit
 
 

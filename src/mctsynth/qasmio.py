@@ -26,16 +26,19 @@ exactly.  Integers in a text file are written one way only: 0, or a
 digit 1-9 followed by digits, all ASCII.  Files are read and written as
 UTF-8.
 
-Lowered circuits repeat most of their gates, and ``lower_circuit``
-shares one ``Gate`` object per distinct gate, so the writers format
-each distinct gate object once, from a template per gate kind, and the
-text of each matrix once per matrix object in the call.  The JSON
-writer's bytes are ``json.dumps(doc, indent=2)`` plus a newline, but
-it fills templates for the header and for each matrix too, with
-``json.dumps`` of each scalar and ``float.__repr__`` of each matrix
-number, which is what the encoder writes: ``indent=2`` sends
-``json.dumps`` to its pure-Python encoder, which costs more than all
-the gates do.
+Lowered and read circuits repeat most of their gates, and each
+circuit's ``_gate_view`` lists its distinct gate objects once, with
+each gate's position among them.  Lowering and both readers hand
+over the table they build anyway, and any other circuit works the view
+out by ``id`` on first use.  The writers format each distinct gate
+once, from a template per gate kind, and the text of each matrix once
+per matrix object in the call, then give each gate its text by
+position in one C-level pass.  The JSON writer's bytes are
+``json.dumps(doc, indent=2)`` plus a newline, but it fills templates
+for the header and for each matrix too, with ``json.dumps`` of each
+scalar and ``float.__repr__`` of each matrix number, which is what the
+encoder writes: ``indent=2`` sends ``json.dumps`` to its pure-Python
+encoder, which costs more than all the gates do.
 
 The text reader parses each distinct line once, and the JSON reader
 each distinct gate entry, and each shares its ``Gate`` with every
@@ -49,6 +52,9 @@ distinct.  A ``u(...)`` matrix goes through ``Gate``'s unitarity check
 on the first line that holds it, and so does any line that breaks a
 rule, so each refusal names the first rule broken and its line.
 Nothing is kept from one call to the next.
+
+``save`` writes a file with ``os.write``, in binary mode, so no
+platform translates line ends: every file is written with LF.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ from .ir import (
     QubitRole,
     ROLE_BY_LETTER,
     _prechecked_circuit,
-    _prechecked_gate,
+    _prechecked_gates,
     is_int,
     matrix_bits,
 )
@@ -216,23 +222,19 @@ def dumps_text(circuit: Circuit) -> str:
     lines.append("meta " + " ".join(
         f"{key}={'-' if fields[key] is None else fields[key]}" for key in _META_KEYS
     ))
-    lines += _format_each_once(circuit.gates, _gate_lines)
+    lines += _format_each_once(circuit, _gate_lines)
     lines.append("")  # the final newline, with no second copy of the text
     return "\n".join(lines)
 
 
 def _format_each_once(
-    gates: tuple[Gate, ...], fmt: Callable[[list[Gate]], list[str]]
+    circuit: Circuit, fmt: Callable[[list[Gate]], list[str]]
 ) -> list[str]:
-    """The text of each gate, from one call of fmt, which returns the
-    text of each distinct gate object given to it in order of first
-    appearance.  Keying on id() is safe since the tuple keeps every
-    gate alive; Gate equality is not, because 0.0 == -0.0 would merge
-    matrices that print differently."""
-    ids = list(map(id, gates))
-    distinct = dict(zip(ids, gates))
-    text = dict(zip(distinct, fmt(list(distinct.values()))))
-    return list(map(text.__getitem__, ids))
+    """The text of each gate of the circuit, from one call of fmt,
+    which returns the text of each distinct gate object of the
+    circuit's ``_gate_view``, in its order."""
+    distinct, index = circuit._gate_view
+    return list(map(fmt(distinct).__getitem__, index))
 
 
 def _gate_lines(gates: list[Gate]) -> list[str]:
@@ -332,12 +334,16 @@ def loads_text(text: str) -> Circuit:
 
     # The body's raw lines, each distinct one once, in order of first
     # appearance.  A gate line's Gate depends only on its text and the
-    # width, so it is parsed, checked and built once and shared by every
-    # repeat; blank and comment lines map to None.  The first bad line
-    # in this order is the first in the file, and its number is looked
-    # up only to raise.
+    # width, so it is parsed and checked once, and its kind, qubits and
+    # matrix go into three lists, at the position ``parsed`` keeps for
+    # the line and every repeat; blank and comment lines keep None.  The
+    # first bad line in this order is the first in the file, and its
+    # number is looked up only to raise.
     body = lines[lineno:]
-    parsed: dict[str, Optional[Gate]] = dict.fromkeys(body)
+    parsed: dict[str, Optional[int]] = dict.fromkeys(body)
+    kinds: list[GateKind] = []
+    qubits_of: list[tuple[int, ...]] = []
+    matrices: list[Optional[Matrix2]] = []
     # Each distinct mnemonic is read once (a u() with its matrix), and
     # each distinct index token.  The index memo starts with every index
     # below the width, as the writers spell it, unless the width is more
@@ -348,10 +354,11 @@ def loads_text(text: str) -> Circuit:
         dict(zip(map(str, range(width)), range(width))) if width <= 3 * len(parsed) else {}
     )
     for raw in parsed:
-        line = raw.strip()
-        if not line or line[0] == "#":
+        # split drops the whitespace strip would, and a blank line reads
+        # as a comment
+        mnemonic, *tokens = raw.split() or ("#",)
+        if mnemonic[0] == "#":
             continue
-        mnemonic, *tokens = line.split()
         try:
             head = heads.get(mnemonic)
             if head is None:
@@ -366,21 +373,25 @@ def loads_text(text: str) -> Circuit:
             # and distinct, and a matrix that passed Gate already, are
             # all that Gate checks; any other line goes through Gate,
             # which refuses it with the message of its first broken rule
-            if len(qubits) == arity and len(set(qubits)) == arity:
-                gate = _prechecked_gate(kind, qubits, matrix)
-            else:
-                gate = Gate(kind, qubits, matrix)
+            if not (len(qubits) == arity and len(set(qubits)) == arity):
+                matrix = Gate(kind, qubits, matrix).matrix
                 if arity is None:
-                    heads[mnemonic] = (kind, gate.matrix, 1)
+                    heads[mnemonic] = (kind, matrix, 1)
         except ValueError as exc:
             # a CircuitFileError here has no line yet, and the message
             # of one that Gate raises is the gate's own
             raise CircuitFileError(str(exc), lineno + body.index(raw) + 1) from None
-        parsed[raw] = gate
-    gates = tuple(filter(None, map(parsed.__getitem__, body)))
+        parsed[raw] = len(kinds)
+        kinds.append(kind)
+        qubits_of.append(qubits)
+        matrices.append(matrix)
+    index = list(map(parsed.__getitem__, body))
+    if len(kinds) < len(parsed):
+        # blank and comment lines hold no gate
+        index = [i for i in index if i is not None]
     # every operand came from ``indices``, which holds only indices
     # below the width, so the circuit is not range-checked again
-    return _prechecked_circuit(roles, gates, meta)
+    return _prechecked_circuit(roles, _prechecked_gates(kinds, qubits_of, matrices), index, meta)
 
 
 def _parse_u(mnemonic: str) -> tuple[GateKind, Matrix2, None]:
@@ -449,7 +460,7 @@ def dumps_json(circuit: Circuit) -> str:
         return head + "\n"
     # one join writes the whole text: the header goes on the first gate,
     # and the end of the document on the last
-    entries = _format_each_once(circuit.gates, _json_gates)
+    entries = _format_each_once(circuit, _json_gates)
     entries[0] = head[: -len(_JSON_EMPTY_GATES)] + "[\n" + entries[0]
     entries[-1] += "\n  ]\n}\n"
     return ",\n".join(entries)
@@ -569,24 +580,28 @@ def loads_json(text: str) -> Circuit:
         raise CircuitFileError(f"meta must be an object, got {raw_meta!r}")
     meta = _meta(raw_meta or {})
 
-    # Each distinct entry is checked and built once, and its Gate shared
-    # by every repeat.  Only a built entry is stored, so the first bad
-    # entry still fails at its own position.
-    built: dict[tuple, Gate] = {}
-    gates: list[Gate] = []
+    # Each distinct entry is checked and built once, into ``distinct``,
+    # and its position there shared by every repeat.  Only a built
+    # entry is stored, so the first bad entry still fails at its own
+    # position.
+    built: dict[tuple, int] = {}
+    distinct: list[Gate] = []
+    index: list[int] = []
     for pos, entry in enumerate(raw_gates):
         key = _entry_key(entry)
-        gate = built.get(key)
-        if gate is None:
+        i = built.get(key)
+        if i is None:
             try:
                 gate = _gate_from_json(entry, width)
             except CircuitFileError as exc:
                 raise CircuitFileError(f"bad gate entry {pos}: {exc}") from None
+            i = len(distinct)
+            distinct.append(gate)
             if key is not None:
-                built[key] = gate
-        gates.append(gate)
+                built[key] = i
+        index.append(i)
     # ``_gate_from_json`` refused every operand outside the width
-    return _prechecked_circuit(roles, tuple(gates), meta)
+    return _prechecked_circuit(roles, distinct, index, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +623,11 @@ def loads(text: str) -> Circuit:
     return loads_text(text)
 
 
+# ``save`` writes with os.write, in binary mode where the platform has a
+# text mode, so no line end is translated.
+_BINARY = getattr(os, "O_BINARY", 0)
+
+
 def format_for_path(path: Union[str, os.PathLike]) -> str:
     """The format a path names by its suffix: "json" or "text"."""
     return "json" if Path(path).suffix.lower() == ".json" else "text"
@@ -615,12 +635,19 @@ def format_for_path(path: Union[str, os.PathLike]) -> str:
 
 def save(circuit: Circuit, path: Union[str, os.PathLike], fmt: Optional[str] = None) -> str:
     """Write the circuit in ``fmt``, else in the format the path names,
-    and return the format written."""
+    and return the format written.  The text is made and encoded before
+    the file is opened, so a circuit the writer refuses creates no file,
+    and the bytes are written as they are, with LF line ends on every
+    platform."""
     fmt = fmt or format_for_path(path)
-    text = dumps(circuit, fmt)
+    data = memoryview(dumps(circuit, fmt).encode("utf-8"))
     try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _BINARY, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise CircuitFileError(f"cannot write {path}: {exc.strerror}") from None
     return fmt

@@ -608,7 +608,12 @@ def _unmemoised_lowering(circuit, basis):
         elif g.kind is GateKind.TOFFOLI:
             out.extend(members.get(i) or lower_toffoli(*g.qubits, lone))
         else:
-            out.extend(_lower_gate(g, BASES[basis], {}, {}))
+            # _lower_gate gives positions in a table of its own, whose
+            # kinds, qubits and matrices it lists
+            fields = ([], [], [])
+            positions = _lower_gate(g, BASES[basis], {}, fields, {})
+            made = list(map(Gate, *fields))
+            out.extend(map(made.__getitem__, positions))
     return out
 
 

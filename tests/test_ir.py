@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mctsynth.decomp import ToffoliPair
+from mctsynth.decomp import GateBasis, ToffoliPair, lower_circuit
 from mctsynth.ir import (
     Circuit,
     CircuitMeta,
@@ -48,6 +48,7 @@ from mctsynth.ir import (
     toffoli,
     x,
 )
+from mctsynth.ladder import build_cnx
 
 
 def _ct_roles(n_controls: int, extra=()):
@@ -232,19 +233,30 @@ def test_gate_checks_match_the_reference():
 
 
 def test_dataclass_contract():
-    """Gate and ToffoliPair are frozen dataclasses, with their fields,
-    whose replace runs the checks again, and whose pickle and deep copy
-    give back an equal object with an equal hash.  An MCX takes the
-    full checks and the others the one-pass check."""
+    """Gate, ToffoliPair and Circuit are frozen dataclasses, with their
+    fields, whose replace runs the checks again, and whose pickle and
+    deep copy give back an equal object with an equal hash.  An MCX
+    takes the full checks and the others the one-pass check.  A
+    circuit's gate view is not a field: a lowered circuit, which holds
+    one handed over by lowering, and a built one, which works its own
+    out, compare and hash by their fields alone, and every copy's view
+    matches its own gates."""
+    built = build_cnx(3)
+    lowered = lower_circuit(built, GateBasis.CV_BASIS)
+    outside = "gate ccx(0, 1, 5) references qubit 5 outside width 5"
     objects = [
         (toffoli(0, 1, 2), {"qubits": (0, 1, 0)}, "duplicate operand in ccx(0, 1, 0)"),
         (local(3, MAT_T), {"kind": GateKind.CU, "qubits": (2, 2)},
          "duplicate operand in cu(2, 2)"),
         (mcx([0, 1, 2], 3), {"qubits": (0, 1, 2, 1)}, "duplicate operand in mcx(0, 1, 2, 1)"),
         (ToffoliPair(2, 9, 0, 1), None, None),
+        (lowered, {"gates": (toffoli(0, 1, 5),)}, outside),
+        (built, {"gates": (toffoli(0, 1, 5),)}, outside),
     ]
     names = {Gate: ["kind", "qubits", "matrix"],
-             ToffoliPair: ["compute", "uncompute", "cnot_control", "cnot_target"]}
+             ToffoliPair: ["compute", "uncompute", "cnot_control", "cnot_target"],
+             Circuit: ["roles", "gates", "meta"]}
+    assert "_gate_view" in vars(lowered) and "_gate_view" not in vars(built)
     for obj, bad, message in objects:
         fields = [f.name for f in dataclasses.fields(obj)]
         assert fields == names[type(obj)]
@@ -257,6 +269,17 @@ def test_dataclass_contract():
                       dataclasses.replace(obj)):
             assert other == obj and hash(other) == hash(obj)
             assert [getattr(other, n) for n in fields] == [getattr(obj, n) for n in fields]
+            if isinstance(obj, Circuit):
+                assert repr(other) == repr(obj)
+                distinct, index = other._gate_view
+                assert [distinct[i] for i in index] == list(other.gates)
+                assert all(distinct[i] is g for i, g in zip(index, other.gates))
+        if isinstance(obj, Circuit):
+            # the view, once there, travels with a pickle, which keeps
+            # the gates' identities, and stays out of == and repr
+            obj._gate_view
+            assert "_gate_view" in vars(pickle.loads(pickle.dumps(obj)))
+            assert obj == dataclasses.replace(obj) and "_gate_view" not in repr(obj)
         if bad is not None:
             with pytest.raises(ValueError) as exc:
                 dataclasses.replace(obj, **bad)

@@ -11,7 +11,7 @@ import pytest
 
 from mctsynth.cli import main
 from mctsynth.cycle import build_cycle_cnx, build_cycle_cnx_auto, build_two_cycle_cnx
-from mctsynth.decomp import GateBasis, lower_circuit
+from mctsynth.decomp import BASES, GateBasis, lower_circuit
 from mctsynth.ir import (
     ROLE_BY_LETTER,
     Circuit,
@@ -25,6 +25,7 @@ from mctsynth.ir import (
     append,
     cnot,
     cu,
+    cv,
     local,
     matrix_bits,
     mcx,
@@ -1037,6 +1038,104 @@ def test_signed_zeros_written_apart_in_text():
         [matrix_bits(g.matrix) for g in circ.gates]
 
 
+def _reference_dumps_text(circuit):
+    """The text file written out one gate at a time, with no sharing."""
+    m = circuit.meta
+    lines = [f"mctqasm v1 width {circuit.width}",
+             "roles " + "".join(r.value for r in circuit.roles),
+             "meta " + " ".join(f"{key}={'-' if v is None else v}" for key, v in
+                                (("scheme", m.scheme), ("n", m.n), ("c", m.c), ("basis", m.basis)))]
+    for g in circuit.gates:
+        if g.kind is GateKind.LOCAL:
+            entries = ",".join(_fmt_complex(z) for row in g.matrix for z in row)
+            lines.append(f"u({entries}) {g.qubits[0]}")
+        else:
+            lines.append(" ".join([g.kind.value, *map(str, g.qubits)]))
+    return "\n".join(lines) + "\n"
+
+
+def _assert_view(circ, first_appearance=True):
+    """The circuit's gate view lists each distinct gate object once,
+    every one of them used, and gives each gate its own object; a view
+    a reader or ``id`` made lists them in order of first appearance."""
+    distinct, index = circ._gate_view
+    assert len(index) == len(circ.gates)
+    assert all(distinct[i] is g for i, g in zip(index, circ.gates))
+    assert len(set(map(id, distinct))) == len(distinct) == len(set(index))
+    if first_appearance:
+        assert list(map(id, distinct)) == list(dict.fromkeys(map(id, circ.gates)))
+
+
+def _view_builds():
+    """Every scheme's build at n=2..40, and the controlled unitaries."""
+    for n in range(2, 41):
+        yield build_cnx(n)
+        yield build_cycle_cnx(n, 1)
+        if n >= 3:
+            yield build_cycle_cnx_auto(n)
+            yield build_two_cycle_cnx(n)
+    yield build_workspace_toffoli()
+    yield build_workspace_c3x()
+    for matrix in NAMED_UNITARIES.values():
+        yield from (build_cnu(n, matrix) for n in (1, 2, 5))
+
+
+@pytest.mark.parametrize("basis", list(GateBasis))
+def test_gate_views_of_lowering_and_readers(basis):
+    # lowering hands over its table, in the order it made the gates, or
+    # where it keeps every gate, the view of its input, by id; each
+    # reader hands over its own, and any other circuit works one out by
+    # id.  Every writer's bytes are the per-gate references' whichever
+    # made the view (checked up to width 20, as the json reference runs
+    # json's pure-Python encoder).
+    for built in _view_builds():
+        lowered = lower_circuit(built, basis)
+        assert "_gate_view" in vars(lowered)
+        _assert_view(lowered, first_appearance={g.kind for g in built.gates} <= BASES[basis].allowed)
+        # a lowered circuit holds no mcx, so cu is the one kind whose
+        # text refusal its table's order could pick
+        assert GateKind.MCX not in {g.kind for g in lowered.gates}
+        for circ in (built, lowered):
+            text_ok = not {g.kind for g in circ.gates} & {GateKind.MCX, GateKind.CU}
+            fresh = Circuit(circ.roles, circ.gates, circ.meta)
+            for c in (circ, fresh) if circ.width <= 20 else ():
+                assert dumps_json(c) == _reference_dumps_json(c)
+                if text_ok:
+                    assert dumps_text(c) == _reference_dumps_text(c)
+            _assert_view(fresh)
+            for text in ([dumps_text(circ)] if text_ok else []) + [dumps_json(circ)]:
+                read = loads(text)
+                _assert_view(read)
+                assert dumps(read, "json") == dumps_json(circ)
+
+
+def test_reader_views_over_the_digest_builds():
+    # the files tests/test_digests.py hashes, each read back by its
+    # reader: a view in order of first appearance, and the same bytes
+    builds = [build_cnx(n) for n in range(1, 41)]
+    builds += [build_cycle_cnx(n, c) for n in range(2, 41) for c in range(1, n)]
+    builds += [build_two_cycle_cnx(n) for n in range(3, 41)]
+    builds += [build_workspace_toffoli(), build_workspace_c3x()]
+    cnu = [build_cnu(n, m) for n in range(1, 13) for m in NAMED_UNITARIES.values()]
+    for dump in (dumps_text, dumps_json):
+        for built in builds + (cnu if dump is dumps_json else []):
+            text = dump(built)
+            read = loads(text)
+            _assert_view(read)
+            assert dump(read) == text
+
+
+def test_text_refusal_names_the_one_kind_lowering_can_hold():
+    # cv and cu lower to cu in the toffoli basis, whatever comes first
+    circ = append(new_circuit([C, C, T]), toffoli(0, 1, 2), cv(0, 2), cu(1, 2, MAT_T),
+                  toffoli(0, 1, 2))
+    lowered = lower_circuit(circ, GateBasis.NATIVE_TOFFOLI)
+    for c in (lowered, Circuit(lowered.roles, lowered.gates, lowered.meta)):
+        with pytest.raises(CircuitFileError) as info:
+            dumps_text(c)
+        assert str(info.value) == "gate kind 'cu' has no text mnemonic; use the json format"
+
+
 @pytest.mark.parametrize("operand", [True, False, 1.0, np.int64(1)])
 @pytest.mark.parametrize("dump", [dumps_text, dumps_json])
 def test_no_writer_gets_a_non_integer_operand(dump, operand):
@@ -1098,6 +1197,38 @@ class TestSniffAndFiles:
     def test_dumps_unknown_format(self):
         with pytest.raises(ValueError):
             dumps(build_cnx(2), "yaml")
+
+    def test_save_truncates_a_longer_file(self, tmp_path):
+        path = tmp_path / "c.mct"
+        path.write_bytes(b"#" * 100_000)
+        circ = build_cnx(2)
+        save(circ, path)
+        assert path.read_bytes() == dumps_text(circ).encode()
+
+    def test_file_past_one_mebibyte_round_trips(self, tmp_path):
+        head = "mctqasm v1 width 3\nroles cct\nmeta scheme=- n=- c=- basis=-\n"
+        lines = ["ccx 0 1 2", "cx 1 2", "u(0.0+0.0j,1.0+0.0j,1.0+0.0j,0.0+0.0j) 0", "x 2"]
+        repeats = (1 << 20) // 40
+        text = head + "".join(f"{line}\n" for line in lines * repeats)
+        assert len(text) > 1 << 20
+        (tmp_path / "big.mct").write_bytes(text.encode())
+        circ = load(tmp_path / "big.mct")
+        assert len(circ.gates) == len(lines) * repeats
+        save(circ, tmp_path / "again.mct")
+        assert (tmp_path / "again.mct").read_bytes() == text.encode()
+
+    def test_crlf_file_reads_as_lf(self, tmp_path):
+        text = dumps_text(lower_circuit(build_cnx(4), GateBasis.CV_BASIS))
+        (tmp_path / "crlf.mct").write_bytes(text.replace("\n", "\r\n").encode())
+        assert dumps_text(load(tmp_path / "crlf.mct")) == text
+
+    def test_directory_refused(self, tmp_path):
+        with pytest.raises(CircuitFileError) as caught:
+            load(tmp_path)
+        assert str(caught.value) == f"cannot read {tmp_path}: Is a directory"
+        with pytest.raises(CircuitFileError) as caught:
+            save(build_cnx(2), tmp_path)
+        assert str(caught.value) == f"cannot write {tmp_path}: Is a directory"
 
 
 def _file_bytes():

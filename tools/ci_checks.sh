@@ -1,14 +1,29 @@
 #!/usr/bin/env bash
 # End-to-end checks of the `mct` console script: cost notes, round-trip
-# bytes, verdicts and witnesses, exit codes and exact error lines.  The
-# scratch files go in the current directory.  MCT names the command to
-# run, `mct` by default; from a checkout without an install:
+# bytes, verdicts and witnesses, exit codes and exact error lines; and
+# the benchmark's own tests and answers.  The scratch files go in the
+# current directory.  MCT names the command to run, `mct` by default;
+# from a checkout without an install:
 #
 #   MCT="python -m mctsynth.cli" PYTHONPATH=src bash tools/ci_checks.sh
 #
 # Exits non-zero at the first check that fails, as a CI step does.
 set -e
 mct() { command ${MCT:-mct} "$@"; }
+root="$(cd "$(dirname "$0")/.." && pwd)"
+# the [project.scripts] entry names a function that imports
+grep -qx 'mct = "mctsynth.cli:main"' "$root/pyproject.toml"
+python3 -c "from mctsynth.cli import main; import sys; sys.exit(0 if callable(main) else 1)"
+# the benchmark's tests
+python3 -m pytest "$root/perfbench" -q
+# every benchmark answer right: run.py exits 0 even on wrong answers,
+# so read its last JSON line
+python3 "$root/perfbench/run.py" --workload all --seconds 1 | tail -n 1 > bench-summary.json
+python3 -c "import json, sys; r = json.load(open('bench-summary.json')); print(r['correct'], r['failed']); sys.exit(0 if r['correct'] is True and r['failed'] == 0 else 1)"
+# a traced synth-verify pass: every answer right, and no input
+# simulated again on the dense statevector
+python3 "$root/perfbench/run.py" --workload synth-verify --seconds 1 --trace 1 | tail -n 1 > trace-summary.json
+python3 -c "import json, sys; r = json.load(open('trace-summary.json')); d = r['metrics']['verify.dense_calls']['value']; print(r['correct'], r['failed'], d); sys.exit(0 if r['correct'] is True and r['failed'] == 0 and d == 0 else 1)"
 mct table --max 64 --format csv
 # the workspace C^3X in cnot: paired members at 7 gates, and the
 # 11-gate reading noted beside it
