@@ -405,44 +405,39 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
     circuit equals the original as a unitary.  The toffoli basis keeps
     every Toffoli, so it is not paired.
 
-    A circuit whose every gate the basis allows comes back with its own
-    gate objects and its ``_gate_view``.  Otherwise the lowered circuit
-    holds one ``Gate`` object per distinct (kind, qubits, matrix bits),
-    shared by all its repeats, and lowering hands its table of them to
-    the circuit as its ``_gate_view``, so the writers format each
-    distinct gate once.  The table lists the gates in the order it made
-    them, which is not the order they first appear in; the one written
-    output that could depend on it is the kind a text writer's refusal
-    names, and a lowered circuit holds one kind without a text mnemonic
-    at most (cu: lowering refuses mcx).
+    The lowered circuit holds one ``Gate`` object per distinct (kind,
+    qubits, matrix bits), shared by all its repeats, and lowering hands
+    its table of them to the circuit as its ``_gate_view``, so the
+    writers format each distinct gate once.  Each distinct pair's
+    members are lowered once, by their operands; every other gate is
+    lowered where it stands, and finds the gates it makes in the table.
+    The table lists the gates in the order it made them, which is not
+    the order they first appear in; the one written output that could
+    depend on it is the kind a text writer's refusal names, and a
+    lowered circuit holds one kind without a text mnemonic at most (cu:
+    lowering refuses mcx).
 
     MCX gates are not accepted: synthesize them into Toffolis first.
     """
     gates = circuit.gates
-    kinds = set(map(attrgetter("kind"), gates))
-    if GateKind.MCX in kinds:
+    if GateKind.MCX in set(map(attrgetter("kind"), gates)):
         raise LoweringError(
             "mcx has no direct lowering; synthesize it into toffolis first"
         )
     entry = BASES[basis]
     meta = replace(circuit.meta, basis=basis.value)
-    # each lowered operand is an operand of an input gate, which
-    # ``circuit`` checked, so no lowered circuit is range-checked again
-    if kinds <= entry.allowed:
-        return _prechecked_circuit(circuit.roles, *circuit._gate_view, meta)
 
     # Each distinct output gate has one position in ``table``, shared
     # by every lowering that makes it.  ``memo`` lowers each distinct
-    # pair's members once, by their operands, and each other gate
-    # object once, by its id, to their positions; ``rules`` holds the
-    # controlled rule of each distinct action object.  Every operand a
-    # rule is instantiated on is a distinct operand of a checked input
-    # gate, and every other gate of ``fields`` passed ``Gate``, so the
-    # gates are made with ``_prechecked_gates``.
+    # pair's members once, by their operands, to their positions.
+    # Every operand a rule is instantiated on is a distinct operand of
+    # a checked input gate, and every other gate of ``fields`` passed
+    # ``Gate``, so the gates are made with ``_prechecked_gates``; and
+    # ``circuit`` checked every operand, so the lowered circuit is not
+    # range-checked again.
     table: _GateTable = {}
     fields: _Fields = ([], [], [])
-    memo: dict[object, tuple[int, ...]] = {}
-    rules: dict[int, tuple[_RuleGate, ...]] = {}
+    memo: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     # A paired Toffoli's gate positions, by gate position.  A built
     # circuit repeats its pairs, so most members are found in ``memo``.
@@ -462,22 +457,16 @@ def lower_circuit(circuit: Circuit, basis: GateBasis) -> Circuit:
 
     index: list[int] = []
     for i, g in enumerate(gates):
-        lowered = at.get(i) or memo.get(id(g))
-        if lowered is None:
-            lowered = memo[id(g)] = _lower_gate(g, entry, table, fields, rules)
-        index.extend(lowered)
+        index.extend(at.get(i) or _lower_gate(g, entry, table, fields))
     return _prechecked_circuit(circuit.roles, _prechecked_gates(*fields), index, meta)
 
 
-def _lower_gate(g: Gate, entry: Basis, table: _GateTable, fields: _Fields,
-                rules: dict[int, tuple[_RuleGate, ...]]) -> tuple[int, ...]:
+def _lower_gate(g: Gate, entry: Basis, table: _GateTable, fields: _Fields) -> tuple[int, ...]:
     """The positions in ``table`` of one checked gate alone, in the
     basis of ``entry``: a kind the basis keeps is the table's copy of
     it, a Toffoli takes the lone rule, X is a local, and otherwise (CU,
     CV, CVDG) the controlled ``Gate.action`` is a CU where the basis
-    keeps one and expanded where it does not, by its rule in ``rules``,
-    keyed by the id of the action, which the input circuit keeps
-    alive."""
+    keeps one and expanded by its rule where it does not."""
     if g.kind in entry.allowed:
         return (_share(g, table, fields),)
     if g.kind is GateKind.TOFFOLI:
@@ -487,7 +476,4 @@ def _lower_gate(g: Gate, entry: Basis, table: _GateTable, fields: _Fields,
         return (_share(local(g.target, action), table, fields),)
     if GateKind.CU in entry.allowed:
         return (_share(Gate(GateKind.CU, g.qubits, matrix=action), table, fields),)
-    rule = rules.get(id(action))
-    if rule is None:
-        rule = rules[id(action)] = _controlled_rule(action)
-    return _instantiate(rule, g.qubits, table, fields)
+    return _instantiate(_controlled_rule(action), g.qubits, table, fields)

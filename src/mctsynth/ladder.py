@@ -102,8 +102,9 @@ class CyclePlan:
 
     def ops(self, basis: GateBasis) -> int:
         """Gate count of the build lowered to ``basis``."""
-        return lowered_ops(basis, self.paired, self.unpaired, self.copies,
-                           self.payload is not None)
+        member, lone, cu = BASES[basis].lengths
+        return (member * self.paired + lone * self.unpaired + self.copies
+                + (cu if self.payload is not None else 0))
 
 
 def block_counts(widths: Sequence[int], payload: bool = False) -> tuple[int, int, int]:
@@ -137,14 +138,6 @@ def block_counts(widths: Sequence[int], payload: bool = False) -> tuple[int, int
         paired += 2 * (final - 2)
         unpaired += 1
     return paired, unpaired, copies
-
-
-def lowered_ops(basis: GateBasis, paired: int, unpaired: int, copies: int,
-                payload: bool = False) -> int:
-    """Gate count, lowered to ``basis``, of a build with these counts
-    from ``block_counts``, and a controlled payload if ``payload``."""
-    member, lone, cu = BASES[basis].lengths
-    return member * paired + lone * unpaired + copies + (cu if payload else 0)
 
 
 def plan_blocks(

@@ -40,18 +40,16 @@ scalar and ``float.__repr__`` of each matrix number, which is what the
 encoder writes: ``indent=2`` sends ``json.dumps`` to its pure-Python
 encoder, which costs more than all the gates do.
 
-The text reader parses each distinct line once, and the JSON reader
-each distinct gate entry, and each shares its ``Gate`` with every
-repeat; lines that differ only in surrounding whitespace are parsed
-apart, and entries equal in Python but spelled apart (a qubit true, 1
-or 1.0, a matrix number -0.0 or 0.0) are never shared.  On each
-distinct line the text reader checks the mnemonic (a ``u(...)`` one
-read once, with its four entries), each operand token against the
-width, then that the operands are as many as the kind takes and
-distinct.  A ``u(...)`` matrix goes through ``Gate``'s unitarity check
-on the first line that holds it, and so does any line that breaks a
-rule, so each refusal names the first rule broken and its line.
-Nothing is kept from one call to the next.
+The text reader parses each distinct line once, and shares its
+``Gate`` with every repeat; lines that differ only in surrounding
+whitespace are parsed apart.  On each distinct line it checks the
+mnemonic (a ``u(...)`` one read once, with its four entries), each
+operand token against the width, then that the operands are as many as
+the kind takes and distinct.  A ``u(...)`` matrix goes through
+``Gate``'s unitarity check on the first line that holds it, and so does
+any line that breaks a rule, so each refusal names the first rule
+broken and its line.  The JSON reader reads each gate entry on its
+own.  Nothing is kept from one call to the next.
 
 ``save`` writes a file with ``os.write``, in binary mode, so no
 platform translates line ends: every file is written with LF.
@@ -350,6 +348,7 @@ def loads_text(text: str) -> Circuit:
     # than the distinct lines could name (a gate has at most three
     # operands), so that a wide file of few lines builds no large table.
     heads = dict(_TEXT_HEADS)
+    # fast path: synth-large jobs_per_s is 5.0% lower with an empty memo (CHANGES.md, shortcuts priced)
     indices: dict[str, int] = (
         dict(zip(map(str, range(width)), range(width))) if width <= 3 * len(parsed) else {}
     )
@@ -373,6 +372,7 @@ def loads_text(text: str) -> Circuit:
             # and distinct, and a matrix that passed Gate already, are
             # all that Gate checks; any other line goes through Gate,
             # which refuses it with the message of its first broken rule
+            # fast path: synth-large jobs_per_s is 3.9% lower with `Gate` per line (CHANGES.md, shortcuts priced)
             if not (len(qubits) == arity and len(set(qubits)) == arity):
                 matrix = Gate(kind, qubits, matrix).matrix
                 if arity is None:
@@ -510,28 +510,6 @@ def _gate_from_json(entry: Any, width: int) -> Gate:
     return _gate(kind, qubits, matrix)
 
 
-def _entry_key(entry: Any) -> Optional[tuple]:
-    """A key two gate entries share only if they are spelled alike in
-    what ``_gate_from_json`` reads: a string kind, qubits that are all
-    JSON integers (true and 1.0 equal 1 in Python, but are refused),
-    and a matrix of eight JSON floats, by their bits, which tell -0.0
-    from 0.0.  None for an entry of any other shape, which is then read
-    on its own."""
-    try:
-        kind, qubits = entry["kind"], tuple(entry["qubits"])
-        if type(kind) is not str or set(map(type, qubits)) != {int}:
-            return None
-        if "matrix" not in entry:
-            return (kind, qubits)
-        (a, b), (c, d) = entry["matrix"]
-        numbers = (a[0], a[1], b[0], b[1], c[0], c[1], d[0], d[1])
-    except (TypeError, KeyError, IndexError, ValueError):
-        return None
-    if set(map(type, numbers)) != {float}:
-        return None
-    return (kind, qubits, _EIGHT_DOUBLES.pack(*numbers))
-
-
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object, refusing a key given twice, which ``json`` would
     settle silently in favour of the last."""
@@ -580,28 +558,14 @@ def loads_json(text: str) -> Circuit:
         raise CircuitFileError(f"meta must be an object, got {raw_meta!r}")
     meta = _meta(raw_meta or {})
 
-    # Each distinct entry is checked and built once, into ``distinct``,
-    # and its position there shared by every repeat.  Only a built
-    # entry is stored, so the first bad entry still fails at its own
-    # position.
-    built: dict[tuple, int] = {}
-    distinct: list[Gate] = []
-    index: list[int] = []
+    gates: list[Gate] = []
     for pos, entry in enumerate(raw_gates):
-        key = _entry_key(entry)
-        i = built.get(key)
-        if i is None:
-            try:
-                gate = _gate_from_json(entry, width)
-            except CircuitFileError as exc:
-                raise CircuitFileError(f"bad gate entry {pos}: {exc}") from None
-            i = len(distinct)
-            distinct.append(gate)
-            if key is not None:
-                built[key] = i
-        index.append(i)
+        try:
+            gates.append(_gate_from_json(entry, width))
+        except CircuitFileError as exc:
+            raise CircuitFileError(f"bad gate entry {pos}: {exc}") from None
     # ``_gate_from_json`` refused every operand outside the width
-    return _prechecked_circuit(roles, distinct, index, meta)
+    return _prechecked_circuit(roles, gates, list(range(len(gates))), meta)
 
 
 # ---------------------------------------------------------------------------

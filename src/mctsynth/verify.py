@@ -63,9 +63,9 @@ output has amplitude -1 where the sign ends as 1, and 1 elsewhere.
 
 ``check_symbolic`` enumerates no input: it runs the same steps, chosen
 by the same rule, and the miter's last one, over ``anf``'s GF(2)
-polynomials.  It answers EXACT or nothing; ``mct synth`` then runs
-``check_equivalence``, so every failure reads as the exhaustive check
-reports it.
+polynomials.  It answers EXACT or nothing.  No command calls it: within
+the cap ``mct synth`` enumerates, which costs about what the proof does
+at the widths it checks.
 """
 
 from __future__ import annotations
@@ -749,6 +749,7 @@ def check_equivalence(
                                   f"exceeds the sparse engine's 63-bit keys")
     plan, steps = _signed_steps(circuit, tol)
     # bit planes against a C^nX or C^nZ table are read as a miter
+    # fast path: verify-toffoli jobs_per_s is 91.7% lower with `_classify` (CHANGES.md, shortcuts priced)
     inverse = None if steps is None else _miter_step(oracle, comp)
     miter = inverse is not None
     if steps is None:

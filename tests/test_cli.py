@@ -14,6 +14,7 @@ from mctsynth.cli import main
 from mctsynth.decomp import GateBasis, ToffoliRule, lower_toffoli
 from mctsynth.ir import Circuit, CircuitMeta, QubitRole, append, cnot, local, new_circuit
 from mctsynth.qasmio import dumps_json, dumps_text, load, save
+from mctsynth.verify import EquivalenceClass, check_equivalence, oracle_cnx
 
 
 DATA = Path(__file__).parent / "data"
@@ -104,36 +105,32 @@ class TestSynth:
             "--out", str(path),
         )
         assert code == 0
-        # proved from the steps, so no float dust from enumerating inputs
+        # read off the bit planes as a miter, so no float dust from
+        # the windows' phases
         assert "verify  exact (max deviation 0)\n" in out
         assert load(path).width == 24
 
     @pytest.mark.parametrize("basis", ["toffoli", "cv", "cnot"])
     def test_failure_reads_as_the_exhaustive_check(self, capsys, monkeypatch, tmp_path, basis):
-        # a build missing its last gate: the symbolic check gives no
-        # answer, and the exhaustive check's verdict, message and exit
-        # code follow, as if there were no symbolic check
-        real_lower, real_symbolic = cli.lower_circuit, cli.check_symbolic
-        answers = []
+        # a build missing its last gate: the exhaustive check's verdict,
+        # the refusal and exit code 3, and no file written
+        real_lower = cli.lower_circuit
+        cuts = []
 
         def cut(circuit, gate_basis):
             lowered = real_lower(circuit, gate_basis)
-            return Circuit(lowered.roles, lowered.gates[:-1], lowered.meta)
-
-        def symbolic(*args):
-            answers.append(real_symbolic(*args))
-            return answers[-1]
+            cuts.append(Circuit(lowered.roles, lowered.gates[:-1], lowered.meta))
+            return cuts[-1]
 
         monkeypatch.setattr(cli, "lower_circuit", cut)
-        monkeypatch.setattr(cli, "check_symbolic", symbolic)
         path = tmp_path / "c.mq"
         argv = ("synth", "--scheme", "cycle", "--n", "5", "--c", "2", "--basis", basis,
                 "--out", str(path))
         tried = run(capsys, *argv)
-        assert answers == [None]
-        monkeypatch.setattr(cli, "check_symbolic", lambda *args: None)
-        assert run(capsys, *argv) == tried
-        assert tried[0] == 3 and "\nverify  " in tried[1]
+        verdict = check_equivalence(cuts[-1], oracle_cnx(5))
+        assert verdict.klass is not EquivalenceClass.EXACT
+        line = f"verify  {verdict.klass.value} (max deviation {verdict.max_deviation:.3g})\n"
+        assert tried[0] == 3 and f"\n{line}" in tried[1]
         assert tried[2] == "error: refusing to write a circuit that does not verify\n"
         assert not path.exists()
 

@@ -328,8 +328,7 @@ class TestCircuit:
 
     def test_repeated_bad_gate_names_first_bad_gate(self):
         # an out-of-range gate twice as one object and once as an equal
-        # copy: the range check sees its operands once, and the error
-        # still names the first bad gate in gate order
+        # copy: the error names the first bad gate in gate order
         base = new_circuit(_ct_roles(4))
         bad = cnot(3, 6)
         for gates, named in [

@@ -14,6 +14,29 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 # the [project.scripts] entry names a function that imports
 grep -qx 'mct = "mctsynth.cli:main"' "$root/pyproject.toml"
 python3 -c "from mctsynth.cli import main; import sys; sys.exit(0 if callable(main) else 1)"
+# every `# fast path:` comment in the source names a workload of
+# BENCHMARK.json, one of its end-to-end metrics, and the CHANGES.md
+# entry that priced it, as "(CHANGES.md, <words of that entry>)"
+python3 - "$root" <<'EOF'
+import json, pathlib, re, sys
+root = pathlib.Path(sys.argv[1])
+bench = json.loads((root / "BENCHMARK.json").read_text())
+workloads = {w["name"] for w in bench["workloads"]}
+metrics = {m["name"] for m in bench["end_to_end"]}
+changes = (root / "CHANGES.md").read_text(encoding="utf-8").lower()
+bad = []
+for path in sorted((root / "src").rglob("*.py")):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if "# fast path:" not in line:
+            continue
+        words = set(re.findall(r"[\w.-]+", line))
+        entry = re.search(r"\(CHANGES\.md, ([^)]+)\)", line)
+        if not (words & workloads and words & metrics and entry
+                and entry.group(1).lower() in changes):
+            bad.append(f"{path.relative_to(root)}:{lineno}: {line.strip()}")
+print("\n".join(bad) or "every fast path names its price")
+sys.exit(1 if bad else 0)
+EOF
 # the benchmark's tests
 python3 -m pytest "$root/perfbench" -q
 # every benchmark answer right: run.py exits 0 even on wrong answers,
@@ -128,17 +151,16 @@ mct verify --circuit c9cv-cut.mq --oracle cnx:9
 code=$?
 set -e
 test "$code" -eq 3
-# synth proves its builds from their steps, and verify reads
-# every input's sign off the bit planes, so no float dust in
-# either basis
+# synth and verify both read every input's sign off the bit
+# planes, so no float dust in either basis
 mct synth --scheme cycle --n 9 --basis cv --out c9cv-s.mq > c9.txt
 grep -qx "verify  exact (max deviation 0)" c9.txt
 mct synth --scheme cycle --n 9 --basis cnot --out c9cnot.mq > c9.txt
 grep -qx "verify  exact (max deviation 0)" c9.txt
 mct verify --circuit c9cnot.mq --oracle cnx:9 > c9.txt
 grep -qx "max deviation 0" c9.txt
-# width 24 in cnot: proved in milliseconds, then enumerated by
-# verify over all 2**17 inputs on signed bit planes
+# width 24 in cnot: enumerated by synth and by verify over all
+# 2**17 inputs on signed bit planes
 mct synth --scheme cycle --n 16 --basis cnot --out c16cnot.mq > c16cnot.txt
 grep -qx "verify  exact (max deviation 0)" c16cnot.txt
 mct verify --circuit c16cnot.mq --oracle cnx:16 > c16cnot.txt
@@ -167,9 +189,8 @@ mct verify --circuit c9cnot-cut.mq --oracle cnx:9
 code=$?
 set -e
 test "$code" -eq 3
-# the JSON reader shares one gate per distinct entry; a qubit
-# index of true, equal to 1 in Python, in a repeat of an entry
-# read before is still refused (exit 2)
+# a qubit index of true, equal to 1 in Python, in a repeat of an
+# entry read before is refused (exit 2)
 mct convert --infile c9cnot.mq --out c9cnot.json
 python - <<'EOF'
 import json
