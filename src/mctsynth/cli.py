@@ -35,6 +35,7 @@ from .ir import NAMED_UNITARIES, QubitRole
 from .verify import (
     EquivalenceClass,
     Oracle,
+    WidthLimitError,
     check_equivalence,
     oracle_cnu,
     oracle_cnx,
@@ -59,12 +60,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
         # every input enumerated: each build runs on bit planes, read
         # as a miter against the C^nX table, so an exact one prints
         # deviation 0 in every basis
-        verdict = check_equivalence(lowered, oracle_cnx(circuit.meta.n))
-        print(f"verify  {verdict.klass.value} (max deviation {verdict.max_deviation:.3g})")
-        if verdict.klass is not EquivalenceClass.EXACT:
-            print("error: refusing to write a circuit that does not verify",
-                  file=sys.stderr)
-            return 3
+        try:
+            verdict = check_equivalence(lowered, oracle_cnx(circuit.meta.n))
+        except WidthLimitError as exc:
+            # a cap raised past what the engines' 63-bit keys hold
+            print(f"verify  skipped ({exc})")
+        else:
+            print(f"verify  {verdict.klass.value} (max deviation {verdict.max_deviation:.3g})")
+            if verdict.klass is not EquivalenceClass.EXACT:
+                print("error: refusing to write a circuit that does not verify",
+                      file=sys.stderr)
+                return 3
 
     fmt = qasmio.save(lowered, args.out, args.format)
     print(f"wrote   {args.out} ({len(lowered.gates)} gates, {fmt})")
@@ -233,9 +239,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     func: Callable[[argparse.Namespace], int] = args.func
     try:
         return func(args)
-    except (ValueError, OSError) as exc:
-        # a CircuitFileError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
+        # a CircuitFileError is a ValueError; an over-large --n ends in
+        # an OverflowError or a MemoryError, the latter often unworded
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -37,11 +37,10 @@ sum to at most the tolerance (every C^nX build lowered to cv, and to
 cnot at any tolerance above float dust) runs on bit planes, each
 window's steps put on the qubits it carries.  Any other plan runs on
 sparse entries, one step at a time.  There a gate that starts no window
-is applied alone: mixing gates split entries and merge the duplicates,
-and a gate on more than three qubits that does not mix moves or
-rescales them in place.  An input
-whose support outgrows a cap is simulated again on a dense statevector,
-which is where the width cap matters.
+is applied alone: an X-like one, an MCX (any gate on at most three
+qubits that does not mix starts a window), moves entries in place, and
+any other splits them and merges the duplicates.  One input's support
+holds at most 2**width entries, which is what the width cap bounds.
 
 The expected outputs are arrays too.  The built-in C^nX and C^nU oracles
 (``ControlledOracle``) are tabulated from n and the 2x2 alone; any other
@@ -128,7 +127,7 @@ def resolve_max_width() -> int:
 
 
 # ---------------------------------------------------------------------------
-# statevector engine
+# statevector reference: no check runs it; the tests compare with it
 
 def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Apply the whole circuit to a statevector of length 2**width: the
@@ -298,10 +297,6 @@ def _unpack(bits: int, block: int) -> np.ndarray:
     return np.unpackbits(as_bytes, bitorder="little")[:block]
 
 
-# give up on an input's sparse entries once this many basis states
-# carry amplitude; the dense engine takes over for that input
-_SPARSE_SUPPORT_CAP = 4096
-
 # amplitudes this small are float dust from cancellations; dropping
 # them keeps the support tight and perturbs the state far below any
 # verification tolerance
@@ -310,28 +305,19 @@ _SPARSE_PRUNE = 1e-14
 
 def _sparse_step(
     gate: Gate, width: int, keys: np.ndarray, amps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Apply one gate to sparse entries; the flag says whether it mixed
-    basis states (and so may have grown the support)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply one lone gate to sparse entries.  An X-like gate moves the
+    entries it acts on; any other splits each of them into both target
+    values and merges the children that land on the same basis state,
+    which may grow the support."""
     cmask = sum(1 << (width - 1 - c) for c in gate.controls)
     tbit = 1 << (width - 1 - gate.target)
-    (a00, a01), (a10, a11) = gate.action
     on = (keys & cmask) == cmask
-    diagonal = a01 == 0 and a10 == 0
-    if diagonal or (a00 == 0 and a11 == 0):
-        # every entry goes to exactly one place: rescale, then move
-        from0, from1 = (a00, a11) if diagonal else (a10, a01)
-        if from0 != 1 or from1 != 1:
-            one = (keys & tbit) != 0
-            amps[on & ~one] *= from0
-            amps[on & one] *= from1
-        if not diagonal:
-            keys = keys ^ (on * tbit)
-        return keys, amps, False
+    if gate.kind in X_LIKE_KINDS:
+        return keys ^ (on * tbit), amps
     if not on.any():
-        return keys, amps, False
-    # split every entry the gate acts on into both target values, then
-    # merge the children that land on the same basis state
+        return keys, amps
+    (a00, a01), (a10, a11) = gate.action
     src, src_amps = keys[on], amps[on]
     src_one = (src & tbit) != 0
     kids = np.concatenate((src & ~tbit, src | tbit))
@@ -344,7 +330,7 @@ def _sparse_step(
     kid_amps = np.add.reduceat(kid_amps[order], first)
     keep = _abs(kid_amps) > _SPARSE_PRUNE
     return (np.concatenate((keys[~on], kids[first][keep])),
-            np.concatenate((amps[~on], kid_amps[keep])), True)
+            np.concatenate((amps[~on], kid_amps[keep])))
 
 
 # a window is a run of consecutive gates on at most this many qubits,
@@ -528,14 +514,12 @@ def _plan(gates: Sequence[Gate]) -> list[Union[_Window, Gate]]:
 
 def _evolve_sparse(
     steps: Sequence[Union[_Window, Gate]], width: int, comp: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Final sparse entries of every input after the planned steps,
-    keyed (m << width) | basis index, and the inputs whose support
-    outgrew the cap (their entries are dropped).  Work items are done
-    in input order, so the entries come grouped by input in that order,
-    and the inputs past the cap are listed in ascending order, the
-    order the dense engine re-runs them in.  No verdict depends on
-    either: ``_classify`` sorts the keys it merges."""
+    keyed (m << width) | basis index.  Work items are done in input
+    order, so the entries come grouped by input in that order; no
+    verdict depends on it: ``_classify`` sorts the keys it merges.  One
+    input holds at most 2**width entries, which the width cap bounds."""
     n_inputs = 1 << len(comp)
     # work items: first input, end input, next step, entries; the last
     # is taken first, and a split pushes its upper half first
@@ -545,7 +529,7 @@ def _evolve_sparse(
         todo.append((lo, lo + len(masks), 0,
                      (masks << width) | _spread(masks, comp, width),
                      np.ones(len(masks), dtype=complex)))
-    done_keys, done_amps, overflow = [], [], []
+    done_keys, done_amps = [], []
     while todo:
         lo, hi, start, keys, amps = todo.pop()
         for pos in range(start, len(steps)):
@@ -553,14 +537,7 @@ def _evolve_sparse(
             if isinstance(step, _Window):
                 keys, amps = _window_step(step, width, keys, amps)
                 continue
-            keys, amps, mixed = _sparse_step(step, width, keys, amps)
-            if not mixed:
-                continue
-            owner = (keys >> width) - lo
-            over = np.bincount(owner, minlength=hi - lo) > _SPARSE_SUPPORT_CAP
-            if over.any():
-                overflow.extend((lo + np.flatnonzero(over)).tolist())
-                keys, amps = keys[~over[owner]], amps[~over[owner]]
+            keys, amps = _sparse_step(step, width, keys, amps)
             if len(keys) > _ENTRY_BUDGET and hi - lo > 1:
                 mid = (lo + hi) // 2
                 low = (keys >> width) < mid
@@ -570,30 +547,20 @@ def _evolve_sparse(
         else:
             done_keys.append(keys)
             done_amps.append(amps)
-    return np.concatenate(done_keys), np.concatenate(done_amps), overflow
+    return np.concatenate(done_keys), np.concatenate(done_amps)
 
 
 def _run_sparse(
-    circuit: Circuit,
     steps: Sequence[Union[_Window, Gate]],
+    width: int,
     comp: Sequence[int],
     ancillas: Sequence[int],
     tol: float,
 ) -> tuple:
-    """Batched sparse evolution of the circuit's planned steps, with the
-    dense statevector for inputs whose support outgrew the cap.
-    Amplitudes of magnitude at most ``tol`` are dropped."""
-    width = circuit.width
-    keys, amps, overflow = _evolve_sparse(steps, width, comp)
-    all_keys, all_amps = [keys], [amps]
-    for m in overflow:
-        state = np.zeros(2**width, dtype=complex)
-        state[_spread(np.array([m]), comp, width)[0]] = 1.0
-        out = apply(circuit, state)
-        nz = np.flatnonzero(out)
-        all_keys.append((m << width) | nz)
-        all_amps.append(out[nz])
-    keys, amps = np.concatenate(all_keys), np.concatenate(all_amps)
+    """The planned steps on sparse entries, every input at once.
+    Returns (failure, got) as ``_run_classical`` does, after dropping
+    every amplitude of magnitude at most ``tol``."""
+    keys, amps = _evolve_sparse(steps, width, comp)
     keep = _abs(amps) > tol
     keys, amps = keys[keep], amps[keep]
     inputs, idx = keys >> width, keys & ((1 << width) - 1)
@@ -753,7 +720,7 @@ def check_equivalence(
     inverse = None if steps is None else _miter_step(oracle, comp)
     miter = inverse is not None
     if steps is None:
-        failure, got = _run_sparse(circuit, plan, comp, ancillas, tol)
+        failure, got = _run_sparse(plan, width, comp, ancillas, tol)
     else:
         if miter:
             steps.append(inverse)

@@ -97,6 +97,26 @@ class TestSynth:
         assert "verify" not in out
         assert not path.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "60", "--basis", "cv"],
+         "width 76 with 61 inputs exceeds the sparse engine's 63-bit keys"),
+        (["--n", "40", "--basis", "toffoli"],
+         "41 computational qubits exceed the classical engine's 63-bit keys"),
+    ])
+    def test_cap_raised_past_the_keys_skips_verification(self, capsys, tmp_path,
+                                                         monkeypatch, argv, message):
+        # skipped as past the cap, with the check's own reason, and the
+        # file written; mct verify still refuses such a file (exit 2)
+        monkeypatch.setenv("MCT_MAX_WIDTH", "100")
+        path = tmp_path / "c.mq"
+        code, out, err = run(capsys, "synth", "--scheme", "cycle", *argv, "--out", str(path))
+        assert (code, err) == (0, "")
+        assert f"\nverify  skipped ({message})\nwrote   {path} (" in out
+        assert path.exists()
+        n = argv[1]
+        assert run(capsys, "verify", "--circuit", str(path), "--oracle", f"cnx:{n}") == (
+            2, "", f"error: {message}\n")
+
     def test_verifies_up_to_the_simulation_cap(self, capsys, tmp_path):
         # width 24: the cycle build at c=3 lowered to the cnot basis
         path = tmp_path / "c16.mq"
@@ -186,6 +206,32 @@ class TestSynth:
             assert code == 2
             assert out == ""
             assert f"the {scheme} scheme takes no cycle count" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["ladder", "--n", "100000000000000000000"],
+        ["two-cycle", "--n", "100000000000000000000"],
+        ["cycle", "--n", "100000000000000000000", "--c", "3"],
+    ])
+    def test_overlarge_n_exits_two(self, capsys, tmp_path, argv):
+        path = tmp_path / "c.mq"
+        code, out, err = run(capsys, "synth", "--scheme", *argv, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert not path.exists()
+
+    def test_out_of_memory_exits_two(self, capsys, monkeypatch, tmp_path):
+        # a build too large to hold, such as a ladder at --n 9999999999999,
+        # raises MemoryError, often with no message; patched in, as a real
+        # one may get the process killed on a host that overcommits
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_scheme", exhausted)
+        path = tmp_path / "c.mq"
+        code, out, err = run(capsys, "synth", "--scheme", "ladder", "--n", "5",
+                             "--out", str(path))
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+        assert not path.exists()
 
     def test_missing_n(self, capsys):
         code, _, err = run(capsys, "synth", "--scheme", "ladder")

@@ -28,6 +28,7 @@ from mctsynth.ir import (
     MAT_Z,
     NAMED_UNITARIES,
     QubitRole,
+    X_LIKE_KINDS,
     append,
     as_array,
     cnot,
@@ -285,8 +286,9 @@ class TestCheckEquivalence:
             assert v.klass is EquivalenceClass.EXACT, (probe, pos)
 
     def test_classical_path_ignores_width_cap(self, monkeypatch):
-        # the cap guards dense statevectors; bit propagation has no
-        # such limit, so a cap far below the width must not trip
+        # the cap bounds one input's sparse support; bit propagation
+        # holds one bit per wire and input, so a cap far below the
+        # width must not trip
         monkeypatch.setenv("MCT_MAX_WIDTH", "4")
         circ = build_cycle_cnx(7, 2)
         assert is_classical(circ)
@@ -545,10 +547,11 @@ class TestAgainstReference:
         lone = Counter()
         real = verify._sparse_step
 
-        def counting(gate, *args):
-            out = real(gate, *args)
+        def counting(gate, width, keys, amps):
+            out = real(gate, width, keys, amps)
             if gate.kind is GateKind.MCX:
-                lone["mixed" if out[2] else "in place"] += 1
+                moved = len(out[0]) == len(keys) and out[1] is amps
+                lone["in place" if moved else "mixed"] += 1
             return out
 
         monkeypatch.setattr(verify, "_sparse_step", counting)
@@ -689,18 +692,11 @@ def _evolve_per_gate(circuit, comp):
         todo.append((lo, lo + len(masks), 0,
                      (masks << width) | verify._spread(masks, comp, width),
                      np.ones(len(masks), dtype=complex)))
-    done_keys, done_amps, overflow = [], [], []
+    done_keys, done_amps = [], []
     while todo:
         lo, hi, start, keys, amps = todo.pop()
         for pos in range(start, len(gates)):
-            keys, amps, mixed = verify._sparse_step(gates[pos], width, keys, amps)
-            if not mixed:
-                continue
-            owner = (keys >> width) - lo
-            over = np.bincount(owner, minlength=hi - lo) > verify._SPARSE_SUPPORT_CAP
-            if over.any():
-                overflow.extend((lo + np.flatnonzero(over)).tolist())
-                keys, amps = keys[~over[owner]], amps[~over[owner]]
+            keys, amps = verify._sparse_step(gates[pos], width, keys, amps)
             if len(keys) > budget and hi - lo > 1:
                 mid = (lo + hi) // 2
                 low = (keys >> width) < mid
@@ -710,7 +706,7 @@ def _evolve_per_gate(circuit, comp):
         else:
             done_keys.append(keys)
             done_amps.append(amps)
-    return np.concatenate(done_keys), np.concatenate(done_amps), overflow
+    return np.concatenate(done_keys), np.concatenate(done_amps)
 
 
 def _entries(keys, amps):
@@ -733,7 +729,7 @@ def _per_gate_reference(m, circuit):
     want = _evolve_per_gate(circuit, default_computational_qubits(circuit))
     m.setattr(verify, "_plan", lambda gates: list(gates))
     m.setattr(verify, "_evolve_sparse",
-              lambda steps, width, comp: (want[0][::-1], want[1][::-1], want[2]))
+              lambda steps, width, comp: (want[0][::-1], want[1][::-1]))
     return want
 
 
@@ -746,8 +742,7 @@ def _assert_windows_match_per_gate(circuit, oracle, monkeypatch):
         want = _per_gate_reference(m, circuit)
         slow = check_equivalence(circuit, oracle)
     got = _evolve_windowed(circuit, default_computational_qubits(circuit))
-    assert got[2] == want[2]
-    a, b = _entries(*got[:2]), _entries(*want[:2])
+    a, b = _entries(*got), _entries(*want)
     assert max((abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys()), default=0) <= 1e-12
     assert (fast.klass, fast.witness) == (slow.klass, slow.witness)
     assert abs(fast.max_deviation - slow.max_deviation) <= 1e-12
@@ -920,10 +915,9 @@ class TestFusion:
 
         def lone(gate, width, keys, amps):
             one_entry_each(keys, width)
-            out = real_step(gate, width, keys, amps)
             steps["lone"] += 1
-            steps["mixed"] += out[2]
-            return out
+            steps["mixed"] += gate.kind not in X_LIKE_KINDS
+            return real_step(gate, width, keys, amps)
 
         def window(w, width, keys, amps):
             steps["window"] += 1
@@ -938,9 +932,9 @@ class TestFusion:
                 for basis in (GateBasis.CV_BASIS, GateBasis.CNOT_LOCAL):
                     lowered = lower_circuit(circ, basis)
                     comp = default_computational_qubits(lowered)
-                    keys, _, overflow = _evolve_windowed(lowered, comp)
+                    keys, _ = _evolve_windowed(lowered, comp)
                     one_entry_each(keys, lowered.width)
-                    assert len(keys) == 1 << len(comp) and not overflow
+                    assert len(keys) == 1 << len(comp)
                     assert steps["mixed"] == 0, (circ.meta, basis)
         assert steps["window"] > 1000
 
@@ -1058,44 +1052,36 @@ class TestFusion:
 
 
 class TestDenseFallback:
-    def _count_dense(self, monkeypatch):
-        calls = []
-        real = verify.apply
+    """Inputs whose sparse support spreads over the whole register stay
+    on sparse entries to their verdict: no check runs a statevector."""
 
-        def counting(circuit, state):
-            calls.append(1)
-            return real(circuit, state)
-
-        monkeypatch.setattr(verify, "apply", counting)
-        return calls
+    @pytest.fixture(autouse=True)
+    def _no_statevector(self, monkeypatch):
+        monkeypatch.setattr(verify, "apply", lambda *args: pytest.fail("statevector run"))
 
     def _wide(self, tail):
-        # H on all 13 wires spreads each input over 8192 basis states,
-        # past the sparse cap; the second layer undoes it
+        # H on all 13 wires spreads each input over all 8192 basis
+        # states; the second layer undoes it
         roles = [C, T] + [P] * 11
         layer = [local(q, MAT_H) for q in range(13)]
         return _circ(roles, layer + layer + tail)
 
-    def test_support_past_cap_reaches_exact(self, monkeypatch):
-        calls = self._count_dense(monkeypatch)
+    def test_support_past_cap_reaches_exact(self):
         v = check_equivalence(self._wide([cnot(0, 1)]), oracle_cnx(1))
         assert v.klass is EquivalenceClass.EXACT
-        assert len(calls) == 4
+        assert v.max_deviation <= 1e-12
 
-    def test_support_past_cap_reaches_mismatch(self, monkeypatch):
-        calls = self._count_dense(monkeypatch)
+    def test_support_past_cap_reaches_mismatch(self):
         v = check_equivalence(self._wide([]), oracle_cnx(1))
         assert v.klass is EquivalenceClass.MISMATCH
         assert v.witness == Mismatch((1, 0), "no amplitude on expected output (1, 1)")
-        assert len(calls) == 4
+        assert abs(v.max_deviation - 1) < 1e-12
 
-    def test_ancilla_left_set_past_cap(self, monkeypatch):
-        calls = self._count_dense(monkeypatch)
+    def test_ancilla_left_set_past_cap(self):
         v = check_equivalence(self._wide([cnot(0, 1), x(5)]), oracle_cnx(1))
         assert v.klass is EquivalenceClass.MISMATCH
         assert v.witness == Mismatch((0, 0), "ancilla not restored to |0>")
         assert abs(v.max_deviation - 1) < 1e-12
-        assert calls
 
 
 class TestOracleCallsOnAncillaFailure:
@@ -1184,12 +1170,12 @@ def _general_verdict(circuit, oracle, tol, monkeypatch):
     real = verify._evolve_sparse
 
     def reversed_entries(*args):
-        keys, amps, overflow = real(*args)
-        return keys[::-1], amps[::-1], overflow
+        keys, amps = real(*args)
+        return keys[::-1], amps[::-1]
 
     def sparse(steps, width, comp, ancillas, miter=False):
         assert not miter
-        return verify._run_sparse(circuit, verify._plan(circuit.gates), comp, ancillas, tol)
+        return verify._run_sparse(verify._plan(circuit.gates), width, comp, ancillas, tol)
 
     with monkeypatch.context() as m:
         m.setattr(verify, "_evolve_sparse", reversed_entries)
@@ -1522,8 +1508,8 @@ def _classical_reference(circuit, comp, moved):
 
 def _classical_answer(circuit, comp, evolved, moved):
     width, k = circuit.width, len(comp)
-    keys, amps, overflow = evolved
-    assert not overflow and len(keys) == 1 << k
+    keys, amps = evolved
+    assert len(keys) == 1 << k
     order = np.argsort(keys)
     keys, amps = keys[order], amps[order]
     inputs, idx = keys >> width, keys & ((1 << width) - 1)

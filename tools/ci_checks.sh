@@ -43,8 +43,8 @@ python3 -m pytest "$root/perfbench" -q
 # so read its last JSON line
 python3 "$root/perfbench/run.py" --workload all --seconds 1 | tail -n 1 > bench-summary.json
 python3 -c "import json, sys; r = json.load(open('bench-summary.json')); print(r['correct'], r['failed']); sys.exit(0 if r['correct'] is True and r['failed'] == 0 else 1)"
-# a traced synth-verify pass: every answer right, and no input
-# simulated again on the dense statevector
+# a traced synth-verify pass: every answer right, and no call of
+# verify.apply, the statevector reference, which no check runs
 python3 "$root/perfbench/run.py" --workload synth-verify --seconds 1 --trace 1 | tail -n 1 > trace-summary.json
 python3 -c "import json, sys; r = json.load(open('trace-summary.json')); d = r['metrics']['verify.dense_calls']['value']; print(r['correct'], r['failed'], d); sys.exit(0 if r['correct'] is True and r['failed'] == 0 and d == 0 else 1)"
 mct table --max 64 --format csv
@@ -233,6 +233,33 @@ grep -q "(no amplitude on expected output (0, 0, " c16cv-x16.txt
 grep -q "(ancilla not restored to |0>)" c16cv-x23.txt
 cmp c16cv-x16.txt c16cnot-x16.txt
 cmp c16cv-x23.txt c16cnot-x23.txt
+# H on each of 13 wires, twice, spreads each input over all 8192
+# basis states and back: sparse entries carry it to its verdict
+h='u(0.7071067811865475+0.0j,0.7071067811865475+0.0j,0.7071067811865475+0.0j,-0.7071067811865475+0.0j)'
+{
+  printf 'mctqasm v1 width 13\nroles ctppppppppppp\n'
+  for layer in 1 2; do
+    for q in 0 1 2 3 4 5 6 7 8 9 10 11 12; do echo "$h $q"; done
+  done
+  echo "cx 0 1"
+} > wide13.mq
+mct verify --circuit wide13.mq --oracle cnx:1 > wide13.txt
+grep -qx "verdict exact" wide13.txt
+# an --n too large to build is a parameter error (exit 2): one
+# line on stderr, no traceback, and no file
+set +e
+mct synth --scheme ladder --n 100000000000000000000 --out huge.mq 2> huge.txt
+code=$?
+set -e
+test "$code" -eq 2
+test "$(wc -l < huge.txt)" -eq 1
+grep -q "^error: " huge.txt
+test ! -e huge.mq
+# with the cap raised past the check's 63-bit keys, synth skips the
+# check with its reason and writes the file
+MCT_MAX_WIDTH=100 mct synth --scheme cycle --n 60 --basis cv --out c60cv.mq > c60cv.txt
+grep -qx "verify  skipped (width 76 with 61 inputs exceeds the sparse engine's 63-bit keys)" c60cv.txt
+test -s c60cv.mq
 # the two-cycle scheme refuses a cycle count (exit 2)
 set +e
 mct synth --scheme two-cycle --n 5 --c 2
