@@ -17,6 +17,7 @@ parameters or unreadable input, 3 a circuit that fails verification.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import Callable, Optional, Sequence
 
@@ -229,6 +230,15 @@ def _match(argv: Sequence[str]) -> Optional[argparse.Namespace]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command and return its exit code.
+
+    The command runs with the cyclic garbage collector paused, and the
+    caller's collector state is put back on every way out.  The library
+    builds no reference cycles, so reference counting frees everything
+    a command drops; the pause only saves the collector's scans of the
+    many small objects a large build and its lowering make.  Argument
+    parsing, argparse's included, runs before the pause.
+    """
     args = _match(sys.argv[1:] if argv is None else argv)
     if args is None:
         try:
@@ -237,6 +247,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             code = exc.code
             return code if isinstance(code, int) else 2
     func: Callable[[argparse.Namespace], int] = args.func
+    enabled = gc.isenabled()
+    # fast path: synth-large job_tail_s is 7.8% higher without it (CHANGES.md, collector paused for each command)
+    gc.disable()
     try:
         return func(args)
     except (ValueError, OSError, OverflowError, MemoryError) as exc:
@@ -244,6 +257,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # an OverflowError or a MemoryError, the latter often unworded
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -74,6 +74,7 @@ from .ir import (
     MAT_TDG,
     _prechecked_circuit,
     _prechecked_gates,
+    _slotted,
 )
 
 
@@ -307,8 +308,15 @@ _CU_LENGTH = len(_controlled_rule(MAT_H))
 # ---------------------------------------------------------------------------
 # pairing
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ToffoliPair:
+    """One compute/uncompute pair of ``peres_pairing``'s plan.
+
+    A slotted record, with no ``__dict__`` and no weakref slot, so that
+    ``peres_pairing`` can make a plan's pairs in one pass with
+    ``ir._slotted``, as lowering makes its gates.
+    """
+
     compute: int        # gate position of the earlier member
     uncompute: int      # gate position of the mirror member
     cnot_control: int   # y: stays a control between the members
@@ -358,6 +366,10 @@ def peres_pairing(circuit: Circuit) -> PairingPlan:
     when a pair forms, every unmatched Toffoli inside its span is
     retired, as no later Toffoli could pair with it.  ``unpaired`` lists
     the unmatched and the retired Toffolis in gate order.
+
+    The scan records each pair's four fields in four lists, and the
+    ``ToffoliPair`` records are made from them at the end in one pass,
+    without a call of their ``__init__`` per pair.
     """
     gates = circuit.gates
     toffoli = GateKind.TOFFOLI
@@ -365,7 +377,11 @@ def peres_pairing(circuit: Circuit) -> PairingPlan:
     # and of the last that touches it at all
     last_target = [-1] * circuit.width
     last_touch = [-1] * circuit.width
-    pairs: list[ToffoliPair] = []
+    # each pair's compute and uncompute positions, y and x
+    computes: list[int] = []
+    uncomputes: list[int] = []
+    ys: list[int] = []
+    xs: list[int] = []
     retired: list[int] = []
     # unmatched Toffolis outside every pair span, in gate order; and per
     # operand triple, the latest Toffoli on it while it is one of them
@@ -382,7 +398,10 @@ def peres_pairing(circuit: Circuit) -> PairingPlan:
                 candidate[operands] = pos
             else:
                 y, x = orientation
-                pairs.append(ToffoliPair(cand, pos, y, x))
+                computes.append(cand)
+                uncomputes.append(pos)
+                ys.append(y)
+                xs.append(x)
                 k = bisect_left(unmatched, cand)
                 for inside in unmatched[k + 1 :]:
                     candidate.pop(gates[inside].qubits, None)
@@ -391,6 +410,8 @@ def peres_pairing(circuit: Circuit) -> PairingPlan:
         last_target[operands[-1]] = pos
         for q in operands:
             last_touch[q] = pos
+    # fast path: synth-large job_tail_s is 4.4-5.8% higher without it (CHANGES.md, pairs made in bulk)
+    pairs = _slotted(ToffoliPair, computes, uncomputes, ys, xs)
     return PairingPlan(pairs=tuple(pairs), unpaired=tuple(sorted(unmatched + retired)))
 
 

@@ -202,13 +202,21 @@ def _prechecked_gates(
     checks, for a caller that has established them already: ``qubits``
     a tuple of as many distinct ``int`` operands as ``kind`` takes, and
     ``matrix`` a unitary in tuple form exactly where the kind carries
-    one.  Each slot is written by one C-level pass over the gates, with
-    no Python call per gate.  Private to the two callers the ``Gate``
+    one, made by ``_slotted``.  Private to the two callers the ``Gate``
     docstring names."""
-    gates = list(map(object.__new__, repeat(Gate, len(kinds))))
-    for setter, values in ((_set_kind, kinds), (_set_qubits, qubits), (_set_matrix, matrices)):
-        deque(map(setter, gates, values), maxlen=0)
-    return gates
+    return _slotted(Gate, kinds, qubits, matrices)
+
+
+def _slotted(cls: type, *columns: list) -> list:
+    """Instances of the slotted class ``cls``, made without its
+    ``__init__``: the i-th holds the i-th value of each column, the
+    columns in the order of ``cls.__slots__``.  Each slot is written by
+    one C-level pass over the instances, with no Python call per
+    instance."""
+    objs = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    for name, values in zip(cls.__slots__, columns):
+        deque(map(cls.__dict__[name].__set__, objs, values), maxlen=0)
+    return objs
 
 
 def _checked(

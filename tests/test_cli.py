@@ -1,5 +1,6 @@
 """End-to-end command line behavior and exit codes."""
 
+import gc
 import os
 import random
 import subprocess
@@ -730,3 +731,61 @@ class TestTopLevel:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+class TestCollector:
+    """main runs its command with the cyclic garbage collector paused,
+    and hands the caller back the collector state it found."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_on_every_exit(self, capsys, monkeypatch, tmp_path, enabled):
+        from mctsynth.ladder import build_cnx
+
+        good = build_cnx(3)
+        broken = tmp_path / "broken.mct"
+        save(Circuit(good.roles, good.gates[:-1], good.meta), broken)
+        cases = [
+            (["synth", "--scheme", "ladder", "--n", "3", "--out", str(tmp_path / "l3.mct")], 0),
+            (["verify", "--circuit", str(tmp_path / "missing.mct"), "--oracle", "cnx:3"], 2),
+            (["verify", "--circuit", str(broken), "--oracle", "cnx:3"], 3),
+            (["--help"], 0),
+            (["synth", "--scheme", "nope", "--n", "3"], 2),
+        ]
+        was = gc.isenabled()
+        try:
+            for argv, want in cases:
+                gc.enable() if enabled else gc.disable()
+                assert main(argv) == want, argv
+                assert gc.isenabled() is enabled, argv
+
+            # an exception main does not map to an exit code
+            def fails(*args):
+                raise RuntimeError("unexpected")
+
+            monkeypatch.setattr(cli, "build_scheme", fails)
+            gc.enable() if enabled else gc.disable()
+            with pytest.raises(RuntimeError):
+                main(["synth", "--scheme", "ladder", "--n", "3"])
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+        capsys.readouterr()
+
+    def test_large_synth_runs_no_collection(self, capsys):
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        was = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            code = main(["synth", "--scheme", "cycle", "--n", "544", "--basis", "cnot"])
+        finally:
+            gc.callbacks.remove(count)
+            gc.enable() if was else gc.disable()
+        assert code == 0
+        assert starts == []
+        capsys.readouterr()

@@ -1,5 +1,6 @@
 """Toffoli lowering rules, mirror pairing, and circuit lowering."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -357,17 +358,30 @@ def _builds(nmax):
             yield build_cnu(n, matrix)
 
 
+def _assert_pairs_are_records(plan):
+    """Every pair of a plan is a ToffoliPair as its constructor makes
+    one, down to its repr and hash."""
+    for p in plan.pairs:
+        made = ToffoliPair(*dataclasses.astuple(p))
+        assert type(p) is ToffoliPair
+        assert (repr(p), hash(p)) == (repr(made), hash(made))
+
+
 class TestPairingMatchesReference:
     def test_every_build(self):
         for circ in _builds(40):
-            assert peres_pairing(circ) == _reference_pairing(circ), circ.meta
+            plan = peres_pairing(circ)
+            assert plan == _reference_pairing(circ), circ.meta
+            _assert_pairs_are_records(plan)
 
     def test_random_mirror_circuits(self):
         rng = random.Random(4)
         stats = {"crossing": 0, "rejected": 0}
         for _ in range(3000):
             circ = _random_mirror_circuit(rng)
-            assert peres_pairing(circ) == _reference_pairing(circ, stats)
+            plan = peres_pairing(circ)
+            assert plan == _reference_pairing(circ, stats)
+            _assert_pairs_are_records(plan)
         # the seeded set exercises both ways a candidate is turned down
         assert stats["crossing"] > 100 and stats["rejected"] > 100, stats
 

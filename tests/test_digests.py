@@ -1,10 +1,13 @@
-"""Golden digests of every builder's output and of the cost reports.
+"""Golden digests of every builder's output, of the cost reports, and
+of lowered files at large n.
 
 ``tests/data/build_digests.json`` holds sha256 digests of the text and
 JSON serializations of the built circuits, and of the cost reports, on
 a fixed grid (the JSON format alone for C^nU, which the text format
-cannot hold).  A refactor of the builders or of the reports must leave
-every digest unchanged.  To record new digests after a deliberate
+cannot hold), and of each scheme's lowered cv and cnot files at the
+synth-large benchmark's centres.  A refactor of the builders, the
+pairing, the lowering or the reports must leave every digest
+unchanged.  To record new digests after a deliberate
 output change, run ``PYTHONPATH=src python tests/test_digests.py``.
 """
 
@@ -27,6 +30,7 @@ from mctsynth.qasmio import dumps_json, dumps_text
 GOLDEN = Path(__file__).parent / "data" / "build_digests.json"
 REPORT_N = 20  # reports at the automatic cycle count up to here,
 REPORT_EVERY_C_N = 12  # and at every cycle count up to here
+LOWERED_N = (160, 352, 544)  # lowered files at these n, as mct synth writes them
 
 
 def _digest(*texts):
@@ -51,8 +55,10 @@ def _reports(scheme, n=None, c=None):
 
 
 def compute_digests():
-    """Digest of each build (every c of a cycle build in one) and of
-    each scheme's reports in all three bases, keyed by what was built."""
+    """Digest of each build (every c of a cycle build in one), of each
+    scheme's reports in all three bases, and of each scheme's lowered
+    files at large n (a cycle at its automatic count), keyed by what
+    was built."""
     out = {}
     for n in range(1, 41):
         out[f"build_cnx {n}"] = _files(build_cnx(n))
@@ -78,6 +84,12 @@ def compute_digests():
         out[f"report two-cycle {n}"] = _reports("two-cycle", n)
     out["report workspace-ccx"] = _reports("workspace-ccx")
     out["report workspace-c3x"] = _reports("workspace-c3x")
+
+    for scheme in ("ladder", "cycle", "two-cycle"):
+        for n in LOWERED_N:
+            circuit = costs.build_scheme(scheme, n)
+            for basis in (GateBasis.CV_BASIS, GateBasis.CNOT_LOCAL):
+                out[f"lowered {scheme} {n} {basis.value}"] = _files(lower_circuit(circuit, basis))
     return out
 
 

@@ -11,7 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mctsynth.decomp import GateBasis, ToffoliPair, lower_circuit
+from mctsynth.cycle import build_cycle_cnx
+from mctsynth.decomp import GateBasis, ToffoliPair, lower_circuit, peres_pairing
 from mctsynth.ir import (
     Circuit,
     CircuitMeta,
@@ -235,7 +236,8 @@ def test_gate_checks_match_the_reference():
 def test_dataclass_contract():
     """Gate, ToffoliPair and Circuit are frozen dataclasses, with their
     fields, whose replace runs the checks again, and whose pickle and
-    deep copy give back an equal object with an equal hash.  An MCX
+    deep copy give back an equal object with an equal hash; a pair
+    that pairing makes in bulk is one as much as a constructed one.  An MCX
     takes the full checks and the others the one-pass check.  A
     circuit's gate view is not a field: a lowered circuit, which holds
     one handed over by lowering, and a built one, which works its own
@@ -250,6 +252,7 @@ def test_dataclass_contract():
          "duplicate operand in cu(2, 2)"),
         (mcx([0, 1, 2], 3), {"qubits": (0, 1, 2, 1)}, "duplicate operand in mcx(0, 1, 2, 1)"),
         (ToffoliPair(2, 9, 0, 1), None, None),
+        (peres_pairing(build_cycle_cnx(9, 3)).pairs[0], None, None),
         (lowered, {"gates": (toffoli(0, 1, 5),)}, outside),
         (built, {"gates": (toffoli(0, 1, 5),)}, outside),
     ]
