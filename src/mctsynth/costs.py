@@ -306,11 +306,8 @@ def report_text(report: CostReport) -> str:
 
 
 def _ancilla_count(circuit: Circuit) -> int:
-    return sum(
-        1
-        for r in circuit.roles
-        if r in (QubitRole.CYCLE_ANCILLA, QubitRole.PROCESS_ANCILLA, QubitRole.WORKSPACE)
-    )
+    return sum(map(circuit.roles.count,
+                   (QubitRole.CYCLE_ANCILLA, QubitRole.PROCESS_ANCILLA, QubitRole.WORKSPACE)))
 
 
 def cost_report(

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import repeat
 from numbers import Number
+from operator import attrgetter, countOf
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -418,7 +419,7 @@ def inverse(circuit: Circuit) -> Circuit:
 
 
 def count_gates(circuit: Circuit, kind: GateKind) -> int:
-    return sum(1 for g in circuit.gates if g.kind is kind)
+    return countOf(map(attrgetter("kind"), circuit.gates), kind)
 
 
 def gate_histogram(circuit: Circuit) -> dict[GateKind, int]:

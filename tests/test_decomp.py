@@ -667,8 +667,8 @@ class TestLoweringMemo:
             assert _gate_rows(lowered.gates) == _gate_rows(_unmemoised_lowering(circ, basis))
 
     def test_repeated_toffolis_share_their_gates(self):
-        # exactly one object per distinct gate row, kept gates included,
-        # also in a circuit the basis allows whole.
+        # exactly one object per distinct gate row, kept gates included;
+        # a circuit the basis allows whole keeps its own gate objects.
         # Lowering and both readers skip the range check, so each of
         # their circuits must equal the checked Circuit of its fields;
         # lowering and the text reader make gates past Gate's checks, so
@@ -686,6 +686,10 @@ class TestLoweringMemo:
                     assert read == lowered == Circuit(read.roles, read.gates, read.meta)
                     _assert_checked_gates(read.gates)
                 gates = lowered.gates
+                if {g.kind for g in circ.gates} <= BASES[basis].allowed:
+                    assert list(map(id, gates)) == list(map(id, circ.gates)), \
+                        (circ.meta, basis)
+                    continue
                 rows = _gate_rows(gates)
                 assert len(set(zip(rows, map(id, gates)))) == len(set(rows)), \
                     (circ.meta, basis)
@@ -700,14 +704,15 @@ class TestLoweringMemo:
     @pytest.mark.parametrize("basis", list(GateBasis))
     def test_signed_zeros_are_not_shared(self, basis):
         # equal as tuples, since 0.0 == -0.0, but written differently;
-        # the kept gates are shared by their bits, with x(0) and cv(0, 1)
-        # to rewrite in every basis or with every gate kept
+        # x(0) and cv(0, 1) give every basis a gate to rewrite, so the
+        # kept gates are shared, and without them each is kept as it is
         plus = ((1 + 0j, 0j), (0j, 1 + 0j))
         minus = ((1 + 0j, complex(-0.0, 0.0)), (0j, 1 + 0j))
         a, b, a_copy = local(1, plus), local(1, minus), local(1, (plus[0], plus[1]))
         kept = [a, b, cnot(0, 1), a_copy, b]
-        for circuit_gates in (kept + [x(0), cv(0, 1)], kept):
-            gates = lower_circuit(_circ([C, T], circuit_gates), basis).gates
-            assert gates[0] is gates[3] and gates[1] is gates[4] and gates[0] is not gates[1]
-            assert [matrix_bits(gates[i].matrix) for i in (0, 1)] == \
-                [matrix_bits(plus), matrix_bits(minus)]
+        gates = lower_circuit(_circ([C, T], kept + [x(0), cv(0, 1)]), basis).gates
+        assert gates[0] is gates[3] and gates[1] is gates[4] and gates[0] is not gates[1]
+        assert [matrix_bits(gates[i].matrix) for i in (0, 1)] == \
+            [matrix_bits(plus), matrix_bits(minus)]
+        gates = lower_circuit(_circ([C, T], kept), basis).gates
+        assert list(map(id, gates)) == list(map(id, kept))

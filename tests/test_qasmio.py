@@ -322,6 +322,21 @@ class TestJsonRoundTrip:
         with pytest.raises(CircuitFileError, match="gates must be a list"):
             loads_json(doc)
 
+    @pytest.mark.parametrize("roles", ['["c", "t"]', "5", "true", "null", '{"ct": 1}'])
+    def test_roles_not_a_string(self, roles, tmp_path, capsys):
+        # refused for what it is, not read through str() as letters
+        doc = (
+            '{"format": "mct-circuit", "version": 1, "width": 2, '
+            f'"roles": {roles}, "gates": []}}'
+        )
+        with pytest.raises(CircuitFileError) as info:
+            loads_json(doc)
+        assert str(info.value) == f"roles must be a string, got {json.loads(roles)!r}"
+        path = tmp_path / "roles.json"
+        path.write_text(doc)
+        assert main(["convert", "--infile", str(path), "--out", str(tmp_path / "out.mq")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("meta", ["[1]", "5", '"cycle"'])
     def test_meta_not_an_object(self, meta):
         doc = (
@@ -829,11 +844,12 @@ def _random_text_file(rng):
 
 
 def _reshaped_text_file(text, rng):
-    """The same file with CRLF or LF line ends, blank and comment lines
-    before the header and between the header, roles and meta lines,
-    and then either the body as it is, the body with one bad gate line
-    added twice with two different paddings, or a body of comments
-    only."""
+    """The same file with one of the line ends ``str.splitlines`` splits
+    at, blank and comment lines before the header and between the
+    header, roles and meta lines, and then either the body as it is,
+    the body with one bad gate line added twice with two different
+    paddings, or a body of comments only; and after the last line a
+    line end, or, in about one file in five, none."""
     lines = text.splitlines()
     top = 3 if len(lines) > 2 and lines[2].startswith("meta") else 2
     shaped = []
@@ -851,8 +867,11 @@ def _reshaped_text_file(text, rng):
         body.insert(second, bad + rng.choice([" ", "\t", "  "]))
     elif pick < 0.6:
         body = [rng.choice(["#", "# " + line, "", "  #" + line]) for line in body]
-    eol = rng.choice(["\n", "\r\n"])
-    return eol.join(shaped + body) + eol
+    # LF alone takes the reader's split at "\n", and every other line
+    # end its splitlines()
+    eol = rng.choice(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                      "\x85", "\u2028", "\u2029"])
+    return eol.join(shaped + body) + (eol if rng.random() < 0.8 else "")
 
 
 def _matches_reference(text):
