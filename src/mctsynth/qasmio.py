@@ -297,24 +297,8 @@ def _parse_indices(tokens: list[str], width: int, indices: dict[str, int]) -> tu
     return tuple(map(indices.__getitem__, tokens))
 
 
-# the line ends ``str.splitlines`` splits at, other than "\n", that an
-# ASCII text can hold ("\r" also starts "\r\n"); its other three,
-# \x85, \u2028 and \u2029, are not ASCII
-_ASCII_LINE_ENDS = "\r\x0b\x0c\x1c\x1d\x1e"
-
-
 def loads_text(text: str) -> Circuit:
-    # In an ASCII text with no line end but "\n", ``splitlines`` ends a
-    # line at each "\n", so split("\n") gives its lines, and one piece
-    # more where the text ends in "\n": the empty one after it, taken
-    # off.  Any other text is split by ``splitlines``.
-    # fast path: synth-large jobs_per_s is unresolved without it (0.7% higher, 7 of 10 pairs); a 15,042-line read saves 0.3 of 5.1 ms (CHANGES.md, text the reader splits at newlines)
-    if text.isascii() and not any(map(text.__contains__, _ASCII_LINE_ENDS)):
-        lines = text.split("\n")
-        if not lines[-1]:
-            lines.pop()
-    else:
-        lines = text.splitlines()
+    lines = text.splitlines()
     # the header, roles and meta lines: the first three that are neither
     # blank nor comments, with their 1-based line numbers
     head: list[tuple[int, str]] = []
