@@ -867,7 +867,7 @@ def _reshaped_text_file(text, rng):
         body.insert(second, bad + rng.choice([" ", "\t", "  "]))
     elif pick < 0.6:
         body = [rng.choice(["#", "# " + line, "", "  #" + line]) for line in body]
-    # LF, the only end ``load`` hands over, or CRLF in four files in
+    # LF (``load`` turns CRLF and CR into it) or CRLF in four files in
     # five, and one of the other nine line ends in the rest
     if rng.random() < 0.8:
         eol = rng.choice(["\n", "\r\n"])
