@@ -40,16 +40,19 @@ scalar and ``float.__repr__`` of each matrix number, which is what the
 encoder writes: ``indent=2`` sends ``json.dumps`` to its pure-Python
 encoder, which costs more than all the gates do.
 
-The text reader parses each distinct line once, and shares its
-``Gate`` with every repeat; lines that differ only in surrounding
-whitespace are parsed apart.  On each distinct line it checks the
-mnemonic (a ``u(...)`` one read once, with its four entries), each
-operand token against the width, then that the operands are as many as
-the kind takes and distinct.  A ``u(...)`` matrix goes through
-``Gate``'s unitarity check on the first line that holds it, and so does
-any line that breaks a rule, so each refusal names the first rule
-broken and its line.  The JSON reader reads each gate entry on its
-own.  Nothing is kept from one call to the next.
+The text reader tells the roles and meta lines by their first
+whitespace token, whole, so ``metax ...`` is a gate line and
+``roles<TAB>cct`` a roles line.  It parses each distinct line once,
+and shares its ``Gate`` with every repeat; lines that differ only in
+surrounding whitespace are parsed apart.  Each distinct mnemonic is
+read once (a ``u(...)`` one with its four entries), and each distinct
+index token is checked against the width once.  A line with as many
+memoised index tokens as its kind takes, all distinct, under a
+mnemonic read before, is made from them directly.  Any other line goes
+through ``Gate``: the first line of each ``u(...)`` matrix, for its
+unitarity check, and any line that breaks a rule, so each refusal names
+the first rule broken and its line.  The JSON reader reads each gate
+entry on its own.  Nothing is kept from one call to the next.
 
 ``save`` writes a file with ``os.write``, in binary mode, so no
 platform translates line ends: every file is written with LF.
@@ -320,13 +323,14 @@ def loads_text(text: str) -> Circuit:
         raise CircuitFileError(f"bad width {tokens[3]!r}", lineno)
     _check_width(width, lineno)
 
-    if len(head) < 2 or not head[1][1].startswith("roles "):
+    # the roles and meta lines are told by their first token, whole
+    if len(head) < 2 or head[1][1].split(maxsplit=1)[0] != "roles":
         raise CircuitFileError("missing roles line", lineno)
     lineno, roles_line = head[1]
-    roles = _roles(roles_line.split(maxsplit=1)[1].strip(), width, lineno)
+    roles = _roles(roles_line[len("roles"):].strip(), width, lineno)
 
     meta = CircuitMeta()
-    if len(head) == 3 and head[2][1].startswith("meta"):
+    if len(head) == 3 and head[2][1].split(maxsplit=1)[0] == "meta":
         lineno, meta_line = head[2]
         meta = _parse_meta(meta_line.split()[1:], lineno)
 
@@ -352,35 +356,62 @@ def loads_text(text: str) -> Circuit:
     indices: dict[str, int] = (
         dict(zip(map(str, range(width)), range(width))) if width <= 3 * len(parsed) else {}
     )
+    get = indices.get
     for raw in parsed:
         # split drops the whitespace strip would, and a blank line reads
         # as a comment
-        mnemonic, *tokens = raw.split() or ("#",)
+        tokens = raw.split() or ("#",)
+        mnemonic = tokens[0]
         if mnemonic[0] == "#":
             continue
-        try:
-            head = heads.get(mnemonic)
-            if head is None:
-                head = heads[mnemonic] = _parse_u(mnemonic)
+        # A line with as many memoised index tokens as its kind takes,
+        # all distinct, under a mnemonic read before (a u() whose matrix
+        # passed Gate already) holds all that Gate checks, and is made
+        # from the memo directly; any other line takes the general path.
+        head = heads.get(mnemonic)
+        qubits = None
+        if head is not None:
             kind, matrix, arity = head
-            qubits = tuple(map(indices.get, tokens))
-            if None in qubits:
-                qubits = _parse_indices(tokens, width, indices)
-            if matrix is not None and len(qubits) != 1:
-                raise CircuitFileError("u gate takes exactly one qubit")
-            # int operands below the width, as many as the kind takes
-            # and distinct, and a matrix that passed Gate already, are
-            # all that Gate checks; any other line goes through Gate,
-            # which refuses it with the message of its first broken rule
-            # fast path: synth-large jobs_per_s is 3.9% lower with `Gate` per line (CHANGES.md, shortcuts priced)
-            if not (len(qubits) == arity and len(set(qubits)) == arity):
+            count = len(tokens) - 1
+            # fast path: synth-large jobs_per_s is 7.7-8.6% lower without it (CHANGES.md, lines read by operand count)
+            if count != arity:
+                pass  # a wrong count, or a u() matrix not through Gate yet
+            elif count == 1:
+                a = get(tokens[1])
+                if a is not None:
+                    qubits = (a,)
+            elif count == 2:
+                a = get(tokens[1])
+                b = get(tokens[2])
+                if a is not None and b is not None and a != b:
+                    qubits = (a, b)
+            else:
+                a = get(tokens[1])
+                b = get(tokens[2])
+                c = get(tokens[3])
+                if (a is not None and b is not None and c is not None
+                        and a != b and a != c and b != c):
+                    qubits = (a, b, c)
+        if qubits is None:
+            try:
+                if head is None:
+                    head = heads[mnemonic] = _parse_u(mnemonic)
+                kind, matrix, arity = head
+                tokens = tokens[1:]
+                qubits = tuple(map(get, tokens))
+                if None in qubits:
+                    qubits = _parse_indices(tokens, width, indices)
+                if matrix is not None and len(qubits) != 1:
+                    raise CircuitFileError("u gate takes exactly one qubit")
+                # Gate refuses a line that breaks a rule with the
+                # message of the first one broken
                 matrix = Gate(kind, qubits, matrix).matrix
                 if arity is None:
                     heads[mnemonic] = (kind, matrix, 1)
-        except ValueError as exc:
-            # a CircuitFileError here has no line yet, and the message
-            # of one that Gate raises is the gate's own
-            raise CircuitFileError(str(exc), lineno + body.index(raw) + 1) from None
+            except ValueError as exc:
+                # a CircuitFileError here has no line yet, and the message
+                # of one that Gate raises is the gate's own
+                raise CircuitFileError(str(exc), lineno + body.index(raw) + 1) from None
         parsed[raw] = len(kinds)
         kinds.append(kind)
         qubits_of.append(qubits)

@@ -121,6 +121,26 @@ class TestTextParseErrors:
             loads_text("mctqasm v1 width 3\n")
         assert info.value.line == 1
 
+    @pytest.mark.parametrize("keyword", ["metax", "metafoo", "meta=", "meta#"])
+    def test_meta_keyword_is_a_whole_token(self, keyword):
+        # a line that only starts with "meta" is a gate line
+        text = f"mctqasm v1 width 4\nroles ccct\n{keyword} scheme=ladder n=3 c=- basis=toffoli\n"
+        with pytest.raises(CircuitFileError) as info:
+            loads_text(text + "ccx 0 1 3\n")
+        assert (str(info.value), info.value.line) == \
+            (f"line 3: unknown mnemonic {keyword!r}", 3)
+        with pytest.raises(CircuitFileError, match=f"line 3: unknown mnemonic {keyword!r}"):
+            loads_text(f"mctqasm v1 width 4\nroles ccct\n{keyword}\n")
+
+    @pytest.mark.parametrize("gap", ["\t", "\t\t", "\t "])
+    def test_roles_keyword_ends_at_any_whitespace(self, gap):
+        text = "mctqasm v1 width 4\nroles ccct\nmeta scheme=- n=3 c=- basis=-\nccx 0 1 3\n"
+        circ = loads_text(text.replace("roles ", "roles" + gap))
+        assert dumps_text(circ) == text
+        with pytest.raises(CircuitFileError, match="missing roles line") as info:
+            loads_text("mctqasm v1 width 4\nrolesx ccct\n")
+        assert info.value.line == 1
+
     def test_empty_file(self):
         with pytest.raises(CircuitFileError):
             loads_text("")
@@ -743,7 +763,7 @@ def _reference_loads_text(text):
     roles = [ROLE_BY_LETTER[ch] for ch in lines[1][1].split()[1]]
     body = lines[2:]
     meta = CircuitMeta()
-    if body and body[0][1].startswith("meta"):
+    if body and body[0][1].split()[0] == "meta":
         fields = dict(tok.partition("=")[::2] for tok in body[0][1].split()[1:])
         meta = CircuitMeta(scheme=fields["scheme"], n=int(fields["n"]))
         body = body[1:]
@@ -810,6 +830,10 @@ _BAD_LINES = [
     "u(1.0+0.0j,0.0+0.0j) 0", "u(one,0j,0j,1.0+0.0j) 0", "u(2.0,0.0,0.0,2.0) 0",
     "u(1.0+0.0j, 0.0+0.0j,0.0+0.0j,1.0+0.0j) 0", "u(1,0,0,1) 0 1", "u(1,0,0,1)",
     "cx 1.0 2", "cx 0 +1", "cx 0 01", "ccx 0 1 \u0662", "cx 0 1_0",
+    # a duplicate at each pair of positions, and a bad or unmemoised
+    # token first or in the middle
+    "ccx 1 1 2", "ccx 1 2 1", "ccx 2 1 1", "cv 0 0", "cvdg 2 2",
+    "x q", "cx q 0", "ccx 99 1 2", "ccx 0 01 2",
 ]
 
 
@@ -851,7 +875,7 @@ def _reshaped_text_file(text, rng):
     paddings, or a body of comments only; and after the last line a
     line end, or, in about one file in five, none."""
     lines = text.splitlines()
-    top = 3 if len(lines) > 2 and lines[2].startswith("meta") else 2
+    top = 3 if len(lines) > 2 and lines[2].split()[0] == "meta" else 2
     shaped = []
     for line in lines[:top]:
         for _ in range(rng.randint(0, 2)):
@@ -1024,7 +1048,7 @@ def test_every_accepted_text_file_survives_json_round_trip():
         # the width and the meta integers come back spelled as they were
         lines = text.splitlines()
         assert back.splitlines()[0] == lines[0]
-        if len(lines) > 2 and lines[2].startswith("meta"):
+        if len(lines) > 2 and lines[2].split()[0] == "meta":
             numbers = [tok for tok in lines[2].split() if tok[:2] in ("n=", "c=")]
             assert set(numbers) <= set(back.splitlines()[2].split())
     assert accepted > 300 and rejected > 300, (accepted, rejected)

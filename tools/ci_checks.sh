@@ -79,6 +79,16 @@ grep -q "(14899 gates, text)" synth.txt
 mct convert --infile c544.mq --out c544.json
 mct convert --infile c544.json --out c544b.mq
 cmp c544.mq c544b.mq
+# one of its body lines rewritten to a duplicate operand is refused
+# where it stands (exit 2), with the reader's one line on stderr
+sed '500s/.*/cx 3 3/' c544.mq > c544-dup.mq
+set +e
+mct convert --infile c544-dup.mq --out c544-dup.json 2> c544-dup.txt
+code=$?
+set -e
+test "$code" -eq 2
+test "$(cat c544-dup.txt)" = "error: line 500: duplicate operand in cx(3, 3)"
+test ! -e c544-dup.json
 # the JSON writer fills templates; its bytes are the standard
 # encoder's at indent=2, on this Python and numpy too
 mct synth --scheme cycle --n 16 --basis cnot --out c16cnot.json
@@ -131,6 +141,12 @@ sed 's/$/\r/' t9.mq > t9-crlf.mq
 mct verify --circuit t9.mq --oracle cnx:9 > t9-lf.txt
 mct verify --circuit t9-crlf.mq --oracle cnx:9 > t9-crlf.txt
 cmp t9-lf.txt t9-crlf.txt
+# the roles keyword ends at any whitespace: a copy with a tab after
+# it verifies as the file does
+sed 's/^roles /roles\t/' t9.mq > t9-tab.mq
+grep -q "^roles$(printf '\t')" t9-tab.mq
+mct verify --circuit t9-tab.mq --oracle cnx:9 > t9-tab.txt
+cmp t9-lf.txt t9-tab.txt
 # a lowered file in a fresh process: the sparse engine fuses
 # its run shapes from a cold cache
 mct synth --scheme cycle --n 9 --basis cv --no-verify --out c9cv.mq
@@ -295,6 +311,15 @@ code=$?
 set -e
 test "$code" -eq 2
 test "$(cat noroles.txt)" = "error: line 1: missing roles line"
+# the meta keyword is a whole token: a third line that only starts
+# with "meta" is a gate line, refused as one (exit 2)
+printf 'mctqasm v1 width 4\nroles ccct\nmetax scheme=ladder n=3 c=- basis=toffoli\nccx 0 1 3\n' > metax.mq
+set +e
+mct verify --circuit metax.mq --oracle cnx:3 2> metax.txt
+code=$?
+set -e
+test "$code" -eq 2
+test "$(cat metax.txt)" = "error: line 3: unknown mnemonic 'metax'"
 # an infinite matrix entry is not unitary (exit 2): one line on
 # stderr, and no numpy warning before it
 printf 'mctqasm v1 width 2\nroles ct\nmeta scheme=- n=- c=- basis=-\nu(inf,0,0,1) 0\n' > inf.mq
